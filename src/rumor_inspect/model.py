@@ -22,7 +22,10 @@ theta = theta0 + theta1. The rumor has the closed form
 
 while the truth prevalence solves the scalar fixed point
 theta0 = truth_map(theta0), which is strictly concave in theta0 and hence
-has a unique positive root whenever one exists; it is found by bisection.
+has a unique positive root whenever one exists. Clearing the map's two
+denominators turns the fixed point into a cubic in theta0 with a single
+positive root; it is found by a safeguarded Newton iteration that serves
+single policies (plain floats) and policy grids (numpy arrays) alike.
 """
 
 from __future__ import annotations
@@ -31,13 +34,15 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 
 class ParameterError(ValueError):
     """A model parameter, rate, or state left its admissible domain."""
 
 
 class SolverError(RuntimeError):
-    """A fixed-point solve failed; ``bracket`` holds the last bisection bracket."""
+    """A fixed-point solve failed; ``bracket`` holds the last sign bracket of the root."""
 
     def __init__(self, message: str, bracket: tuple[float, float] | None = None):
         super().__init__(message)
@@ -61,13 +66,13 @@ class ModelParams:
     x: float
 
     def __post_init__(self):
-        if not (self.nu > 0.0 and self.k > 0.0 and self.delta > 0.0):
-            raise ParameterError(
-                f"nu, k, delta must be strictly positive, got "
-                f"({self.nu}, {self.k}, {self.delta})"
-            )
+        rates = (self.nu, self.k, self.delta)
+        if not all(0.0 < r < math.inf for r in rates):
+            raise ParameterError(f"nu, k, delta must be finite and strictly positive, got {rates}")
         if not 0.0 <= self.x <= 1.0:
             raise ParameterError(f"x must lie in [0, 1], got {self.x}")
+        if not 0.0 < self.lam < math.inf:
+            raise ParameterError(f"lam = nu * k / delta must be finite and strictly positive, got {self.lam}")
 
     @property
     def lam(self) -> float:
@@ -131,19 +136,21 @@ class Allocation:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Bisection settings for the truth fixed point."""
+    """Settings of the truth root solver.
+
+    A root is accepted once the last step or the sign bracket around it is at
+    most ``tol`` wide; after ``max_iter`` iterations without that, the solve
+    raises SolverError.
+    """
 
     tol: float = 1e-12
     max_iter: int = 200
-    clamp_eps: float = 0.0
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ParameterError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.clamp_eps < 0.0:
-            raise ParameterError(f"clamp_eps must be >= 0, got {self.clamp_eps}")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -162,8 +169,91 @@ class SteadyState:
     rho_11_na: float  # believing-rumor fraction among non-inspecting type-1 agents
 
 
-def _clamp(value: float, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
-    return value if value > cfg.clamp_eps else 0.0
+class _FloatOps:
+    """Stands in for numpy in the shared solver, so that single solves stay in plain float arithmetic."""
+
+    maximum = max
+    minimum = min
+    all = bool
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+
+def _rumor_level(p: ModelParams, a1, cutoff: float, ops=_FloatOps):
+    """Rumor closed form max(0, (1 - alpha1)*(1 - x) - 1/lam), and 0 wherever alpha1 >= cutoff."""
+    return ops.where(a1 >= cutoff, 0.0, ops.maximum(0.0, (1.0 - a1) * (1.0 - p.x) - 1.0 / p.lam))
+
+
+def _no_rumor_truth(p: ModelParams, a1, ops=_FloatOps):
+    """Truth closed form max(0, x + (1-x)*alpha1 - 1/lam) for an extinct rumor or an empty inspecting mass."""
+    return ops.maximum(0.0, p.x + (1.0 - p.x) * a1 - 1.0 / p.lam)
+
+
+def _truth_cubic(r: float, v: float, theta1, inspecting, s):
+    """Coefficients (c3, c2, c1, c0) of the truth cubic, divided by (lam/r)^2.
+
+    Clearing the denominators of theta0 = truth_map(theta0) gives, with
+    inspecting mass I and s = I + x*(1-alpha0), the cubic in t = theta0
+
+        lam^2 t^3 + lam(2 + lam*theta1 - lam*s) t^2 + (1 + lam*theta1)(1 - lam*s) t - I*lam*theta1
+
+    with one positive root. r = lam, v = 1 give it as written; r = 1,
+    v = 1/lam make it monic, so lam^2 cannot overflow.
+    """
+    return (
+        r * r,
+        r * (2.0 * v + r * theta1 - r * s),
+        (v + r * theta1) * (v - r * s),
+        -inspecting * r * theta1 * v,
+    )
+
+
+def _truth_given_rumor(p: ModelParams, a0, a1, inspecting, theta1, cap, cfg: SolverConfig, ops=_FloatOps):
+    """theta0 at the rumor level theta1, for floats or, with ops=numpy, elementwise on arrays.
+
+    With no rumor or nobody inspecting, theta0 is the no-rumor closed form
+    (an empty inspecting mass forces (1-x)*alpha1 = 0, so the no-mass root
+    max(0, x - 1/lam) is the same expression). Otherwise the map stays
+    below s = I + x*(1-alpha0), so the cubic's root lies in (0, min(s, cap))
+    for a caller-known bound cap. Newton steps start at the upper end and
+    keep a sign bracket, bisecting when a step would leave it or the slope
+    is not positive.
+    """
+    closed = _no_rumor_truth(p, a1, ops)
+    settled = (theta1 <= 0.0) | (inspecting <= 0.0)
+    if ops.all(settled):
+        return closed
+    r, v = (1.0, 1.0 / p.lam) if p.lam >= 1.0 else (p.lam, 1.0)
+    s = inspecting + p.x * (1.0 - a0)
+    c3, c2, c1, c0 = _truth_cubic(r, v, theta1, inspecting, s)
+    where = ops.where
+    hi = ops.minimum(s, cap)
+    lo = 0.0 * hi
+    t = hi
+    done = settled
+    for _ in range(cfg.max_iter):
+        f = ((c3 * t + c2) * t + c1) * t + c0
+        df = (3.0 * c3 * t + 2.0 * c2) * t + c1
+        above = f > 0.0
+        lo = where(above, lo, t)
+        hi = where(above, t, hi)
+        rising = df > 0.0
+        new = t - f / where(rising, df, 1.0)
+        new = where(rising & (new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        stop = (abs(new - t) <= cfg.tol) | (hi - lo <= cfg.tol)
+        t = where(done, t, new)
+        done = done | stop
+        if ops.all(done):
+            return where(settled, closed, t)
+    i = int(np.argmin(done))  # first entry still open; a float solve has only one
+    bracket = (float(np.ravel(lo)[i]), float(np.ravel(hi)[i]))
+    raise SolverError(
+        f"truth fixed point did not reach tol={cfg.tol} within {cfg.max_iter} "
+        f"iterations; last bracket [{bracket[0]}, {bracket[1]}]",
+        bracket=bracket,
+    )
 
 
 def eradication_threshold(p: ModelParams) -> float:
@@ -184,11 +274,7 @@ def rumor_steady_state(p: ModelParams, a: Allocation) -> float:
     Only the type-1 inspection rate matters: the rumor circulates among
     non-inspecting rumor-biased agents alone.
     """
-    a1 = a.alpha1
-    thr = eradication_threshold(p)
-    if thr == 0.0 or a1 >= thr:
-        return 0.0
-    return max(0.0, (1.0 - a1) * (1.0 - p.x) - 1.0 / p.lam)
+    return _rumor_level(p, a.alpha1, eradication_threshold(p))
 
 
 def truth_map(theta0: float, theta1: float, p: ModelParams, a: Allocation) -> float:
@@ -220,7 +306,7 @@ def no_rumor_truth(p: ModelParams, a: Allocation) -> float:
     alpha0 has no effect here; with nothing false in circulation, type-0
     inspection changes nothing about what anyone believes.
     """
-    return max(0.0, p.x + (1.0 - p.x) * a.alpha1 - 1.0 / p.lam)
+    return _no_rumor_truth(p, a.alpha1)
 
 
 def no_rumor_positivity_readings(p: ModelParams) -> tuple[float, float]:
@@ -249,44 +335,18 @@ def truth_steady_state_given_rumor(
 ) -> float:
     """Solve theta0 = truth_map(theta0; theta1) with the rumor level held fixed."""
     _check_fraction("theta1", theta1)
-    if theta1 <= 0.0:
-        return _clamp(p.x + (1.0 - p.x) * a.alpha1 - 1.0 / p.lam, cfg)
-    if a.inspecting_mass(p.x) <= 0.0:
-        # the map keeps only the biased-type term; its root is closed form
-        return _clamp(p.x - 1.0 / p.lam, cfg)
-    return _bisect_truth(p, a, theta1, cfg)
-
-
-def _bisect_truth(p: ModelParams, a: Allocation, theta1: float, cfg: SolverConfig) -> float:
-    # G(0) < 0 and G(1) > 0 whenever theta1 > 0 and someone inspects, and the
-    # map is strictly concave, so [0, 1] brackets the unique positive root.
-    lo, hi = 0.0, 1.0
-    for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= cfg.tol:
-            return mid
-        if mid - truth_map(mid, theta1, p, a) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    raise SolverError(
-        f"truth fixed point did not reach tol={cfg.tol} within {cfg.max_iter} "
-        f"iterations; last bracket [{lo}, {hi}]",
-        bracket=(lo, hi),
-    )
+    return _truth_given_rumor(p, a.alpha0, a.alpha1, a.inspecting_mass(p.x), theta1, 1.0, cfg)
 
 
 def truth_steady_state(p: ModelParams, a: Allocation, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
     """Steady truth prevalence under the given inspection policy.
 
     Within cfg.tol of the eradication threshold the degenerate fixed point is
-    avoided and the no-rumor closed form is used directly.
+    avoided and the no-rumor closed form is used directly. At the steady
+    rumor level theta0 + theta1 <= 1 - 1/lam, so 1 - theta1 caps the root.
     """
-    thr = eradication_threshold(p)
-    if a.alpha1 >= thr - cfg.tol:
-        return _clamp(p.x + (1.0 - p.x) * a.alpha1 - 1.0 / p.lam, cfg)
-    theta1 = rumor_steady_state(p, a)
-    return truth_steady_state_given_rumor(p, a, theta1, cfg)
+    theta1 = _rumor_level(p, a.alpha1, eradication_threshold(p) - cfg.tol)
+    return _truth_given_rumor(p, a.alpha0, a.alpha1, a.inspecting_mass(p.x), theta1, 1.0 - theta1, cfg)
 
 
 def recompose_prevalence(ss: SteadyState, p: ModelParams, a: Allocation) -> tuple[float, float]:
@@ -319,33 +379,9 @@ def full_steady_state(p: ModelParams, a: Allocation, cfg: SolverConfig = DEFAULT
     )
     r0, r1 = recompose_prevalence(ss, p, a)
     budget = max(1e-9, 100.0 * cfg.tol)
-    if max(abs(r0 - theta0), abs(r1 - theta1)) > budget:
+    if not max(abs(r0 - theta0), abs(r1 - theta1)) <= budget:
         raise SolverError(
             f"steady state failed recomposition: |{r0} - {theta0}|, "
             f"|{r1} - {theta1}| exceed {budget}"
         )
     return ss
-
-
-def total_prevalence_map(
-    theta: float,
-    p: ModelParams,
-    a: Allocation,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> float:
-    """Self-consistency map for total prevalence, evaluated at the solved split.
-
-    This is a consistency check, not a second solver: with (theta0, theta1)
-    taken from the solved steady state, the steady total prevalence is a
-    fixed point of this map.
-    """
-    _check_fraction("theta", theta)
-    lam = p.lam
-    ss = full_steady_state(p, a, cfg)
-    c_ins = a.inspecting_mass(p.x)
-    c_bias = p.x * (1.0 - a.alpha0)
-    return (
-        c_ins * lam * theta / (1.0 + lam * theta)
-        + c_bias * lam * ss.theta0 / (1.0 + lam * ss.theta0)
-        + ss.theta1
-    )

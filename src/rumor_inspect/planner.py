@@ -29,6 +29,9 @@ from .model import (
     ParameterError,
     SolverConfig,
     SteadyState,
+    _rumor_level,
+    _truth_cubic,
+    _truth_given_rumor,
     eradication_threshold,
     rumor_steady_state,
     truth_steady_state,
@@ -148,10 +151,6 @@ def closed_thresholds(p: ModelParams) -> Thresholds:
 # grid machinery
 # ---------------------------------------------------------------------------
 
-def _bisect_iters(cfg: SolverConfig) -> int:
-    return min(cfg.max_iter, int(math.ceil(math.log2(1.0 / cfg.tol))) + 1)
-
-
 def _theta_grids(
     p: ModelParams,
     c_ins: np.ndarray,
@@ -161,32 +160,13 @@ def _theta_grids(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (theta0, theta1) over allocation grids.
 
-    Mirrors the scalar branch logic of truth_steady_state so that grid scans
-    and the scalar recomputation of the reported optimum agree to solver
-    accuracy. Only the argmax location comes from here; reported objectives
-    are always recomputed with the scalar solver.
+    Runs the scalar truth_steady_state solver elementwise, so grid scans and
+    the scalar recomputation of the reported optimum agree to rounding. Only
+    the argmax location comes from here; reported objectives are always
+    recomputed with the scalar solver.
     """
-    lam = p.lam
-    x = p.x
-    thr = eradication_threshold(p)
-    no_rumor = a1s >= thr - cfg.tol
-    theta1 = np.where(no_rumor, 0.0, np.maximum(0.0, (1.0 - a1s) * (1.0 - x) - 1.0 / lam))
-    closed = np.maximum(0.0, x + (1.0 - x) * a1s - 1.0 / lam)
-    closed_nomass = max(0.0, x - 1.0 / lam)
-    c_bias = x * (1.0 - a0s)
-
-    lo = np.zeros_like(c_ins)
-    hi = np.ones_like(c_ins)
-    for _ in range(_bisect_iters(cfg)):
-        mid = 0.5 * (lo + hi)
-        th = mid + theta1
-        g = mid - (c_ins * lam * th / (1.0 + lam * th) + c_bias * lam * mid / (1.0 + lam * mid))
-        above = g > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    root = 0.5 * (lo + hi)
-
-    theta0 = np.where(no_rumor, closed, np.where(c_ins <= 0.0, closed_nomass, root))
+    theta1 = _rumor_level(p, a1s, eradication_threshold(p) - cfg.tol, np)
+    theta0 = _truth_given_rumor(p, a0s, a1s, c_ins, theta1, 1.0 - theta1, cfg, np)
     return theta0, theta1
 
 
@@ -216,59 +196,43 @@ def _golden_max(f, lo: float, hi: float, xtol: float = REFINE_XTOL) -> tuple[flo
     return min(xx for xx, v in seen if v == best), best
 
 
-def _snap(value: float, *anchors: float, tol: float = 1e-7) -> float:
-    """Collapse refinement output onto a nearby exact candidate point.
+def _maximize_uniform(p: ModelParams, budget: "Budget | float", platform: bool, cfg: SolverConfig, grid_points: int) -> OptResult:
+    """Shared grid + refine protocol for the single-rate problems.
 
-    The scalar objective is quantized at bisection accuracy, so maxima the
-    refiner places within `tol` of a cell edge are indistinguishable from the
-    edge itself; genuine interior maxima sit at least a grid cell inside.
+    The objective is theta0, or theta0 + theta1 for the platform.
     """
-    for anchor in anchors:
-        if abs(value - anchor) <= tol:
-            return anchor
-    return value
+    A = _total(budget)
+    amax = min(A, 1.0)
 
+    def objective(alpha: float) -> float:
+        alloc = Allocation.uniform(alpha)
+        truth = truth_steady_state(p, alloc, cfg)
+        return truth + rumor_steady_state(p, alloc) if platform else truth
 
-def _pick_cheapest(candidates: list[tuple[float, float]]) -> tuple[float, float]:
-    """Among (x, value) pairs, the best value; ties go to the smallest x.
-
-    Points closer together than refinement noise (1e-9) count as the same
-    policy, so within such a cluster the better value wins.
-    """
-    best = max(v for _, v in candidates)
-    ties = sorted((xx, v) for xx, v in candidates if v >= best - TIE_TOL)
-    xstar, vstar = ties[0]
-    for xx, v in ties[1:]:
-        if xx - ties[0][0] > 1e-9:
-            break
-        if v > vstar:
-            xstar, vstar = xx, v
-    return xstar, vstar
-
-
-def _scan_uniform(
-    p: ModelParams,
-    amax: float,
-    objective,
-    vec_objective,
-    cfg: SolverConfig,
-    grid_points: int,
-) -> tuple[float, float]:
-    """Shared grid + refine protocol for the single-rate problems."""
     if amax <= 0.0:
-        return 0.0, objective(0.0)
-    alphas = np.linspace(0.0, amax, grid_points)
-    vals = vec_objective(alphas)
-    best = float(vals.max())
-    i = int(np.flatnonzero(vals >= best - TIE_TOL)[0])
-    cell_lo = float(alphas[max(i - 1, 0)])
-    cell_hi = float(alphas[min(i + 1, grid_points - 1)])
-    refined, _ = _golden_max(objective, cell_lo, cell_hi)
-    refined = _snap(refined, cell_lo, cell_hi)
-    candidates = [(a, objective(a)) for a in {0.0, float(alphas[i]), refined, cell_lo, cell_hi, amax}]
-    astar, vstar = _pick_cheapest(candidates)
-    assert vstar >= best - 2.0 * TIE_TOL, "refined optimum fell below a scanned grid value"
-    return astar, vstar
+        astar, vstar = 0.0, objective(0.0)
+    else:
+        alphas = np.linspace(0.0, amax, grid_points)
+        theta0, theta1 = _theta_grids(p, alphas, alphas, alphas, cfg)
+        vals = theta0 + theta1 if platform else theta0
+        best = float(vals.max())
+        i = int(np.flatnonzero(vals >= best - TIE_TOL)[0])
+        cell_lo = float(alphas[max(i - 1, 0)])
+        cell_hi = float(alphas[min(i + 1, grid_points - 1)])
+        refined, _ = _golden_max(objective, cell_lo, cell_hi)
+        scored = [(a, objective(a)) for a in {0.0, float(alphas[i]), refined, cell_lo, cell_hi, amax}]
+        top = max(v for _, v in scored)
+        astar, vstar = min(av for av in scored if av[1] >= top - TIE_TOL)  # ties go to the cheapest rate
+        assert vstar >= best - 2.0 * TIE_TOL, "refined optimum fell below a scanned grid value"
+    alloc = Allocation.uniform(astar)
+    return OptResult(
+        allocation=alloc,
+        objective=vstar,
+        budget_spent=astar,
+        slack=astar < amax - SLACK_TOL,
+        rumor_eradicated=rumor_steady_state(p, alloc) == 0.0,
+        diagnostics=closed_thresholds(p),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,26 +267,7 @@ def maximize_truth_uniform(
     grid_points: int = GRID_POINTS,
 ) -> OptResult:
     """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]."""
-    A = _total(budget)
-    amax = min(A, 1.0)
-
-    def objective(alpha: float) -> float:
-        return truth_steady_state(p, Allocation.uniform(alpha), cfg)
-
-    def vec_objective(alphas: np.ndarray) -> np.ndarray:
-        theta0, _ = _theta_grids(p, alphas, alphas, alphas, cfg)
-        return theta0
-
-    astar, vstar = _scan_uniform(p, amax, objective, vec_objective, cfg, grid_points)
-    alloc = Allocation.uniform(astar)
-    return OptResult(
-        allocation=alloc,
-        objective=vstar,
-        budget_spent=astar,
-        slack=astar < amax - SLACK_TOL,
-        rumor_eradicated=rumor_steady_state(p, alloc) == 0.0,
-        diagnostics=closed_thresholds(p),
-    )
+    return _maximize_uniform(p, budget, False, cfg, grid_points)
 
 
 def maximize_platform(
@@ -332,27 +277,7 @@ def maximize_platform(
     grid_points: int = GRID_POINTS,
 ) -> OptResult:
     """Same protocol as maximize_truth_uniform, but the objective is theta0 + theta1."""
-    A = _total(budget)
-    amax = min(A, 1.0)
-
-    def objective(alpha: float) -> float:
-        alloc = Allocation.uniform(alpha)
-        return truth_steady_state(p, alloc, cfg) + rumor_steady_state(p, alloc)
-
-    def vec_objective(alphas: np.ndarray) -> np.ndarray:
-        theta0, theta1 = _theta_grids(p, alphas, alphas, alphas, cfg)
-        return theta0 + theta1
-
-    astar, vstar = _scan_uniform(p, amax, objective, vec_objective, cfg, grid_points)
-    alloc = Allocation.uniform(astar)
-    return OptResult(
-        allocation=alloc,
-        objective=vstar,
-        budget_spent=astar,
-        slack=astar < amax - SLACK_TOL,
-        rumor_eradicated=rumor_steady_state(p, alloc) == 0.0,
-        diagnostics=closed_thresholds(p),
-    )
+    return _maximize_uniform(p, budget, True, cfg, grid_points)
 
 
 def _binding_alpha0(A: float, x: float, a1: float) -> float:
@@ -367,6 +292,29 @@ def _binding_alpha0(A: float, x: float, a1: float) -> float:
     return min(1.0, rest / x)
 
 
+def _segment_candidates(p: ModelParams, a1s: np.ndarray, a0s: np.ndarray, alpha0, cfg: SolverConfig) -> list[Allocation]:
+    """Candidate targeted policies on the segment alpha0 = alpha0(alpha1), alpha1 in [a1s[0], a1s[-1]].
+
+    a1s is the scan grid and a0s = alpha0(a1s); the best grid point is
+    refined by golden section inside its two neighbouring cells. Grid ties
+    go to the smallest alpha0, then the smallest alpha1: cheaper overall
+    spend never suffers, and eradicating ties resolve away from wasted alpha0.
+    """
+    x = p.x
+    vals, _ = _theta_grids(p, x * a0s + (1.0 - x) * a1s, a0s, a1s, cfg)
+    ties = np.flatnonzero(vals >= float(vals.max()) - TIE_TOL)
+    i = int(ties[np.lexsort((a1s[ties], a0s[ties]))[0]])
+    lo, hi = float(a1s[0]), float(a1s[-1])
+    cell_lo = float(a1s[max(i - 1, 0)])
+    cell_hi = float(a1s[min(i + 1, len(a1s) - 1)])
+    refined, _ = _golden_max(
+        lambda a1: truth_steady_state(p, Allocation.targeted(alpha0(a1), a1), cfg),
+        cell_lo,
+        cell_hi,
+    )
+    return [Allocation.targeted(alpha0(a1), a1) for a1 in {float(a1s[i]), refined, cell_lo, cell_hi, lo, hi}]
+
+
 def maximize_truth_targeted(
     p: ModelParams,
     budget: "Budget | float",
@@ -375,11 +323,16 @@ def maximize_truth_targeted(
 ) -> OptResult:
     """argmax of truth prevalence over per-type rates under the budget.
 
-    While the rumor is endemic, raising either rate weakly helps, so the
-    search runs along the budget-binding segment, parametrized by alpha1.
-    Once the rumor is extinct alpha0 is worthless, so cheaper non-binding
-    eradicating policies are added as explicit candidates. Ties go to the
-    smallest spend, then the smallest alpha0.
+    At a fixed alpha1, raising alpha0 weakly helps: it moves type-0 mass
+    from the truth-only term of the fixed-point map into inspection, which
+    responds to total prevalence, so the map rises pointwise. The optimum
+    therefore lies on the budget-binding segment or, once A > x, on the
+    alpha0 = 1 edge below it with alpha1 in [0, (A-x)/(1-x)]; both are
+    searched, parametrized by alpha1. Raising alpha1 is not always good:
+    it starves the inspectors that convert the rumor. Once the rumor is
+    extinct alpha0 is worthless, so cheaper non-binding eradicating
+    policies are added as explicit candidates. Ties go to the smallest
+    spend, then the smallest alpha0.
     """
     A = _total(budget)
     x = p.x
@@ -401,22 +354,10 @@ def maximize_truth_targeted(
         if lo <= hi:
             a1s = np.linspace(lo, hi, grid_points)
             a0s = np.clip((A - (1.0 - x) * a1s) / x, 0.0, 1.0)
-            c_ins = x * a0s + (1.0 - x) * a1s
-            vals, _ = _theta_grids(p, c_ins, a0s, a1s, cfg)
-            best = float(vals.max())
-            # prefer large alpha1 among grid ties: cheaper overall spend never
-            # suffers and eradicating ties resolve away from wasted alpha0
-            i = int(np.flatnonzero(vals >= best - TIE_TOL)[-1])
-            cell_lo = float(a1s[max(i - 1, 0)])
-            cell_hi = float(a1s[min(i + 1, grid_points - 1)])
-            refined, _ = _golden_max(
-                lambda a1: objective(Allocation.targeted(_binding_alpha0(A, x, a1), a1)),
-                cell_lo,
-                cell_hi,
-            )
-            refined = _snap(refined, cell_lo, cell_hi, lo, hi)
-            for a1 in {float(a1s[i]), refined, cell_lo, cell_hi, lo, hi}:
-                candidates.append(Allocation.targeted(_binding_alpha0(A, x, a1), a1))
+            candidates += _segment_candidates(p, a1s, a0s, lambda a1: _binding_alpha0(A, x, a1), cfg)
+        if A > x:
+            a1s = np.linspace(0.0, min(1.0, lo), grid_points)
+            candidates += _segment_candidates(p, a1s, np.ones_like(a1s), lambda a1: 1.0, cfg)
         if A >= 1.0 - x:
             candidates.append(Allocation.targeted(0.0, 1.0))
 
@@ -493,14 +434,10 @@ def _targeted_alpha1(p: ModelParams, A: float, alpha0: float) -> float:
 def cubic_coefficients(p: ModelParams, budget: "Budget | float", alpha0: float) -> CubicConstraint:
     """Cubic whose positive root is theta0 for a binding targeted budget.
 
-    alpha1 is implied by (A - x*alpha0)/(1-x). Multiplying the fixed-point
-    identity through by (1 + lam*(theta0+theta1)) * (1 + lam*theta0) and
-    collecting powers of theta0 gives, with s = A + x*(1-alpha0):
-
-        c3 = lam^2
-        c2 = lam * (2 + lam*theta1 - lam*s)
-        c1 = (1 + lam*theta1) * (1 - lam*s)
-        c0 = -A * lam * theta1
+    alpha1 is implied by (A - x*alpha0)/(1-x), so the inspecting mass is A
+    and these are the unscaled coefficients of the model's truth cubic with
+    s = A + x*(1-alpha0): c3 = lam^2, c2 = lam*(2 + lam*theta1 - lam*s),
+    c1 = (1 + lam*theta1)*(1 - lam*s), c0 = -A*lam*theta1.
 
     At the eradication boundary (theta1 = 0) the cubic factors as theta0
     times a quadratic whose positive root is the no-rumor closed form.
@@ -509,71 +446,64 @@ def cubic_coefficients(p: ModelParams, budget: "Budget | float", alpha0: float) 
     if not 0.0 <= alpha0 <= 1.0:
         raise ParameterError(f"alpha0 must lie in [0, 1], got {alpha0}")
     alpha1 = _targeted_alpha1(p, A, alpha0)
-    lam = p.lam
     theta1 = rumor_steady_state(p, Allocation.targeted(alpha0, alpha1))
-    s = A + p.x * (1.0 - alpha0)
-    return CubicConstraint(
-        c3=lam * lam,
-        c2=lam * (2.0 + lam * theta1 - lam * s),
-        c1=(1.0 + lam * theta1) * (1.0 - lam * s),
-        c0=-A * lam * theta1,
-    )
-
-
-def cubic_factored_gap(p: ModelParams, budget: "Budget | float", alpha0: float) -> float:
-    """Max |difference| between the cubic's coefficients and an equivalent factored form.
-
-    The factored expressions substitute the endemic rumor closed form
-    directly, so the comparison is meaningful only while the rumor is
-    endemic; nan is returned otherwise. Kept as a numerical cross-check on
-    the coefficient algebra.
-    """
-    A = _total(budget)
-    alpha1 = _targeted_alpha1(p, A, alpha0)
-    cubic = cubic_coefficients(p, A, alpha0)
-    if rumor_steady_state(p, Allocation.targeted(alpha0, alpha1)) <= 0.0:
-        return math.nan
-    lam = p.lam
-    x = p.x
-    b_fac = lam * (1.0 + lam - 2.0 * A * lam - 2.0 * lam * x + 2.0 * alpha0 * lam * x)
-    c_fac = lam * (1.0 - A - x * (1.0 - alpha0)) * (1.0 - A * lam - lam * x + alpha0 * lam * x)
-    d_fac = A * (1.0 - lam + lam * A + lam * x - alpha0 * lam * x)
-    return max(abs(b_fac - cubic.c2), abs(c_fac - cubic.c1), abs(d_fac - cubic.c0))
+    return CubicConstraint(*_truth_cubic(p.lam, 1.0, theta1, A, A + p.x * (1.0 - alpha0)))
 
 
 # ---------------------------------------------------------------------------
 # numeric threshold location
 # ---------------------------------------------------------------------------
 
+def _bisect_flip(pred, lo: float, hi: float, hi_value: bool, resolution: float) -> float:
+    """Midpoint of the last bracket of the point where pred(A) becomes hi_value, as A rises."""
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if pred(mid) == hi_value:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _region_edges(pred, budgets: list[float], flagged, cap: float, resolution: float, lower: bool = True):
+    """Edges of the budget region where pred holds, starting from `flagged`, a guess of where it does.
+
+    The outermost flagged budgets that pred confirms are walked outward while
+    pred still holds, then each edge is bisected with pred to `resolution`.
+    An edge that reaches the end of `budgets` is budgets[0] or cap; the
+    lower edge is skipped unless asked for.
+    """
+    last = next((i for i in reversed(flagged) if pred(budgets[i])), None)
+    if last is None:
+        return None, None
+    bottom = None
+    if lower:
+        first = next(i for i in flagged if pred(budgets[i]))
+        while first > 0 and pred(budgets[first - 1]):
+            first -= 1
+        bottom = budgets[0] if first == 0 else _bisect_flip(pred, budgets[first - 1], budgets[first], True, resolution)
+    while last + 1 < len(budgets) and pred(budgets[last + 1]):
+        last += 1
+    if last + 1 == len(budgets):
+        return bottom, cap
+    return bottom, _bisect_flip(pred, budgets[last], budgets[last + 1], False, resolution)
+
+
 def _slack_region(is_slack, cap: float, scan_points: int, resolution: float) -> tuple[float | None, float | None]:
     """Boundaries of the budget region where `is_slack` holds, by scan + bisection."""
-    grid = np.linspace(resolution, cap, scan_points)
-    flags = [is_slack(float(A)) for A in grid]
-    if not any(flags):
-        return None, None
+    grid = np.linspace(resolution, cap, scan_points).tolist()
+    return _region_edges(is_slack, grid, [i for i, A in enumerate(grid) if is_slack(A)], cap, resolution)
 
-    first = flags.index(True)
-    last = len(flags) - 1 - flags[::-1].index(True)
 
-    def bisect(lo: float, hi: float, want_hi_slack: bool) -> float:
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if is_slack(mid) == want_hi_slack:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    lower = float(grid[first]) if first == 0 else bisect(float(grid[first - 1]), float(grid[first]), True)
-    upper = float(grid[last]) if last == len(flags) - 1 else bisect(float(grid[last]), float(grid[last + 1]), False)
-    return lower, upper
+def _profile_slack(values: np.ndarray) -> np.ndarray:
+    """Indices i of the budgets values[i + 1] that a cheaper rate matches within TIE_TOL."""
+    return np.flatnonzero(np.maximum.accumulate(values)[:-1] >= values[1:] - TIE_TOL)
 
 
 def compute_thresholds(
     p: ModelParams,
     cfg: SolverConfig = DEFAULT_SOLVER,
     resolution: float = 1e-6,
-    scan_points: int = 41,
     budget_cap: float = 1.0,
 ) -> Thresholds:
     """Closed-form thresholds plus numerically located budget boundaries.
@@ -582,8 +512,19 @@ def compute_thresholds(
     reports slack; A_tilde is the top of the analogous region for the
     platform objective. All three are None when the corresponding slack
     region is empty within [resolution, budget_cap].
+
+    Both objectives are fixed curves in the uniform rate, maximized over
+    [0, min(A, 1)] with ties going to the cheapest rate, so a budget leaves
+    slack when a cheaper rate does as well. One GRID_POINTS profile of both
+    curves flags the slack budgets; the optimizers themselves then confirm
+    the flagged budgets around each edge and bisect it to `resolution`.
+    A slack region narrower than a profile cell can be missed.
     """
-    base = closed_thresholds(p)
+    # budgets above 1 buy nothing more: slack there is slack at 1
+    budgets = np.linspace(resolution, min(budget_cap, 1.0), GRID_POINTS)
+    rates = np.concatenate(([0.0], budgets))
+    theta0, theta1 = _theta_grids(p, rates, rates, rates, cfg)
+    budgets = budgets.tolist()
 
     def planner_slack(A: float) -> bool:
         return maximize_truth_uniform(p, A, cfg).slack
@@ -591,9 +532,11 @@ def compute_thresholds(
     def platform_slack(A: float) -> bool:
         return maximize_platform(p, A, cfg).slack
 
-    a_lower, a_upper = _slack_region(planner_slack, budget_cap, scan_points, resolution)
-    _, a_tilde = _slack_region(platform_slack, budget_cap, scan_points, resolution)
-    return replace(base, A_lower=a_lower, A_upper=a_upper, A_tilde=a_tilde)
+    a_lower, a_upper = _region_edges(planner_slack, budgets, _profile_slack(theta0), budget_cap, resolution)
+    _, a_tilde = _region_edges(
+        platform_slack, budgets, _profile_slack(theta0 + theta1), budget_cap, resolution, lower=False
+    )
+    return replace(closed_thresholds(p), A_lower=a_lower, A_upper=a_upper, A_tilde=a_tilde)
 
 
 def diversification_budget_range(

@@ -288,6 +288,20 @@ def test_config_errors_exit_2(capsys):
         assert code == 2, args
 
 
+@pytest.mark.parametrize(
+    "rates",
+    [
+        ["--lambda", "inf"],
+        ["--nu", "1e308", "--k", "1e308", "--delta", "1e-308"],  # lam overflows
+    ],
+)
+def test_non_finite_model_inputs_exit_2(capsys, rates):
+    code = main(["steady", *rates, "--x", "0.3", "--alpha", "0.2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
 def test_metadata_lines_present(capsys):
     _, out = run(capsys, "steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2")
     meta = comments(out)

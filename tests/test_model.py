@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,15 +17,17 @@ from rumor_inspect import (
     no_rumor_positivity_readings,
     recompose_prevalence,
     rumor_steady_state,
-    total_prevalence_map,
     truth_map,
     truth_steady_state,
     truth_steady_state_given_rumor,
 )
+from rumor_inspect.planner import _theta_grids
 
 lams = st.floats(0.2, 8.0)
 xs = st.floats(0.0, 1.0)
 rates = st.floats(0.0, 1.0)
+# diffusion rates spread evenly over every decade from 1e-3 to 1e300
+wide_lams = st.floats(-3.0, 300.0).map(lambda e: 10.0**e)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +55,23 @@ def test_params_validation():
 def test_lambda_round_trips_exactly(lam):
     p = ModelParams.from_lambda(lam, 0.3)
     assert p.lam == lam
+
+
+@pytest.mark.parametrize(
+    "nu,k,delta,x",
+    [
+        (math.inf, 1.0, 0.5, 0.3),
+        (math.nan, 1.0, 0.5, 0.3),
+        (1.0, math.inf, 0.5, 0.3),
+        (1.0, 1.0, math.inf, 0.3),
+        (1.0, 1.0, 0.5, math.nan),
+        (1e308, 1e308, 1e-308, 0.3),  # lam overflows to inf
+        (1e-308, 1e-308, 1.0, 0.3),  # lam underflows to 0
+    ],
+)
+def test_params_reject_non_finite(nu, k, delta, x):
+    with pytest.raises(ParameterError):
+        ModelParams.from_rates(nu, k, delta, x)
 
 
 def test_lambda_matches_rates():
@@ -238,9 +258,57 @@ def test_solver_error_carries_bracket(ref_params):
     assert 0.0 <= lo < hi <= 1.0
 
 
+@given(lam=wide_lams, x=xs, a0=rates, a1=rates)
+@settings(max_examples=300)
+def test_truth_solver_matches_oracle_over_wide_lambda(lam, x, a0, a1):
+    p = ModelParams.from_lambda(lam, x)
+    v = truth_steady_state(p, Allocation.targeted(a0, a1))
+    assert abs(v - oracle_truth(lam, x, a0, a1)) <= 1e-12
+
+
+@given(
+    lam=wide_lams,
+    x=xs,
+    pairs=st.lists(st.tuples(rates, rates), min_size=1, max_size=20),
+)
+@settings(max_examples=200)
+def test_grid_solver_matches_scalar(lam, x, pairs):
+    p = ModelParams.from_lambda(lam, x)
+    a0s = np.array([a0 for a0, _ in pairs])
+    a1s = np.array([a1 for _, a1 in pairs])
+    theta0, _ = _theta_grids(p, x * a0s + (1.0 - x) * a1s, a0s, a1s, SolverConfig())
+    for (a0, a1), t0 in zip(pairs, theta0):
+        assert abs(t0 - truth_steady_state(p, Allocation.targeted(a0, a1))) <= 1e-13
+
+
+@given(lam=wide_lams, x=xs, a0=rates, a1=rates)
+@settings(max_examples=300)
+def test_steady_prevalences_stay_in_unit_interval(lam, x, a0, a1):
+    ss = full_steady_state(ModelParams.from_lambda(lam, x), Allocation.targeted(a0, a1))
+    for v in (ss.theta0, ss.theta1, ss.theta):
+        assert 0.0 <= v <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # full steady state and total prevalence
 # ---------------------------------------------------------------------------
+
+def total_prevalence_map(theta, p, a):
+    """Self-consistency map for total prevalence, evaluated at the solved split.
+
+    With (theta0, theta1) taken from the solved steady state, the steady
+    total prevalence is a fixed point of this map.
+    """
+    lam = p.lam
+    ss = full_steady_state(p, a)
+    c_ins = a.inspecting_mass(p.x)
+    c_bias = p.x * (1.0 - a.alpha0)
+    return (
+        c_ins * lam * theta / (1.0 + lam * theta)
+        + c_bias * lam * ss.theta0 / (1.0 + lam * ss.theta0)
+        + ss.theta1
+    )
+
 
 def test_full_steady_state_at_full_inspection(ref_params):
     ss = full_steady_state(ref_params, Allocation.uniform(1.0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rumor_inspect.planner as planner
 from conftest import ALPHA_PEAK, THETA0_PEAK, oracle_rumor, oracle_truth
 from rumor_inspect import (
     Allocation,
@@ -11,7 +12,6 @@ from rumor_inspect import (
     closed_thresholds,
     compute_thresholds,
     cubic_coefficients,
-    cubic_factored_gap,
     diversification_budget_range,
     eradication_threshold,
     full_steady_state,
@@ -196,8 +196,55 @@ def test_budget_thresholds_located(ref_params):
 
 def test_budget_thresholds_empty_when_no_slack_region():
     # lam far above lambda_bar: truth rises with alpha through eradication
-    t = compute_thresholds(ModelParams.from_lambda(8.0, 0.3), scan_points=21)
+    t = compute_thresholds(ModelParams.from_lambda(8.0, 0.3))
     assert t.A_lower is None and t.A_upper is None
+
+
+# compute_thresholds values at the parent of the single-profile rewrite,
+# when every edge came from a 41-point scan of the optimizers
+PRIOR_BUNDLES = {
+    (2.0, 0.3): (0.19803051083259585, 0.38851951712074284, 0.5714577191921234),
+    (3.0, 0.2): (None, None, 0.7767576542728425),
+    (2.5, 0.1): (0.4864213357227326, 0.5766121329830171, 0.8888890423854828),
+    (5.0, 0.5): (None, None, 0.6473540971530914),
+}
+
+
+@pytest.mark.parametrize("lam,x", sorted(PRIOR_BUNDLES))
+def test_budget_thresholds_match_prior_values(lam, x):
+    t = compute_thresholds(ModelParams.from_lambda(lam, x))
+    for got, want in zip((t.A_lower, t.A_upper, t.A_tilde), PRIOR_BUNDLES[(lam, x)]):
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_budget_thresholds_find_narrow_slack_region():
+    # a slack region of width 0.009 that a 41-point scan of budgets misses
+    p = ModelParams.from_lambda(2.216728, 0.47639)
+    t = compute_thresholds(p)
+    assert t.A_lower == pytest.approx(0.129963, abs=1e-5)
+    assert t.A_upper == pytest.approx(0.139124, abs=1e-5)
+    step = 3e-6
+    assert not maximize_truth_uniform(p, t.A_lower - step).slack
+    assert maximize_truth_uniform(p, t.A_lower + step).slack
+    assert maximize_truth_uniform(p, t.A_upper - step).slack
+    assert not maximize_truth_uniform(p, t.A_upper + step).slack
+
+
+def test_budget_thresholds_optimizer_call_count(monkeypatch):
+    calls = []
+    for name in ("maximize_truth_uniform", "maximize_platform"):
+        fn = getattr(planner, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(planner, name, counted)
+    compute_thresholds(ModelParams.from_lambda(2.0, 0.3))
+    assert 0 < len(calls) <= 40
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +290,25 @@ def test_cubic_degenerates_to_no_rumor_form():
     assert cubic.c0 == 0.0
     closed = 0.3 + 0.7 * a1 - 0.5
     assert abs(cubic(closed)) / abs(cubic.c3) < 1e-12
+
+
+def cubic_factored_gap(p, A, alpha0):
+    """Max |difference| between the cubic's coefficients and an equivalent factored form.
+
+    The factored expressions substitute the endemic rumor closed form, so
+    the comparison is meaningful only while the rumor is endemic; nan
+    otherwise.
+    """
+    alpha1 = min(1.0, max(0.0, binding_alpha1(A, p.x, alpha0)))
+    if rumor_steady_state(p, Allocation.targeted(alpha0, alpha1)) <= 0.0:
+        return np.nan
+    cubic = cubic_coefficients(p, A, alpha0)
+    lam = p.lam
+    x = p.x
+    b_fac = lam * (1.0 + lam - 2.0 * A * lam - 2.0 * lam * x + 2.0 * alpha0 * lam * x)
+    c_fac = lam * (1.0 - A - x * (1.0 - alpha0)) * (1.0 - A * lam - lam * x + alpha0 * lam * x)
+    d_fac = A * (1.0 - lam + lam * A + lam * x - alpha0 * lam * x)
+    return max(abs(b_fac - cubic.c2), abs(c_fac - cubic.c1), abs(d_fac - cubic.c0))
 
 
 def test_cubic_matches_factored_form(ref_params):
@@ -312,6 +378,19 @@ def test_targeted_budget_above_group_mass_flagged(ref_params):
     res = maximize_truth_targeted(ref_params, 0.5)
     assert res.notes  # departure from the full-spend regime is flagged
     assert res.budget_spent <= 0.5 + 1e-12
+
+
+def test_targeted_searches_full_type0_edge_above_group_mass():
+    # for A > x the optimum can sit on the alpha0 = 1 edge below the budget
+    # line; a search of the line alone reports 0.083153 here
+    lam, x, A = 1.789004, 0.263299, 0.35
+    res = maximize_truth_targeted(ModelParams.from_lambda(lam, x), A)
+    assert res.allocation.alpha0 == 1.0
+    assert res.allocation.alpha1 == pytest.approx(0.0600, abs=5e-4)
+    assert res.objective == pytest.approx(0.086994, abs=1e-6)
+    edge_hi = (A - x) / (1 - x)
+    for a1 in np.linspace(0.0, edge_hi, 201):
+        assert res.objective >= oracle_truth(lam, x, 1.0, a1) - 1e-9
 
 
 def test_targeted_huge_budget_eradicates_without_waste(ref_params):
