@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from .dynamics import (
     IntegratorConfig,
     IntegratorError,
     integrate,
-    prevalences,
     seed_state,
     verify_global_stability,
 )
@@ -37,6 +35,7 @@ from .model import (
     SolverError,
     full_steady_state,
     no_rumor_positivity_readings,
+    prevalences,
 )
 from .planner import (
     FeasibilityError,
@@ -81,7 +80,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "csv"
     out: str | None = None
-    jobs: int = 1
     tol: float | None = None
 
 
@@ -102,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     common.add_argument("--out", type=str, default=None)
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--tol", type=float, default=None)
 
     alloc = argparse.ArgumentParser(add_help=False)
@@ -267,28 +264,11 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         if cfg.objective is None:
             raise ConfigError("--objective is required when sweeping the budget")
         p = _params(cfg)
-
-        def run_budget(v: float) -> dict:
-            return {"A": v, **optimize_record(p, cfg.objective, v, solver)}
-
-        rows = _pmap(run_budget, values, cfg.jobs)
+        rows = [{"A": v, **optimize_record(p, cfg.objective, v, solver)} for v in values]
         return (["A", "mode", "alpha0", "alpha1", "objective", "budget_spent", "slack", "rumor_eradicated"], rows)
 
-    def run_point(item) -> dict:
-        v, p, a = item
-        return {axis: v, **steady_record(p, a, solver)}
-
-    rows = _pmap(run_point, work, cfg.jobs)
+    rows = [{axis: v, **steady_record(p, a, solver)} for v, p, a in work]
     return ([axis, *STEADY_FIELDS], rows)
-
-
-def _pmap(fn, items, jobs: int) -> list:
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +313,11 @@ def emit(header: list[str], rows: list[dict], cfg: RunConfig, summary: dict | No
         text = "\n".join(lines) + "\n"
 
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {cfg.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return text
@@ -424,7 +407,7 @@ def run_dynamics(cfg: RunConfig) -> int:
     }
     ok = traj.converged
     if cfg.starts is not None:
-        report = verify_global_stability(p, a, cfg.starts, integ, seed=cfg.seed, jobs=cfg.jobs)
+        report = verify_global_stability(p, a, cfg.starts, integ, seed=cfg.seed)
         summary["stability_passed"] = report.passed
         summary["stability_max_gap"] = report.max_gap
         ok = ok and report.passed

@@ -21,13 +21,13 @@ of the exact dynamics, so steady-state limits do not depend on dt.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import Allocation, ModelParams, ParameterError
+from .model import Allocation, ModelParams, ParameterError, group_masses, prevalences
 
 
 class DynState(NamedTuple):
@@ -58,22 +58,17 @@ class IntegratorConfig:
     dt: float = 0.01
     t_max: float | None = None
     conv_tol: float = 1e-10
-    method: str = "rk4"
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
-        if self.t_max is not None and not self.t_max > 0.0:
-            raise ParameterError(f"t_max must be positive, got {self.t_max}")
-        if not self.conv_tol > 0.0:
-            raise ParameterError(f"conv_tol must be positive, got {self.conv_tol}")
-        if self.method != "rk4":
-            raise ParameterError(f"unsupported method {self.method!r}")
+        for name, v in (("dt", self.dt), ("t_max", self.t_max), ("conv_tol", self.conv_tol)):
+            if v is not None and not 0.0 < v < math.inf:
+                raise ParameterError(f"{name} must be finite and positive, got {v}")
 
 
 DEFAULT_INTEGRATOR = IntegratorConfig()
 
 DEFAULT_SEED_LEVEL = 1e-3  # "small initial infection" in every live group
+STABILITY_TOL = 1e-6  # sup distance within which multi-start limits count as one
 
 
 @dataclass(frozen=True)
@@ -103,20 +98,6 @@ class StabilityReport:
     max_gap: float
     limits: tuple[DynState, ...]
     tol: float
-
-
-def group_masses(p: ModelParams, a: Allocation) -> tuple[float, float, float, float]:
-    """Population masses of the four groups, in DynState coordinate order."""
-    a0, a1 = a.rates()
-    return (p.x * a0, p.x * (1.0 - a0), (1.0 - p.x) * a1, (1.0 - p.x) * (1.0 - a1))
-
-
-def prevalences(s: DynState, p: ModelParams, a: Allocation) -> tuple[float, float]:
-    """(theta0, theta1) recomposed from a dynamic state."""
-    a0, a1 = a.rates()
-    theta0 = p.x * (a0 * s.r00a + (1.0 - a0) * s.r00na) + (1.0 - p.x) * a1 * s.r10a
-    theta1 = (1.0 - p.x) * (1.0 - a1) * s.r11na
-    return theta0, theta1
 
 
 def derivatives(s: DynState, p: ModelParams, a: Allocation) -> Rates:
@@ -168,9 +149,7 @@ def integrate(
         if not 0.0 <= v <= 1.0:
             raise ParameterError(f"{name} must lie in [0, 1], got {v}")
 
-    x = p.x
-    a0, a1 = a.rates()
-    w0a, w0n, w1a, w1n = x * a0, x * (1.0 - a0), (1.0 - x) * a1, (1.0 - x) * (1.0 - a1)
+    w0a, w0n, w1a, w1n = group_masses(p, a)
     # pin empty groups at zero (mass-weighted sums ignore them anyway)
     m1 = 1.0 if w0a > 0.0 else 0.0
     m2 = 1.0 if w0n > 0.0 else 0.0
@@ -271,18 +250,17 @@ def verify_global_stability(
     n_starts: int,
     cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
     seed: int = 0,
-    tol: float = 1e-6,
-    jobs: int = 1,
 ) -> StabilityReport:
-    """Integrate from random interior states plus the near-zero seed.
+    """Integrate from random interior states plus the near-zero seed, one after another.
 
-    Passes iff every trajectory converges and all limits agree to `tol` in
-    sup distance. A non-converged trajectory yields a failing report, not an
-    exception. Trajectories are independent, so jobs > 1 runs them from a
-    thread pool; results keep the start order either way.
+    Passes iff every trajectory converges and all limits agree to
+    STABILITY_TOL in sup distance. A non-converged trajectory yields a
+    failing report, not an exception.
     """
     if n_starts < 2:
         raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     masses = group_masses(p, a)
     starts = [seed_state(p, a)]
@@ -290,14 +268,7 @@ def verify_global_stability(
         draw = rng.uniform(0.01, 0.99, size=4)
         starts.append(DynState(*(float(v) if m > 0.0 else 0.0 for v, m in zip(draw, masses)), t=0.0))
 
-    def run(s0: DynState) -> Trajectory:
-        return integrate(s0, p, a, cfg, store_every=1_000_000_000)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            trajectories = list(ex.map(run, starts))
-    else:
-        trajectories = [run(s0) for s0 in starts]
+    trajectories = [integrate(s0, p, a, cfg, store_every=1_000_000_000) for s0 in starts]
     limits = [traj.final for traj in trajectories]
     all_converged = all(traj.converged for traj in trajectories)
 
@@ -306,9 +277,9 @@ def verify_global_stability(
         for j in range(i + 1, len(limits)):
             max_gap = max(max_gap, state_distance(limits[i], limits[j]))
     return StabilityReport(
-        passed=all_converged and max_gap < tol,
+        passed=all_converged and max_gap < STABILITY_TOL,
         all_converged=all_converged,
         max_gap=max_gap,
         limits=tuple(limits),
-        tol=tol,
+        tol=STABILITY_TOL,
     )

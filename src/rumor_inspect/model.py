@@ -147,8 +147,8 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ParameterError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ParameterError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -300,15 +300,6 @@ def _check_fraction(name: str, v: float) -> None:
         raise ParameterError(f"{name} must lie in [0, 1], got {v}")
 
 
-def no_rumor_truth(p: ModelParams, a: Allocation) -> float:
-    """Truth prevalence once the rumor is extinct: max(0, x + (1-x)*alpha1 - 1/lam).
-
-    alpha0 has no effect here; with nothing false in circulation, type-0
-    inspection changes nothing about what anyone believes.
-    """
-    return _no_rumor_truth(p, a.alpha1)
-
-
 def no_rumor_positivity_readings(p: ModelParams) -> tuple[float, float]:
     """Two algebraic readings of the alpha threshold for positive no-rumor truth.
 
@@ -349,11 +340,22 @@ def truth_steady_state(p: ModelParams, a: Allocation, cfg: SolverConfig = DEFAUL
     return _truth_given_rumor(p, a.alpha0, a.alpha1, a.inspecting_mass(p.x), theta1, 1.0 - theta1, cfg)
 
 
-def recompose_prevalence(ss: SteadyState, p: ModelParams, a: Allocation) -> tuple[float, float]:
-    """Rebuild (theta0, theta1) from the group fractions and the policy weights."""
+def group_masses(p: ModelParams, a: Allocation) -> tuple[float, float, float, float]:
+    """Population masses of the four groups: inspecting and non-inspecting type 0, then type 1."""
     a0, a1 = a.rates()
-    theta0 = p.x * (a0 * ss.rho_00_a + (1.0 - a0) * ss.rho_00_na) + (1.0 - p.x) * a1 * ss.rho_10_a
-    theta1 = (1.0 - p.x) * (1.0 - a1) * ss.rho_11_na
+    return (p.x * a0, p.x * (1.0 - a0), (1.0 - p.x) * a1, (1.0 - p.x) * (1.0 - a1))
+
+
+def prevalences(r, p: ModelParams, a: Allocation) -> tuple[float, float]:
+    """(theta0, theta1) recomposed from the four group believing fractions.
+
+    r holds the fractions in group_masses order, (r00a, r00na, r10a, r11na):
+    theta0 = x*(alpha0*r00a + (1-alpha0)*r00na) + (1-x)*alpha1*r10a and
+    theta1 = (1-x)*(1-alpha1)*r11na.
+    """
+    a0, a1 = a.rates()
+    theta0 = p.x * (a0 * r[0] + (1.0 - a0) * r[1]) + (1.0 - p.x) * a1 * r[2]
+    theta1 = (1.0 - p.x) * (1.0 - a1) * r[3]
     return theta0, theta1
 
 
@@ -377,7 +379,7 @@ def full_steady_state(p: ModelParams, a: Allocation, cfg: SolverConfig = DEFAULT
         rho_00_na=lam * theta0 / (1.0 + lam * theta0),
         rho_11_na=lam * theta1 / (1.0 + lam * theta1),
     )
-    r0, r1 = recompose_prevalence(ss, p, a)
+    r0, r1 = prevalences((ss.rho_00_a, ss.rho_00_na, ss.rho_10_a, ss.rho_11_na), p, a)
     budget = max(1e-9, 100.0 * cfg.tol)
     if not max(abs(r0 - theta0), abs(r1 - theta1)) <= budget:
         raise SolverError(

@@ -42,31 +42,17 @@ REFINE_XTOL = 1e-10
 TIE_TOL = 1e-10
 SLACK_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
+THRESHOLD_RESOLUTION = 1e-6  # width to which compute_thresholds bisects each budget edge
+DIVERSIFICATION_RESOLUTION = 1e-4  # the same for diversification_budget_range
+DIVERSIFICATION_SCAN_POINTS = 41  # budgets it scans over (0, x] before bisecting
 
 
 class FeasibilityError(ValueError):
     """The requested allocation cannot satisfy the budget constraint."""
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Total inspection budget. Inducing inspection costs one per capita."""
-
-    total: float
-    unit_cost: float = 1.0
-
-    def __post_init__(self):
-        if not self.total >= 0.0:
-            raise ParameterError(f"budget must be >= 0, got {self.total}")
-        if self.unit_cost != 1.0:
-            raise ParameterError("unit_cost is fixed at 1")
-
-    def spend(self, a: Allocation, x: float) -> float:
-        return a.inspecting_mass(x)
-
-
-def _total(budget: "Budget | float") -> float:
-    A = budget.total if isinstance(budget, Budget) else float(budget)
+def _total(budget: float) -> float:
+    A = float(budget)
     if not A >= 0.0:
         raise ParameterError(f"budget must be >= 0, got {A}")
     return A
@@ -170,8 +156,8 @@ def _theta_grids(
     return theta0, theta1
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = REFINE_XTOL) -> tuple[float, float]:
-    """Golden-section maximizer on [lo, hi]; ties resolve to the smaller x."""
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximizer on [lo, hi] down to REFINE_XTOL; ties resolve to the smaller x."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     seen: list[tuple[float, float]] = [(lo, f(lo)), (hi, f(hi))]
     a, b = lo, hi
@@ -179,7 +165,7 @@ def _golden_max(f, lo: float, hi: float, xtol: float = REFINE_XTOL) -> tuple[flo
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
     seen += [(x1, f1), (x2, f2)]
-    while b - a > xtol:
+    while b - a > REFINE_XTOL:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -196,7 +182,7 @@ def _golden_max(f, lo: float, hi: float, xtol: float = REFINE_XTOL) -> tuple[flo
     return min(xx for xx, v in seen if v == best), best
 
 
-def _maximize_uniform(p: ModelParams, budget: "Budget | float", platform: bool, cfg: SolverConfig, grid_points: int) -> OptResult:
+def _maximize_uniform(p: ModelParams, budget: float, platform: bool, cfg: SolverConfig) -> OptResult:
     """Shared grid + refine protocol for the single-rate problems.
 
     The objective is theta0, or theta0 + theta1 for the platform.
@@ -212,13 +198,13 @@ def _maximize_uniform(p: ModelParams, budget: "Budget | float", platform: bool, 
     if amax <= 0.0:
         astar, vstar = 0.0, objective(0.0)
     else:
-        alphas = np.linspace(0.0, amax, grid_points)
+        alphas = np.linspace(0.0, amax, GRID_POINTS)
         theta0, theta1 = _theta_grids(p, alphas, alphas, alphas, cfg)
         vals = theta0 + theta1 if platform else theta0
         best = float(vals.max())
         i = int(np.flatnonzero(vals >= best - TIE_TOL)[0])
         cell_lo = float(alphas[max(i - 1, 0)])
-        cell_hi = float(alphas[min(i + 1, grid_points - 1)])
+        cell_hi = float(alphas[min(i + 1, GRID_POINTS - 1)])
         refined, _ = _golden_max(objective, cell_lo, cell_hi)
         scored = [(a, objective(a)) for a in {0.0, float(alphas[i]), refined, cell_lo, cell_hi, amax}]
         top = max(v for _, v in scored)
@@ -239,7 +225,7 @@ def _maximize_uniform(p: ModelParams, budget: "Budget | float", platform: bool, 
 # the four planning problems
 # ---------------------------------------------------------------------------
 
-def minimize_rumor(p: ModelParams, budget: "Budget | float") -> OptResult:
+def minimize_rumor(p: ModelParams, budget: float) -> OptResult:
     """Cheapest uniform rate that minimizes rumor prevalence.
 
     Spending beyond the eradication threshold buys nothing, so the optimum is
@@ -262,22 +248,20 @@ def minimize_rumor(p: ModelParams, budget: "Budget | float") -> OptResult:
 
 def maximize_truth_uniform(
     p: ModelParams,
-    budget: "Budget | float",
+    budget: float,
     cfg: SolverConfig = DEFAULT_SOLVER,
-    grid_points: int = GRID_POINTS,
 ) -> OptResult:
     """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]."""
-    return _maximize_uniform(p, budget, False, cfg, grid_points)
+    return _maximize_uniform(p, budget, False, cfg)
 
 
 def maximize_platform(
     p: ModelParams,
-    budget: "Budget | float",
+    budget: float,
     cfg: SolverConfig = DEFAULT_SOLVER,
-    grid_points: int = GRID_POINTS,
 ) -> OptResult:
     """Same protocol as maximize_truth_uniform, but the objective is theta0 + theta1."""
-    return _maximize_uniform(p, budget, True, cfg, grid_points)
+    return _maximize_uniform(p, budget, True, cfg)
 
 
 def _binding_alpha0(A: float, x: float, a1: float) -> float:
@@ -317,9 +301,8 @@ def _segment_candidates(p: ModelParams, a1s: np.ndarray, a0s: np.ndarray, alpha0
 
 def maximize_truth_targeted(
     p: ModelParams,
-    budget: "Budget | float",
+    budget: float,
     cfg: SolverConfig = DEFAULT_SOLVER,
-    grid_points: int = GRID_POINTS,
 ) -> OptResult:
     """argmax of truth prevalence over per-type rates under the budget.
 
@@ -352,11 +335,11 @@ def maximize_truth_targeted(
         lo = max(0.0, (A - x) / (1.0 - x))
         hi = min(1.0, A / (1.0 - x))
         if lo <= hi:
-            a1s = np.linspace(lo, hi, grid_points)
+            a1s = np.linspace(lo, hi, GRID_POINTS)
             a0s = np.clip((A - (1.0 - x) * a1s) / x, 0.0, 1.0)
             candidates += _segment_candidates(p, a1s, a0s, lambda a1: _binding_alpha0(A, x, a1), cfg)
         if A > x:
-            a1s = np.linspace(0.0, min(1.0, lo), grid_points)
+            a1s = np.linspace(0.0, min(1.0, lo), GRID_POINTS)
             candidates += _segment_candidates(p, a1s, np.ones_like(a1s), lambda a1: 1.0, cfg)
         if A >= 1.0 - x:
             candidates.append(Allocation.targeted(0.0, 1.0))
@@ -400,7 +383,7 @@ def marginal_condition_uniform(p: ModelParams, a: Allocation, ss: SteadyState) -
     return lhs > rhs
 
 
-def marginal_condition_targeted(p: ModelParams, budget: "Budget | float", ss: SteadyState) -> bool:
+def marginal_condition_targeted(p: ModelParams, budget: float, ss: SteadyState) -> bool:
     """True iff shifting binding budget toward alpha1 is locally beneficial.
 
     Evaluates theta0 * (1 + lam*theta)^2 > A * (1 + lam*theta0) at the solved
@@ -431,7 +414,7 @@ def _targeted_alpha1(p: ModelParams, A: float, alpha0: float) -> float:
     return min(1.0, max(0.0, a1))
 
 
-def cubic_coefficients(p: ModelParams, budget: "Budget | float", alpha0: float) -> CubicConstraint:
+def cubic_coefficients(p: ModelParams, budget: float, alpha0: float) -> CubicConstraint:
     """Cubic whose positive root is theta0 for a binding targeted budget.
 
     alpha1 is implied by (A - x*alpha0)/(1-x), so the inspecting mass is A
@@ -489,39 +472,29 @@ def _region_edges(pred, budgets: list[float], flagged, cap: float, resolution: f
     return bottom, _bisect_flip(pred, budgets[last], budgets[last + 1], False, resolution)
 
 
-def _slack_region(is_slack, cap: float, scan_points: int, resolution: float) -> tuple[float | None, float | None]:
-    """Boundaries of the budget region where `is_slack` holds, by scan + bisection."""
-    grid = np.linspace(resolution, cap, scan_points).tolist()
-    return _region_edges(is_slack, grid, [i for i, A in enumerate(grid) if is_slack(A)], cap, resolution)
-
-
 def _profile_slack(values: np.ndarray) -> np.ndarray:
     """Indices i of the budgets values[i + 1] that a cheaper rate matches within TIE_TOL."""
     return np.flatnonzero(np.maximum.accumulate(values)[:-1] >= values[1:] - TIE_TOL)
 
 
-def compute_thresholds(
-    p: ModelParams,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    resolution: float = 1e-6,
-    budget_cap: float = 1.0,
-) -> Thresholds:
+def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Thresholds:
     """Closed-form thresholds plus numerically located budget boundaries.
 
     A_lower / A_upper bracket the budgets at which maximize_truth_uniform
     reports slack; A_tilde is the top of the analogous region for the
     platform objective. All three are None when the corresponding slack
-    region is empty within [resolution, budget_cap].
+    region is empty within [THRESHOLD_RESOLUTION, 1]; budgets above 1 buy
+    nothing more.
 
     Both objectives are fixed curves in the uniform rate, maximized over
     [0, min(A, 1)] with ties going to the cheapest rate, so a budget leaves
     slack when a cheaper rate does as well. One GRID_POINTS profile of both
     curves flags the slack budgets; the optimizers themselves then confirm
-    the flagged budgets around each edge and bisect it to `resolution`.
-    A slack region narrower than a profile cell can be missed.
+    the flagged budgets around each edge and bisect it to
+    THRESHOLD_RESOLUTION. A slack region narrower than a profile cell can be
+    missed.
     """
-    # budgets above 1 buy nothing more: slack there is slack at 1
-    budgets = np.linspace(resolution, min(budget_cap, 1.0), GRID_POINTS)
+    budgets = np.linspace(THRESHOLD_RESOLUTION, 1.0, GRID_POINTS)
     rates = np.concatenate(([0.0], budgets))
     theta0, theta1 = _theta_grids(p, rates, rates, rates, cfg)
     budgets = budgets.tolist()
@@ -532,24 +505,20 @@ def compute_thresholds(
     def platform_slack(A: float) -> bool:
         return maximize_platform(p, A, cfg).slack
 
-    a_lower, a_upper = _region_edges(planner_slack, budgets, _profile_slack(theta0), budget_cap, resolution)
+    a_lower, a_upper = _region_edges(planner_slack, budgets, _profile_slack(theta0), 1.0, THRESHOLD_RESOLUTION)
     _, a_tilde = _region_edges(
-        platform_slack, budgets, _profile_slack(theta0 + theta1), budget_cap, resolution, lower=False
+        platform_slack, budgets, _profile_slack(theta0 + theta1), 1.0, THRESHOLD_RESOLUTION, lower=False
     )
     return replace(closed_thresholds(p), A_lower=a_lower, A_upper=a_upper, A_tilde=a_tilde)
 
 
-def diversification_budget_range(
-    p: ModelParams,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    resolution: float = 1e-4,
-    scan_points: int = 41,
-) -> tuple[float, float] | None:
+def diversification_budget_range(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> tuple[float, float] | None:
     """Empirically located budget range where the targeted planner sets alpha0 > 0.
 
     The range is reported, not derived: the diffusion-rate cutoff beyond
     which no such range exists is known only existentially. Budgets are
-    scanned over (0, x], the regime where full spend is guaranteed.
+    scanned over (0, x], the regime where full spend is guaranteed, and each
+    edge is bisected to DIVERSIFICATION_RESOLUTION.
     """
     if p.x <= 0.0:
         return None
@@ -557,7 +526,9 @@ def diversification_budget_range(
     def diversifies(A: float) -> bool:
         return maximize_truth_targeted(p, A, cfg).allocation.alpha0 > 1e-9
 
-    lo, hi = _slack_region(diversifies, p.x, scan_points, resolution)
+    budgets = np.linspace(DIVERSIFICATION_RESOLUTION, p.x, DIVERSIFICATION_SCAN_POINTS).tolist()
+    flagged = [i for i, A in enumerate(budgets) if diversifies(A)]
+    lo, hi = _region_edges(diversifies, budgets, flagged, p.x, DIVERSIFICATION_RESOLUTION)
     if lo is None:
         return None
     return lo, hi

@@ -286,8 +286,6 @@ def test_c9_invariant_suites(tmp_path):
         concave = concave and second <= 1e-12
 
     # recomposition of prevalences from the group fractions
-    from rumor_inspect import recompose_prevalence
-
     recomp = 0.0
     for _ in range(100):
         lam = rng.uniform(0.5, 6.0)
@@ -295,7 +293,7 @@ def test_c9_invariant_suites(tmp_path):
         a = Allocation.targeted(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
         p = ModelParams.from_lambda(lam, x)
         ss = full_steady_state(p, a)
-        t0, t1 = recompose_prevalence(ss, p, a)
+        t0, t1 = prevalences((ss.rho_00_a, ss.rho_00_na, ss.rho_10_a, ss.rho_11_na), p, a)
         recomp = max(recomp, abs(t0 - ss.theta0), abs(t1 - ss.theta1))
 
     # uniform mode against targeted mode with equal rates

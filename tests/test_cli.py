@@ -138,12 +138,19 @@ def test_sweep_budget_axis_runs_optimizer(capsys):
     assert rows[-1]["rumor_eradicated"] is True
 
 
-def test_sweep_jobs_identical_output(capsys):
-    args = ("sweep", "--axis", "alpha", "--lambda", "2", "--x", "0.3", "--steps", "21")
-    _, serial = run(capsys, *args)
-    _, threaded = run(capsys, *args, "--jobs", "4")
-    # rows identical; only the echoed config differs by the jobs value
-    assert serial.splitlines()[2:] == threaded.splitlines()[2:]
+def test_sweep_budget_reruns_identical_output(capsys):
+    args = ("sweep", "--axis", "A", "--lambda", "2", "--x", "0.3", "--objective", "truth-targeted", "--steps", "6")
+    _, first = run(capsys, *args)
+    _, second = run(capsys, *args)
+    assert first == second
+    assert len(parse_csv(first)[1]) == 6
+
+
+def test_jobs_flag_rejected(capsys):
+    code = main(["sweep", "--axis", "alpha", "--lambda", "2", "--x", "0.3", "--jobs", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "--jobs" in err
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +307,39 @@ def test_non_finite_model_inputs_exit_2(capsys, rates):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["steady", "--alpha", "0.2"],
+        ["dynamics", "--alpha", "0.2"],
+        ["optimize", "--objective", "truth", "--A", "0.2"],
+        ["thresholds"],
+    ],
+    ids=["steady", "dynamics", "optimize", "thresholds"],
+)
+def test_infinite_tol_exit_2(capsys, args):
+    code = main([*args, "--lambda", "2", "--x", "0.3", "--tol", "inf"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+def test_negative_seed_exit_2(capsys):
+    code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", "2", "--seed", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "f.csv"
+    code = main(["steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "error:" in err
+    assert not target.parent.exists()
 
 
 def test_metadata_lines_present(capsys):

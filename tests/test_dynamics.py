@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import THETA0_REF, oracle_truth
@@ -224,9 +226,17 @@ def test_stability_reports_failure_without_crash(ref_params):
     assert not report.passed and not report.all_converged
 
 
-def test_stability_jobs_deterministic(ref_params):
+def test_stability_reruns_deterministic(ref_params):
     a = Allocation.uniform(0.2)
-    serial = verify_global_stability(ref_params, a, 4, FAST, seed=11, jobs=1)
-    threaded = verify_global_stability(ref_params, a, 4, FAST, seed=11, jobs=3)
-    assert serial.limits == threaded.limits
-    assert serial.max_gap == threaded.max_gap
+    first = verify_global_stability(ref_params, a, 4, FAST, seed=11)
+    second = verify_global_stability(ref_params, a, 4, FAST, seed=11)
+    assert first.limits == second.limits
+    assert first.max_gap == second.max_gap
+
+
+@pytest.mark.parametrize(
+    "fields", [{"dt": math.inf}, {"dt": math.nan}, {"t_max": math.inf}, {"conv_tol": math.inf}]
+)
+def test_integrator_config_rejects_non_finite(fields):
+    with pytest.raises(ParameterError):
+        IntegratorConfig(**fields)

@@ -15,7 +15,7 @@ from rumor_inspect import (
     eradication_threshold,
     full_steady_state,
     no_rumor_positivity_readings,
-    recompose_prevalence,
+    prevalences,
     rumor_steady_state,
     truth_map,
     truth_steady_state,
@@ -47,6 +47,8 @@ def test_params_validation():
         Allocation.targeted(-0.2, 0.5)
     with pytest.raises(ParameterError):
         SolverConfig(tol=0.0)
+    with pytest.raises(ParameterError):
+        SolverConfig(tol=math.inf)
     with pytest.raises(ParameterError):
         SolverConfig(max_iter=0)
 
@@ -334,7 +336,7 @@ def test_recomposition(lam, x, a0, a1):
     p = ModelParams.from_lambda(lam, x)
     a = Allocation.targeted(a0, a1)
     ss = full_steady_state(p, a)
-    t0, t1 = recompose_prevalence(ss, p, a)
+    t0, t1 = prevalences((ss.rho_00_a, ss.rho_00_na, ss.rho_10_a, ss.rho_11_na), p, a)
     assert t0 == pytest.approx(ss.theta0, abs=1e-9)
     assert t1 == pytest.approx(ss.theta1, abs=1e-9)
 

@@ -5,7 +5,6 @@ import rumor_inspect.planner as planner
 from conftest import ALPHA_PEAK, THETA0_PEAK, oracle_rumor, oracle_truth
 from rumor_inspect import (
     Allocation,
-    Budget,
     FeasibilityError,
     ModelParams,
     ParameterError,
@@ -55,11 +54,9 @@ def test_minimize_rumor_subcritical():
 
 
 def test_budget_type_accepted(ref_params):
-    assert minimize_rumor(ref_params, Budget(0.5)).allocation.alpha0 == pytest.approx(2 / 7)
+    assert minimize_rumor(ref_params, 0.5).allocation.alpha0 == pytest.approx(2 / 7)
     with pytest.raises(ParameterError):
         minimize_rumor(ref_params, -0.2)
-    with pytest.raises(ParameterError):
-        Budget(1.0, unit_cost=2.0)
 
 
 # ---------------------------------------------------------------------------
