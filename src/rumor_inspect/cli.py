@@ -23,6 +23,7 @@ from .dynamics import (
     DEFAULT_SEED_LEVEL,
     IntegratorConfig,
     IntegratorError,
+    check_stability_args,
     integrate,
     seed_state,
     verify_global_stability,
@@ -385,6 +386,8 @@ def run_dynamics(cfg: RunConfig) -> int:
     integ = IntegratorConfig(conv_tol=cfg.tol) if cfg.tol is not None else IntegratorConfig()
     if not 0.0 <= cfg.init <= 1.0:
         raise ConfigError(f"--init must lie in [0, 1], got {cfg.init}")
+    if cfg.starts is not None:
+        check_stability_args(cfg.starts, cfg.seed)
     traj = integrate(seed_state(p, a, cfg.init), p, a, integ, store_every=10)
     rows = []
     for s in traj.states:

@@ -244,6 +244,14 @@ def state_distance(u: DynState, v: DynState) -> float:
     return max(abs(ui - vi) for ui, vi in zip(u[:4], v[:4]))
 
 
+def check_stability_args(n_starts: int, seed: int) -> None:
+    """Raise ParameterError unless verify_global_stability accepts n_starts and seed."""
+    if n_starts < 2:
+        raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def verify_global_stability(
     p: ModelParams,
     a: Allocation,
@@ -257,10 +265,7 @@ def verify_global_stability(
     STABILITY_TOL in sup distance. A non-converged trajectory yields a
     failing report, not an exception.
     """
-    if n_starts < 2:
-        raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_stability_args(n_starts, seed)
     rng = np.random.default_rng(seed)
     masses = group_masses(p, a)
     starts = [seed_state(p, a)]

@@ -9,10 +9,11 @@ with unit inspection cost:
   * maximize_platform       -- maximize total prevalence, one shared rate
 
 Truth prevalence is piecewise smooth in the inspection rate with a kink at
-the eradication threshold and possibly two local maxima, so each scalar
-problem is solved by a dense grid scan followed by golden-section
-refinement of the best bracketing cell; derivative-based global search is
-not safe here. Ties within 1e-10 of the optimum go to the cheapest policy.
+the eradication threshold and possibly two local maxima, so derivative-based
+global search is not safe here. The three maximizers share one search,
+_maximize: a dense grid scan of each segment of candidate policies, golden-
+section refinement of its best cell, and one tie rule that prefers the
+cheapest policy within 1e-10 of the optimum, then the smallest alpha0.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class OptResult:
     budget_spent: float
     slack: bool
     rumor_eradicated: bool
-    diagnostics: Thresholds
     notes: tuple[str, ...] = ()
 
 
@@ -182,43 +182,64 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return min(xx for xx, v in seen if v == best), best
 
 
-def _maximize_uniform(p: ModelParams, budget: float, platform: bool, cfg: SolverConfig) -> OptResult:
-    """Shared grid + refine protocol for the single-rate problems.
+def _maximize(p: ModelParams, A: float, segments, points, platform: bool, cfg: SolverConfig, notes=()) -> OptResult:
+    """Shared grid + refine search, and the one tie rule, of the three maximizers.
 
-    The objective is theta0, or theta0 + theta1 for the platform.
+    The objective is theta0, or theta0 + theta1 for the platform. Each
+    segment is a tuple (a0s, a1s, mass, alloc): a GRID_POINTS line of
+    policies parametrized by alpha1, their inspecting mass, and alloc(a1),
+    the policy at a1. Its best grid point (ties to the smallest alpha0, then
+    the smallest alpha1) is refined by golden section inside its two
+    neighbouring cells. That point, the refined one, the cell ends and the
+    segment ends join the fixed candidate `points`, and every candidate is
+    scored with the scalar solver. Among the candidates within TIE_TOL of
+    the best, the cheapest spend wins, to within TIE_TOL, then the smallest
+    alpha0.
     """
-    A = _total(budget)
-    amax = min(A, 1.0)
+    x = p.x
 
-    def objective(alpha: float) -> float:
-        alloc = Allocation.uniform(alpha)
-        truth = truth_steady_state(p, alloc, cfg)
-        return truth + rumor_steady_state(p, alloc) if platform else truth
+    def objective(a: Allocation) -> float:
+        truth = truth_steady_state(p, a, cfg)
+        return truth + rumor_steady_state(p, a) if platform else truth
 
-    if amax <= 0.0:
-        astar, vstar = 0.0, objective(0.0)
-    else:
-        alphas = np.linspace(0.0, amax, GRID_POINTS)
-        theta0, theta1 = _theta_grids(p, alphas, alphas, alphas, cfg)
+    candidates = list(points)
+    grid_best = -math.inf
+    for a0s, a1s, mass, alloc in segments:
+        theta0, theta1 = _theta_grids(p, mass, a0s, a1s, cfg)
         vals = theta0 + theta1 if platform else theta0
         best = float(vals.max())
-        i = int(np.flatnonzero(vals >= best - TIE_TOL)[0])
-        cell_lo = float(alphas[max(i - 1, 0)])
-        cell_hi = float(alphas[min(i + 1, GRID_POINTS - 1)])
-        refined, _ = _golden_max(objective, cell_lo, cell_hi)
-        scored = [(a, objective(a)) for a in {0.0, float(alphas[i]), refined, cell_lo, cell_hi, amax}]
-        top = max(v for _, v in scored)
-        astar, vstar = min(av for av in scored if av[1] >= top - TIE_TOL)  # ties go to the cheapest rate
-        assert vstar >= best - 2.0 * TIE_TOL, "refined optimum fell below a scanned grid value"
-    alloc = Allocation.uniform(astar)
+        ties = np.flatnonzero(vals >= best - TIE_TOL)
+        i = int(ties[np.lexsort((a1s[ties], a0s[ties]))[0]])
+        cell_lo = float(a1s[max(i - 1, 0)])
+        cell_hi = float(a1s[min(i + 1, len(a1s) - 1)])
+        refined, _ = _golden_max(lambda a1: objective(alloc(a1)), cell_lo, cell_hi)
+        candidates += [alloc(a1) for a1 in {float(a1s[i]), refined, cell_lo, cell_hi, float(a1s[0]), float(a1s[-1])}]
+        grid_best = max(grid_best, best)
+
+    scored = [(a, objective(a)) for a in candidates]
+    top = max(v for _, v in scored)
+    near = [(a, v) for a, v in scored if v >= top - TIE_TOL]
+    min_spend = min(a.inspecting_mass(x) for a, _ in near)
+    near = [(a, v) for a, v in near if a.inspecting_mass(x) <= min_spend + TIE_TOL]
+    alloc, vstar = min(near, key=lambda av: av[0].alpha0)
+    assert vstar >= grid_best - 2.0 * TIE_TOL, "refined optimum fell below a scanned grid value"
+    spend = alloc.inspecting_mass(x)
     return OptResult(
         allocation=alloc,
         objective=vstar,
-        budget_spent=astar,
-        slack=astar < amax - SLACK_TOL,
+        budget_spent=spend,
+        slack=spend < min(A, 1.0) - SLACK_TOL,
         rumor_eradicated=rumor_steady_state(p, alloc) == 0.0,
-        diagnostics=closed_thresholds(p),
+        notes=notes,
     )
+
+
+def _uniform_search(A: float):
+    """(segments, points) of _maximize for one shared rate alpha in [0, min(A, 1)]."""
+    if A <= 0.0:
+        return [], [Allocation.uniform(0.0)]
+    alphas = np.linspace(0.0, min(A, 1.0), GRID_POINTS)
+    return [(alphas, alphas, alphas, Allocation.uniform)], []
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +263,6 @@ def minimize_rumor(p: ModelParams, budget: float) -> OptResult:
         budget_spent=alpha,
         slack=alpha < A - SLACK_TOL,
         rumor_eradicated=theta1 == 0.0,
-        diagnostics=closed_thresholds(p),
     )
 
 
@@ -252,7 +272,8 @@ def maximize_truth_uniform(
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> OptResult:
     """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]."""
-    return _maximize_uniform(p, budget, False, cfg)
+    A = _total(budget)
+    return _maximize(p, A, *_uniform_search(A), False, cfg)
 
 
 def maximize_platform(
@@ -260,8 +281,9 @@ def maximize_platform(
     budget: float,
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> OptResult:
-    """Same protocol as maximize_truth_uniform, but the objective is theta0 + theta1."""
-    return _maximize_uniform(p, budget, True, cfg)
+    """Same search as maximize_truth_uniform, but the objective is theta0 + theta1."""
+    A = _total(budget)
+    return _maximize(p, A, *_uniform_search(A), True, cfg)
 
 
 def _binding_alpha0(A: float, x: float, a1: float) -> float:
@@ -274,29 +296,6 @@ def _binding_alpha0(A: float, x: float, a1: float) -> float:
     if rest <= 4.0 * EPS * A:
         return 0.0
     return min(1.0, rest / x)
-
-
-def _segment_candidates(p: ModelParams, a1s: np.ndarray, a0s: np.ndarray, alpha0, cfg: SolverConfig) -> list[Allocation]:
-    """Candidate targeted policies on the segment alpha0 = alpha0(alpha1), alpha1 in [a1s[0], a1s[-1]].
-
-    a1s is the scan grid and a0s = alpha0(a1s); the best grid point is
-    refined by golden section inside its two neighbouring cells. Grid ties
-    go to the smallest alpha0, then the smallest alpha1: cheaper overall
-    spend never suffers, and eradicating ties resolve away from wasted alpha0.
-    """
-    x = p.x
-    vals, _ = _theta_grids(p, x * a0s + (1.0 - x) * a1s, a0s, a1s, cfg)
-    ties = np.flatnonzero(vals >= float(vals.max()) - TIE_TOL)
-    i = int(ties[np.lexsort((a1s[ties], a0s[ties]))[0]])
-    lo, hi = float(a1s[0]), float(a1s[-1])
-    cell_lo = float(a1s[max(i - 1, 0)])
-    cell_hi = float(a1s[min(i + 1, len(a1s) - 1)])
-    refined, _ = _golden_max(
-        lambda a1: truth_steady_state(p, Allocation.targeted(alpha0(a1), a1), cfg),
-        cell_lo,
-        cell_hi,
-    )
-    return [Allocation.targeted(alpha0(a1), a1) for a1 in {float(a1s[i]), refined, cell_lo, cell_hi, lo, hi}]
 
 
 def maximize_truth_targeted(
@@ -314,52 +313,37 @@ def maximize_truth_targeted(
     searched, parametrized by alpha1. Raising alpha1 is not always good:
     it starves the inspectors that convert the rumor. Once the rumor is
     extinct alpha0 is worthless, so cheaper non-binding eradicating
-    policies are added as explicit candidates. Ties go to the smallest
-    spend, then the smallest alpha0.
+    policies are added as explicit candidates. At x = 0 only alpha1 has
+    mass, and the segment alpha0 = 0, alpha1 in [0, min(1, A)] is searched:
+    it reaches the uniform planner's truth values. At x = 1 inspection buys
+    nothing. Ties follow _maximize: the smallest spend, then the smallest
+    alpha0.
     """
     A = _total(budget)
     x = p.x
-    notes: tuple[str, ...] = ()
-    if A > x:
-        notes = ("budget exceeds the type-0 mass; full spend is no longer guaranteed to be optimal",)
-
-    def objective(a: Allocation) -> float:
-        return truth_steady_state(p, a, cfg)
-
-    candidates: list[Allocation] = [Allocation.targeted(0.0, 0.0)]
+    beyond_x = "budget exceeds the type-0 mass; full spend is no longer guaranteed to be optimal"
+    points = [Allocation.targeted(0.0, 0.0)]
+    segments = []
     if x <= 0.0:
-        candidates.append(Allocation.targeted(0.0, min(1.0, A)))
+        a1s = np.linspace(0.0, min(1.0, A), GRID_POINTS)
+        segments.append((np.zeros_like(a1s), a1s, a1s, lambda a1: Allocation.targeted(0.0, a1)))
     elif x >= 1.0:
-        candidates.append(Allocation.targeted(min(1.0, A), 0.0))
+        points.append(Allocation.targeted(min(1.0, A), 0.0))
     else:
         lo = max(0.0, (A - x) / (1.0 - x))
         hi = min(1.0, A / (1.0 - x))
         if lo <= hi:
             a1s = np.linspace(lo, hi, GRID_POINTS)
             a0s = np.clip((A - (1.0 - x) * a1s) / x, 0.0, 1.0)
-            candidates += _segment_candidates(p, a1s, a0s, lambda a1: _binding_alpha0(A, x, a1), cfg)
+            segments.append((a0s, a1s, x * a0s + (1.0 - x) * a1s,
+                             lambda a1: Allocation.targeted(_binding_alpha0(A, x, a1), a1)))
         if A > x:
             a1s = np.linspace(0.0, min(1.0, lo), GRID_POINTS)
-            candidates += _segment_candidates(p, a1s, np.ones_like(a1s), lambda a1: 1.0, cfg)
+            ones = np.ones_like(a1s)
+            segments.append((ones, a1s, x * ones + (1.0 - x) * a1s, lambda a1: Allocation.targeted(1.0, a1)))
         if A >= 1.0 - x:
-            candidates.append(Allocation.targeted(0.0, 1.0))
-
-    scored = [(a, objective(a)) for a in candidates]
-    best = max(v for _, v in scored)
-    near = [(a, v) for a, v in scored if v >= best - TIE_TOL]
-    min_spend = min(a.inspecting_mass(x) for a, _ in near)
-    near = [(a, v) for a, v in near if a.inspecting_mass(x) <= min_spend + TIE_TOL]
-    alloc, vstar = min(near, key=lambda av: av[0].alpha0)
-    spend = alloc.inspecting_mass(x)
-    return OptResult(
-        allocation=alloc,
-        objective=vstar,
-        budget_spent=spend,
-        slack=spend < A - SLACK_TOL,
-        rumor_eradicated=rumor_steady_state(p, alloc) == 0.0,
-        diagnostics=closed_thresholds(p),
-        notes=notes,
-    )
+            points.append(Allocation.targeted(0.0, 1.0))
+    return _maximize(p, A, segments, points, False, cfg, (beyond_x,) if A > x else ())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_truth
+from conftest import oracle_region_max
 from rumor_inspect import (
     Allocation,
     IntegratorConfig,
@@ -193,16 +193,6 @@ def test_c6_targeted_eradication_interval():
     )
 
 
-def _oracle_region_max(lam: float, x: float, A: float, n: int = 41) -> float:
-    """Best oracle truth over an n x n scan of the whole feasible (alpha0, alpha1) region."""
-    best = 0.0
-    for a0 in np.linspace(0.0, 1.0, n):
-        a1_max = min(1.0, max(0.0, (A - x * a0) / (1.0 - x)))
-        for a1 in np.linspace(0.0, a1_max, n):
-            best = max(best, oracle_truth(lam, x, float(a0), float(a1)))
-    return best
-
-
 def test_c7_targeted_budget_endpoints():
     lam, x = 2.0, 0.3
     p = ModelParams.from_lambda(lam, x)
@@ -226,7 +216,7 @@ def test_c7_targeted_budget_endpoints():
             res.allocation.alpha0 == 0.0
             and res.rumor_eradicated
             and abs(res.objective - (x + A - 1.0 / lam)) <= DEFAULT_SOLVER.tol
-            and _oracle_region_max(lam, x, A) <= res.objective + DEFAULT_SOLVER.tol
+            and oracle_region_max(lam, x, A) <= res.objective + DEFAULT_SOLVER.tol
         )
         if not ok:
             big_fail.append((A, res.allocation.alpha0, res.objective))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import THETA0_REF, oracle_truth
-from rumor_inspect import Allocation, ModelParams, truth_steady_state
+from rumor_inspect import Allocation, ModelParams, cli, truth_steady_state
 from rumor_inspect.cli import main
 
 
@@ -321,6 +321,31 @@ def test_non_finite_model_inputs_exit_2(capsys, rates):
 )
 def test_infinite_tol_exit_2(capsys, args):
     code = main([*args, "--lambda", "2", "--x", "0.3", "--tol", "inf"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+def test_targeted_at_x_zero_matches_uniform(capsys):
+    # at x = 0 alpha0 has no mass behind it, so both planners reach the same truth
+    rows = {}
+    for objective in ("truth", "truth-targeted"):
+        code, out = run(capsys, "optimize", "--objective", objective, "--lambda", "2", "--x", "0", "--A", "0.5")
+        assert code == 0
+        rows[objective] = parse_csv(out)[1][0]
+    assert rows["truth"]["objective"] == pytest.approx(0.125, abs=1e-12)
+    assert rows["truth-targeted"]["objective"] == pytest.approx(0.125, abs=1e-12)
+    assert rows["truth-targeted"]["alpha0"] == 0.0
+    assert rows["truth-targeted"]["alpha1"] == pytest.approx(rows["truth"]["alpha1"], abs=1e-8)
+
+
+@pytest.mark.parametrize("flags", [["--starts", "1"], ["--starts", "2", "--seed", "-1"]], ids=["starts", "seed"])
+def test_stability_flags_checked_before_integrating(monkeypatch, capsys, flags):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before the flags were checked")
+
+    monkeypatch.setattr(cli, "integrate", no_integration)
+    code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", *flags])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and "error:" in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rumor_inspect.planner as planner
-from conftest import ALPHA_PEAK, THETA0_PEAK, oracle_rumor, oracle_truth
+from conftest import ALPHA_PEAK, THETA0_PEAK, oracle_region_max, oracle_rumor, oracle_truth
 from rumor_inspect import (
     Allocation,
     FeasibilityError,
@@ -23,6 +23,7 @@ from rumor_inspect import (
     rumor_steady_state,
     truth_steady_state,
 )
+from rumor_inspect.model import DEFAULT_SOLVER
 
 
 def binding_alpha1(A, x, a0):
@@ -405,6 +406,49 @@ def test_targeted_x_edges():
     res1 = maximize_truth_targeted(ModelParams.from_lambda(2.0, 1.0), 0.3)
     assert res1.objective == pytest.approx(0.5, abs=1e-12)
     assert res1.budget_spent == 0.0  # inspection buys nothing when x = 1
+
+
+def _oracle_objective(lam, x, a0, a1, platform):
+    return oracle_truth(lam, x, a0, a1) + (oracle_rumor(lam, x, a1) if platform else 0.0)
+
+
+def _oracle_line_max(lam, x, A, platform):
+    """Best oracle objective over a 201-point scan of uniform rates in [0, min(A, 1)]."""
+    return max(_oracle_objective(lam, x, float(a), float(a), platform) for a in np.linspace(0.0, min(A, 1.0), 201))
+
+
+ORACLE_CASES = [
+    (lam, x, A)
+    for lam in (1.2, 2.0, 3.5, 8.0)
+    for x in (0.0, 0.1, 0.3, 0.6, 1.0)
+    for A in (0.0, 0.15, 0.35, 0.8, 1.3)
+]
+
+
+@pytest.mark.parametrize("objective", ["truth", "platform", "truth-targeted"])
+def test_maximizers_match_brute_force_oracle(objective):
+    # each optimum is feasible, reports the oracle's value at its allocation,
+    # and no point of an independent brentq-oracle scan beats it
+    tol = DEFAULT_SOLVER.tol
+    platform = objective == "platform"
+    failures = []
+    for lam, x, A in ORACLE_CASES:
+        p = ModelParams.from_lambda(lam, x)
+        if objective == "truth-targeted":
+            res = maximize_truth_targeted(p, A)
+            scan = oracle_region_max(lam, x, A, n=21)
+        else:
+            res = (maximize_platform if platform else maximize_truth_uniform)(p, A)
+            scan = _oracle_line_max(lam, x, A, platform)
+        value = _oracle_objective(lam, x, *res.allocation.rates(), platform)
+        ok = (
+            res.budget_spent <= A + 1e-12
+            and abs(res.objective - value) <= tol
+            and scan <= res.objective + tol
+        )
+        if not ok:
+            failures.append((lam, x, A, res.allocation.rates(), res.objective, scan))
+    assert not failures
 
 
 def test_targeted_eradication_coherence():
