@@ -11,8 +11,6 @@ file in each checkout and diff the outputs:
     python scripts/output_digest.py --seeds 1 2 3 > digest.txt
 
 The workload module is only imported (no bytecode is written next to it).
-The dynamics workload integrates long trajectories, so a full digest of
-three seeds takes a few minutes.
 """
 
 import argparse

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -388,7 +389,7 @@ def run_dynamics(cfg: RunConfig) -> int:
         raise ConfigError(f"--init must lie in [0, 1], got {cfg.init}")
     if cfg.starts is not None:
         check_stability_args(cfg.starts, cfg.seed)
-    traj = integrate(seed_state(p, a, cfg.init), p, a, integ, store_every=10)
+    traj = integrate(seed_state(p, a, cfg.init), p, a, integ)
     rows = []
     for s in traj.states:
         th0, th1 = prevalences(s, p, a)
@@ -407,6 +408,8 @@ def run_dynamics(cfg: RunConfig) -> int:
         "status": traj.status,
         "t_final": traj.final.t,
         "max_rate": traj.max_rate,
+        "steps": traj.n_steps,
+        "rejected_steps": traj.n_rejected,
     }
     ok = traj.converged
     if cfg.starts is not None:
@@ -438,6 +441,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     cfg = _run_config(ns)
     try:
+        # a missing or unwritable --out directory fails before any computation
+        if cfg.out and not os.access(os.path.dirname(os.path.abspath(cfg.out)), os.W_OK):
+            raise ConfigError(f"cannot write --out {cfg.out}: its directory is missing or not writable")
         return COMMANDS[cfg.command](cfg)
     except (ConfigError, ParameterError, FeasibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

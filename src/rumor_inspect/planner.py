@@ -315,21 +315,19 @@ def maximize_truth_targeted(
     extinct alpha0 is worthless, so cheaper non-binding eradicating
     policies are added as explicit candidates. At x = 0 only alpha1 has
     mass, and the segment alpha0 = 0, alpha1 in [0, min(1, A)] is searched:
-    it reaches the uniform planner's truth values. At x = 1 inspection buys
-    nothing. Ties follow _maximize: the smallest spend, then the smallest
-    alpha0.
+    it reaches the uniform planner's truth values. At A = 0 and at x = 1
+    (where inspection buys nothing) the only candidate is (0, 0). Ties
+    follow _maximize: the smallest spend, then the smallest alpha0.
     """
     A = _total(budget)
     x = p.x
     beyond_x = "budget exceeds the type-0 mass; full spend is no longer guaranteed to be optimal"
     points = [Allocation.targeted(0.0, 0.0)]
     segments = []
-    if x <= 0.0:
+    if A > 0.0 and x <= 0.0:
         a1s = np.linspace(0.0, min(1.0, A), GRID_POINTS)
         segments.append((np.zeros_like(a1s), a1s, a1s, lambda a1: Allocation.targeted(0.0, a1)))
-    elif x >= 1.0:
-        points.append(Allocation.targeted(min(1.0, A), 0.0))
-    else:
+    elif A > 0.0 and x < 1.0:
         lo = max(0.0, (A - x) / (1.0 - x))
         hi = min(1.0, A / (1.0 - x))
         if lo <= hi:

@@ -367,6 +367,20 @@ def test_unwritable_out_exit_2(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_unwritable_out_checked_before_computing(monkeypatch, tmp_path, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "optimize_record", no_compute)
+    monkeypatch.setattr(cli, "compute_thresholds", no_compute)
+    target = tmp_path / "missing" / "f.csv"
+    code = main(["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "0.2", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "error:" in err
+    assert not target.parent.exists()
+
+
 def test_metadata_lines_present(capsys):
     _, out = run(capsys, "steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2")
     meta = comments(out)

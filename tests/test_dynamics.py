@@ -9,7 +9,6 @@ from rumor_inspect import (
     IntegratorConfig,
     ModelParams,
     ParameterError,
-    derivatives,
     full_steady_state,
     group_masses,
     integrate,
@@ -17,6 +16,7 @@ from rumor_inspect import (
     seed_state,
     verify_global_stability,
 )
+from rumor_inspect.dynamics import rate_function
 
 FAST = IntegratorConfig(dt=0.05)
 
@@ -29,65 +29,75 @@ def analytic_state(p, a):
 
 
 # ---------------------------------------------------------------------------
-# derivatives
+# right-hand side
 # ---------------------------------------------------------------------------
 
 def test_zero_state_has_zero_rates(ref_params):
-    rates = derivatives(DynState(0.0, 0.0, 0.0, 0.0), ref_params, Allocation.uniform(0.2))
+    rates = rate_function(ref_params, Allocation.uniform(0.2))(0.0, 0.0, 0.0, 0.0)
     assert rates == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_rates_vanish_at_analytic_steady_state(ref_params):
     a = Allocation.uniform(0.2)
-    rates = derivatives(analytic_state(ref_params, a), ref_params, a)
+    rates = rate_function(ref_params, a)(*analytic_state(ref_params, a)[:4])
     assert max(abs(r) for r in rates) < 1e-9
 
 
 def test_hand_evaluated_rumor_rate():
     p = ModelParams.from_rates(nu=1.0, k=1.0, delta=0.5, x=0.3)
     a = Allocation.uniform(0.2)
-    rates = derivatives(DynState(0.0, 0.0, 0.0, 0.5), p, a)
+    r00a, r00na, r10a, r11na = rate_function(p, a)(0.0, 0.0, 0.0, 0.5)
     # theta1 = 0.7*0.8*0.5 = 0.28; rate = 0.5*0.28 - 0.5*0.5
-    assert rates.r11na == pytest.approx(-0.11, abs=1e-12)
+    assert r11na == pytest.approx(-0.11, abs=1e-12)
     # inspecting groups see total prevalence 0.28; the non-inspecting
     # type-0 group sees only theta0 = 0
-    assert rates.r00a == rates.r10a == pytest.approx(0.28, abs=1e-12)
-    assert rates.r00na == 0.0
+    assert r00a == r10a == pytest.approx(0.28, abs=1e-12)
+    assert r00na == 0.0
 
 
 def test_empty_groups_are_pinned():
     p = ModelParams.from_lambda(2.0, 0.3)
     a = Allocation.uniform(1.0)  # non-inspecting groups are empty
-    rates = derivatives(DynState(0.2, 0.7, 0.2, 0.7), p, a)
-    assert rates.r00na == 0.0 and rates.r11na == 0.0
-    assert rates.r00a != 0.0
+    r00a, r00na, r10a, r11na = rate_function(p, a)(0.2, 0.7, 0.2, 0.7)
+    assert r00na == 0.0 and r11na == 0.0
+    assert r00a != 0.0
+    traj = integrate(DynState(0.2, 0.7, 0.2, 0.7), p, a, FAST)
+    assert all(s.r00na == 0.0 and s.r11na == 0.0 for s in traj.states)
 
 
 def test_derivatives_domain_check(ref_params):
     with pytest.raises(ParameterError):
-        derivatives(DynState(1.2, 0.0, 0.0, 0.0), ref_params, Allocation.uniform(0.2))
+        integrate(DynState(1.2, 0.0, 0.0, 0.0), ref_params, Allocation.uniform(0.2))
+
+
+# Dormand-Prince 5(4), written out from the published tableau
+DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 
 
 def test_integrate_single_step_composes_derivatives(ref_params):
-    # one accepted step must equal classical RK4 assembled from derivatives()
+    # one accepted step must equal the Dormand-Prince tableau assembled from
+    # the shared right-hand side, at the step size the error control chose
     a = Allocation.uniform(0.2)
     s0 = DynState(0.3, 0.1, 0.25, 0.4)
-    dt = 0.05
-    traj = integrate(s0, ref_params, a, IntegratorConfig(dt=dt, t_max=dt), store_every=1)
+    traj = integrate(s0, ref_params, a, IntegratorConfig(dt=0.05, t_max=0.05))
+    rates = rate_function(ref_params, a)
+    h = traj.states[1].t
+    assert 0.0 < h <= 0.05
 
-    def plus(s, r, h):
-        return DynState(*(si + h * ri for si, ri in zip(s[:4], r)), t=0.0)
-
-    k1 = derivatives(s0, ref_params, a)
-    k2 = derivatives(plus(s0, k1, dt / 2), ref_params, a)
-    k3 = derivatives(plus(s0, k2, dt / 2), ref_params, a)
-    k4 = derivatives(plus(s0, k3, dt), ref_params, a)
-    manual = [
-        si + dt / 6.0 * (a_ + 2.0 * (b_ + c_) + d_)
-        for si, a_, b_, c_, d_ in zip(s0[:4], k1, k2, k3, k4)
-    ]
-    stepped = traj.states[1]
-    for got, want in zip(stepped[:4], manual):
+    ks = []
+    for row in DP_A:
+        stage = [y + h * sum(c * k[i] for c, k in zip(row, ks)) for i, y in enumerate(s0[:4])]
+        ks.append(rates(*stage))
+    manual = [y + h * sum(b * k[i] for b, k in zip(DP_B, ks)) for i, y in enumerate(s0[:4])]
+    for got, want in zip(traj.states[1][:4], manual):
         assert got == pytest.approx(want, abs=1e-15)
 
 
@@ -138,9 +148,24 @@ def test_oversized_step_is_halved_not_fatal():
     p = ModelParams.from_lambda(5.0, 0.3)
     a = Allocation.uniform(0.2)
     traj = integrate(DynState(0.999, 0.999, 0.999, 0.999), p, a, IntegratorConfig(dt=40.0))
+    # the first step of 40 is rejected and retried smaller, not fatal
+    assert traj.n_rejected >= 1 and traj.states[1].t < 40.0
     assert traj.converged
     th0, th1 = prevalences(traj.final, p, a)
     assert th0 == pytest.approx(oracle_truth(5.0, 0.3, 0.2, 0.2), abs=1e-6)
+
+
+@pytest.mark.parametrize("lam,x,alpha", [(3.205606, 0.300744, 0.330817), (4.824308, 0.189228, 0.616507)])
+def test_converges_where_a_fixed_tolerance_stalls(lam, x, alpha):
+    # With a fixed rtol = atol = 1e-9 the residual stalls above conv_tol = 1e-10 at
+    # these points; the tolerance derived from conv_tol must reach it.
+    p = ModelParams.from_lambda(lam, x)
+    a = Allocation.uniform(alpha)
+    traj = integrate(seed_state(p, a), p, a)
+    assert traj.converged and traj.max_rate < 1e-10
+    target = analytic_state(p, a)
+    for got, want in zip(traj.final[:4], target[:4]):
+        assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_horizon_flag_when_not_converged(ref_params):

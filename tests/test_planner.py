@@ -23,6 +23,7 @@ from rumor_inspect import (
     rumor_steady_state,
     truth_steady_state,
 )
+from rumor_inspect import planner
 from rumor_inspect.model import DEFAULT_SOLVER
 
 
@@ -449,6 +450,24 @@ def test_maximizers_match_brute_force_oracle(objective):
         if not ok:
             failures.append((lam, x, A, res.allocation.rates(), res.objective, scan))
     assert not failures
+
+
+@pytest.mark.parametrize(
+    "lam,x,A",
+    [(lam, x, 0.0) for lam in (1.2, 3.5) for x in (0.0, 0.3, 0.6)]
+    + [(lam, 1.0, A) for lam in (2.0, 8.0) for A in (0.15, 0.8, 1.3)],
+)
+def test_targeted_single_point_cases(monkeypatch, lam, x, A):
+    # at A = 0, and at x = 1 where inspection buys nothing, (0, 0) is the
+    # only candidate: no grid is scanned, and the brute-force oracle agrees
+    def no_grid(*args, **kwargs):
+        raise AssertionError("scanned a grid")
+
+    monkeypatch.setattr(planner, "_theta_grids", no_grid)
+    res = maximize_truth_targeted(ModelParams.from_lambda(lam, x), A)
+    assert res.allocation.rates() == (0.0, 0.0)
+    assert abs(res.objective - oracle_truth(lam, x, 0.0, 0.0)) <= DEFAULT_SOLVER.tol
+    assert oracle_region_max(lam, x, A, n=21) <= res.objective + DEFAULT_SOLVER.tol
 
 
 def test_targeted_eradication_coherence():
