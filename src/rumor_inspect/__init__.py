@@ -20,7 +20,6 @@ from .model import (
     rumor_steady_state,
     truth_map,
     truth_steady_state,
-    truth_steady_state_given_rumor,
 )
 from .dynamics import (
     DynState,
@@ -33,13 +32,10 @@ from .dynamics import (
     verify_global_stability,
 )
 from .planner import (
-    CubicConstraint,
-    FeasibilityError,
     OptResult,
     Thresholds,
     closed_thresholds,
     compute_thresholds,
-    cubic_coefficients,
     diversification_budget_range,
     marginal_condition_targeted,
     marginal_condition_uniform,
@@ -52,9 +48,7 @@ from .planner import (
 __all__ = [
     "__version__",
     "Allocation",
-    "CubicConstraint",
     "DynState",
-    "FeasibilityError",
     "IntegratorConfig",
     "IntegratorError",
     "ModelParams",
@@ -68,7 +62,6 @@ __all__ = [
     "Trajectory",
     "closed_thresholds",
     "compute_thresholds",
-    "cubic_coefficients",
     "diversification_budget_range",
     "eradication_threshold",
     "full_steady_state",
@@ -86,6 +79,5 @@ __all__ = [
     "seed_state",
     "truth_map",
     "truth_steady_state",
-    "truth_steady_state_given_rumor",
     "verify_global_stability",
 ]

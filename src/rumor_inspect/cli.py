@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,12 +36,12 @@ from .model import (
     ParameterError,
     SolverConfig,
     SolverError,
+    _steady_fields,
     full_steady_state,
     no_rumor_positivity_readings,
     prevalences,
 )
 from .planner import (
-    FeasibilityError,
     compute_thresholds,
     maximize_platform,
     maximize_truth_targeted,
@@ -85,7 +86,9 @@ class RunConfig:
     tol: float | None = None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared: it keeps no state between parses."""
     parser = argparse.ArgumentParser(
         prog="rumor-inspect",
         description="Steady states, dynamics, and budgeted inspection planning "
@@ -245,22 +248,23 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         raise ConfigError(f"{axis} sweep range must stay inside [0, 1], got [{lo}, {hi}]")
     if axis in ("lambda", "A") and lo < 0.0:
         raise ConfigError(f"{axis} sweep range must be nonnegative, got start {lo}")
-    values = [float(v) for v in np.linspace(lo, hi, cfg.steps)]
+    grid = np.linspace(lo, hi, cfg.steps)
+    values = grid.tolist()
 
     if axis == "alpha":
         _forbid_allocation(cfg, "when sweeping alpha")
         p = _params(cfg)
-        work = [(v, p, Allocation.uniform(v)) for v in values]
+        point = lambda v: (p, Allocation.uniform(v))  # noqa: E731
     elif axis == "lambda":
         a = _allocation(cfg)
         if values[0] <= 0.0:
             raise ConfigError("lambda sweep must start above 0")
-        work = [(v, _params(cfg, lam_override=v), a) for v in values]
+        point = lambda v: (_params(cfg, lam_override=v), a)  # noqa: E731
     elif axis == "x":
         if cfg.x is not None:
             raise ConfigError("the swept x cannot also be fixed on the command line")
         a = _allocation(cfg)
-        work = [(v, _params(cfg, x_override=v), a) for v in values]
+        point = lambda v: (_params(cfg, x_override=v), a)  # noqa: E731
     else:  # axis == "A": one optimization per budget
         _forbid_allocation(cfg, "when sweeping the budget")
         if cfg.objective is None:
@@ -269,8 +273,41 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         rows = [{"A": v, **optimize_record(p, cfg.objective, v, solver)} for v in values]
         return (["A", "mode", "alpha0", "alpha1", "objective", "budget_spent", "slack", "rumor_eradicated"], rows)
 
-    rows = [{axis: v, **steady_record(p, a, solver)} for v, p, a in work]
-    return ([axis, *STEADY_FIELDS], rows)
+    header = [axis, *STEADY_FIELDS]
+    try:
+        columns = _steady_columns(axis, grid, point, solver)
+    except (ConfigError, ParameterError, SolverError):
+        # the batch reports a failure, but a sweep reports its first failing
+        # point: solve point by point up to it, which raises its error
+        for v in values:
+            steady_record(*point(v), solver)
+        raise
+    return (header, [dict(zip(header, row)) for row in zip(values, *columns)])
+
+
+def _steady_columns(axis: str, grid: np.ndarray, point, solver: SolverConfig) -> list[list]:
+    """The STEADY_FIELDS columns of a sweep along alpha, lambda or x, solved as one batch.
+
+    point(v) builds the ModelParams and Allocation of the sweep point v and
+    checks their domains. It runs at the two ends only: along each axis the
+    domain checks are monotone in the swept value, so ends that pass mean
+    every point passes. The columns hold plain floats and bools, equal to
+    steady_record at each point.
+    """
+    p, a = point(grid[0].item())
+    point(grid[-1].item())
+    lam, x, a0, a1 = p.lam, p.x, a.alpha0, a.alpha1
+    if axis == "alpha":
+        a0 = a1 = grid
+    elif axis == "lambda":
+        lam = grid  # from_lambda gives each swept value back as lam (at a subnormal one, every field is 0 either way)
+    else:
+        x = grid
+    inspecting = grid if axis == "alpha" else a.inspecting_mass(x)
+    with np.errstate(all="ignore"):  # float arithmetic overflows to inf silently; so does the batch
+        fields = _steady_fields(lam, x, a0, a1, inspecting, solver, np)
+    theta0, theta1, theta, rho_a, rho_00_na, rho_11_na = (f.tolist() for f in fields)
+    return [theta0, theta1, theta, rho_a, rho_a, rho_00_na, rho_11_na, [t == 0.0 for t in theta1]]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.out and not os.access(os.path.dirname(os.path.abspath(cfg.out)), os.W_OK):
             raise ConfigError(f"cannot write --out {cfg.out}: its directory is missing or not writable")
         return COMMANDS[cfg.command](cfg)
-    except (ConfigError, ParameterError, FeasibilityError) as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, IntegratorError, FloatingPointError) as exc:

@@ -24,8 +24,13 @@ while the truth prevalence solves the scalar fixed point
 theta0 = truth_map(theta0), which is strictly concave in theta0 and hence
 has a unique positive root whenever one exists. Clearing the map's two
 denominators turns the fixed point into a cubic in theta0 with a single
-positive root; it is found by a safeguarded Newton iteration that serves
-single policies (plain floats) and policy grids (numpy arrays) alike.
+positive root; it is found by a safeguarded Newton iteration.
+
+The steady-state code is written once over lam, x and the rates, each a
+plain float or a numpy array: with floats it solves one policy (the public
+functions below), and with arrays it solves a planner's policy grid or a
+whole CLI sweep along alpha, lambda or x in one batch, equal entry by entry
+to the single solves, bit for bit.
 """
 
 from __future__ import annotations
@@ -170,7 +175,7 @@ class SteadyState:
 
 
 class _FloatOps:
-    """Stands in for numpy in the shared solver, so that single solves stay in plain float arithmetic."""
+    """Stands in for numpy in the shared steady-state code, so that single solves stay in plain float arithmetic."""
 
     maximum = max
     minimum = min
@@ -181,17 +186,22 @@ class _FloatOps:
         return a if cond else b
 
 
-def _rumor_level(p: ModelParams, a1, cutoff: float, ops=_FloatOps):
+def _eradication_level(lam, x, ops=_FloatOps):
+    """Eradication threshold max(0, 1 - 1/(lam*(1-x))), written so that x = 1 divides by no zero."""
+    return 1.0 - 1.0 / ops.maximum(lam * (1.0 - x), 1.0)
+
+
+def _rumor_level(lam, x, a1, cutoff, ops=_FloatOps):
     """Rumor closed form max(0, (1 - alpha1)*(1 - x) - 1/lam), and 0 wherever alpha1 >= cutoff."""
-    return ops.where(a1 >= cutoff, 0.0, ops.maximum(0.0, (1.0 - a1) * (1.0 - p.x) - 1.0 / p.lam))
+    return ops.where(a1 >= cutoff, 0.0, ops.maximum(0.0, (1.0 - a1) * (1.0 - x) - 1.0 / lam))
 
 
-def _no_rumor_truth(p: ModelParams, a1, ops=_FloatOps):
+def _no_rumor_truth(lam, x, a1, ops=_FloatOps):
     """Truth closed form max(0, x + (1-x)*alpha1 - 1/lam) for an extinct rumor or an empty inspecting mass."""
-    return ops.maximum(0.0, p.x + (1.0 - p.x) * a1 - 1.0 / p.lam)
+    return ops.maximum(0.0, x + (1.0 - x) * a1 - 1.0 / lam)
 
 
-def _truth_cubic(r: float, v: float, theta1, inspecting, s):
+def _truth_cubic(r, v, theta1, inspecting, s):
     """Coefficients (c3, c2, c1, c0) of the truth cubic, divided by (lam/r)^2.
 
     Clearing the denominators of theta0 = truth_map(theta0) gives, with
@@ -210,25 +220,31 @@ def _truth_cubic(r: float, v: float, theta1, inspecting, s):
     )
 
 
-def _truth_given_rumor(p: ModelParams, a0, a1, inspecting, theta1, cap, cfg: SolverConfig, ops=_FloatOps):
-    """theta0 at the rumor level theta1, for floats or, with ops=numpy, elementwise on arrays.
+def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfig, ops=_FloatOps):
+    """theta0 at the rumor level theta1: for floats or, with ops=numpy, elementwise on arrays.
 
+    Any of lam, x, the rates, the inspecting mass, theta1 and cap may be an
+    array; they broadcast, and each entry takes the steps a float solve of it
+    would take, so a batch equals its entries solved one by one, bit for bit.
     With no rumor or nobody inspecting, theta0 is the no-rumor closed form
     (an empty inspecting mass forces (1-x)*alpha1 = 0, so the no-mass root
     max(0, x - 1/lam) is the same expression). Otherwise the map stays
     below s = I + x*(1-alpha0), so the cubic's root lies in (0, min(s, cap))
     for a caller-known bound cap. Newton steps start at the upper end and
     keep a sign bracket, bisecting when a step would leave it or the slope
-    is not positive.
+    is not positive. The cubic is monic where lam >= 1. A solve that does
+    not settle raises SolverError for the first open entry.
     """
-    closed = _no_rumor_truth(p, a1, ops)
+    closed = _no_rumor_truth(lam, x, a1, ops)
     settled = (theta1 <= 0.0) | (inspecting <= 0.0)
     if ops.all(settled):
         return closed
-    r, v = (1.0, 1.0 / p.lam) if p.lam >= 1.0 else (p.lam, 1.0)
-    s = inspecting + p.x * (1.0 - a0)
-    c3, c2, c1, c0 = _truth_cubic(r, v, theta1, inspecting, s)
     where = ops.where
+    big = lam >= 1.0
+    r = where(big, 1.0, lam)
+    v = where(big, 1.0 / lam, 1.0)
+    s = inspecting + x * (1.0 - a0)
+    c3, c2, c1, c0 = _truth_cubic(r, v, theta1, inspecting, s)
     hi = ops.minimum(s, cap)
     lo = 0.0 * hi
     t = hi
@@ -256,16 +272,61 @@ def _truth_given_rumor(p: ModelParams, a0, a1, inspecting, theta1, cap, cfg: Sol
     )
 
 
+def _steady_truth(lam, x, a0, a1, inspecting, cutoff, cfg: SolverConfig, ops=_FloatOps):
+    """(theta0, theta1) at the steady rumor level, the rumor taken as extinct within cfg.tol of cutoff.
+
+    cutoff is the eradication threshold. Near it the degenerate fixed point is
+    avoided and the no-rumor closed form is used directly. At the steady
+    rumor level theta0 + theta1 <= 1 - 1/lam, so 1 - theta1 caps the root.
+    """
+    theta1 = _rumor_level(lam, x, a1, cutoff - cfg.tol, ops)
+    return _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, 1.0 - theta1, cfg, ops), theta1
+
+
+def _recompose(x, a0, a1, r):
+    """(theta0, theta1) from the group believing fractions r = (r00a, r00na, r10a, r11na)."""
+    theta0 = x * (a0 * r[0] + (1.0 - a0) * r[1]) + (1.0 - x) * a1 * r[2]
+    theta1 = (1.0 - x) * (1.0 - a1) * r[3]
+    return theta0, theta1
+
+
+def _steady_fields(lam, x, a0, a1, inspecting, cfg: SolverConfig, ops=_FloatOps):
+    """(theta0, theta1, theta, rho_a, rho_00_na, rho_11_na) at the steady state.
+
+    Floats, or with ops=numpy arrays that broadcast as in _truth_given_rumor.
+    theta1 is the rumor closed form at the exact eradication threshold, and
+    the rho fields are the group fractions of the module docstring. They are
+    verified by recomposing theta0 / theta1 from the group fractions;
+    disagreement beyond solver accuracy raises SolverError for the first
+    entry that fails.
+    """
+    cutoff = _eradication_level(lam, x, ops)
+    theta1 = _rumor_level(lam, x, a1, cutoff, ops)
+    theta0, _ = _steady_truth(lam, x, a0, a1, inspecting, cutoff, cfg, ops)
+    theta = theta0 + theta1
+    rho_a = lam * theta / (1.0 + lam * theta)
+    rho_00_na = lam * theta0 / (1.0 + lam * theta0)
+    rho_11_na = lam * theta1 / (1.0 + lam * theta1)
+    r0, r1 = _recompose(x, a0, a1, (rho_a, rho_00_na, rho_a, rho_11_na))
+    budget = max(1e-9, 100.0 * cfg.tol)
+    ok = ops.maximum(abs(r0 - theta0), abs(r1 - theta1)) <= budget
+    if not ops.all(ok):
+        i = int(np.argmin(ok))
+        r0, theta0, r1, theta1 = (float(np.ravel(v)[i]) for v in (r0, theta0, r1, theta1))
+        raise SolverError(
+            f"steady state failed recomposition: |{r0} - {theta0}|, "
+            f"|{r1} - {theta1}| exceed {budget}"
+        )
+    return theta0, theta1, theta, rho_a, rho_00_na, rho_11_na
+
+
 def eradication_threshold(p: ModelParams) -> float:
     """Smallest type-1 inspection rate that keeps the rumor extinct.
 
     Returns max(0, 1 - 1/(lam*(1-x))); zero means the rumor can never be
     endemic (in particular when x = 1 there is nobody to carry it).
     """
-    lx = p.lam * (1.0 - p.x)
-    if lx <= 1.0:
-        return 0.0
-    return 1.0 - 1.0 / lx
+    return _eradication_level(p.lam, p.x)
 
 
 def rumor_steady_state(p: ModelParams, a: Allocation) -> float:
@@ -274,7 +335,7 @@ def rumor_steady_state(p: ModelParams, a: Allocation) -> float:
     Only the type-1 inspection rate matters: the rumor circulates among
     non-inspecting rumor-biased agents alone.
     """
-    return _rumor_level(p, a.alpha1, eradication_threshold(p))
+    return _rumor_level(p.lam, p.x, a.alpha1, eradication_threshold(p))
 
 
 def truth_map(theta0: float, theta1: float, p: ModelParams, a: Allocation) -> float:
@@ -318,26 +379,10 @@ def no_rumor_positivity_readings(p: ModelParams) -> tuple[float, float]:
     return (reading, alt)
 
 
-def truth_steady_state_given_rumor(
-    p: ModelParams,
-    a: Allocation,
-    theta1: float,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> float:
-    """Solve theta0 = truth_map(theta0; theta1) with the rumor level held fixed."""
-    _check_fraction("theta1", theta1)
-    return _truth_given_rumor(p, a.alpha0, a.alpha1, a.inspecting_mass(p.x), theta1, 1.0, cfg)
-
-
 def truth_steady_state(p: ModelParams, a: Allocation, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
-    """Steady truth prevalence under the given inspection policy.
-
-    Within cfg.tol of the eradication threshold the degenerate fixed point is
-    avoided and the no-rumor closed form is used directly. At the steady
-    rumor level theta0 + theta1 <= 1 - 1/lam, so 1 - theta1 caps the root.
-    """
-    theta1 = _rumor_level(p, a.alpha1, eradication_threshold(p) - cfg.tol)
-    return _truth_given_rumor(p, a.alpha0, a.alpha1, a.inspecting_mass(p.x), theta1, 1.0 - theta1, cfg)
+    """Steady truth prevalence under the given inspection policy; see _steady_truth."""
+    cutoff = eradication_threshold(p)
+    return _steady_truth(p.lam, p.x, a.alpha0, a.alpha1, a.inspecting_mass(p.x), cutoff, cfg)[0]
 
 
 def group_masses(p: ModelParams, a: Allocation) -> tuple[float, float, float, float]:
@@ -353,37 +398,12 @@ def prevalences(r, p: ModelParams, a: Allocation) -> tuple[float, float]:
     theta0 = x*(alpha0*r00a + (1-alpha0)*r00na) + (1-x)*alpha1*r10a and
     theta1 = (1-x)*(1-alpha1)*r11na.
     """
-    a0, a1 = a.rates()
-    theta0 = p.x * (a0 * r[0] + (1.0 - a0) * r[1]) + (1.0 - p.x) * a1 * r[2]
-    theta1 = (1.0 - p.x) * (1.0 - a1) * r[3]
-    return theta0, theta1
+    return _recompose(p.x, a.alpha0, a.alpha1, r)
 
 
 def full_steady_state(p: ModelParams, a: Allocation, cfg: SolverConfig = DEFAULT_SOLVER) -> SteadyState:
-    """Solve both prevalences and fill in the four group fractions.
-
-    The result is verified by recomposing theta0 / theta1 from the group
-    fractions; disagreement beyond solver accuracy raises SolverError.
-    """
-    lam = p.lam
-    theta1 = rumor_steady_state(p, a)
-    theta0 = truth_steady_state(p, a, cfg)
-    theta = theta0 + theta1
-    rho_a = lam * theta / (1.0 + lam * theta)
-    ss = SteadyState(
-        theta0=theta0,
-        theta1=theta1,
-        theta=theta,
-        rho_00_a=rho_a,
-        rho_10_a=rho_a,
-        rho_00_na=lam * theta0 / (1.0 + lam * theta0),
-        rho_11_na=lam * theta1 / (1.0 + lam * theta1),
+    """Solve both prevalences and fill in the four group fractions; see _steady_fields."""
+    theta0, theta1, theta, rho_a, rho_00_na, rho_11_na = _steady_fields(
+        p.lam, p.x, a.alpha0, a.alpha1, a.inspecting_mass(p.x), cfg
     )
-    r0, r1 = prevalences((ss.rho_00_a, ss.rho_00_na, ss.rho_10_a, ss.rho_11_na), p, a)
-    budget = max(1e-9, 100.0 * cfg.tol)
-    if not max(abs(r0 - theta0), abs(r1 - theta1)) <= budget:
-        raise SolverError(
-            f"steady state failed recomposition: |{r0} - {theta0}|, "
-            f"|{r1} - {theta1}| exceed {budget}"
-        )
-    return ss
+    return SteadyState(theta0, theta1, theta, rho_a, rho_a, rho_00_na, rho_11_na)

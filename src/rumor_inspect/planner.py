@@ -30,9 +30,7 @@ from .model import (
     ParameterError,
     SolverConfig,
     SteadyState,
-    _rumor_level,
-    _truth_cubic,
-    _truth_given_rumor,
+    _steady_truth,
     eradication_threshold,
     rumor_steady_state,
     truth_steady_state,
@@ -45,11 +43,7 @@ SLACK_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
 THRESHOLD_RESOLUTION = 1e-6  # width to which compute_thresholds bisects each budget edge
 DIVERSIFICATION_RESOLUTION = 1e-4  # the same for diversification_budget_range
-DIVERSIFICATION_SCAN_POINTS = 41  # budgets it scans over (0, x] before bisecting
-
-
-class FeasibilityError(ValueError):
-    """The requested allocation cannot satisfy the budget constraint."""
+DIVERSIFICATION_SCAN_POINTS = 41  # budgets it scans over (0, 1] before bisecting
 
 
 def _total(budget: float) -> float:
@@ -90,32 +84,6 @@ class OptResult:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CubicConstraint:
-    """Polynomial c3*t^3 + c2*t^2 + c1*t + c0 whose positive root is theta0.
-
-    Valid for a binding targeted budget: clearing the two denominators of the
-    truth fixed-point map turns it into this cubic. With c3 = lam^2 > 0 the
-    coefficient signs admit at most one sign change on the feasible set, so at
-    most one positive real root exists.
-    """
-
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-
-    def __call__(self, theta0: float) -> float:
-        return ((self.c3 * theta0 + self.c2) * theta0 + self.c1) * theta0 + self.c0
-
-    def coefficients(self) -> tuple[float, float, float, float]:
-        return (self.c3, self.c2, self.c1, self.c0)
-
-    def sign_changes(self) -> int:
-        signs = [c for c in self.coefficients() if c != 0.0]
-        return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0.0)
-
-
 def closed_thresholds(p: ModelParams) -> Thresholds:
     """The cheap, closed-form part of the threshold bundle."""
     radicand = 2.0 - 1.0 / (1.0 - p.x) if p.x < 1.0 else -1.0
@@ -144,16 +112,15 @@ def _theta_grids(
     a1s: np.ndarray,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (theta0, theta1) over allocation grids.
+    """(theta0, theta1) over allocation grids, c_ins being their inspecting masses.
 
-    Runs the scalar truth_steady_state solver elementwise, so grid scans and
-    the scalar recomputation of the reported optimum agree to rounding. Only
-    the argmax location comes from here; reported objectives are always
-    recomputed with the scalar solver.
+    The model's steady-state code runs on the arrays in one batch, the same
+    code that truth_steady_state runs on floats, so every grid entry equals
+    the scalar solve of its policy bit for bit. Only the argmax location
+    comes from here; reported objectives are always recomputed with the
+    scalar solver.
     """
-    theta1 = _rumor_level(p, a1s, eradication_threshold(p) - cfg.tol, np)
-    theta0 = _truth_given_rumor(p, a0s, a1s, c_ins, theta1, 1.0 - theta1, cfg, np)
-    return theta0, theta1
+    return _steady_truth(p.lam, p.x, a0s, a1s, c_ins, eradication_threshold(p), cfg, np)
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -379,43 +346,6 @@ def marginal_condition_targeted(p: ModelParams, budget: float, ss: SteadyState) 
 
 
 # ---------------------------------------------------------------------------
-# cubic form of the targeted steady-state constraint
-# ---------------------------------------------------------------------------
-
-def _targeted_alpha1(p: ModelParams, A: float, alpha0: float) -> float:
-    x = p.x
-    if x >= 1.0:
-        if abs(alpha0 - A) > 1e-12:
-            raise FeasibilityError(f"x = 1 binds the whole budget to alpha0 = A, got alpha0={alpha0}")
-        return 0.0
-    a1 = (A - x * alpha0) / (1.0 - x)
-    if not -1e-12 <= a1 <= 1.0 + 1e-12:
-        raise FeasibilityError(
-            f"alpha0={alpha0} with binding budget A={A} implies alpha1={a1} outside [0, 1]"
-        )
-    return min(1.0, max(0.0, a1))
-
-
-def cubic_coefficients(p: ModelParams, budget: float, alpha0: float) -> CubicConstraint:
-    """Cubic whose positive root is theta0 for a binding targeted budget.
-
-    alpha1 is implied by (A - x*alpha0)/(1-x), so the inspecting mass is A
-    and these are the unscaled coefficients of the model's truth cubic with
-    s = A + x*(1-alpha0): c3 = lam^2, c2 = lam*(2 + lam*theta1 - lam*s),
-    c1 = (1 + lam*theta1)*(1 - lam*s), c0 = -A*lam*theta1.
-
-    At the eradication boundary (theta1 = 0) the cubic factors as theta0
-    times a quadratic whose positive root is the no-rumor closed form.
-    """
-    A = _total(budget)
-    if not 0.0 <= alpha0 <= 1.0:
-        raise ParameterError(f"alpha0 must lie in [0, 1], got {alpha0}")
-    alpha1 = _targeted_alpha1(p, A, alpha0)
-    theta1 = rumor_steady_state(p, Allocation.targeted(alpha0, alpha1))
-    return CubicConstraint(*_truth_cubic(p.lam, 1.0, theta1, A, A + p.x * (1.0 - alpha0)))
-
-
-# ---------------------------------------------------------------------------
 # numeric threshold location
 # ---------------------------------------------------------------------------
 
@@ -499,8 +429,9 @@ def diversification_budget_range(p: ModelParams, cfg: SolverConfig = DEFAULT_SOL
 
     The range is reported, not derived: the diffusion-rate cutoff beyond
     which no such range exists is known only existentially. Budgets are
-    scanned over (0, x], the regime where full spend is guaranteed, and each
-    edge is bisected to DIVERSIFICATION_RESOLUTION.
+    scanned over (0, 1], since above x the planner may still keep alpha0 = 1
+    and fund alpha1 with the rest, and each edge is bisected to
+    DIVERSIFICATION_RESOLUTION. Budgets above 1 buy nothing more.
     """
     if p.x <= 0.0:
         return None
@@ -508,9 +439,9 @@ def diversification_budget_range(p: ModelParams, cfg: SolverConfig = DEFAULT_SOL
     def diversifies(A: float) -> bool:
         return maximize_truth_targeted(p, A, cfg).allocation.alpha0 > 1e-9
 
-    budgets = np.linspace(DIVERSIFICATION_RESOLUTION, p.x, DIVERSIFICATION_SCAN_POINTS).tolist()
+    budgets = np.linspace(DIVERSIFICATION_RESOLUTION, 1.0, DIVERSIFICATION_SCAN_POINTS).tolist()
     flagged = [i for i, A in enumerate(budgets) if diversifies(A)]
-    lo, hi = _region_edges(diversifies, budgets, flagged, p.x, DIVERSIFICATION_RESOLUTION)
+    lo, hi = _region_edges(diversifies, budgets, flagged, 1.0, DIVERSIFICATION_RESOLUTION)
     if lo is None:
         return None
     return lo, hi

@@ -1,4 +1,4 @@
-"""Shared fixtures and the independent steady-state oracle.
+"""Shared fixtures, the independent steady-state oracle, and the truth cubic of a binding budget.
 
 The oracle deliberately avoids the package's solver: the rumor level comes
 from the closed form, and the truth level from scipy's brentq applied to a
@@ -7,6 +7,8 @@ the tests were computed with this oracle ahead of the implementation.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -65,3 +67,71 @@ def ref_params():
     from rumor_inspect import ModelParams
 
     return ModelParams.from_lambda(2.0, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# the truth cubic of a binding targeted budget, a paper cross-check
+# ---------------------------------------------------------------------------
+
+class FeasibilityError(ValueError):
+    """The requested allocation cannot satisfy the budget constraint."""
+
+
+@dataclass(frozen=True)
+class CubicConstraint:
+    """Polynomial c3*t^3 + c2*t^2 + c1*t + c0 whose positive root is theta0.
+
+    Valid for a binding targeted budget: clearing the two denominators of the
+    truth fixed-point map turns it into this cubic. With c3 = lam^2 > 0 the
+    coefficient signs admit at most one sign change on the feasible set, so at
+    most one positive real root exists.
+    """
+
+    c3: float
+    c2: float
+    c1: float
+    c0: float
+
+    def __call__(self, theta0: float) -> float:
+        return ((self.c3 * theta0 + self.c2) * theta0 + self.c1) * theta0 + self.c0
+
+    def coefficients(self) -> tuple[float, float, float, float]:
+        return (self.c3, self.c2, self.c1, self.c0)
+
+    def sign_changes(self) -> int:
+        signs = [c for c in self.coefficients() if c != 0.0]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0.0)
+
+
+def targeted_alpha1(p, A: float, alpha0: float) -> float:
+    """alpha1 that makes the budget A bind at alpha0; FeasibilityError if it leaves [0, 1]."""
+    x = p.x
+    if x >= 1.0:
+        if abs(alpha0 - A) > 1e-12:
+            raise FeasibilityError(f"x = 1 binds the whole budget to alpha0 = A, got alpha0={alpha0}")
+        return 0.0
+    a1 = (A - x * alpha0) / (1.0 - x)
+    if not -1e-12 <= a1 <= 1.0 + 1e-12:
+        raise FeasibilityError(
+            f"alpha0={alpha0} with binding budget A={A} implies alpha1={a1} outside [0, 1]"
+        )
+    return min(1.0, max(0.0, a1))
+
+
+def cubic_coefficients(p, A: float, alpha0: float) -> CubicConstraint:
+    """Cubic whose positive root is theta0 for a binding targeted budget.
+
+    alpha1 is implied by (A - x*alpha0)/(1-x), so the inspecting mass is A
+    and these are the unscaled coefficients of the model's truth cubic with
+    s = A + x*(1-alpha0): c3 = lam^2, c2 = lam*(2 + lam*theta1 - lam*s),
+    c1 = (1 + lam*theta1)*(1 - lam*s), c0 = -A*lam*theta1.
+
+    At the eradication boundary (theta1 = 0) the cubic factors as theta0
+    times a quadratic whose positive root is the no-rumor closed form.
+    """
+    from rumor_inspect import Allocation, rumor_steady_state
+    from rumor_inspect.model import _truth_cubic
+
+    alpha1 = targeted_alpha1(p, A, alpha0)
+    theta1 = rumor_steady_state(p, Allocation.targeted(alpha0, alpha1))
+    return CubicConstraint(*_truth_cubic(p.lam, 1.0, theta1, A, A + p.x * (1.0 - alpha0)))

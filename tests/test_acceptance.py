@@ -10,14 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_region_max
+from conftest import cubic_coefficients, oracle_region_max
 from rumor_inspect import (
     Allocation,
     IntegratorConfig,
     ModelParams,
     closed_thresholds,
     compute_thresholds,
-    cubic_coefficients,
     diversification_budget_range,
     eradication_threshold,
     full_steady_state,
@@ -225,7 +224,7 @@ def test_c7_targeted_budget_endpoints():
     located = diversification_budget_range(p)
     print(
         f"[acceptance] note: alpha0* > 0 over located budget range {located}; "
-        f"the scan covers only (0, x], so its upper end is the cap x = {x}, not the edge at 0.32"
+        f"its upper end is the edge at 0.32, past x = {x}, where pure group-1 eradication takes over"
     )
     report(
         "targeted optimizer budget endpoints",

@@ -19,8 +19,8 @@ from rumor_inspect import (
     rumor_steady_state,
     truth_map,
     truth_steady_state,
-    truth_steady_state_given_rumor,
 )
+from rumor_inspect.model import DEFAULT_SOLVER, _truth_given_rumor
 from rumor_inspect.planner import _theta_grids
 
 lams = st.floats(0.2, 8.0)
@@ -242,6 +242,12 @@ def test_truth_unique_root_when_endemic():
                 changes += 1
             prev = cur
         assert changes == 1
+
+
+def truth_steady_state_given_rumor(p, a, theta1, cfg=DEFAULT_SOLVER):
+    """Solve theta0 = truth_map(theta0; theta1) with the rumor level held fixed."""
+    assert 0.0 <= theta1 <= 1.0
+    return _truth_given_rumor(p.lam, p.x, a.alpha0, a.alpha1, a.inspecting_mass(p.x), theta1, 1.0, cfg)
 
 
 def test_truth_increasing_in_rumor_level(ref_params):

@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 import rumor_inspect.planner as planner
-from conftest import ALPHA_PEAK, THETA0_PEAK, oracle_region_max, oracle_rumor, oracle_truth
+from conftest import (
+    ALPHA_PEAK,
+    THETA0_PEAK,
+    FeasibilityError,
+    cubic_coefficients,
+    oracle_region_max,
+    oracle_rumor,
+    oracle_truth,
+)
 from rumor_inspect import (
     Allocation,
-    FeasibilityError,
     ModelParams,
     ParameterError,
     closed_thresholds,
     compute_thresholds,
-    cubic_coefficients,
     diversification_budget_range,
     eradication_threshold,
     full_steady_state,
@@ -499,11 +505,24 @@ def test_targeted_beats_2d_grid(ref_params):
 
 
 def test_diversification_budget_range(ref_params):
+    # the range runs past x = 0.3: up to the c7 edge at A = 0.32 the planner
+    # keeps alpha0 = 1, and above it pure group-1 eradication (alpha0 = 0) wins
     rng = diversification_budget_range(ref_params)
     assert rng is not None
     lo, hi = rng
     assert lo == pytest.approx(0.0611, abs=2e-3)
-    assert hi == pytest.approx(0.3, abs=1e-2)
+
+    def alpha0(A):
+        return maximize_truth_targeted(ref_params, A).allocation.alpha0
+
+    # the first budget above x at which the planner returns alpha0 = 0, bisected far finer
+    below, above = 0.3, 0.5
+    assert alpha0(below) > 0.0 and alpha0(above) == 0.0
+    while above - below > 1e-8:
+        mid = 0.5 * (below + above)
+        below, above = (mid, above) if alpha0(mid) > 0.0 else (below, mid)
+    assert abs(hi - above) <= planner.DIVERSIFICATION_RESOLUTION
+    assert above == pytest.approx(0.32, abs=planner.DIVERSIFICATION_RESOLUTION)
 
 
 # ---------------------------------------------------------------------------
