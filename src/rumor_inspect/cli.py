@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -198,16 +199,7 @@ STEADY_FIELDS = ("theta0", "theta1", "theta", "rho_00_a", "rho_10_a", "rho_00_na
 
 def steady_record(p: ModelParams, a: Allocation, solver: SolverConfig) -> dict:
     ss = full_steady_state(p, a, solver)
-    return {
-        "theta0": ss.theta0,
-        "theta1": ss.theta1,
-        "theta": ss.theta,
-        "rho_00_a": ss.rho_00_a,
-        "rho_10_a": ss.rho_10_a,
-        "rho_00_na": ss.rho_00_na,
-        "rho_11_na": ss.rho_11_na,
-        "eradicated": ss.theta1 == 0.0,
-    }
+    return {**{f: getattr(ss, f) for f in STEADY_FIELDS[:-1]}, "eradicated": ss.theta1 == 0.0}
 
 
 def optimize_record(p: ModelParams, objective: str, A: float, solver: SolverConfig) -> dict:
@@ -240,6 +232,9 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         hi = 1.0 if hi is None else hi
     if lo is None or hi is None:
         raise ConfigError(f"--start and --stop are required for axis {axis!r}")
+    for flag, v in (("--start", lo), ("--stop", hi)):
+        if not math.isfinite(v):
+            raise ConfigError(f"{flag} must be finite, got {v}")
     if cfg.steps < 2:
         raise ConfigError(f"sweep needs at least 2 steps, got {cfg.steps}")
     if not lo < hi:
@@ -386,11 +381,8 @@ def run_optimize(cfg: RunConfig) -> int:
     p = _params(cfg)
     if cfg.A is None or cfg.A < 0.0:
         raise ConfigError(f"--A must be >= 0, got {cfg.A}")
-    row = optimize_record(p, cfg.objective, cfg.A, solver)
-    thr = compute_thresholds(p, solver)
-    row.update(_threshold_fields(thr))
-    header = list(row.keys())
-    emit(header, [row], cfg)
+    row = {**optimize_record(p, cfg.objective, cfg.A, solver), **_threshold_fields(compute_thresholds(p, solver))}
+    emit(list(row), [row], cfg)
     return EXIT_OK
 
 
@@ -411,10 +403,8 @@ def run_thresholds(cfg: RunConfig) -> int:
     solver = _solver_config(cfg)
     p = _params(cfg)
     row = _threshold_fields(compute_thresholds(p, solver))
-    reading, alt = no_rumor_positivity_readings(p)
-    row["positivity_alpha"] = reading
-    row["positivity_alpha_alt"] = alt
-    emit(list(row.keys()), [row], cfg)
+    row["positivity_alpha"], row["positivity_alpha_alt"] = no_rumor_positivity_readings(p)
+    emit(list(row), [row], cfg)
     return EXIT_OK
 
 
@@ -430,17 +420,8 @@ def run_dynamics(cfg: RunConfig) -> int:
     rows = []
     for s in traj.states:
         th0, th1 = prevalences(s, p, a)
-        rows.append(
-            {
-                "t": s.t,
-                "r00a": s.r00a,
-                "r00na": s.r00na,
-                "r10a": s.r10a,
-                "r11na": s.r11na,
-                "theta0": th0,
-                "theta1": th1,
-            }
-        )
+        rows.append({"t": s.t, "r00a": s.r00a, "r00na": s.r00na, "r10a": s.r10a, "r11na": s.r11na,
+                     "theta0": th0, "theta1": th1})
     summary = {
         "status": traj.status,
         "t_final": traj.final.t,

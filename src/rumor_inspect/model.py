@@ -144,8 +144,8 @@ class SolverConfig:
     """Settings of the truth root solver.
 
     A root is accepted once the last step or the sign bracket around it is at
-    most ``tol`` wide; after ``max_iter`` iterations without that, the solve
-    raises SolverError.
+    most ``tol`` wide, or the bracket holds no float strictly inside; after
+    ``max_iter`` iterations without that, the solve raises SolverError.
     """
 
     tol: float = 1e-12
@@ -249,6 +249,7 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
     lo = 0.0 * hi
     t = hi
     done = settled
+    tol = cfg.tol
     for _ in range(cfg.max_iter):
         f = ((c3 * t + c2) * t + c1) * t + c0
         df = (3.0 * c3 * t + 2.0 * c2) * t + c1
@@ -256,9 +257,12 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
         lo = where(above, lo, t)
         hi = where(above, t, hi)
         rising = df > 0.0
+        mid = 0.5 * (lo + hi)
         new = t - f / where(rising, df, 1.0)
-        new = where(rising & (new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        stop = (abs(new - t) <= cfg.tol) | (hi - lo <= cfg.tol)
+        new = where(rising & (new >= lo) & (new <= hi), new, mid)
+        stop = (abs(new - t) <= tol) | (hi - lo <= tol)
+        if tol < 2.0**-53:  # adjacent floats in [0, 1] lie at most 2**-53 apart; a wider tol stops first
+            stop = stop | (mid <= lo) | (mid >= hi)  # no float strictly inside the bracket
         t = where(done, t, new)
         done = done | stop
         if ops.all(done):

@@ -14,6 +14,10 @@ global search is not safe here. The three maximizers share one search,
 _maximize: a dense grid scan of each segment of candidate policies, golden-
 section refinement of its best cell, and one tie rule that prefers the
 cheapest policy within 1e-10 of the optimum, then the smallest alpha0.
+
+The budget thresholds of compute_thresholds call none of the optimizers:
+the uniform truth and platform curves do not depend on the budget, so the
+edges of the slack regions are read off one profile of each curve.
 """
 
 from __future__ import annotations
@@ -360,33 +364,39 @@ def _bisect_flip(pred, lo: float, hi: float, hi_value: bool, resolution: float) 
     return 0.5 * (lo + hi)
 
 
-def _region_edges(pred, budgets: list[float], flagged, cap: float, resolution: float, lower: bool = True):
-    """Edges of the budget region where pred holds, starting from `flagged`, a guess of where it does.
+def _slack_edges(f, rates: np.ndarray, values: np.ndarray) -> tuple[float | None, float | None]:
+    """Edges of the budgets A at which maximizing f over [0, A] leaves slack, or (None, None).
 
-    The outermost flagged budgets that pred confirms are walked outward while
-    pred still holds, then each edge is bisected with pred to `resolution`.
-    An edge that reaches the end of `budgets` is budgets[0] or cap; the
-    lower edge is skipped unless asked for.
+    values is f at the rates: rates[0] = 0, the others budgets. The edges
+    bound the budgets that a cheaper rate matches within TIE_TOL. The lower
+    one is the golden-refined peak that the first of them falls back to, or
+    rates[1]. Where f gains at most TIE_TOL over the optimizers' last grid
+    cell below that peak, they stop short of their budget already, so the
+    edge moves down to where that starts. The upper one is where f climbs
+    TIE_TOL above the last one's peak, or 1.
     """
-    last = next((i for i in reversed(flagged) if pred(budgets[i])), None)
-    if last is None:
+    best = np.maximum.accumulate(values)
+    slack = np.flatnonzero(best[:-1] >= values[1:] - TIE_TOL) + 1
+    if not len(slack):
         return None, None
-    bottom = None
-    if lower:
-        first = next(i for i in flagged if pred(budgets[i]))
-        while first > 0 and pred(budgets[first - 1]):
-            first -= 1
-        bottom = budgets[0] if first == 0 else _bisect_flip(pred, budgets[first - 1], budgets[first], True, resolution)
-    while last + 1 < len(budgets) and pred(budgets[last + 1]):
-        last += 1
-    if last + 1 == len(budgets):
-        return bottom, cap
-    return bottom, _bisect_flip(pred, budgets[last], budgets[last + 1], False, resolution)
+    first, last = int(slack[0]), int(slack[-1])
+    grid = rates.tolist()
+    k0, k1 = (int(np.argmax(values[:j])) for j in (first, last))
+    peaks = {k: _golden_max(f, grid[max(k - 1, 0)], grid[k + 1]) for k in {k0, k1}}
+    lower = grid[1] if first == 1 else peaks[k0][0]
 
+    def flat(A: float) -> bool:
+        return f(A) - f(A - A / (GRID_POINTS - 1)) <= TIE_TOL
 
-def _profile_slack(values: np.ndarray) -> np.ndarray:
-    """Indices i of the budgets values[i + 1] that a cheaper rate matches within TIE_TOL."""
-    return np.flatnonzero(np.maximum.accumulate(values)[:-1] >= values[1:] - TIE_TOL)
+    if first > 1 and flat(lower):
+        i = int(np.searchsorted(rates, lower)) - 1
+        while i > 0 and flat(grid[i]):
+            i -= 1
+        lower = _bisect_flip(flat, grid[i], min(grid[i + 1], lower), True, THRESHOLD_RESOLUTION) if i else grid[1]
+    if last == len(grid) - 1:
+        return lower, 1.0
+    level = peaks[k1][1] + TIE_TOL
+    return lower, _bisect_flip(lambda A: f(A) > level, grid[last], grid[last + 1], True, THRESHOLD_RESOLUTION)
 
 
 def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Thresholds:
@@ -400,27 +410,22 @@ def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Th
 
     Both objectives are fixed curves in the uniform rate, maximized over
     [0, min(A, 1)] with ties going to the cheapest rate, so a budget leaves
-    slack when a cheaper rate does as well. One GRID_POINTS profile of both
-    curves flags the slack budgets; the optimizers themselves then confirm
-    the flagged budgets around each edge and bisect it to
-    THRESHOLD_RESOLUTION. A slack region narrower than a profile cell can be
-    missed.
+    slack when a cheaper rate does as well. The edges are read off the
+    curves with no optimizer call: one GRID_POINTS profile of both flags the
+    slack budgets, and _slack_edges refines each edge with the scalar
+    solver. A slack region narrower than a profile cell can be missed.
     """
-    budgets = np.linspace(THRESHOLD_RESOLUTION, 1.0, GRID_POINTS)
-    rates = np.concatenate(([0.0], budgets))
+    rates = np.concatenate(([0.0], np.linspace(THRESHOLD_RESOLUTION, 1.0, GRID_POINTS)))
     theta0, theta1 = _theta_grids(p, rates, rates, rates, cfg)
-    budgets = budgets.tolist()
 
-    def planner_slack(A: float) -> bool:
-        return maximize_truth_uniform(p, A, cfg).slack
+    def truth(a: float) -> float:
+        return truth_steady_state(p, Allocation.uniform(a), cfg)
 
-    def platform_slack(A: float) -> bool:
-        return maximize_platform(p, A, cfg).slack
+    def platform(a: float) -> float:
+        return truth(a) + rumor_steady_state(p, Allocation.uniform(a))
 
-    a_lower, a_upper = _region_edges(planner_slack, budgets, _profile_slack(theta0), 1.0, THRESHOLD_RESOLUTION)
-    _, a_tilde = _region_edges(
-        platform_slack, budgets, _profile_slack(theta0 + theta1), 1.0, THRESHOLD_RESOLUTION, lower=False
-    )
+    a_lower, a_upper = _slack_edges(truth, rates, theta0)
+    _, a_tilde = _slack_edges(platform, rates, theta0 + theta1)
     return replace(closed_thresholds(p), A_lower=a_lower, A_upper=a_upper, A_tilde=a_tilde)
 
 
@@ -441,7 +446,9 @@ def diversification_budget_range(p: ModelParams, cfg: SolverConfig = DEFAULT_SOL
 
     budgets = np.linspace(DIVERSIFICATION_RESOLUTION, 1.0, DIVERSIFICATION_SCAN_POINTS).tolist()
     flagged = [i for i, A in enumerate(budgets) if diversifies(A)]
-    lo, hi = _region_edges(diversifies, budgets, flagged, 1.0, DIVERSIFICATION_RESOLUTION)
-    if lo is None:
+    if not flagged:
         return None
+    first, last, res = flagged[0], flagged[-1], DIVERSIFICATION_RESOLUTION
+    lo = budgets[0] if first == 0 else _bisect_flip(diversifies, budgets[first - 1], budgets[first], True, res)
+    hi = 1.0 if last + 1 == len(budgets) else _bisect_flip(diversifies, budgets[last], budgets[last + 1], False, res)
     return lo, hi

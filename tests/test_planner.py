@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rumor_inspect.planner as planner
 from conftest import (
@@ -26,6 +28,7 @@ from rumor_inspect import (
     maximize_truth_targeted,
     maximize_truth_uniform,
     minimize_rumor,
+    no_rumor_positivity_readings,
     rumor_steady_state,
     truth_steady_state,
 )
@@ -249,7 +252,69 @@ def test_budget_thresholds_optimizer_call_count(monkeypatch):
 
         monkeypatch.setattr(planner, name, counted)
     compute_thresholds(ModelParams.from_lambda(2.0, 0.3))
-    assert 0 < len(calls) <= 40
+    assert len(calls) == 0
+
+
+FLIP_STEP = 3 * planner.THRESHOLD_RESOLUTION
+
+
+def assert_flip(slack, at, before, after):
+    # mirrors perfbench/checks._flip: slack reads `before` just below the
+    # edge and `after` just above it, wherever that lies inside (0, 1]
+    for A, want in ((at - FLIP_STEP, before), (at + FLIP_STEP, after)):
+        if 0.0 < A <= 1.0:
+            assert slack(A) is want, (at, A)
+
+
+@st.composite
+def flat_zero_points(draw):
+    # lam*(1-x) <= 1 and x < 1/lam: no rumor, and zero truth below a positive rate
+    lam = draw(st.floats(0.5, 2.0, exclude_max=True))
+    lo, hi = max(0.0, 1.0 - 1.0 / lam), min(1.0, 1.0 / lam)
+    return lam, lo + draw(st.floats(0.0, 1.0, exclude_max=True)) * (hi - lo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=st.one_of(st.tuples(st.floats(0.5, 10.0), st.floats(0.0, 0.95)), flat_zero_points()))
+@example(point=(2.0, 0.3))
+@example(point=(2.216728, 0.47639))  # the narrow region
+@example(point=(1.6, 0.4))  # flat zero up to alpha = 0.375
+@example(point=(8.0, 0.3))  # no truth slack region
+# the optimizers' grid sees the approach to the peak as flat, so slack starts before it
+@example(point=(1.5744071237318549, 0.35447380863080513))
+@example(point=(1.0064060635663925, 0.0028854236781108264))
+def test_budget_thresholds_are_where_the_optimizers_flip_slack(point):
+    p = ModelParams.from_lambda(*point)
+    t = compute_thresholds(p)
+
+    def truth_slack(A):
+        return maximize_truth_uniform(p, A).slack
+
+    def platform_slack(A):
+        return maximize_platform(p, A).slack
+
+    assert (t.A_lower is None) == (t.A_upper is None)
+    for edge, slack, lower in ((t.A_lower, truth_slack, True), (t.A_tilde, platform_slack, False)):
+        if edge is None:
+            # no slack region: no budget of a scan leaves slack
+            assert not any(slack(A) for A in np.linspace(0.0, 1.0, 41)[1:].tolist())
+        elif lower:
+            assert_flip(slack, t.A_lower, False, True)
+            assert_flip(slack, t.A_upper, True, False)
+        else:
+            assert_flip(slack, t.A_tilde, True, False)
+
+
+def test_budget_thresholds_of_a_flat_zero_curve():
+    # lam*(1-x) <= 1 and x < 1/lam: truth is 0 up to the positivity rate, then
+    # rises, so every budget below it leaves slack, on both curves alike
+    p = ModelParams.from_lambda(1.6, 0.4)
+    t = compute_thresholds(p)
+    alpha = no_rumor_positivity_readings(p)[0]
+    assert alpha == pytest.approx(0.375, abs=1e-15)
+    assert t.A_lower == planner.THRESHOLD_RESOLUTION
+    assert 0.0 < t.A_upper - alpha <= planner.THRESHOLD_RESOLUTION
+    assert t.A_tilde == t.A_upper
 
 
 # ---------------------------------------------------------------------------

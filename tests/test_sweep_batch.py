@@ -10,6 +10,7 @@ the bytes that fresh interpreters give.
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +153,7 @@ def test_sweep_at_the_edges_of_lambda(capsys):
     "args, message",
     [
         (["--axis", "lambda", "--start", "1", "--stop", "inf", "--x", "0.3", "--alpha", "0.2", "--steps", "5"],
-         "lam must be strictly positive, got nan"),
+         "--stop must be finite, got inf"),
         (["--axis", "lambda", "--start", "5e-324", "--stop", "1", "--x", "0.3", "--alpha", "0.2", "--steps", "5"],
          "nu, k, delta must be finite and strictly positive, got (0.0, 1.0, 0.5)"),
         (["--axis", "lambda", "--start", "1", "--stop", "2", "--lambda", "2", "--x", "0.3", "--alpha", "0.2"],
@@ -165,28 +166,35 @@ def test_sweep_at_the_edges_of_lambda(capsys):
          "allocation missing: give --alpha or both --alpha0 and --alpha1"),
         (["--axis", "alpha", "--lambda", "2", "--x", "0.3", "--alpha", "0.2"],
          "allocation flags are not allowed when sweeping alpha"),
+        (["--axis", "A", "--stop", "inf", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--steps", "5"],
+         "--stop must be finite, got inf"),
+        (["--axis", "alpha", "--start", "nan", "--lambda", "2", "--x", "0.3", "--steps", "5"],
+         "--start must be finite, got nan"),
     ],
 )
 def test_invalid_sweep_exits_2_like_the_first_point(capsys, args, message):
-    assert main(["sweep", *args]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", *args]) == 2
+    assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["--axis", "lambda", "--start", "1", "--stop", "300", "--x", "0.1", "--alpha", "0.15", "--steps", "50"],
-        ["--axis", "alpha", "--start", "0", "--stop", "1", "--lambda", "183.5", "--x", "0.1", "--steps", "200"],
-        ["--axis", "x", "--start", "0", "--stop", "1", "--lambda", "2.5", "--alpha0", "0.5", "--alpha1", "0.5",
-         "--steps", "300"],
-    ],
-)
-def test_solver_failure_exits_3_like_the_first_failing_point(capsys, args):
-    # at the smallest tolerance Newton can stall between two adjacent floats
-    # until max_iter runs out
-    argv = ["sweep", *args, "--tol", "5e-324"]
+SOLVER_SWEEPS = [
+    ["--axis", "lambda", "--start", "1", "--stop", "300", "--x", "0.1", "--alpha", "0.15", "--steps", "50"],
+    ["--axis", "alpha", "--start", "0", "--stop", "1", "--lambda", "183.5", "--x", "0.1", "--steps", "200"],
+    ["--axis", "x", "--start", "0", "--stop", "1", "--lambda", "2.5", "--alpha0", "0.5", "--alpha1", "0.5",
+     "--steps", "300"],
+]
+
+
+@pytest.mark.parametrize("args", SOLVER_SWEEPS)
+def test_solver_failure_exits_3_like_the_first_failing_point(monkeypatch, capsys, args):
+    # two Newton iterations settle no endemic point
+    monkeypatch.setattr(cli, "_solver_config", lambda cfg: SolverConfig(max_iter=2))
+    argv = ["sweep", *args]
     cfg = cli._run_config(cli.build_parser().parse_args(argv))
     with pytest.raises(SolverError) as first:
         per_point_rows(cfg, cli._solver_config(cfg))
@@ -194,6 +202,16 @@ def test_solver_failure_exits_3_like_the_first_failing_point(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"numerical failure: {first.value}\n"
+
+
+@pytest.mark.parametrize("args", SOLVER_SWEEPS)
+def test_sweep_at_the_smallest_tolerance_settles(capsys, args):
+    # at tol = 5e-324 Newton ends on a bracket of two adjacent floats, which
+    # counts as converged
+    argv = ["sweep", *args, "--tol", "5e-324"]
+    assert_rows_equal(cli._run_config(cli.build_parser().parse_args(argv)))
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_failed_batch_reports_the_first_failing_point(monkeypatch):
