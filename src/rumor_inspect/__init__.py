@@ -37,8 +37,6 @@ from .planner import (
     closed_thresholds,
     compute_thresholds,
     diversification_budget_range,
-    marginal_condition_targeted,
-    marginal_condition_uniform,
     maximize_platform,
     maximize_truth_targeted,
     maximize_truth_uniform,
@@ -67,8 +65,6 @@ __all__ = [
     "full_steady_state",
     "group_masses",
     "integrate",
-    "marginal_condition_targeted",
-    "marginal_condition_uniform",
     "maximize_platform",
     "maximize_truth_targeted",
     "maximize_truth_uniform",

@@ -220,6 +220,12 @@ def _truth_cubic(r, v, theta1, inspecting, s):
     )
 
 
+def _cubic_scale(lam, ops=_FloatOps):
+    """(r, v) of _truth_cubic: (lam, 1) below lam = 1, where that form is safe, and (1, 1/lam), monic, from there on."""
+    big = lam >= 1.0
+    return ops.where(big, 1.0, lam), ops.where(big, 1.0 / lam, 1.0)
+
+
 def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfig, ops=_FloatOps):
     """theta0 at the rumor level theta1: for floats or, with ops=numpy, elementwise on arrays.
 
@@ -240,9 +246,7 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
     if ops.all(settled):
         return closed
     where = ops.where
-    big = lam >= 1.0
-    r = where(big, 1.0, lam)
-    v = where(big, 1.0 / lam, 1.0)
+    r, v = _cubic_scale(lam, ops)
     s = inspecting + x * (1.0 - a0)
     c3, c2, c1, c0 = _truth_cubic(r, v, theta1, inspecting, s)
     hi = ops.minimum(s, cap)
@@ -263,6 +267,7 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
         stop = (abs(new - t) <= tol) | (hi - lo <= tol)
         if tol < 2.0**-53:  # adjacent floats in [0, 1] lie at most 2**-53 apart; a wider tol stops first
             stop = stop | (mid <= lo) | (mid >= hi)  # no float strictly inside the bracket
+            new = where(stop | ((new > lo) & (new < hi)), new, mid)  # a step onto an end could cycle between the two
         t = where(done, t, new)
         done = done | stop
         if ops.all(done):
@@ -274,6 +279,27 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
         f"iterations; last bracket [{bracket[0]}, {bracket[1]}]",
         bracket=bracket,
     )
+
+
+def _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction, ops=_FloatOps):
+    """dtheta0/du at the truth root theta0 along the policy direction (da0, da1, dI) = d(alpha0, alpha1, I)/du.
+
+    Floats, or arrays with ops=numpy. On the endemic branch, implicit
+    differentiation of the truth cubic G(t) (_truth_cubic, same r/v scaling)
+    gives -(G_theta1 dtheta1 + G_s ds + G_I dI) / G_t, with dtheta1 = -(1-x) da1,
+    ds = dI - x da0 and, at r = lam, v = 1: G_theta1 = lam^2 t^2 + lam(1 - lam s) t
+    - I lam, G_s = -lam^2 t^2 - lam(1 + lam theta1) t and G_I = -lam theta1.
+    G_t is the slope of the Newton iteration in _truth_given_rumor.
+    """
+    da0, da1, di = direction
+    r, v = _cubic_scale(lam, ops)
+    s = inspecting + x * (1.0 - a0)
+    c3, c2, c1, _ = _truth_cubic(r, v, theta1, inspecting, s)
+    t = theta0
+    g_t = (3.0 * c3 * t + 2.0 * c2) * t + c1
+    g_theta1 = r * ((r * t + v - r * s) * t - inspecting * v)
+    g_s = -r * t * (r * t + v + r * theta1)
+    return (g_theta1 * (1.0 - x) * da1 - g_s * (di - x * da0) + r * theta1 * v * di) / g_t
 
 
 def _steady_truth(lam, x, a0, a1, inspecting, cutoff, cfg: SolverConfig, ops=_FloatOps):

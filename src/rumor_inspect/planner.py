@@ -8,12 +8,19 @@ with unit inspection cost:
   * maximize_truth_targeted -- maximize truth prevalence, per-type rates
   * maximize_platform       -- maximize total prevalence, one shared rate
 
-Truth prevalence is piecewise smooth in the inspection rate with a kink at
-the eradication threshold and possibly two local maxima, so derivative-based
-global search is not safe here. The three maximizers share one search,
-_maximize: a dense grid scan of each segment of candidate policies, golden-
-section refinement of its best cell, and one tie rule that prefers the
-cheapest policy within 1e-10 of the optimum, then the smallest alpha0.
+The three maximizers share one search, _maximize, along segments of
+policies on which alpha1 moves: the uniform line, the targeted budget line
+and its alpha0 = 1 edge. Each segment splits at the kink where alpha1
+reaches the eradication threshold. Above it the rumor is extinct and the
+objective is the no-rumor closed form, nondecreasing in alpha1. Below it,
+on the endemic piece, the truth cubic gives the slope in closed form
+(model._truth_slope): its sign is the paper's marginal condition. Dense
+profiles of random segments (10,000 draws, lam in [1.05, 10], x in
+[0.01, 0.9], A in [0.01, 1]) showed at most one change of that sign on
+every endemic piece, so a coarse scan brackets each peak and a bracketed
+root finder solves it. The peaks, the kinks and the segment ends are the
+candidates, and one tie rule picks among them: the cheapest within 1e-10 of
+the best, then the smallest alpha0.
 
 The budget thresholds of compute_thresholds call none of the optimizers:
 the uniform truth and platform curves do not depend on the budget, so the
@@ -33,15 +40,16 @@ from .model import (
     ModelParams,
     ParameterError,
     SolverConfig,
-    SteadyState,
     _steady_truth,
+    _truth_slope,
     eradication_threshold,
     rumor_steady_state,
     truth_steady_state,
 )
 
-GRID_POINTS = 2001
-REFINE_XTOL = 1e-10
+PROFILE_POINTS = 2001  # rates in compute_thresholds' profile of the uniform curves
+SCAN_POINTS = 5  # slopes sampled along each endemic piece to bracket its peaks
+ROOT_XTOL = 1e-12  # width in alpha1 to which _slope_root solves a peak
 TIE_TOL = 1e-10
 SLACK_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
@@ -106,94 +114,101 @@ def closed_thresholds(p: ModelParams) -> Thresholds:
 
 
 # ---------------------------------------------------------------------------
-# grid machinery
+# the search along segments of policies
 # ---------------------------------------------------------------------------
 
-def _theta_grids(
-    p: ModelParams,
-    c_ins: np.ndarray,
-    a0s: np.ndarray,
-    a1s: np.ndarray,
-    cfg: SolverConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+def _theta_grids(p: ModelParams, c_ins: np.ndarray, a0s: np.ndarray, a1s: np.ndarray, cfg: SolverConfig):
     """(theta0, theta1) over allocation grids, c_ins being their inspecting masses.
 
     The model's steady-state code runs on the arrays in one batch, the same
     code that truth_steady_state runs on floats, so every grid entry equals
-    the scalar solve of its policy bit for bit. Only the argmax location
-    comes from here; reported objectives are always recomputed with the
+    the scalar solve of its policy bit for bit. compute_thresholds flags
+    its slack budgets off such a profile, and refines every edge with the
     scalar solver.
     """
     return _steady_truth(p.lam, p.x, a0s, a1s, c_ins, eradication_threshold(p), cfg, np)
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximizer on [lo, hi] down to REFINE_XTOL; ties resolve to the smaller x."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    seen: list[tuple[float, float]] = [(lo, f(lo)), (hi, f(hi))]
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    seen += [(x1, f1), (x2, f2)]
-    while b - a > REFINE_XTOL:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-            seen.append((x1, f1))
+def _objective(p: ModelParams, a: Allocation, platform: bool, cfg: SolverConfig) -> float:
+    """theta0 at the policy a, or theta0 + theta1 for the platform, from the scalar solver."""
+    truth = truth_steady_state(p, a, cfg)
+    return truth + rumor_steady_state(p, a) if platform else truth
+
+
+def _slope_root(slope, a: float, ga: float, b: float, gb: float) -> float:
+    """A root in (a, b] of a slope with slope(a) = ga > 0 >= gb = slope(b), to ROOT_XTOL.
+
+    Regula falsi with the Anderson-Bjorck scaling of the end that a step
+    keeps twice, which the Illinois method fixes at 1/2: 5.8 slopes per
+    root on random segments, against 7.4 for Illinois.
+    """
+    kept = 0  # the end the last step kept: +1 for b, -1 for a
+    while gb != 0.0 and b - a > ROOT_XTOL:
+        c = (a * gb - b * ga) / (gb - ga)
+        c = min(max(c, a + 0.5 * ROOT_XTOL), b - 0.5 * ROOT_XTOL)  # a step next to the root crosses it
+        gc = slope(c)
+        if gc > 0.0:
+            m = 1.0 - gc / ga if kept == 1 else 1.0
+            a, ga, gb, kept = c, gc, gb * (m if m > 0.0 else 0.5), 1
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-            seen.append((x2, f2))
-    # strict argmax over the probes; near ties are arbitrated by the caller,
-    # where genuinely distinct maxima compete
-    best = max(v for _, v in seen)
-    return min(xx for xx, v in seen if v == best), best
+            m = 1.0 - gc / gb if kept == -1 else 1.0
+            b, gb, ga, kept = c, gc, ga * (m if m > 0.0 else 0.5), -1
+    return b
+
+
+def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, direction, platform: bool, cfg: SolverConfig):
+    """The rates u in [lo, hi] at which the objective on the segment alloc(u) can peak.
+
+    alloc(u) is the policy at alpha1 = u, and direction its constant
+    d(alpha0, alpha1, I)/du. Above the kink, where alpha1 reaches the
+    eradication threshold (less cfg.tol, as in the solver), the objective is
+    the no-rumor closed form, nondecreasing in alpha1, so it adds only the
+    kink and hi. On the endemic piece below it, SCAN_POINTS evenly spaced
+    slopes bracket every change of sign from + to -, and _slope_root solves
+    each bracket. With at most one change of sign per scan cell, these and
+    lo are every place a maximum can sit.
+    """
+    lam, x = p.lam, p.x
+    kink = eradication_threshold(p) - cfg.tol
+    rates = [lo, hi] + ([kink] if lo < kink < hi else [])
+    end = min(hi, kink)
+    if lo < end:
+        da1 = direction[1]
+
+        def slope(u: float) -> float:
+            a = alloc(u)
+            inspecting = a.inspecting_mass(x)
+            theta0, theta1 = _steady_truth(lam, x, a.alpha0, u, inspecting, math.inf, cfg)
+            g = _truth_slope(lam, x, a.alpha0, inspecting, theta1, theta0, direction)
+            return g - (1.0 - x) * da1 if platform else g
+
+        us = np.linspace(lo, end, SCAN_POINTS).tolist()
+        gs = [slope(u) for u in us]
+        rates += [_slope_root(slope, *ends) for ends in zip(us, gs, us[1:], gs[1:]) if ends[1] > 0.0 >= ends[3]]
+    return rates
 
 
 def _maximize(p: ModelParams, A: float, segments, points, platform: bool, cfg: SolverConfig, notes=()) -> OptResult:
-    """Shared grid + refine search, and the one tie rule, of the three maximizers.
+    """Shared search, and the one tie rule, of the three maximizers.
 
     The objective is theta0, or theta0 + theta1 for the platform. Each
-    segment is a tuple (a0s, a1s, mass, alloc): a GRID_POINTS line of
-    policies parametrized by alpha1, their inspecting mass, and alloc(a1),
-    the policy at a1. Its best grid point (ties to the smallest alpha0, then
-    the smallest alpha1) is refined by golden section inside its two
-    neighbouring cells. That point, the refined one, the cell ends and the
-    segment ends join the fixed candidate `points`, and every candidate is
-    scored with the scalar solver. Among the candidates within TIE_TOL of
-    the best, the cheapest spend wins, to within TIE_TOL, then the smallest
-    alpha0.
+    segment is a tuple (lo, hi, alloc, direction): the line of policies
+    alloc(u) for alpha1 = u in [lo, hi], moving along direction; its
+    _segment_rates join the fixed candidate `points`, and every candidate
+    is scored with the scalar solver. Among the candidates within TIE_TOL
+    of the best, the cheapest spend wins, to within TIE_TOL, then the
+    smallest alpha0.
     """
     x = p.x
-
-    def objective(a: Allocation) -> float:
-        truth = truth_steady_state(p, a, cfg)
-        return truth + rumor_steady_state(p, a) if platform else truth
-
     candidates = list(points)
-    grid_best = -math.inf
-    for a0s, a1s, mass, alloc in segments:
-        theta0, theta1 = _theta_grids(p, mass, a0s, a1s, cfg)
-        vals = theta0 + theta1 if platform else theta0
-        best = float(vals.max())
-        ties = np.flatnonzero(vals >= best - TIE_TOL)
-        i = int(ties[np.lexsort((a1s[ties], a0s[ties]))[0]])
-        cell_lo = float(a1s[max(i - 1, 0)])
-        cell_hi = float(a1s[min(i + 1, len(a1s) - 1)])
-        refined, _ = _golden_max(lambda a1: objective(alloc(a1)), cell_lo, cell_hi)
-        candidates += [alloc(a1) for a1 in {float(a1s[i]), refined, cell_lo, cell_hi, float(a1s[0]), float(a1s[-1])}]
-        grid_best = max(grid_best, best)
-
-    scored = [(a, objective(a)) for a in candidates]
+    for lo, hi, alloc, direction in segments:
+        candidates += [alloc(u) for u in _segment_rates(p, lo, hi, alloc, direction, platform, cfg)]
+    scored = [(a, _objective(p, a, platform, cfg)) for a in dict.fromkeys(candidates)]
     top = max(v for _, v in scored)
     near = [(a, v) for a, v in scored if v >= top - TIE_TOL]
     min_spend = min(a.inspecting_mass(x) for a, _ in near)
     near = [(a, v) for a, v in near if a.inspecting_mass(x) <= min_spend + TIE_TOL]
     alloc, vstar = min(near, key=lambda av: av[0].alpha0)
-    assert vstar >= grid_best - 2.0 * TIE_TOL, "refined optimum fell below a scanned grid value"
     spend = alloc.inspecting_mass(x)
     return OptResult(
         allocation=alloc,
@@ -205,12 +220,14 @@ def _maximize(p: ModelParams, A: float, segments, points, platform: bool, cfg: S
     )
 
 
+UNIFORM = (1.0, 1.0, 1.0)  # d(alpha0, alpha1, I)/dalpha along the uniform line
+
+
 def _uniform_search(A: float):
     """(segments, points) of _maximize for one shared rate alpha in [0, min(A, 1)]."""
     if A <= 0.0:
         return [], [Allocation.uniform(0.0)]
-    alphas = np.linspace(0.0, min(A, 1.0), GRID_POINTS)
-    return [(alphas, alphas, alphas, Allocation.uniform)], []
+    return [(0.0, min(A, 1.0), Allocation.uniform, UNIFORM)], []
 
 
 # ---------------------------------------------------------------------------
@@ -296,57 +313,18 @@ def maximize_truth_targeted(
     points = [Allocation.targeted(0.0, 0.0)]
     segments = []
     if A > 0.0 and x <= 0.0:
-        a1s = np.linspace(0.0, min(1.0, A), GRID_POINTS)
-        segments.append((np.zeros_like(a1s), a1s, a1s, lambda a1: Allocation.targeted(0.0, a1)))
+        segments.append((0.0, min(1.0, A), lambda a1: Allocation.targeted(0.0, a1), (0.0, 1.0, 1.0)))
     elif A > 0.0 and x < 1.0:
         lo = max(0.0, (A - x) / (1.0 - x))
         hi = min(1.0, A / (1.0 - x))
         if lo <= hi:
-            a1s = np.linspace(lo, hi, GRID_POINTS)
-            a0s = np.clip((A - (1.0 - x) * a1s) / x, 0.0, 1.0)
-            segments.append((a0s, a1s, x * a0s + (1.0 - x) * a1s,
-                             lambda a1: Allocation.targeted(_binding_alpha0(A, x, a1), a1)))
+            segments.append((lo, hi, lambda a1: Allocation.targeted(_binding_alpha0(A, x, a1), a1),
+                             (-(1.0 - x) / x, 1.0, 0.0)))
         if A > x:
-            a1s = np.linspace(0.0, min(1.0, lo), GRID_POINTS)
-            ones = np.ones_like(a1s)
-            segments.append((ones, a1s, x * ones + (1.0 - x) * a1s, lambda a1: Allocation.targeted(1.0, a1)))
+            segments.append((0.0, min(1.0, lo), lambda a1: Allocation.targeted(1.0, a1), (0.0, 1.0, 1.0 - x)))
         if A >= 1.0 - x:
             points.append(Allocation.targeted(0.0, 1.0))
     return _maximize(p, A, segments, points, False, cfg, (beyond_x,) if A > x else ())
-
-
-# ---------------------------------------------------------------------------
-# marginal conditions
-# ---------------------------------------------------------------------------
-
-def marginal_condition_uniform(p: ModelParams, a: Allocation, ss: SteadyState) -> bool:
-    """True iff truth prevalence is locally increasing in the uniform rate.
-
-    Evaluates, at the solved steady state,
-    (1 + lam*theta) * (theta0*(1-x)*(1 + lam*theta) + theta1)
-        > alpha * (1-x) * (1 + lam*theta0).
-    """
-    if a.alpha0 != a.alpha1:
-        raise ParameterError("the uniform marginal condition needs a single shared rate")
-    lam = p.lam
-    x = p.x
-    grow = 1.0 + lam * ss.theta
-    lhs = grow * (ss.theta0 * (1.0 - x) * grow + ss.theta1)
-    rhs = a.alpha0 * (1.0 - x) * (1.0 + lam * ss.theta0)
-    return lhs > rhs
-
-
-def marginal_condition_targeted(p: ModelParams, budget: float, ss: SteadyState) -> bool:
-    """True iff shifting binding budget toward alpha1 is locally beneficial.
-
-    Evaluates theta0 * (1 + lam*theta)^2 > A * (1 + lam*theta0) at the solved
-    steady state.
-    """
-    A = _total(budget)
-    lam = p.lam
-    lhs = ss.theta0 * (1.0 + lam * ss.theta) ** 2
-    rhs = A * (1.0 + lam * ss.theta0)
-    return lhs > rhs
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +342,15 @@ def _bisect_flip(pred, lo: float, hi: float, hi_value: bool, resolution: float) 
     return 0.5 * (lo + hi)
 
 
-def _slack_edges(f, rates: np.ndarray, values: np.ndarray) -> tuple[float | None, float | None]:
+def _slack_edges(f, peak_rates, rates: np.ndarray, values: np.ndarray) -> tuple[float | None, float | None]:
     """Edges of the budgets A at which maximizing f over [0, A] leaves slack, or (None, None).
 
     values is f at the rates: rates[0] = 0, the others budgets. The edges
     bound the budgets that a cheaper rate matches within TIE_TOL. The lower
-    one is the golden-refined peak that the first of them falls back to, or
-    rates[1]. Where f gains at most TIE_TOL over the optimizers' last grid
-    cell below that peak, they stop short of their budget already, so the
-    edge moves down to where that starts. The upper one is where f climbs
-    TIE_TOL above the last one's peak, or 1.
+    one is the peak that the first of them falls back to, or rates[1]. The
+    upper one is where f climbs TIE_TOL above the last one's peak, or 1. A
+    peak is the best of peak_rates(lo, hi) over the two profile cells around
+    it, ties going to the smaller rate.
     """
     best = np.maximum.accumulate(values)
     slack = np.flatnonzero(best[:-1] >= values[1:] - TIE_TOL) + 1
@@ -381,21 +358,16 @@ def _slack_edges(f, rates: np.ndarray, values: np.ndarray) -> tuple[float | None
         return None, None
     first, last = int(slack[0]), int(slack[-1])
     grid = rates.tolist()
-    k0, k1 = (int(np.argmax(values[:j])) for j in (first, last))
-    peaks = {k: _golden_max(f, grid[max(k - 1, 0)], grid[k + 1]) for k in {k0, k1}}
-    lower = grid[1] if first == 1 else peaks[k0][0]
 
-    def flat(A: float) -> bool:
-        return f(A) - f(A - A / (GRID_POINTS - 1)) <= TIE_TOL
+    def peak(j: int) -> tuple[float, float]:
+        k = int(np.argmax(values[:j]))
+        value, rate = max((f(u), -u) for u in peak_rates(grid[max(k - 1, 0)], grid[k + 1]))
+        return -rate, value
 
-    if first > 1 and flat(lower):
-        i = int(np.searchsorted(rates, lower)) - 1
-        while i > 0 and flat(grid[i]):
-            i -= 1
-        lower = _bisect_flip(flat, grid[i], min(grid[i + 1], lower), True, THRESHOLD_RESOLUTION) if i else grid[1]
+    lower = grid[1] if first == 1 else peak(first)[0]
     if last == len(grid) - 1:
         return lower, 1.0
-    level = peaks[k1][1] + TIE_TOL
+    level = peak(last)[1] + TIE_TOL
     return lower, _bisect_flip(lambda A: f(A) > level, grid[last], grid[last + 1], True, THRESHOLD_RESOLUTION)
 
 
@@ -411,21 +383,25 @@ def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Th
     Both objectives are fixed curves in the uniform rate, maximized over
     [0, min(A, 1)] with ties going to the cheapest rate, so a budget leaves
     slack when a cheaper rate does as well. The edges are read off the
-    curves with no optimizer call: one GRID_POINTS profile of both flags the
-    slack budgets, and _slack_edges refines each edge with the scalar
-    solver. A slack region narrower than a profile cell can be missed.
+    curves with no optimizer call: one PROFILE_POINTS profile of both flags
+    the slack budgets, and _slack_edges refines each edge with the
+    optimizers' _segment_rates and the scalar solver. A slack region
+    narrower than a profile cell can be missed.
     """
-    rates = np.concatenate(([0.0], np.linspace(THRESHOLD_RESOLUTION, 1.0, GRID_POINTS)))
+    rates = np.concatenate(([0.0], np.linspace(THRESHOLD_RESOLUTION, 1.0, PROFILE_POINTS)))
     theta0, theta1 = _theta_grids(p, rates, rates, rates, cfg)
 
-    def truth(a: float) -> float:
-        return truth_steady_state(p, Allocation.uniform(a), cfg)
+    def edges(values, platform: bool):
+        def f(a: float) -> float:
+            return _objective(p, Allocation.uniform(a), platform, cfg)
 
-    def platform(a: float) -> float:
-        return truth(a) + rumor_steady_state(p, Allocation.uniform(a))
+        def peak_rates(lo: float, hi: float) -> list[float]:
+            return _segment_rates(p, lo, hi, Allocation.uniform, UNIFORM, platform, cfg)
 
-    a_lower, a_upper = _slack_edges(truth, rates, theta0)
-    _, a_tilde = _slack_edges(platform, rates, theta0 + theta1)
+        return _slack_edges(f, peak_rates, rates, values)
+
+    a_lower, a_upper = edges(theta0, False)
+    _, a_tilde = edges(theta0 + theta1, True)
     return replace(closed_thresholds(p), A_lower=a_lower, A_upper=a_upper, A_tilde=a_tilde)
 
 

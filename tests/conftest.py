@@ -1,4 +1,4 @@
-"""Shared fixtures, the independent steady-state oracle, and the truth cubic of a binding budget.
+"""Shared fixtures, the independent steady-state oracle, the truth cubic of a binding budget, and the paper's marginal conditions.
 
 The oracle deliberately avoids the package's solver: the rumor level comes
 from the closed form, and the truth level from scipy's brentq applied to a
@@ -135,3 +135,38 @@ def cubic_coefficients(p, A: float, alpha0: float) -> CubicConstraint:
     alpha1 = targeted_alpha1(p, A, alpha0)
     theta1 = rumor_steady_state(p, Allocation.targeted(alpha0, alpha1))
     return CubicConstraint(*_truth_cubic(p.lam, 1.0, theta1, A, A + p.x * (1.0 - alpha0)))
+
+
+# ---------------------------------------------------------------------------
+# the paper's marginal conditions, cross-checks of the planners' slope
+# ---------------------------------------------------------------------------
+
+def marginal_condition_uniform(p, a, ss) -> bool:
+    """True iff truth prevalence is locally increasing in the uniform rate.
+
+    Evaluates, at the solved steady state,
+    (1 + lam*theta) * (theta0*(1-x)*(1 + lam*theta) + theta1)
+        > alpha * (1-x) * (1 + lam*theta0).
+    """
+    from rumor_inspect import ParameterError
+
+    if a.alpha0 != a.alpha1:
+        raise ParameterError("the uniform marginal condition needs a single shared rate")
+    lam = p.lam
+    x = p.x
+    grow = 1.0 + lam * ss.theta
+    lhs = grow * (ss.theta0 * (1.0 - x) * grow + ss.theta1)
+    rhs = a.alpha0 * (1.0 - x) * (1.0 + lam * ss.theta0)
+    return lhs > rhs
+
+
+def marginal_condition_targeted(p, A: float, ss) -> bool:
+    """True iff shifting binding budget toward alpha1 is locally beneficial.
+
+    Evaluates theta0 * (1 + lam*theta)^2 > A * (1 + lam*theta0) at the solved
+    steady state.
+    """
+    lam = p.lam
+    lhs = ss.theta0 * (1.0 + lam * ss.theta) ** 2
+    rhs = A * (1.0 + lam * ss.theta0)
+    return lhs > rhs

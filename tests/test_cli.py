@@ -89,6 +89,17 @@ def test_steady_json_matches_csv_fields(capsys):
     assert doc["rows"][0]["theta0"] == rows[0]["theta0"]
 
 
+def test_steady_settles_on_a_bracket_of_one_float(capsys):
+    # at tol = 5e-324 Newton steps here land on the two ends of a bracket that
+    # holds one float, by turns; a step onto an end of the bracket is replaced
+    # by its midpoint, so that float is tried and the solve settles
+    code, out = run(capsys, "steady", "--lambda", "301.2403934772018", "--x", "0.4074643667426431",
+                    "--alpha", "0.040491813953733025", "--tol", "5e-324")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert 0.42831554271398753 <= rows[0]["theta0"] <= 0.42831554271398764
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

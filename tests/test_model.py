@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import THETA0_REF, oracle_rumor, oracle_truth
+from conftest import THETA0_REF, marginal_condition_uniform, oracle_rumor, oracle_truth
 from rumor_inspect import (
     Allocation,
     ModelParams,
@@ -20,7 +20,7 @@ from rumor_inspect import (
     truth_map,
     truth_steady_state,
 )
-from rumor_inspect.model import DEFAULT_SOLVER, _truth_given_rumor
+from rumor_inspect.model import DEFAULT_SOLVER, _truth_given_rumor, _truth_slope
 from rumor_inspect.planner import _theta_grids
 
 lams = st.floats(0.2, 8.0)
@@ -256,6 +256,59 @@ def test_truth_increasing_in_rumor_level(ref_params):
     vals = [truth_steady_state_given_rumor(ref_params, a, th1) for th1 in levels]
     assert all(v > 0.0 for v in vals)
     assert all(b > a_ for a_, b in zip(vals, vals[1:]))
+
+
+# the planners' segments: (alpha0, alpha1, I) at alpha1 = u, their direction
+# d(alpha0, alpha1, I)/du, and their range of u, for budget A
+SEGMENTS = {
+    "uniform": (lambda x, A, u: (u, u, u), lambda x: (1.0, 1.0, 1.0), lambda x, A: (0.0, min(A, 1.0))),
+    "binding": (
+        lambda x, A, u: ((A - (1.0 - x) * u) / x, u, A),
+        lambda x: (-(1.0 - x) / x, 1.0, 0.0),
+        lambda x, A: (max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))),
+    ),
+    "alpha0 = 1 edge": (
+        lambda x, A, u: (1.0, u, x + (1.0 - x) * u),
+        lambda x: (0.0, 1.0, 1.0 - x),
+        lambda x, A: (0.0, min(1.0, (A - x) / (1.0 - x))),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.floats(1.05, 10.0),
+    x=st.floats(0.01, 0.9),
+    A=st.floats(0.01, 1.0),
+    kind=st.sampled_from(sorted(SEGMENTS)),
+    r=st.floats(0.0, 1.0),
+)
+def test_truth_slope_matches_central_differences(lam, x, A, kind, r):
+    # along each segment kind, on the endemic piece below the eradication
+    # threshold; on the uniform line its sign is the paper's marginal condition
+    policy, direction, span = SEGMENTS[kind]
+    p = ModelParams.from_lambda(lam, x)
+    lo, hi = span(x, A)
+    hi = min(hi, eradication_threshold(p) - 1e-9)
+    u = lo + r * (hi - lo)
+    # the slope varies on the scale of the distance to the ends, the kink among them
+    h = min(u - lo, hi - u) / 1000.0
+    assume(h >= 1e-7)
+    h = min(h, 1e-6)
+    cfg = SolverConfig(tol=1e-15)
+
+    def truth(u):
+        a0, a1, _ = policy(x, A, u)
+        return truth_steady_state(p, Allocation.targeted(a0, a1), cfg)
+
+    a0, a1, inspecting = policy(x, A, u)
+    a = Allocation.targeted(a0, a1)
+    ss = full_steady_state(p, a, cfg)
+    slope = _truth_slope(lam, x, a0, a.inspecting_mass(x), ss.theta1, ss.theta0, direction(x))
+    assert abs(a.inspecting_mass(x) - inspecting) <= 1e-15
+    assert slope == pytest.approx((truth(u + h) - truth(u - h)) / (2.0 * h), rel=1e-6, abs=1e-7)
+    if kind == "uniform" and abs(slope) > 1e-9:
+        assert (slope > 0.0) == marginal_condition_uniform(p, Allocation.uniform(u), full_steady_state(p, Allocation.uniform(u)))
 
 
 def test_solver_error_carries_bracket(ref_params):

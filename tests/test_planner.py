@@ -9,6 +9,8 @@ from conftest import (
     THETA0_PEAK,
     FeasibilityError,
     cubic_coefficients,
+    marginal_condition_targeted,
+    marginal_condition_uniform,
     oracle_region_max,
     oracle_rumor,
     oracle_truth,
@@ -22,8 +24,6 @@ from rumor_inspect import (
     diversification_budget_range,
     eradication_threshold,
     full_steady_state,
-    marginal_condition_targeted,
-    marginal_condition_uniform,
     maximize_platform,
     maximize_truth_targeted,
     maximize_truth_uniform,
@@ -280,7 +280,7 @@ def flat_zero_points(draw):
 @example(point=(2.216728, 0.47639))  # the narrow region
 @example(point=(1.6, 0.4))  # flat zero up to alpha = 0.375
 @example(point=(8.0, 0.3))  # no truth slack region
-# the optimizers' grid sees the approach to the peak as flat, so slack starts before it
+# the approach to the peak gains less than TIE_TOL over a profile cell; slack starts at the peak
 @example(point=(1.5744071237318549, 0.35447380863080513))
 @example(point=(1.0064060635663925, 0.0028854236781108264))
 def test_budget_thresholds_are_where_the_optimizers_flip_slack(point):
@@ -303,6 +303,19 @@ def test_budget_thresholds_are_where_the_optimizers_flip_slack(point):
             assert_flip(slack, t.A_upper, True, False)
         else:
             assert_flip(slack, t.A_tilde, True, False)
+
+
+def test_no_slack_below_the_peak_of_a_tiny_flat_curve():
+    # the truth curve peaks at about 3.06e-6 near A = 0.001748; below the
+    # peak, full spend beats every cheaper rate, by less than TIE_TOL close to it
+    p = ModelParams.from_lambda(1.0064060635663925, 0.0028854236781108264)
+    peak = compute_thresholds(p).A_lower
+    assert peak == pytest.approx(0.001748, abs=1e-6)
+    for A in (0.0017, 0.00174, peak - 1e-8):
+        res = maximize_truth_uniform(p, A)
+        assert not res.slack and res.allocation.alpha0 == A
+    res = maximize_truth_uniform(p, peak + 1e-8)
+    assert res.slack and res.allocation.alpha0 == pytest.approx(peak, abs=1e-11)
 
 
 def test_budget_thresholds_of_a_flat_zero_curve():
@@ -521,6 +534,36 @@ def test_maximizers_match_brute_force_oracle(objective):
         if not ok:
             failures.append((lam, x, A, res.allocation.rates(), res.objective, scan))
     assert not failures
+
+
+def _targeted_segments(x, A, n):
+    """n policies along each segment the targeted planner searches at budget A."""
+    if A <= 0.0 or x >= 1.0:
+        return []
+    if x <= 0.0:
+        return [Allocation.targeted(0.0, a1) for a1 in np.linspace(0.0, min(1.0, A), n).tolist()]
+    lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))
+    line = [Allocation.targeted(min(1.0, max(0.0, (A - (1.0 - x) * a1) / x)), a1)
+            for a1 in np.linspace(lo, hi, n).tolist()] if lo <= hi else []
+    edge = [Allocation.targeted(1.0, a1) for a1 in np.linspace(0.0, min(1.0, lo), n).tolist()] if A > x else []
+    return line + edge
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.5, 10.0), x=st.floats(0.0, 1.0), A=st.floats(0.0, 1.2))
+@example(lam=2.0, x=0.3, A=0.3)
+@example(lam=1.0064060635663925, x=0.0028854236781108264, A=0.002)
+def test_maximizers_beat_a_dense_scan_of_their_segments(lam, x, A):
+    # no policy of a 2001-point scan of the segments a maximizer searches beats
+    # its optimum by more than the tie tolerance
+    p = ModelParams.from_lambda(lam, x)
+    uniform = [Allocation.uniform(a) for a in np.linspace(0.0, min(A, 1.0), 2001).tolist()]
+    truth = [truth_steady_state(p, a) for a in uniform]
+    total = [t + rumor_steady_state(p, a) for t, a in zip(truth, uniform)]
+    targeted = [truth_steady_state(p, a) for a in _targeted_segments(x, A, 2001)]
+    for maximize, scan in ((maximize_truth_uniform, truth), (maximize_platform, total),
+                           (maximize_truth_targeted, targeted)):
+        assert maximize(p, A).objective >= max(scan, default=0.0) - planner.TIE_TOL
 
 
 @pytest.mark.parametrize(
