@@ -180,6 +180,7 @@ class _FloatOps:
     maximum = max
     minimum = min
     all = bool
+    copysign = math.copysign
 
     @staticmethod
     def where(cond, a, b):
@@ -289,7 +290,8 @@ def _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction, ops=_FloatOp
     gives -(G_theta1 dtheta1 + G_s ds + G_I dI) / G_t, with dtheta1 = -(1-x) da1,
     ds = dI - x da0 and, at r = lam, v = 1: G_theta1 = lam^2 t^2 + lam(1 - lam s) t
     - I lam, G_s = -lam^2 t^2 - lam(1 + lam theta1) t and G_I = -lam theta1.
-    G_t is the slope of the Newton iteration in _truth_given_rumor.
+    G_t, the slope of the Newton iteration in _truth_given_rumor, is 0 only at
+    a double root (nobody inspects, x = 1/lam): the slope is then infinite.
     """
     da0, da1, di = direction
     r, v = _cubic_scale(lam, ops)
@@ -299,7 +301,8 @@ def _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction, ops=_FloatOp
     g_t = (3.0 * c3 * t + 2.0 * c2) * t + c1
     g_theta1 = r * ((r * t + v - r * s) * t - inspecting * v)
     g_s = -r * t * (r * t + v + r * theta1)
-    return (g_theta1 * (1.0 - x) * da1 - g_s * (di - x * da0) + r * theta1 * v * di) / g_t
+    num = g_theta1 * (1.0 - x) * da1 - g_s * (di - x * da0) + r * theta1 * v * di
+    return ops.where(g_t == 0.0, ops.copysign(math.inf, num), num / ops.where(g_t == 0.0, 1.0, g_t))
 
 
 def _steady_truth(lam, x, a0, a1, inspecting, cutoff, cfg: SolverConfig, ops=_FloatOps):

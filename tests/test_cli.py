@@ -183,6 +183,14 @@ def test_optimize_truth_slack_point(capsys):
     assert row["A_tilde"] == pytest.approx(0.5714, abs=1e-2)
 
 
+@pytest.mark.parametrize("objective", ["truth", "platform"])
+def test_optimize_where_x_is_one_over_lam(capsys, objective):
+    # nobody inspects at alpha = 0, where x = 1/lam leaves the truth slope infinite
+    code, out = run(capsys, "optimize", "--objective", objective, "--lambda", "10", "--x", "0.1", "--A", "1")
+    assert code == 0
+    assert parse_csv(out)[1][0]["objective"] == pytest.approx(0.9, abs=1e-12)
+
+
 def test_optimize_rumor_min(capsys):
     code, out = run(
         capsys, "optimize", "--objective", "rumor-min", "--lambda", "2", "--x", "0.3", "--A", "0.5"

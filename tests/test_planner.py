@@ -318,6 +318,21 @@ def test_no_slack_below_the_peak_of_a_tiny_flat_curve():
     assert res.slack and res.allocation.alpha0 == pytest.approx(peak, abs=1e-11)
 
 
+@pytest.mark.parametrize("lam,x", [(10.0, 0.1), (5.0, 0.2), (4.0, 0.25), (2.5, 0.4)])
+def test_search_where_x_is_one_over_lam(lam, x):
+    # at alpha = 0 nobody inspects, and x = 1/lam makes 0 a double root of the
+    # truth cubic: the slope there is infinite, and the search must step past it
+    p = ModelParams.from_lambda(lam, x)
+    for A in (0.05, 0.3, 1.0):
+        scan = [Allocation.uniform(a) for a in np.linspace(0.0, A, 401).tolist()]
+        truth = [truth_steady_state(p, a) for a in scan]
+        total = [t + rumor_steady_state(p, a) for t, a in zip(truth, scan)]
+        assert maximize_truth_uniform(p, A).objective >= max(truth) - planner.TIE_TOL
+        assert maximize_platform(p, A).objective >= max(total) - planner.TIE_TOL
+    t = compute_thresholds(p)
+    assert_flip(lambda A: maximize_platform(p, A).slack, t.A_tilde, True, False)
+
+
 def test_budget_thresholds_of_a_flat_zero_curve():
     # lam*(1-x) <= 1 and x < 1/lam: truth is 0 up to the positivity rate, then
     # rises, so every budget below it leaves slack, on both curves alike
@@ -550,9 +565,11 @@ def _targeted_segments(x, A, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(lam=st.floats(0.5, 10.0), x=st.floats(0.0, 1.0), A=st.floats(0.0, 1.2))
+@given(lam=st.floats(0.5, 1000.0), x=st.floats(0.0, 1.0), A=st.floats(0.0, 1.2))
 @example(lam=2.0, x=0.3, A=0.3)
 @example(lam=1.0064060635663925, x=0.0028854236781108264, A=0.002)
+@example(lam=10.0, x=0.1, A=0.3)  # x = 1/lam: an infinite slope at alpha = 0
+@example(lam=301.2403934772018, x=0.4074643667426431, A=0.5)  # lam far above 10
 def test_maximizers_beat_a_dense_scan_of_their_segments(lam, x, A):
     # no policy of a 2001-point scan of the segments a maximizer searches beats
     # its optimum by more than the tie tolerance
