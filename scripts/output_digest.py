@@ -4,7 +4,9 @@
 Builds the command lists of perfbench/workloads.py for each seed, runs each
 command in-process through rumor_inspect.cli.main, and prints one line per
 command: workload, seed, index, exit code, the sha256 of stdout and of
-stderr, and the argv. The package and the workloads are imported from the
+stderr, and the argv. A second line per command does the same for the
+command with ``--format json`` appended, so the JSON document is
+fingerprinted too, although no workload asks for it. The package and the workloads are imported from the
 checkout that holds this file, so to compare two commits, run a copy of the
 file in each checkout and diff the outputs:
 
@@ -32,6 +34,14 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
@@ -40,10 +50,9 @@ def main() -> int:
     for seed in args.seeds:
         for name, build in WORKLOADS.items():
             for i, argv in enumerate(build(seed)):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli_main(argv)
-                print(f"{name} {seed} {i} {code} {sha256(out.getvalue())} {sha256(err.getvalue())} {' '.join(argv)}")
+                for args in (argv, [*argv, "--format", "json"]):
+                    code, out, err = run(args)
+                    print(f"{name} {seed} {i} {code} {sha256(out)} {sha256(err)} {' '.join(args)}")
     return 0
 
 

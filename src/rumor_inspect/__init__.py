@@ -18,7 +18,6 @@ from .model import (
     no_rumor_positivity_readings,
     prevalences,
     rumor_steady_state,
-    truth_map,
     truth_steady_state,
 )
 from .dynamics import (
@@ -36,7 +35,6 @@ from .planner import (
     Thresholds,
     closed_thresholds,
     compute_thresholds,
-    diversification_budget_range,
     maximize_platform,
     maximize_truth_targeted,
     maximize_truth_uniform,
@@ -60,7 +58,6 @@ __all__ = [
     "Trajectory",
     "closed_thresholds",
     "compute_thresholds",
-    "diversification_budget_range",
     "eradication_threshold",
     "full_steady_state",
     "group_masses",
@@ -73,7 +70,6 @@ __all__ = [
     "prevalences",
     "rumor_steady_state",
     "seed_state",
-    "truth_map",
     "truth_steady_state",
     "verify_global_stability",
 ]

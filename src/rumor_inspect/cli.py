@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,7 +224,8 @@ def optimize_record(p: ModelParams, objective: str, A: float, solver: SolverConf
     }
 
 
-def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list[dict]]:
+def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list[list]]:
+    """The header and the columns of a sweep: the swept values, then one column per field."""
     axis = cfg.axis
     lo, hi = cfg.start, cfg.stop
     if axis in ("alpha", "x", "A"):
@@ -265,8 +266,8 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         if cfg.objective is None:
             raise ConfigError("--objective is required when sweeping the budget")
         p = _params(cfg)
-        rows = [{"A": v, **optimize_record(p, cfg.objective, v, solver)} for v in values]
-        return (["A", "mode", "alpha0", "alpha1", "objective", "budget_spent", "slack", "rumor_eradicated"], rows)
+        records = [optimize_record(p, cfg.objective, v, solver) for v in values]
+        return (["A", *records[0]], [values, *map(list, zip(*(r.values() for r in records)))])
 
     header = [axis, *STEADY_FIELDS]
     try:
@@ -277,7 +278,7 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         for v in values:
             steady_record(*point(v), solver)
         raise
-    return (header, [dict(zip(header, row)) for row in zip(values, *columns)])
+    return (header, [values, *columns])
 
 
 def _steady_columns(axis: str, grid: np.ndarray, point, solver: SolverConfig) -> list[list]:
@@ -319,18 +320,31 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _fmt_column(col) -> list[str]:
+    # a column of exact floats (no bool, None or float subclass such as
+    # np.float64) needs no per-cell dispatch: _fmt would repr every cell
+    if {*map(type, col)} == {float}:
+        return list(map(float.__repr__, col))
+    return list(map(_fmt, col))
+
+
 def _config_echo(cfg: RunConfig) -> dict:
-    # everything that affects the computed values; the destination does not
-    return {k: v for k, v in asdict(cfg).items() if v is not None and k != "out"}
+    # everything that affects the computed values; the destination does not.
+    # RunConfig holds scalars only, so its shallow vars() equals asdict()
+    return {k: v for k, v in vars(cfg).items() if v is not None and k != "out"}
 
 
-def emit(header: list[str], rows: list[dict], cfg: RunConfig, summary: dict | None = None) -> str:
+def emit(header: list[str], columns: list, cfg: RunConfig, summary: dict | None = None) -> str:
+    """Write the table given column by column (columns[i] holds header[i]'s cells), as CSV or JSON.
+
+    A column that appears twice as the same object is formatted once.
+    """
     if cfg.fmt == "json":
         doc = {
             "tool": "rumor-inspect",
             "version": __version__,
             "config": _config_echo(cfg),
-            "rows": rows,
+            "rows": [dict(zip(header, row)) for row in zip(*columns)],
         }
         if summary is not None:
             doc["summary"] = summary
@@ -341,7 +355,11 @@ def emit(header: list[str], rows: list[dict], cfg: RunConfig, summary: dict | No
             "# config: " + json.dumps(_config_echo(cfg), sort_keys=True),
             ",".join(header),
         ]
-        lines += [",".join(_fmt(row[h]) for h in header) for row in rows]
+        formatted = {}
+        for col in columns:
+            if id(col) not in formatted:
+                formatted[id(col)] = _fmt_column(col)
+        lines += map(",".join, zip(*(formatted[id(col)] for col in columns)))
         if summary is not None:
             lines += [f"# {key}: {_fmt(val)}" for key, val in summary.items()]
         text = "\n".join(lines) + "\n"
@@ -365,14 +383,14 @@ def run_steady(cfg: RunConfig) -> int:
     solver = _solver_config(cfg)
     p = _params(cfg)
     a = _allocation(cfg)
-    emit(list(STEADY_FIELDS), [steady_record(p, a, solver)], cfg)
+    row = steady_record(p, a, solver)
+    emit(list(row), [[v] for v in row.values()], cfg)
     return EXIT_OK
 
 
 def run_sweep(cfg: RunConfig) -> int:
     solver = _solver_config(cfg)
-    header, rows = sweep_records(cfg, solver)
-    emit(header, rows, cfg)
+    emit(*sweep_records(cfg, solver), cfg)
     return EXIT_OK
 
 
@@ -382,7 +400,7 @@ def run_optimize(cfg: RunConfig) -> int:
     if cfg.A is None or cfg.A < 0.0:
         raise ConfigError(f"--A must be >= 0, got {cfg.A}")
     row = {**optimize_record(p, cfg.objective, cfg.A, solver), **_threshold_fields(compute_thresholds(p, solver))}
-    emit(list(row), [row], cfg)
+    emit(list(row), [[v] for v in row.values()], cfg)
     return EXIT_OK
 
 
@@ -404,7 +422,7 @@ def run_thresholds(cfg: RunConfig) -> int:
     p = _params(cfg)
     row = _threshold_fields(compute_thresholds(p, solver))
     row["positivity_alpha"], row["positivity_alpha_alt"] = no_rumor_positivity_readings(p)
-    emit(list(row), [row], cfg)
+    emit(list(row), [[v] for v in row.values()], cfg)
     return EXIT_OK
 
 
@@ -417,11 +435,7 @@ def run_dynamics(cfg: RunConfig) -> int:
     if cfg.starts is not None:
         check_stability_args(cfg.starts, cfg.seed)
     traj = integrate(seed_state(p, a, cfg.init), p, a, integ)
-    rows = []
-    for s in traj.states:
-        th0, th1 = prevalences(s, p, a)
-        rows.append({"t": s.t, "r00a": s.r00a, "r00na": s.r00na, "r10a": s.r10a, "r11na": s.r11na,
-                     "theta0": th0, "theta1": th1})
+    rows = [(s.t, s.r00a, s.r00na, s.r10a, s.r11na, *prevalences(s, p, a)) for s in traj.states]
     summary = {
         "status": traj.status,
         "t_final": traj.final.t,
@@ -435,7 +449,7 @@ def run_dynamics(cfg: RunConfig) -> int:
         summary["stability_passed"] = report.passed
         summary["stability_max_gap"] = report.max_gap
         ok = ok and report.passed
-    emit(["t", "r00a", "r00na", "r10a", "r11na", "theta0", "theta1"], rows, cfg, summary=summary)
+    emit(["t", "r00a", "r00na", "r10a", "r11na", "theta0", "theta1"], list(zip(*rows)), cfg, summary=summary)
     if not ok:
         print("dynamics did not certify convergence; see summary", file=sys.stderr)
         return EXIT_NUMERIC

@@ -21,10 +21,16 @@ theta = theta0 + theta1. The rumor has the closed form
     theta1 = max(0, (1 - alpha1) * (1 - x) - 1/lam)
 
 while the truth prevalence solves the scalar fixed point
-theta0 = truth_map(theta0), which is strictly concave in theta0 and hence
-has a unique positive root whenever one exists. Clearing the map's two
-denominators turns the fixed point into a cubic in theta0 with a single
-positive root; it is found by a safeguarded Newton iteration.
+
+    theta0 = I * lam * theta / (1 + lam * theta) + x * (1 - alpha0) * lam * theta0 / (1 + lam * theta0)
+
+with I the inspecting mass x*alpha0 + (1-x)*alpha1: inspectors turn either
+message into truth and so respond to the total prevalence, while
+non-inspecting truth-biased agents respond to the truth alone. The map is
+strictly concave in theta0 and hence has a unique positive fixed point
+whenever one exists. Clearing its two denominators turns the fixed point
+into a cubic in theta0 with a single positive root; it is found by a
+safeguarded Newton iteration.
 
 The steady-state code is written once over lam, x and the rates, each a
 plain float or a numpy array: with floats it solves one policy (the public
@@ -205,7 +211,7 @@ def _no_rumor_truth(lam, x, a1, ops=_FloatOps):
 def _truth_cubic(r, v, theta1, inspecting, s):
     """Coefficients (c3, c2, c1, c0) of the truth cubic, divided by (lam/r)^2.
 
-    Clearing the denominators of theta0 = truth_map(theta0) gives, with
+    Clearing the denominators of the truth fixed point gives, with
     inspecting mass I and s = I + x*(1-alpha0), the cubic in t = theta0
 
         lam^2 t^3 + lam(2 + lam*theta1 - lam*s) t^2 + (1 + lam*theta1)(1 - lam*s) t - I*lam*theta1
@@ -369,29 +375,6 @@ def rumor_steady_state(p: ModelParams, a: Allocation) -> float:
     non-inspecting rumor-biased agents alone.
     """
     return _rumor_level(p.lam, p.x, a.alpha1, eradication_threshold(p))
-
-
-def truth_map(theta0: float, theta1: float, p: ModelParams, a: Allocation) -> float:
-    """One application of the self-consistency map for the truth prevalence.
-
-    Inspectors (mass x*alpha0 + (1-x)*alpha1; plain alpha in uniform mode)
-    convert either message into truth belief, so they respond to total
-    prevalence; non-inspecting type-0 agents (mass x*(1-alpha0)) respond to
-    the truth alone. The steady truth prevalence is the fixed point of this
-    map at the endemic rumor level.
-    """
-    _check_fraction("theta0", theta0)
-    _check_fraction("theta1", theta1)
-    lam = p.lam
-    c_ins = a.inspecting_mass(p.x)
-    c_bias = p.x * (1.0 - a.alpha0)
-    th = theta0 + theta1
-    return c_ins * lam * th / (1.0 + lam * th) + c_bias * lam * theta0 / (1.0 + lam * theta0)
-
-
-def _check_fraction(name: str, v: float) -> None:
-    if not 0.0 <= v <= 1.0:
-        raise ParameterError(f"{name} must lie in [0, 1], got {v}")
 
 
 def no_rumor_positivity_readings(p: ModelParams) -> tuple[float, float]:

@@ -53,8 +53,6 @@ TIE_TOL = 1e-10
 SLACK_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
 THRESHOLD_RESOLUTION = 1e-6  # width to which compute_thresholds bisects each budget edge
-DIVERSIFICATION_RESOLUTION = 1e-4  # the same for diversification_budget_range
-DIVERSIFICATION_SCAN_POINTS = 41  # budgets it scans over (0, 1] before bisecting
 
 
 def _total(budget: float) -> float:
@@ -329,11 +327,11 @@ def maximize_truth_targeted(
 # numeric threshold location
 # ---------------------------------------------------------------------------
 
-def _bisect_flip(pred, lo: float, hi: float, hi_value: bool, resolution: float) -> float:
-    """Midpoint of the last bracket of the point where pred(A) becomes hi_value, as A rises."""
+def _bisect_flip(pred, lo: float, hi: float, resolution: float) -> float:
+    """Midpoint of the last bracket of the point where pred(A) turns true, as A rises."""
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if pred(mid) == hi_value:
+        if pred(mid):
             hi = mid
         else:
             lo = mid
@@ -366,7 +364,7 @@ def _slack_edges(f, peak_rates, rates: np.ndarray, values: np.ndarray) -> tuple[
     if last == len(grid) - 1:
         return lower, 1.0
     level = peak(last)[1] + TIE_TOL
-    return lower, _bisect_flip(lambda A: f(A) > level, grid[last], grid[last + 1], True, THRESHOLD_RESOLUTION)
+    return lower, _bisect_flip(lambda A: f(A) > level, grid[last], grid[last + 1], THRESHOLD_RESOLUTION)
 
 
 def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Thresholds:
@@ -401,28 +399,3 @@ def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Th
     a_lower, a_upper = edges(theta0, False)
     _, a_tilde = edges(theta0 + theta1, True)
     return replace(closed_thresholds(p), A_lower=a_lower, A_upper=a_upper, A_tilde=a_tilde)
-
-
-def diversification_budget_range(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> tuple[float, float] | None:
-    """Empirically located budget range where the targeted planner sets alpha0 > 0.
-
-    The range is reported, not derived: the diffusion-rate cutoff beyond
-    which no such range exists is known only existentially. Budgets are
-    scanned over (0, 1], since above x the planner may still keep alpha0 = 1
-    and fund alpha1 with the rest, and each edge is bisected to
-    DIVERSIFICATION_RESOLUTION. Budgets above 1 buy nothing more.
-    """
-    if p.x <= 0.0:
-        return None
-
-    def diversifies(A: float) -> bool:
-        return maximize_truth_targeted(p, A, cfg).allocation.alpha0 > 1e-9
-
-    budgets = np.linspace(DIVERSIFICATION_RESOLUTION, 1.0, DIVERSIFICATION_SCAN_POINTS).tolist()
-    flagged = [i for i, A in enumerate(budgets) if diversifies(A)]
-    if not flagged:
-        return None
-    first, last, res = flagged[0], flagged[-1], DIVERSIFICATION_RESOLUTION
-    lo = budgets[0] if first == 0 else _bisect_flip(diversifies, budgets[first - 1], budgets[first], True, res)
-    hi = 1.0 if last + 1 == len(budgets) else _bisect_flip(diversifies, budgets[last], budgets[last + 1], False, res)
-    return lo, hi

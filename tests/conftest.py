@@ -1,4 +1,4 @@
-"""Shared fixtures, the independent steady-state oracle, the truth cubic of a binding budget, and the paper's marginal conditions.
+"""Shared fixtures, the independent steady-state oracle, and paper cross-checks: the truth map, the truth cubic of a binding budget, the marginal conditions and the diversification budget range.
 
 The oracle deliberately avoids the package's solver: the rumor level comes
 from the closed form, and the truth level from scipy's brentq applied to a
@@ -67,6 +67,31 @@ def ref_params():
     from rumor_inspect import ModelParams
 
     return ModelParams.from_lambda(2.0, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# the truth fixed-point map, a paper cross-check
+# ---------------------------------------------------------------------------
+
+def truth_map(theta0: float, theta1: float, p, a) -> float:
+    """One application of the self-consistency map for the truth prevalence.
+
+    Inspectors (mass x*alpha0 + (1-x)*alpha1; plain alpha in uniform mode)
+    convert either message into truth belief, so they respond to total
+    prevalence; non-inspecting type-0 agents (mass x*(1-alpha0)) respond to
+    the truth alone. The steady truth prevalence is the fixed point of this
+    map at the endemic rumor level.
+    """
+    from rumor_inspect import ParameterError
+
+    for name, v in (("theta0", theta0), ("theta1", theta1)):
+        if not 0.0 <= v <= 1.0:
+            raise ParameterError(f"{name} must lie in [0, 1], got {v}")
+    lam = p.lam
+    c_ins = a.inspecting_mass(p.x)
+    c_bias = p.x * (1.0 - a.alpha0)
+    th = theta0 + theta1
+    return c_ins * lam * th / (1.0 + lam * th) + c_bias * lam * theta0 / (1.0 + lam * theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,3 +195,40 @@ def marginal_condition_targeted(p, A: float, ss) -> bool:
     lhs = ss.theta0 * (1.0 + lam * ss.theta) ** 2
     rhs = A * (1.0 + lam * ss.theta0)
     return lhs > rhs
+
+
+# ---------------------------------------------------------------------------
+# the budget range where the targeted planner diversifies, a paper cross-check
+# ---------------------------------------------------------------------------
+
+DIVERSIFICATION_RESOLUTION = 1e-4  # width to which each edge of the range is bisected
+DIVERSIFICATION_SCAN_POINTS = 41  # budgets scanned over (0, 1] before bisecting
+
+
+def diversification_budget_range(p) -> tuple[float, float] | None:
+    """Empirically located budget range where the targeted planner sets alpha0 > 0.
+
+    The range is reported, not derived: the diffusion-rate cutoff beyond
+    which no such range exists is known only existentially. Budgets are
+    scanned over (0, 1], since above x the planner may still keep alpha0 = 1
+    and fund alpha1 with the rest, and each edge is bisected to
+    DIVERSIFICATION_RESOLUTION. Budgets above 1 buy nothing more.
+    """
+    from rumor_inspect import maximize_truth_targeted
+    from rumor_inspect.planner import _bisect_flip
+
+    if p.x <= 0.0:
+        return None
+
+    def diversifies(A: float) -> bool:
+        return maximize_truth_targeted(p, A).allocation.alpha0 > 1e-9
+
+    budgets = np.linspace(DIVERSIFICATION_RESOLUTION, 1.0, DIVERSIFICATION_SCAN_POINTS).tolist()
+    flagged = [i for i, A in enumerate(budgets) if diversifies(A)]
+    if not flagged:
+        return None
+    first, last, res = flagged[0], flagged[-1], DIVERSIFICATION_RESOLUTION
+    lo = budgets[0] if first == 0 else _bisect_flip(diversifies, budgets[first - 1], budgets[first], res)
+    if last + 1 == len(budgets):
+        return lo, 1.0
+    return lo, _bisect_flip(lambda A: not diversifies(A), budgets[last], budgets[last + 1], res)

@@ -10,14 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cubic_coefficients, oracle_region_max
+from conftest import cubic_coefficients, diversification_budget_range, oracle_region_max
 from rumor_inspect import (
     Allocation,
     IntegratorConfig,
     ModelParams,
     closed_thresholds,
     compute_thresholds,
-    diversification_budget_range,
     eradication_threshold,
     full_steady_state,
     maximize_platform,
@@ -95,7 +94,8 @@ def test_c2_fixed_point_vs_ode():
 
 def test_c3_alpha_sweep_shape():
     cfg = RunConfig(command="sweep", lam=2.0, x=0.3, axis="alpha", steps=501)
-    _, rows = sweep_records(cfg, DEFAULT_SOLVER)
+    header, cols = sweep_records(cfg, DEFAULT_SOLVER)
+    rows = [dict(zip(header, r)) for r in zip(*cols)]
     alphas = [r["alpha"] for r in rows]
     vals = [r["theta0"] for r in rows]
     thr = 2.0 / 7.0
@@ -260,7 +260,7 @@ def test_c9_invariant_suites(tmp_path):
     rng = np.random.default_rng(5)
     concave = True
     h = 1e-3
-    from rumor_inspect import truth_map
+    from conftest import truth_map
 
     for _ in range(200):
         lam = rng.uniform(0.5, 6.0)

@@ -1,0 +1,135 @@
+"""The column-wise emitter must print the bytes of the row-wise one.
+
+``row_wise_render`` below is the earlier renderer: one dict per row, each
+cell formatted with ``cli._fmt``, the config echoed through
+``dataclasses.asdict``. ``reference_table`` rebuilds each command's rows the
+way the earlier CLI did, point by point and dict by dict, from the library
+and the CLI's record helpers. ``cli.main`` output must equal the reference
+byte for byte, in CSV and in JSON.
+"""
+
+import json
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from rumor_inspect import Allocation, IntegratorConfig, __version__, cli
+from rumor_inspect.dynamics import integrate, seed_state, verify_global_stability
+from rumor_inspect.model import no_rumor_positivity_readings, prevalences
+
+
+def row_wise_render(header, rows, cfg, summary=None) -> str:
+    echo = {k: v for k, v in asdict(cfg).items() if v is not None and k != "out"}
+    if cfg.fmt == "json":
+        doc = {"tool": "rumor-inspect", "version": __version__, "config": echo, "rows": rows}
+        if summary is not None:
+            doc["summary"] = summary
+        return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+    lines = [f"# rumor-inspect {__version__}", "# config: " + json.dumps(echo, sort_keys=True), ",".join(header)]
+    lines += [",".join(cli._fmt(row[h]) for h in header) for row in rows]
+    if summary is not None:
+        lines += [f"# {key}: {cli._fmt(val)}" for key, val in summary.items()]
+    return "\n".join(lines) + "\n"
+
+
+def reference_table(cfg):
+    """(header, rows, summary) of a command, built row by row as dicts."""
+    solver = cli._solver_config(cfg)
+    if cfg.command == "steady":
+        row = cli.steady_record(cli._params(cfg), cli._allocation(cfg), solver)
+        return list(row), [row], None
+    if cfg.command == "optimize":
+        p = cli._params(cfg)
+        row = {**cli.optimize_record(p, cfg.objective, cfg.A, solver), **cli._threshold_fields(cli.compute_thresholds(p, solver))}
+        return list(row), [row], None
+    if cfg.command == "thresholds":
+        p = cli._params(cfg)
+        row = cli._threshold_fields(cli.compute_thresholds(p, solver))
+        row["positivity_alpha"], row["positivity_alpha_alt"] = no_rumor_positivity_readings(p)
+        return list(row), [row], None
+    if cfg.command == "dynamics":
+        p, a = cli._params(cfg), cli._allocation(cfg)
+        integ = IntegratorConfig(conv_tol=cfg.tol) if cfg.tol is not None else IntegratorConfig()
+        traj = integrate(seed_state(p, a, cfg.init), p, a, integ)
+        rows = []
+        for s in traj.states:
+            th0, th1 = prevalences(s, p, a)
+            rows.append({"t": s.t, "r00a": s.r00a, "r00na": s.r00na, "r10a": s.r10a, "r11na": s.r11na,
+                         "theta0": th0, "theta1": th1})
+        summary = {"status": traj.status, "t_final": traj.final.t, "max_rate": traj.max_rate,
+                   "steps": traj.n_steps, "rejected_steps": traj.n_rejected}
+        if cfg.starts is not None:
+            report = verify_global_stability(p, a, cfg.starts, integ, seed=cfg.seed)
+            summary["stability_passed"] = report.passed
+            summary["stability_max_gap"] = report.max_gap
+        return ["t", "r00a", "r00na", "r10a", "r11na", "theta0", "theta1"], rows, summary
+    # sweep
+    lo = 0.0 if cfg.start is None else cfg.start
+    hi = 1.0 if cfg.stop is None else cfg.stop
+    values = np.linspace(lo, hi, cfg.steps).tolist()
+    if cfg.axis == "A":
+        p = cli._params(cfg)
+        rows = [{"A": v, **cli.optimize_record(p, cfg.objective, v, solver)} for v in values]
+        return list(rows[0]), rows, None
+    rows = []
+    for v in values:
+        if cfg.axis == "alpha":
+            p, a = cli._params(cfg), Allocation.uniform(v)
+        elif cfg.axis == "lambda":
+            p, a = cli._params(cfg, lam_override=v), cli._allocation(cfg)
+        else:
+            p, a = cli._params(cfg, x_override=v), cli._allocation(cfg)
+        rows.append({cfg.axis: v, **cli.steady_record(p, a, solver)})
+    return list(rows[0]), rows, None
+
+
+COMMANDS = [
+    "sweep --axis alpha --lambda 2 --x 0.3 --steps 41",
+    "sweep --axis lambda --start 0.5 --stop 6 --x 0.3 --alpha0 0.2 --alpha1 0.4 --steps 41",
+    "sweep --axis x --nu 0.5 --k 4 --delta 0.9 --alpha 0.25 --steps 41 --tol 1e-12",
+    "sweep --axis A --lambda 2 --x 0.3 --objective truth-targeted --steps 11",
+    "sweep --axis A --lambda 3 --x 0.4 --objective rumor-min --steps 11",
+    "dynamics --lambda 2 --x 0.3 --alpha 0.2 --starts 3 --seed 7",
+    "dynamics --lambda 4 --x 0.2 --alpha0 0.1 --alpha1 0.3 --init 0.2",
+    "steady --lambda 2 --x 0.3 --alpha 0.2",
+    "steady --lambda 2 --x 0.3 --alpha 1",
+    "optimize --objective truth-targeted --lambda 2 --x 0.3 --A 0.28",
+    "optimize --objective platform --lambda 1.2 --x 0.3 --A 0.5",
+    "thresholds --lambda 2 --x 0.3",
+    "thresholds --lambda 2 --x 0.5",
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_matches_row_wise_render(command, fmt, capsys):
+    argv = [*command.split(), "--format", fmt]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    cfg = cli._run_config(cli.build_parser().parse_args(argv))
+    header, rows, summary = reference_table(cfg)
+    # compared line by line, ends kept: pytest reports the first differing line quickly
+    assert out.splitlines(keepends=True) == row_wise_render(header, rows, cfg, summary).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_formats_mixed_columns_like_fmt(fmt, capsys):
+    shared = [0.1, 1e-300, float("inf")]
+    columns = [
+        [None, True, "targeted", 7, 0.25],
+        [np.float64(0.1), np.float64(2.5), np.float64(1e-17), np.float64(0.0), np.float64(-3.0)],
+        [False, False, True, None, False],
+        shared + [float("nan"), -0.0],
+        shared + [float("nan"), -0.0],
+    ]
+    columns[4] = columns[3]  # the same list object twice, as rho_00_a and rho_10_a are
+    header = ["mixed", "np", "flag", "shared_a", "shared_b"]
+    cfg = cli.RunConfig(command="steady", fmt=fmt)
+    text = cli.emit(header, columns, cfg, summary={"status": "converged", "gap": np.float64(1e-9)})
+    assert capsys.readouterr().out == text
+    rows = [dict(zip(header, r)) for r in zip(*columns)]
+    assert text == row_wise_render(header, rows, cfg, summary={"status": "converged", "gap": np.float64(1e-9)})
+    if fmt == "csv":
+        assert text.splitlines()[3] == f",{np.float64(0.1)!r},false,0.1,0.1"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import THETA0_REF, marginal_condition_uniform, oracle_rumor, oracle_truth
+from conftest import THETA0_REF, marginal_condition_uniform, oracle_rumor, oracle_truth, truth_map
 from rumor_inspect import (
     Allocation,
     ModelParams,
@@ -17,7 +17,6 @@ from rumor_inspect import (
     no_rumor_positivity_readings,
     prevalences,
     rumor_steady_state,
-    truth_map,
     truth_steady_state,
 )
 from rumor_inspect.model import DEFAULT_SOLVER, _truth_given_rumor, _truth_slope

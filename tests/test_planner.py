@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 import rumor_inspect.planner as planner
 from conftest import (
     ALPHA_PEAK,
+    DIVERSIFICATION_RESOLUTION,
     THETA0_PEAK,
     FeasibilityError,
     cubic_coefficients,
+    diversification_budget_range,
     marginal_condition_targeted,
     marginal_condition_uniform,
     oracle_region_max,
@@ -21,7 +23,6 @@ from rumor_inspect import (
     ParameterError,
     closed_thresholds,
     compute_thresholds,
-    diversification_budget_range,
     eradication_threshold,
     full_steady_state,
     maximize_platform,
@@ -646,8 +647,8 @@ def test_diversification_budget_range(ref_params):
     while above - below > 1e-8:
         mid = 0.5 * (below + above)
         below, above = (mid, above) if alpha0(mid) > 0.0 else (below, mid)
-    assert abs(hi - above) <= planner.DIVERSIFICATION_RESOLUTION
-    assert above == pytest.approx(0.32, abs=planner.DIVERSIFICATION_RESOLUTION)
+    assert abs(hi - above) <= DIVERSIFICATION_RESOLUTION
+    assert above == pytest.approx(0.32, abs=DIVERSIFICATION_RESOLUTION)
 
 
 # ---------------------------------------------------------------------------

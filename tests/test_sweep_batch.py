@@ -48,7 +48,8 @@ def per_point_rows(cfg: RunConfig, solver: SolverConfig) -> list[dict]:
 
 def assert_rows_equal(cfg: RunConfig) -> None:
     solver = cli._solver_config(cfg)
-    header, rows = sweep_records(cfg, solver)
+    header, cols = sweep_records(cfg, solver)
+    rows = [dict(zip(header, r)) for r in zip(*cols)]
     assert header == [cfg.axis, *STEADY_FIELDS]
     expected = per_point_rows(cfg, solver)
     assert len(rows) == len(expected) == cfg.steps
