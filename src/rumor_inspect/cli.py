@@ -316,13 +316,13 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return float.__repr__(v)  # a float subclass too: np.float64(0.1) prints as 0.1
     return str(v)
 
 
 def _fmt_column(col) -> list[str]:
-    # a column of exact floats (no bool, None or float subclass such as
-    # np.float64) needs no per-cell dispatch: _fmt would repr every cell
+    # a column of exact floats (no bool, None or float subclass) needs no
+    # per-cell dispatch: _fmt would take float.__repr__ of every cell
     if {*map(type, col)} == {float}:
         return list(map(float.__repr__, col))
     return list(map(_fmt, col))

@@ -24,15 +24,14 @@ cheapest within 1e-10 of the best, then the smallest alpha0.
 
 The budget thresholds of compute_thresholds call none of the optimizers:
 the uniform truth and platform curves do not depend on the budget, so the
-edges of the slack regions are read off one profile of each curve.
+edges of the slack regions follow in closed form from each curve's peak.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .model import (
     DEFAULT_SOLVER,
@@ -40,6 +39,7 @@ from .model import (
     ModelParams,
     ParameterError,
     SolverConfig,
+    _no_rumor_truth,
     _steady_truth,
     _truth_slope,
     eradication_threshold,
@@ -47,12 +47,11 @@ from .model import (
     truth_steady_state,
 )
 
-PROFILE_POINTS = 2001  # rates in compute_thresholds' profile of the uniform curves
 ROOT_XTOL = 1e-12  # width in alpha1 to which _slope_root solves a peak
 TIE_TOL = 1e-10
 SLACK_TOL = 1e-9
-EPS = float(np.finfo(float).eps)
-THRESHOLD_RESOLUTION = 1e-6  # width to which compute_thresholds bisects each budget edge
+EPS = sys.float_info.epsilon
+THRESHOLD_RESOLUTION = 1e-6  # narrowest slack region compute_thresholds reports, and its lowest lower edge
 
 
 def _total(budget: float) -> float:
@@ -64,7 +63,7 @@ def _total(budget: float) -> float:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Closed-form and numerically located policy thresholds.
+    """Closed-form policy thresholds, and the budget edges read off each curve's peak.
 
     lambda_bar is 2 + sqrt(2 - 1/(1-x)) where defined (x <= 1/2), else None.
     eradication_interval is the lam range where, at the marginal eradication
@@ -72,7 +71,8 @@ class Thresholds:
     (None) iff (4-x)^2 < 12. The budget fields are filled only by
     compute_thresholds: A_lower/A_upper bound the region of budgets where the
     uniform truth planner leaves slack, A_tilde is where the platform stops
-    leaving slack. None means not computed or no such region found.
+    leaving slack. None means not computed, or no region at least
+    THRESHOLD_RESOLUTION wide.
     """
 
     alpha_prime: float
@@ -114,18 +114,6 @@ def closed_thresholds(p: ModelParams) -> Thresholds:
 # the search along segments of policies
 # ---------------------------------------------------------------------------
 
-def _theta_grids(p: ModelParams, c_ins: np.ndarray, a0s: np.ndarray, a1s: np.ndarray, cfg: SolverConfig):
-    """(theta0, theta1) over allocation grids, c_ins being their inspecting masses.
-
-    The model's steady-state code runs on the arrays in one batch, the same
-    code that truth_steady_state runs on floats, so every grid entry equals
-    the scalar solve of its policy bit for bit. compute_thresholds flags
-    its slack budgets off such a profile, and refines every edge with the
-    scalar solver.
-    """
-    return _steady_truth(p.lam, p.x, a0s, a1s, c_ins, eradication_threshold(p), cfg, np)
-
-
 def _objective(p: ModelParams, a: Allocation, platform: bool, cfg: SolverConfig) -> float:
     """theta0 at the policy a, or theta0 + theta1 for the platform, from the scalar solver."""
     truth = truth_steady_state(p, a, cfg)
@@ -157,7 +145,7 @@ def _slope_root(slope, a: float, ga: float, b: float, gb: float) -> float:
 
 
 def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, direction, platform: bool, cfg: SolverConfig):
-    """The rates u in [lo, hi] at which the objective on the segment alloc(u) can peak.
+    """(u, value) pairs for the rates u in [lo, hi] at which the objective on the segment alloc(u) can peak.
 
     alloc(u) is the policy at alpha1 = u, and direction its constant
     d(alpha0, alpha1, I)/du. Above the kink, where alpha1 reaches the
@@ -166,47 +154,69 @@ def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, direction, platf
     kink and hi. Below it, on the endemic piece, the slope changes sign at
     most once, so the piece peaks inside only when the slope is positive at
     lo and not at its upper end: _slope_root solves for that peak. These and
-    lo are every place a maximum can sit.
+    lo are every place a maximum can sit. value is the objective at alloc(u)
+    where a slope solved it below the kink, bit for bit the scalar solver's,
+    else None: at the kink the solver takes the rumor as extinct, the slope
+    as endemic.
     """
     lam, x = p.lam, p.x
     kink = eradication_threshold(p) - cfg.tol
     rates = [lo, hi] + ([kink] if lo < kink < hi else [])
     end = min(hi, kink)
+    values = {}
     if lo < end:
         def slope(u: float) -> float:
             a = alloc(u)
             inspecting = a.inspecting_mass(x)
             theta0, theta1 = _steady_truth(lam, x, a.alpha0, u, inspecting, math.inf, cfg)
+            if u < kink:
+                values[u] = theta0 + theta1 if platform else theta0
             g = _truth_slope(lam, x, a.alpha0, inspecting, theta1, theta0, direction)
             return g - (1.0 - x) * direction[1] if platform else g
 
         g_lo, g_end = slope(lo), slope(end)
         if g_lo > 0.0 >= g_end:
             rates.append(_slope_root(slope, lo, g_lo, end, g_end))
-    return rates
+    return [(u, values.get(u)) for u in rates]
 
 
-def _maximize(p: ModelParams, A: float, segments, points, platform: bool, cfg: SolverConfig, notes=()) -> OptResult:
-    """Shared search, and the one tie rule, of the three maximizers.
+def _score(p: ModelParams, candidates, platform: bool, cfg: SolverConfig) -> list:
+    """(allocation, objective) once per allocation of the (allocation, value) candidates; a value of None is solved for."""
+    known = {}
+    for a, v in candidates:
+        if known.get(a) is None:
+            known[a] = v
+    return [(a, _objective(p, a, platform, cfg) if v is None else v) for a, v in known.items()]
 
-    The objective is theta0, or theta0 + theta1 for the platform. Each
-    segment is a tuple (lo, hi, alloc, direction): the line of policies
-    alloc(u) for alpha1 = u in [lo, hi], moving along direction; its
-    _segment_rates join the fixed candidate `points`, and every candidate
-    is scored with the scalar solver. Among the candidates within TIE_TOL
-    of the best, the cheapest spend wins, to within TIE_TOL, then the
-    smallest alpha0.
+
+def _pick(scored, x: float):
+    """The one tie rule: ((allocation, objective), best objective) of the winner among the scored pairs.
+
+    Among the pairs within TIE_TOL of the best, the cheapest spend wins, to
+    within TIE_TOL, then the smallest alpha0.
     """
-    x = p.x
-    candidates = list(points)
-    for lo, hi, alloc, direction in segments:
-        candidates += [alloc(u) for u in _segment_rates(p, lo, hi, alloc, direction, platform, cfg)]
-    scored = [(a, _objective(p, a, platform, cfg)) for a in dict.fromkeys(candidates)]
     top = max(v for _, v in scored)
     near = [(a, v) for a, v in scored if v >= top - TIE_TOL]
     min_spend = min(a.inspecting_mass(x) for a, _ in near)
     near = [(a, v) for a, v in near if a.inspecting_mass(x) <= min_spend + TIE_TOL]
-    alloc, vstar = min(near, key=lambda av: av[0].alpha0)
+    return min(near, key=lambda av: av[0].alpha0), top
+
+
+def _maximize(p: ModelParams, A: float, segments, points, platform: bool, cfg: SolverConfig, notes=()) -> OptResult:
+    """Shared search of the three maximizers.
+
+    The objective is theta0, or theta0 + theta1 for the platform. Each
+    segment is a tuple (lo, hi, alloc, direction): the line of policies
+    alloc(u) for alpha1 = u in [lo, hi], moving along direction; its
+    _segment_rates join the fixed candidate `points`, every candidate is
+    scored, with the scalar solver where its segment has not already
+    solved it, and _pick's tie rule chooses.
+    """
+    x = p.x
+    candidates = [(a, None) for a in points]
+    for lo, hi, alloc, direction in segments:
+        candidates += [(alloc(u), v) for u, v in _segment_rates(p, lo, hi, alloc, direction, platform, cfg)]
+    (alloc, vstar), _ = _pick(_score(p, candidates, platform, cfg), x)
     spend = alloc.inspecting_mass(x)
     return OptResult(
         allocation=alloc,
@@ -324,78 +334,45 @@ def maximize_truth_targeted(
 
 
 # ---------------------------------------------------------------------------
-# numeric threshold location
+# budget thresholds
 # ---------------------------------------------------------------------------
 
-def _bisect_flip(pred, lo: float, hi: float, resolution: float) -> float:
-    """Midpoint of the last bracket of the point where pred(A) turns true, as A rises."""
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _slack_region(p: ModelParams, platform: bool, cfg: SolverConfig) -> tuple[float | None, float | None]:
+    """Edges of the budgets A at which maximizing the uniform curve over [0, A] leaves slack, or (None, None).
 
-
-def _slack_edges(f, peak_rates, rates: np.ndarray, values: np.ndarray) -> tuple[float | None, float | None]:
-    """Edges of the budgets A at which maximizing f over [0, A] leaves slack, or (None, None).
-
-    values is f at the rates: rates[0] = 0, the others budgets. The edges
-    bound the budgets that a cheaper rate matches within TIE_TOL. The lower
-    one is the peak that the first of them falls back to, or rates[1]. The
-    upper one is where f climbs TIE_TOL above the last one's peak, or 1. A
-    peak is the best of peak_rates(lo, hi) over the two profile cells around
-    it, ties going to the smaller rate.
+    Up to the kink the curve's slope changes sign at most once, and above it
+    the curve is the nondecreasing no-rumor line x + (1-x)*alpha - 1/lam. So
+    the best rate up to the kink is among the rates _segment_rates gives over
+    [0, 1], less the end 1, and _pick's tie rule names that peak. Budgets
+    from the peak on, but at least THRESHOLD_RESOLUTION, leave slack until
+    the line climbs TIE_TOL above the best value, or up to 1. A region
+    narrower than THRESHOLD_RESOLUTION counts as none.
     """
-    best = np.maximum.accumulate(values)
-    slack = np.flatnonzero(best[:-1] >= values[1:] - TIE_TOL) + 1
-    if not len(slack):
-        return None, None
-    first, last = int(slack[0]), int(slack[-1])
-    grid = rates.tolist()
-
-    def peak(j: int) -> tuple[float, float]:
-        k = int(np.argmax(values[:j]))
-        value, rate = max((f(u), -u) for u in peak_rates(grid[max(k - 1, 0)], grid[k + 1]))
-        return -rate, value
-
-    lower = grid[1] if first == 1 else peak(first)[0]
-    if last == len(grid) - 1:
-        return lower, 1.0
-    level = peak(last)[1] + TIE_TOL
-    return lower, _bisect_flip(lambda A: f(A) > level, grid[last], grid[last + 1], THRESHOLD_RESOLUTION)
+    x = p.x
+    rates = _segment_rates(p, 0.0, 1.0, Allocation.uniform, UNIFORM, platform, cfg)
+    scored = _score(p, [(Allocation.uniform(u), v) for u, v in rates if u < 1.0], platform, cfg)
+    (peak, _), top = _pick(scored, x)
+    level = top + TIE_TOL
+    # at x = 1 the line is flat at the value of the peak at 0, so this divides by no zero
+    upper = 1.0 if _no_rumor_truth(p.lam, x, 1.0) <= level else (level - x + 1.0 / p.lam) / (1.0 - x)
+    lower = max(peak.alpha0, THRESHOLD_RESOLUTION)
+    return (lower, upper) if upper - lower >= THRESHOLD_RESOLUTION else (None, None)
 
 
 def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Thresholds:
-    """Closed-form thresholds plus numerically located budget boundaries.
+    """Closed-form thresholds plus the budget boundaries of the slack regions.
 
     A_lower / A_upper bracket the budgets at which maximize_truth_uniform
     reports slack; A_tilde is the top of the analogous region for the
     platform objective. All three are None when the corresponding slack
-    region is empty within [THRESHOLD_RESOLUTION, 1]; budgets above 1 buy
+    region is narrower than THRESHOLD_RESOLUTION; budgets above 1 buy
     nothing more.
 
     Both objectives are fixed curves in the uniform rate, maximized over
     [0, min(A, 1)] with ties going to the cheapest rate, so a budget leaves
-    slack when a cheaper rate does as well. The edges are read off the
-    curves with no optimizer call: one PROFILE_POINTS profile of both flags
-    the slack budgets, and _slack_edges refines each edge with the
-    optimizers' _segment_rates and the scalar solver. A slack region
-    narrower than a profile cell can be missed.
+    slack when a cheaper rate does as well. _slack_region reads the edges
+    off each curve's peak with no optimizer call.
     """
-    rates = np.concatenate(([0.0], np.linspace(THRESHOLD_RESOLUTION, 1.0, PROFILE_POINTS)))
-    theta0, theta1 = _theta_grids(p, rates, rates, rates, cfg)
-
-    def edges(values, platform: bool):
-        def f(a: float) -> float:
-            return _objective(p, Allocation.uniform(a), platform, cfg)
-
-        def peak_rates(lo: float, hi: float) -> list[float]:
-            return _segment_rates(p, lo, hi, Allocation.uniform, UNIFORM, platform, cfg)
-
-        return _slack_edges(f, peak_rates, rates, values)
-
-    a_lower, a_upper = edges(theta0, False)
-    _, a_tilde = edges(theta0 + theta1, True)
+    a_lower, a_upper = _slack_region(p, False, cfg)
+    _, a_tilde = _slack_region(p, True, cfg)
     return replace(closed_thresholds(p), A_lower=a_lower, A_upper=a_upper, A_tilde=a_tilde)

@@ -2,14 +2,17 @@
 
 The oracle deliberately avoids the package's solver: the rumor level comes
 from the closed form, and the truth level from scipy's brentq applied to a
-literal transcription of the fixed-point identity. Frozen expected values in
-the tests were computed with this oracle ahead of the implementation.
+literal transcription of the fixed-point identity, or from bisecting that
+identity in mpmath where float rounding hides its sign change. Frozen
+expected values in the tests were computed with this oracle ahead of the
+implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -29,13 +32,26 @@ def oracle_truth(lam: float, x: float, a0: float, a1: float) -> float:
     mass = x * a0 + (1.0 - x) * a1
     if mass <= 0.0:
         return max(0.0, x - 1.0 / lam)
-    c_bias = x * (1.0 - a0)
 
-    def gap(t0: float) -> float:
+    def gap(t0, lam=lam, th1=th1, mass=mass, c_bias=x * (1.0 - a0)):
         th = t0 + th1
         return t0 - (mass * lam * th / (1.0 + lam * th) + c_bias * lam * t0 / (1.0 + lam * t0))
 
-    return brentq(gap, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    if gap(0.0) < 0.0 < gap(1.0):
+        return brentq(gap, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    # rounding can hide the sign change: with the root within an ulp of 1 and
+    # lam near 1e18, gap(1) cancels to -2.2e-16 where it is +1.5e-18. Then the
+    # same identity is bisected in 60-digit arithmetic from the float inputs.
+    with mpmath.workdps(60):
+        lam_, x_, a0_, a1_, th1_ = map(mpmath.mpf, (lam, x, a0, a1, th1))
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if gap(mid, lam_, th1_, x_ * a0_ + (1 - x_) * a1_, x_ * (1 - a0_)) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
 
 
 def oracle_region_max(lam: float, x: float, A: float, n: int = 41) -> float:
@@ -205,6 +221,17 @@ DIVERSIFICATION_RESOLUTION = 1e-4  # width to which each edge of the range is bi
 DIVERSIFICATION_SCAN_POINTS = 41  # budgets scanned over (0, 1] before bisecting
 
 
+def _bisect_flip(pred, lo: float, hi: float, resolution: float) -> float:
+    """Midpoint of the last bracket of the point where pred(A) turns true, as A rises."""
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def diversification_budget_range(p) -> tuple[float, float] | None:
     """Empirically located budget range where the targeted planner sets alpha0 > 0.
 
@@ -215,7 +242,6 @@ def diversification_budget_range(p) -> tuple[float, float] | None:
     DIVERSIFICATION_RESOLUTION. Budgets above 1 buy nothing more.
     """
     from rumor_inspect import maximize_truth_targeted
-    from rumor_inspect.planner import _bisect_flip
 
     if p.x <= 0.0:
         return None

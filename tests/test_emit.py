@@ -132,4 +132,6 @@ def test_emit_formats_mixed_columns_like_fmt(fmt, capsys):
     rows = [dict(zip(header, r)) for r in zip(*columns)]
     assert text == row_wise_render(header, rows, cfg, summary={"status": "converged", "gap": np.float64(1e-9)})
     if fmt == "csv":
-        assert text.splitlines()[3] == f",{np.float64(0.1)!r},false,0.1,0.1"
+        # np.float64 cells print as plain numbers
+        assert text.splitlines()[3] == ",0.1,false,0.1,0.1"
+        assert text.splitlines()[-1] == "# gap: 1e-09"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import THETA0_REF, marginal_condition_uniform, oracle_rumor, oracle_truth, truth_map
@@ -19,8 +19,7 @@ from rumor_inspect import (
     rumor_steady_state,
     truth_steady_state,
 )
-from rumor_inspect.model import DEFAULT_SOLVER, _truth_given_rumor, _truth_slope
-from rumor_inspect.planner import _theta_grids
+from rumor_inspect.model import DEFAULT_SOLVER, _steady_truth, _truth_given_rumor, _truth_slope
 
 lams = st.floats(0.2, 8.0)
 xs = st.floats(0.0, 1.0)
@@ -320,6 +319,8 @@ def test_solver_error_carries_bracket(ref_params):
 
 @given(lam=wide_lams, x=xs, a0=rates, a1=rates)
 @settings(max_examples=300)
+# the truth root lies 1.5e-18 below 1, and the float gap at 1 cancels to the wrong sign
+@example(lam=10.0**18.4375, x=0.9900865630764397, a0=0.125, a1=0.9999999999999999)
 def test_truth_solver_matches_oracle_over_wide_lambda(lam, x, a0, a1):
     p = ModelParams.from_lambda(lam, x)
     v = truth_steady_state(p, Allocation.targeted(a0, a1))
@@ -336,7 +337,8 @@ def test_grid_solver_matches_scalar(lam, x, pairs):
     p = ModelParams.from_lambda(lam, x)
     a0s = np.array([a0 for a0, _ in pairs])
     a1s = np.array([a1 for _, a1 in pairs])
-    theta0, _ = _theta_grids(p, x * a0s + (1.0 - x) * a1s, a0s, a1s, SolverConfig())
+    cutoff = eradication_threshold(p)
+    theta0, _ = _steady_truth(p.lam, x, a0s, a1s, x * a0s + (1.0 - x) * a1s, cutoff, SolverConfig(), np)
     for (a0, a1), t0 in zip(pairs, theta0):
         assert abs(t0 - truth_steady_state(p, Allocation.targeted(a0, a1))) <= 1e-13
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -229,17 +232,46 @@ def test_budget_thresholds_match_prior_values(lam, x):
             assert got == pytest.approx(want, abs=1e-6)
 
 
-def test_budget_thresholds_find_narrow_slack_region():
+@pytest.mark.parametrize("lam,x,lower,upper,tol", [
     # a slack region of width 0.009 that a 41-point scan of budgets misses
-    p = ModelParams.from_lambda(2.216728, 0.47639)
+    (2.216728, 0.47639, 0.129963, 0.139124, 1e-5),
+    # one of width 3.3e-4, which a 2001-point profile of the curve (cells 5e-4 wide) missed
+    (2.542720578787495, 0.412881655326256, 0.329822, 0.330153, 1e-6),
+])
+def test_budget_thresholds_find_narrow_slack_region(lam, x, lower, upper, tol):
+    p = ModelParams.from_lambda(lam, x)
     t = compute_thresholds(p)
-    assert t.A_lower == pytest.approx(0.129963, abs=1e-5)
-    assert t.A_upper == pytest.approx(0.139124, abs=1e-5)
+    assert t.A_lower == pytest.approx(lower, abs=tol)
+    assert t.A_upper == pytest.approx(upper, abs=tol)
     step = 3e-6
     assert not maximize_truth_uniform(p, t.A_lower - step).slack
     assert maximize_truth_uniform(p, t.A_lower + step).slack
     assert maximize_truth_uniform(p, t.A_upper - step).slack
     assert not maximize_truth_uniform(p, t.A_upper + step).slack
+
+
+def test_budget_thresholds_where_everyone_is_truth_biased():
+    # at x = 1 inspection buys nothing and both curves are flat: every budget
+    # leaves slack, so each region spans (0, 1]
+    for lam in (0.5, 2.0):
+        p = ModelParams.from_lambda(lam, 1.0)
+        t = compute_thresholds(p)
+        assert (t.A_lower, t.A_upper, t.A_tilde) == (planner.THRESHOLD_RESOLUTION, 1.0, 1.0)
+        for A in (2e-6, 0.5, 1.0):
+            assert maximize_truth_uniform(p, A).slack and maximize_platform(p, A).slack
+
+
+def test_planner_does_not_import_numpy():
+    # the planner computes on floats alone, which keeps numpy off the import
+    # path of the commands that need no array
+    tree = ast.parse(Path(planner.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported and "math" in imported
 
 
 def test_budget_thresholds_optimizer_call_count(monkeypatch):
@@ -279,9 +311,10 @@ def flat_zero_points(draw):
 @given(point=st.one_of(st.tuples(st.floats(0.5, 10.0), st.floats(0.0, 0.95)), flat_zero_points()))
 @example(point=(2.0, 0.3))
 @example(point=(2.216728, 0.47639))  # the narrow region
+@example(point=(2.0250677271448065, 0.5057277523240731))  # a platform region 4.9e-4 wide
 @example(point=(1.6, 0.4))  # flat zero up to alpha = 0.375
 @example(point=(8.0, 0.3))  # no truth slack region
-# the approach to the peak gains less than TIE_TOL over a profile cell; slack starts at the peak
+# the approach to the peak gains less than TIE_TOL over its last 5e-4; slack starts at the peak
 @example(point=(1.5744071237318549, 0.35447380863080513))
 @example(point=(1.0064060635663925, 0.0028854236781108264))
 def test_budget_thresholds_are_where_the_optimizers_flip_slack(point):
@@ -571,17 +604,22 @@ def _targeted_segments(x, A, n):
 @example(lam=1.0064060635663925, x=0.0028854236781108264, A=0.002)
 @example(lam=10.0, x=0.1, A=0.3)  # x = 1/lam: an infinite slope at alpha = 0
 @example(lam=301.2403934772018, x=0.4074643667426431, A=0.5)  # lam far above 10
+@example(lam=5.0, x=0.5, A=0.6)  # the optimum is the kink, 1e-12 below A
 def test_maximizers_beat_a_dense_scan_of_their_segments(lam, x, A):
     # no policy of a 2001-point scan of the segments a maximizer searches beats
-    # its optimum by more than the tie tolerance
+    # its optimum by more than the tie tolerance, and the optimum reported is
+    # the scalar solver's value at its allocation, bit for bit
     p = ModelParams.from_lambda(lam, x)
     uniform = [Allocation.uniform(a) for a in np.linspace(0.0, min(A, 1.0), 2001).tolist()]
     truth = [truth_steady_state(p, a) for a in uniform]
     total = [t + rumor_steady_state(p, a) for t, a in zip(truth, uniform)]
     targeted = [truth_steady_state(p, a) for a in _targeted_segments(x, A, 2001)]
-    for maximize, scan in ((maximize_truth_uniform, truth), (maximize_platform, total),
-                           (maximize_truth_targeted, targeted)):
-        assert maximize(p, A).objective >= max(scan, default=0.0) - planner.TIE_TOL
+    for maximize, scan, platform in ((maximize_truth_uniform, truth, False), (maximize_platform, total, True),
+                                     (maximize_truth_targeted, targeted, False)):
+        res = maximize(p, A)
+        assert res.objective >= max(scan, default=0.0) - planner.TIE_TOL
+        a = res.allocation
+        assert res.objective == truth_steady_state(p, a) + (rumor_steady_state(p, a) if platform else 0.0)
 
 
 @pytest.mark.parametrize(
@@ -591,11 +629,11 @@ def test_maximizers_beat_a_dense_scan_of_their_segments(lam, x, A):
 )
 def test_targeted_single_point_cases(monkeypatch, lam, x, A):
     # at A = 0, and at x = 1 where inspection buys nothing, (0, 0) is the
-    # only candidate: no grid is scanned, and the brute-force oracle agrees
-    def no_grid(*args, **kwargs):
-        raise AssertionError("scanned a grid")
+    # only candidate: no segment is searched, and the brute-force oracle agrees
+    def no_segment(*args, **kwargs):
+        raise AssertionError("searched a segment")
 
-    monkeypatch.setattr(planner, "_theta_grids", no_grid)
+    monkeypatch.setattr(planner, "_segment_rates", no_segment)
     res = maximize_truth_targeted(ModelParams.from_lambda(lam, x), A)
     assert res.allocation.rates() == (0.0, 0.0)
     assert abs(res.objective - oracle_truth(lam, x, 0.0, 0.0)) <= DEFAULT_SOLVER.tol
