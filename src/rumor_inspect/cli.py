@@ -165,7 +165,7 @@ def _params(cfg: RunConfig, *, lam_override: float | None = None, x_override: fl
                 raise ConfigError("give either --lambda or the full --nu/--k/--delta triple, not both")
             return ModelParams.from_lambda(cfg.lam, x)
         if all(r is not None for r in rates):
-            return ModelParams.from_rates(cfg.nu, cfg.k, cfg.delta, x)
+            return ModelParams(cfg.nu, cfg.k, cfg.delta, x)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError("model parameters missing: give --lambda or all of --nu/--k/--delta")
@@ -204,7 +204,7 @@ def steady_record(p: ModelParams, a: Allocation, solver: SolverConfig) -> dict:
 
 def optimize_record(p: ModelParams, objective: str, A: float, solver: SolverConfig) -> dict:
     if objective == "rumor-min":
-        res = minimize_rumor(p, A)
+        res = minimize_rumor(p, A, solver)
     elif objective == "truth":
         res = maximize_truth_uniform(p, A, solver)
     elif objective == "truth-targeted":

@@ -28,9 +28,15 @@ with I the inspecting mass x*alpha0 + (1-x)*alpha1: inspectors turn either
 message into truth and so respond to the total prevalence, while
 non-inspecting truth-biased agents respond to the truth alone. The map is
 strictly concave in theta0 and hence has a unique positive fixed point
-whenever one exists. Clearing its two denominators turns the fixed point
-into a cubic in theta0 with a single positive root; it is found by a
-safeguarded Newton iteration.
+whenever one exists. Clearing its two denominators and dividing by lam^2
+turns the fixed point into a monic cubic in theta0 with a single positive
+root; it is found by a safeguarded Newton iteration.
+
+One rule says where the rumor is extinct, for every reported theta1, the
+truth solve and the planners: from alpha1 = alpha' - tol on, with alpha'
+the eradication threshold and tol the solver tolerance. In the band
+[alpha' - tol, alpha') the closed form leaves at most (1-x)*tol of rumor,
+where the truth fixed point is nearly degenerate.
 
 The steady-state code is written once over lam, x and the rates, each a
 plain float or a numpy array: with floats it solves one policy (the public
@@ -65,10 +71,10 @@ class ModelParams:
     """Exogenous model constants.
 
     The diffusion rate ``lam`` is derived, never stored, so
-    lam == nu * k / delta holds exactly for every instance. Build from a
-    diffusion rate with :meth:`from_lambda` (canonical delta = 0.5, k = 1
-    make the round trip bit-exact) or from raw rates with
-    :meth:`from_rates`.
+    lam == nu * k / delta holds exactly for every instance. Build from raw
+    rates with the constructor, or from a diffusion rate with
+    :meth:`from_lambda` (its canonical delta = 0.5, k = 1 make the round trip
+    bit-exact).
     """
 
     nu: float
@@ -91,14 +97,10 @@ class ModelParams:
         return self.nu * self.k / self.delta
 
     @classmethod
-    def from_lambda(cls, lam: float, x: float, *, delta: float = 0.5, k: float = 1.0) -> "ModelParams":
+    def from_lambda(cls, lam: float, x: float) -> "ModelParams":
         if not lam > 0.0:
             raise ParameterError(f"lam must be strictly positive, got {lam}")
-        return cls(nu=lam * delta / k, k=k, delta=delta, x=x)
-
-    @classmethod
-    def from_rates(cls, nu: float, k: float, delta: float, x: float) -> "ModelParams":
-        return cls(nu=nu, k=k, delta=delta, x=x)
+        return cls(nu=lam * 0.5, k=1.0, delta=0.5, x=x)
 
 
 Mode = Literal["uniform", "targeted"]
@@ -129,12 +131,6 @@ class Allocation:
     def targeted(cls, alpha0: float, alpha1: float) -> "Allocation":
         return cls(alpha0=alpha0, alpha1=alpha1, mode="targeted")
 
-    @property
-    def alpha(self) -> float:
-        if self.mode != "uniform":
-            raise ParameterError("alpha is only defined for uniform allocations")
-        return self.alpha0
-
     def rates(self) -> tuple[float, float]:
         return (self.alpha0, self.alpha1)
 
@@ -145,23 +141,24 @@ class Allocation:
         return x * self.alpha0 + (1.0 - x) * self.alpha1
 
 
+MAX_ITER = 200  # Newton iterations before a truth solve raises SolverError
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of the truth root solver.
 
     A root is accepted once the last step or the sign bracket around it is at
     most ``tol`` wide, or the bracket holds no float strictly inside; after
-    ``max_iter`` iterations without that, the solve raises SolverError.
+    MAX_ITER iterations without that, the solve raises SolverError. The
+    rumor counts as extinct from ``tol`` below the eradication threshold on.
     """
 
     tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise ParameterError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -198,9 +195,9 @@ def _eradication_level(lam, x, ops=_FloatOps):
     return 1.0 - 1.0 / ops.maximum(lam * (1.0 - x), 1.0)
 
 
-def _rumor_level(lam, x, a1, cutoff, ops=_FloatOps):
-    """Rumor closed form max(0, (1 - alpha1)*(1 - x) - 1/lam), and 0 wherever alpha1 >= cutoff."""
-    return ops.where(a1 >= cutoff, 0.0, ops.maximum(0.0, (1.0 - a1) * (1.0 - x) - 1.0 / lam))
+def _rumor_level(lam, x, a1, cutoff, cfg: SolverConfig, ops=_FloatOps):
+    """Rumor closed form max(0, (1 - alpha1)*(1 - x) - 1/lam), and 0 wherever alpha1 >= cutoff - cfg.tol."""
+    return ops.where(a1 >= cutoff - cfg.tol, 0.0, ops.maximum(0.0, (1.0 - a1) * (1.0 - x) - 1.0 / lam))
 
 
 def _no_rumor_truth(lam, x, a1, ops=_FloatOps):
@@ -208,29 +205,18 @@ def _no_rumor_truth(lam, x, a1, ops=_FloatOps):
     return ops.maximum(0.0, x + (1.0 - x) * a1 - 1.0 / lam)
 
 
-def _truth_cubic(r, v, theta1, inspecting, s):
-    """Coefficients (c3, c2, c1, c0) of the truth cubic, divided by (lam/r)^2.
+def _truth_cubic(v, theta1, inspecting, s):
+    """Coefficients (c2, c1, c0) of the monic truth cubic t^3 + c2 t^2 + c1 t + c0, with v = 1/lam.
 
     Clearing the denominators of the truth fixed point gives, with
     inspecting mass I and s = I + x*(1-alpha0), the cubic in t = theta0
 
         lam^2 t^3 + lam(2 + lam*theta1 - lam*s) t^2 + (1 + lam*theta1)(1 - lam*s) t - I*lam*theta1
 
-    with one positive root. r = lam, v = 1 give it as written; r = 1,
-    v = 1/lam make it monic, so lam^2 cannot overflow.
+    with one positive root. Divided by lam^2 it is monic, so lam^2 cannot
+    overflow. A root is only sought where theta1 > 0, which needs lam > 1.
     """
-    return (
-        r * r,
-        r * (2.0 * v + r * theta1 - r * s),
-        (v + r * theta1) * (v - r * s),
-        -inspecting * r * theta1 * v,
-    )
-
-
-def _cubic_scale(lam, ops=_FloatOps):
-    """(r, v) of _truth_cubic: (lam, 1) below lam = 1, where that form is safe, and (1, 1/lam), monic, from there on."""
-    big = lam >= 1.0
-    return ops.where(big, 1.0, lam), ops.where(big, 1.0 / lam, 1.0)
+    return 2.0 * v + theta1 - s, (v + theta1) * (v - s), -inspecting * theta1 * v
 
 
 def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfig, ops=_FloatOps):
@@ -245,25 +231,26 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
     below s = I + x*(1-alpha0), so the cubic's root lies in (0, min(s, cap))
     for a caller-known bound cap. Newton steps start at the upper end and
     keep a sign bracket, bisecting when a step would leave it or the slope
-    is not positive. The cubic is monic where lam >= 1. A solve that does
-    not settle raises SolverError for the first open entry.
+    is not positive. Entries that are settled from the start may carry
+    inf or nan coefficients (1/lam overflows at a subnormal lam); their
+    steps are masked. A solve that does not settle raises SolverError for
+    the first open entry.
     """
     closed = _no_rumor_truth(lam, x, a1, ops)
     settled = (theta1 <= 0.0) | (inspecting <= 0.0)
     if ops.all(settled):
         return closed
     where = ops.where
-    r, v = _cubic_scale(lam, ops)
     s = inspecting + x * (1.0 - a0)
-    c3, c2, c1, c0 = _truth_cubic(r, v, theta1, inspecting, s)
+    c2, c1, c0 = _truth_cubic(1.0 / lam, theta1, inspecting, s)
     hi = ops.minimum(s, cap)
     lo = 0.0 * hi
     t = hi
     done = settled
     tol = cfg.tol
-    for _ in range(cfg.max_iter):
-        f = ((c3 * t + c2) * t + c1) * t + c0
-        df = (3.0 * c3 * t + 2.0 * c2) * t + c1
+    for _ in range(MAX_ITER):
+        f = ((t + c2) * t + c1) * t + c0
+        df = (3.0 * t + 2.0 * c2) * t + c1
         above = f > 0.0
         lo = where(above, lo, t)
         hi = where(above, t, hi)
@@ -282,7 +269,7 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
     i = int(np.argmin(done))  # first entry still open; a float solve has only one
     bracket = (float(np.ravel(lo)[i]), float(np.ravel(hi)[i]))
     raise SolverError(
-        f"truth fixed point did not reach tol={cfg.tol} within {cfg.max_iter} "
+        f"truth fixed point did not reach tol={cfg.tol} within {MAX_ITER} "
         f"iterations; last bracket [{bracket[0]}, {bracket[1]}]",
         bracket=bracket,
     )
@@ -292,33 +279,36 @@ def _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction, ops=_FloatOp
     """dtheta0/du at the truth root theta0 along the policy direction (da0, da1, dI) = d(alpha0, alpha1, I)/du.
 
     Floats, or arrays with ops=numpy. On the endemic branch, implicit
-    differentiation of the truth cubic G(t) (_truth_cubic, same r/v scaling)
+    differentiation of the monic truth cubic G(t) (_truth_cubic, v = 1/lam)
     gives -(G_theta1 dtheta1 + G_s ds + G_I dI) / G_t, with dtheta1 = -(1-x) da1,
-    ds = dI - x da0 and, at r = lam, v = 1: G_theta1 = lam^2 t^2 + lam(1 - lam s) t
-    - I lam, G_s = -lam^2 t^2 - lam(1 + lam theta1) t and G_I = -lam theta1.
-    G_t, the slope of the Newton iteration in _truth_given_rumor, is 0 only at
-    a double root (nobody inspects, x = 1/lam): the slope is then infinite.
+    ds = dI - x da0, G_theta1 = t^2 + (v - s) t - I v, G_s = -t^2 - (v + theta1) t
+    and G_I = -theta1 v. G_t, the slope of the Newton iteration in
+    _truth_given_rumor, is 0 only at a double root (nobody inspects,
+    x = 1/lam): the slope is then infinite. Slopes are only taken below a
+    kink above 0, where lam*(1-x) > 1.
     """
     da0, da1, di = direction
-    r, v = _cubic_scale(lam, ops)
+    v = 1.0 / lam
     s = inspecting + x * (1.0 - a0)
-    c3, c2, c1, _ = _truth_cubic(r, v, theta1, inspecting, s)
+    c2, c1, _ = _truth_cubic(v, theta1, inspecting, s)
     t = theta0
-    g_t = (3.0 * c3 * t + 2.0 * c2) * t + c1
-    g_theta1 = r * ((r * t + v - r * s) * t - inspecting * v)
-    g_s = -r * t * (r * t + v + r * theta1)
-    num = g_theta1 * (1.0 - x) * da1 - g_s * (di - x * da0) + r * theta1 * v * di
+    g_t = (3.0 * t + 2.0 * c2) * t + c1
+    g_theta1 = (t + v - s) * t - inspecting * v
+    g_s = -t * (t + v + theta1)
+    num = g_theta1 * (1.0 - x) * da1 - g_s * (di - x * da0) + theta1 * v * di
     return ops.where(g_t == 0.0, ops.copysign(math.inf, num), num / ops.where(g_t == 0.0, 1.0, g_t))
 
 
 def _steady_truth(lam, x, a0, a1, inspecting, cutoff, cfg: SolverConfig, ops=_FloatOps):
-    """(theta0, theta1) at the steady rumor level, the rumor taken as extinct within cfg.tol of cutoff.
+    """(theta0, theta1) at the steady rumor level, the rumor taken as extinct from cutoff - cfg.tol on.
 
-    cutoff is the eradication threshold. Near it the degenerate fixed point is
-    avoided and the no-rumor closed form is used directly. At the steady
-    rumor level theta0 + theta1 <= 1 - 1/lam, so 1 - theta1 caps the root.
+    cutoff is the eradication threshold (inf keeps the rumor endemic up to
+    alpha1 = 1). In the band [cutoff - cfg.tol, cutoff) the degenerate fixed
+    point is avoided: theta1 is 0 and theta0 the no-rumor closed form. At
+    the steady rumor level theta0 + theta1 <= 1 - 1/lam, so 1 - theta1 caps
+    the root.
     """
-    theta1 = _rumor_level(lam, x, a1, cutoff - cfg.tol, ops)
+    theta1 = _rumor_level(lam, x, a1, cutoff, cfg, ops)
     return _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, 1.0 - theta1, cfg, ops), theta1
 
 
@@ -333,15 +323,12 @@ def _steady_fields(lam, x, a0, a1, inspecting, cfg: SolverConfig, ops=_FloatOps)
     """(theta0, theta1, theta, rho_a, rho_00_na, rho_11_na) at the steady state.
 
     Floats, or with ops=numpy arrays that broadcast as in _truth_given_rumor.
-    theta1 is the rumor closed form at the exact eradication threshold, and
-    the rho fields are the group fractions of the module docstring. They are
-    verified by recomposing theta0 / theta1 from the group fractions;
-    disagreement beyond solver accuracy raises SolverError for the first
-    entry that fails.
+    (theta0, theta1) come from _steady_truth, and the rho fields are the
+    group fractions of the module docstring. They are verified by
+    recomposing theta0 / theta1 from the group fractions; disagreement
+    beyond solver accuracy raises SolverError for the first entry that fails.
     """
-    cutoff = _eradication_level(lam, x, ops)
-    theta1 = _rumor_level(lam, x, a1, cutoff, ops)
-    theta0, _ = _steady_truth(lam, x, a0, a1, inspecting, cutoff, cfg, ops)
+    theta0, theta1 = _steady_truth(lam, x, a0, a1, inspecting, _eradication_level(lam, x, ops), cfg, ops)
     theta = theta0 + theta1
     rho_a = lam * theta / (1.0 + lam * theta)
     rho_00_na = lam * theta0 / (1.0 + lam * theta0)
@@ -368,13 +355,13 @@ def eradication_threshold(p: ModelParams) -> float:
     return _eradication_level(p.lam, p.x)
 
 
-def rumor_steady_state(p: ModelParams, a: Allocation) -> float:
-    """Endemic rumor prevalence; exactly 0 at or above the eradication threshold.
+def rumor_steady_state(p: ModelParams, a: Allocation, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+    """Endemic rumor prevalence; exactly 0 from cfg.tol below the eradication threshold on.
 
     Only the type-1 inspection rate matters: the rumor circulates among
     non-inspecting rumor-biased agents alone.
     """
-    return _rumor_level(p.lam, p.x, a.alpha1, eradication_threshold(p))
+    return _rumor_level(p.lam, p.x, a.alpha1, eradication_threshold(p), cfg)
 
 
 def no_rumor_positivity_readings(p: ModelParams) -> tuple[float, float]:

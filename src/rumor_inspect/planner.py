@@ -117,7 +117,7 @@ def closed_thresholds(p: ModelParams) -> Thresholds:
 def _objective(p: ModelParams, a: Allocation, platform: bool, cfg: SolverConfig) -> float:
     """theta0 at the policy a, or theta0 + theta1 for the platform, from the scalar solver."""
     truth = truth_steady_state(p, a, cfg)
-    return truth + rumor_steady_state(p, a) if platform else truth
+    return truth + rumor_steady_state(p, a, cfg) if platform else truth
 
 
 def _slope_root(slope, a: float, ga: float, b: float, gb: float) -> float:
@@ -223,7 +223,7 @@ def _maximize(p: ModelParams, A: float, segments, points, platform: bool, cfg: S
         objective=vstar,
         budget_spent=spend,
         slack=spend < min(A, 1.0) - SLACK_TOL,
-        rumor_eradicated=rumor_steady_state(p, alloc) == 0.0,
+        rumor_eradicated=rumor_steady_state(p, alloc, cfg) == 0.0,
         notes=notes,
     )
 
@@ -240,17 +240,16 @@ def _uniform_search(A: float):
 # the four planning problems
 # ---------------------------------------------------------------------------
 
-def minimize_rumor(p: ModelParams, budget: float) -> OptResult:
+def minimize_rumor(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
     """Cheapest uniform rate that minimizes rumor prevalence.
 
     Spending beyond the eradication threshold buys nothing, so the optimum is
     min(A, alpha_prime).
     """
     A = _total(budget)
-    alpha_prime = eradication_threshold(p)
-    alpha = min(A, alpha_prime)
+    alpha = min(A, eradication_threshold(p))
     alloc = Allocation.uniform(alpha)
-    theta1 = rumor_steady_state(p, alloc)
+    theta1 = rumor_steady_state(p, alloc, cfg)
     return OptResult(
         allocation=alloc,
         objective=theta1,

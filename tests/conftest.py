@@ -171,11 +171,16 @@ def cubic_coefficients(p, A: float, alpha0: float) -> CubicConstraint:
     times a quadratic whose positive root is the no-rumor closed form.
     """
     from rumor_inspect import Allocation, rumor_steady_state
-    from rumor_inspect.model import _truth_cubic
 
     alpha1 = targeted_alpha1(p, A, alpha0)
     theta1 = rumor_steady_state(p, Allocation.targeted(alpha0, alpha1))
-    return CubicConstraint(*_truth_cubic(p.lam, 1.0, theta1, A, A + p.x * (1.0 - alpha0)))
+    lam, s = p.lam, A + p.x * (1.0 - alpha0)
+    return CubicConstraint(
+        lam * lam,
+        lam * (2.0 + lam * theta1 - lam * s),
+        (1.0 + lam * theta1) * (1.0 - lam * s),
+        -A * lam * theta1,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,19 @@ def test_steady_reference_point(capsys):
     assert rows[0]["theta1"] == pytest.approx(0.06, abs=1e-12)
 
 
+def test_steady_rumor_extinct_just_below_the_threshold(capsys):
+    # alpha' = 0.6 here; from tol below it on the rumor counts as extinct
+    args = ("steady", "--lambda", "5", "--x", "0.5", "--alpha", "0.5999999999995")
+    code, out = run(capsys, *args)
+    assert code == 0
+    row = parse_csv(out)[1][0]
+    assert row["theta1"] == 0.0 and row["theta"] == row["theta0"] and row["eradicated"] is True
+    code, out = run(capsys, *args, "--tol", "1e-13")
+    assert code == 0
+    row = parse_csv(out)[1][0]
+    assert row["theta1"] > 0.0 and row["eradicated"] is False
+
+
 def test_steady_roundtrip_full_precision(capsys):
     code, out = run(capsys, "steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2")
     _, rows = parse_csv(out)
@@ -199,6 +212,17 @@ def test_optimize_rumor_min(capsys):
     _, rows = parse_csv(out)
     assert rows[0]["budget_spent"] == pytest.approx(2 / 7, abs=1e-12)
     assert rows[0]["rumor_eradicated"] is True
+
+
+def test_optimize_rumor_min_takes_tol(capsys):
+    # --tol widens the band below alpha' = 0.6 in which the rumor counts as extinct
+    args = ("optimize", "--objective", "rumor-min", "--lambda", "5", "--x", "0.5", "--A", "0.5996")
+    for extra, eradicated in (((), False), (("--tol", "1e-3"), True)):
+        code, out = run(capsys, *args, *extra)
+        assert code == 0
+        row = parse_csv(out)[1][0]
+        assert row["budget_spent"] == 0.5996 and row["rumor_eradicated"] is eradicated
+        assert (row["objective"] == 0.0) is eradicated
 
 
 def test_optimize_platform_full_budget(capsys):

@@ -44,7 +44,7 @@ def test_rates_vanish_at_analytic_steady_state(ref_params):
 
 
 def test_hand_evaluated_rumor_rate():
-    p = ModelParams.from_rates(nu=1.0, k=1.0, delta=0.5, x=0.3)
+    p = ModelParams(nu=1.0, k=1.0, delta=0.5, x=0.3)
     a = Allocation.uniform(0.2)
     r00a, r00na, r10a, r11na = rate_function(p, a)(0.0, 0.0, 0.0, 0.5)
     # theta1 = 0.7*0.8*0.5 = 0.28; rate = 0.5*0.28 - 0.5*0.5
@@ -186,8 +186,8 @@ def test_rumor_coordinate_monotone_from_below(ref_params):
 
 def test_time_scale_invariance():
     # scaling (nu, delta) together rescales time but not the limit
-    slow = ModelParams.from_rates(nu=1.0, k=1.0, delta=0.5, x=0.3)
-    fast = ModelParams.from_rates(nu=3.0, k=1.0, delta=1.5, x=0.3)
+    slow = ModelParams(nu=1.0, k=1.0, delta=0.5, x=0.3)
+    fast = ModelParams(nu=3.0, k=1.0, delta=1.5, x=0.3)
     a = Allocation.uniform(0.2)
     cfg = IntegratorConfig(dt=0.02, conv_tol=1e-12)
     lim_slow = integrate(seed_state(slow, a), slow, a, cfg).final
@@ -226,10 +226,16 @@ def test_stability_subcritical_limits_are_zero():
         assert max(lim[:4]) < 1e-6
 
 
+def pairwise_gap(limits):
+    """Sup distance over the four coordinates, maximized over every pair of limits."""
+    return max(max(abs(u - v) for u, v in zip(p[:4], q[:4])) for i, p in enumerate(limits) for q in limits[i + 1:])
+
+
 def test_stability_reference_point(ref_params):
     report = verify_global_stability(ref_params, Allocation.uniform(0.2), 8, FAST, seed=3)
     assert report.passed and report.all_converged
     assert report.max_gap < 1e-6
+    assert report.max_gap == pairwise_gap(report.limits)
 
 
 def test_stability_full_inspection(ref_params):
@@ -249,6 +255,7 @@ def test_stability_reports_failure_without_crash(ref_params):
     short = IntegratorConfig(dt=0.05, t_max=0.5)
     report = verify_global_stability(ref_params, Allocation.uniform(0.2), 3, short, seed=5)
     assert not report.passed and not report.all_converged
+    assert report.max_gap == pairwise_gap(report.limits) > 1e-3
 
 
 def test_stability_reruns_deterministic(ref_params):

@@ -19,7 +19,8 @@ from rumor_inspect import (
     rumor_steady_state,
     truth_steady_state,
 )
-from rumor_inspect.model import DEFAULT_SOLVER, _steady_truth, _truth_given_rumor, _truth_slope
+from rumor_inspect import model
+from rumor_inspect.model import DEFAULT_SOLVER, _no_rumor_truth, _steady_truth, _truth_given_rumor, _truth_slope
 
 lams = st.floats(0.2, 8.0)
 xs = st.floats(0.0, 1.0)
@@ -38,7 +39,7 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         ModelParams.from_lambda(2.0, -0.1)
     with pytest.raises(ParameterError):
-        ModelParams.from_rates(1.0, 1.0, 0.0, 0.3)
+        ModelParams(1.0, 1.0, 0.0, 0.3)
     with pytest.raises(ParameterError):
         Allocation.uniform(1.5)
     with pytest.raises(ParameterError):
@@ -47,8 +48,6 @@ def test_params_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ParameterError):
         SolverConfig(tol=math.inf)
-    with pytest.raises(ParameterError):
-        SolverConfig(max_iter=0)
 
 
 @given(lam=st.floats(1e-6, 1e6))
@@ -71,21 +70,19 @@ def test_lambda_round_trips_exactly(lam):
 )
 def test_params_reject_non_finite(nu, k, delta, x):
     with pytest.raises(ParameterError):
-        ModelParams.from_rates(nu, k, delta, x)
+        ModelParams(nu, k, delta, x)
 
 
 def test_lambda_matches_rates():
-    p = ModelParams.from_rates(nu=1.0, k=3.0, delta=0.7, x=0.5)
+    p = ModelParams(nu=1.0, k=3.0, delta=0.7, x=0.5)
     assert p.lam == 1.0 * 3.0 / 0.7
 
 
 def test_allocation_modes():
     u = Allocation.uniform(0.4)
-    assert u.alpha == 0.4 and u.rates() == (0.4, 0.4)
+    assert u.rates() == (0.4, 0.4)
     t = Allocation.targeted(0.1, 0.6)
     assert t.rates() == (0.1, 0.6)
-    with pytest.raises(ParameterError):
-        _ = t.alpha
     assert t.inspecting_mass(0.3) == pytest.approx(0.3 * 0.1 + 0.7 * 0.6, abs=0)
 
 
@@ -107,14 +104,28 @@ def test_eradication_threshold_examples():
 
 
 @given(lam=lams, x=xs, a=rates)
+@example(lam=5.0, x=0.5, a=0.5999999999995)  # tol/2 below the threshold
 def test_rumor_is_zero_at_and_above_threshold(lam, x, a):
     p = ModelParams.from_lambda(lam, x)
     thr = eradication_threshold(p)
     v = rumor_steady_state(p, Allocation.uniform(a))
-    if a >= thr:
+    if a >= thr - DEFAULT_SOLVER.tol:
         assert v == 0.0
     else:
         assert v > 0.0
+
+
+def test_rumor_is_extinct_from_tol_below_the_threshold():
+    # in the band [alpha' - tol, alpha') the truth solve takes the rumor as
+    # extinct, and so does every reported theta1
+    p = ModelParams.from_lambda(5.0, 0.5)
+    a = Allocation.uniform(eradication_threshold(p) - DEFAULT_SOLVER.tol / 2)
+    ss = full_steady_state(p, a)
+    assert ss.theta1 == rumor_steady_state(p, a) == 0.0
+    assert ss.theta == ss.theta0 == truth_steady_state(p, a) == _no_rumor_truth(p.lam, p.x, a.alpha1)
+    # a tighter tolerance narrows the band and leaves the rumor endemic there
+    tight = SolverConfig(tol=1e-13)
+    assert full_steady_state(p, a, tight).theta1 == rumor_steady_state(p, a, tight) > 0.0
 
 
 def test_rumor_linear_below_threshold():
@@ -309,10 +320,10 @@ def test_truth_slope_matches_central_differences(lam, x, A, kind, r):
         assert (slope > 0.0) == marginal_condition_uniform(p, Allocation.uniform(u), full_steady_state(p, Allocation.uniform(u)))
 
 
-def test_solver_error_carries_bracket(ref_params):
-    cfg = SolverConfig(tol=1e-300, max_iter=3)
+def test_solver_error_carries_bracket(monkeypatch, ref_params):
+    monkeypatch.setattr(model, "MAX_ITER", 3)
     with pytest.raises(SolverError) as err:
-        truth_steady_state(ref_params, Allocation.uniform(0.2), cfg)
+        truth_steady_state(ref_params, Allocation.uniform(0.2), SolverConfig(tol=1e-300))
     lo, hi = err.value.bracket
     assert 0.0 <= lo < hi <= 1.0
 

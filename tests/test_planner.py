@@ -1,5 +1,6 @@
 import ast
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from rumor_inspect import (
     truth_steady_state,
 )
 from rumor_inspect import planner
-from rumor_inspect.model import DEFAULT_SOLVER
+from rumor_inspect.model import DEFAULT_SOLVER, _eradication_level, _no_rumor_truth, _steady_truth
 
 
 def binding_alpha1(A, x, a0):
@@ -107,6 +108,22 @@ def test_uniform_budget_above_one_caps(ref_params):
     assert not res.slack  # the whole feasible range [0, 1] is used
     assert res.budget_spent == 1.0
     assert res.objective == pytest.approx(0.5, abs=1e-12)
+
+
+def test_kink_optimum_reports_the_rumor_extinct():
+    # the optimum is the kink alpha' - tol, scored with the rumor extinct, and
+    # reported so
+    p = ModelParams.from_lambda(5.0, 0.5)
+    kink = Allocation.uniform(eradication_threshold(p) - DEFAULT_SOLVER.tol)
+    res = maximize_truth_uniform(p, 0.6)
+    assert res.allocation == kink
+    assert res.objective == 0.5999999999995 and res.rumor_eradicated
+    # the platform curve falls towards the kink, so it never peaks there; the
+    # value the platform planner scores at the kink holds no rumor either
+    assert planner._objective(p, kink, True, DEFAULT_SOLVER) == res.objective
+    for A in (0.25, 0.6, 0.7):
+        res = maximize_platform(p, A)
+        assert res.rumor_eradicated == (rumor_steady_state(p, res.allocation) == 0.0)
 
 
 def test_uniform_objective_recomputes(ref_params):
@@ -456,6 +473,39 @@ def test_cubic_matches_factored_form(ref_params):
             assert gap < 1e-12
             checked += 1
     assert checked > 10
+
+
+@given(
+    lam=st.floats(0.0, 1.0, exclude_min=True),
+    x=st.floats(0.0, 1.0),
+    a0=st.floats(0.0, 1.0),
+    a1=st.floats(0.0, 1.0),
+    A=st.floats(0.0, 1.2),
+)
+@example(lam=5e-324, x=0.3, a0=0.2, a1=0.1, A=0.5)  # 1/lam overflows
+def test_no_truth_cubic_up_to_lam_one(lam, x, a0, a1, A):
+    # the rumor needs lam > 1, so up to lam = 1 every truth solve is the
+    # no-rumor closed form and no planner takes a slope of the cubic
+    p = ModelParams(nu=lam, k=1.0, delta=1.0, x=x)
+    a = Allocation.targeted(a0, a1)
+    closed = _no_rumor_truth(lam, x, a1)
+    assert truth_steady_state(p, a) == full_steady_state(p, a).theta0 == closed
+    # a batch next to an endemic point: the settled entry stays the closed form
+    endemic = (5.0, 0.5, 0.2, 0.2)
+    lams, xs, a0s, a1s = (np.array(pair) for pair in zip((lam, x, a0, a1), endemic))
+    with np.errstate(all="ignore"):
+        batch = _steady_truth(lams, xs, a0s, a1s, xs * a0s + (1.0 - xs) * a1s,
+                              _eradication_level(lams, xs, np), DEFAULT_SOLVER, np)[0]
+    endemic_truth = truth_steady_state(ModelParams.from_lambda(5.0, 0.5), Allocation.targeted(0.2, 0.2))
+    assert batch.tolist() == [closed, endemic_truth]
+
+    def no_slope(*args):
+        raise AssertionError("took a slope of the truth cubic")
+
+    with mock.patch.object(planner, "_truth_slope", no_slope):
+        for maximize in (maximize_truth_uniform, maximize_truth_targeted, maximize_platform):
+            maximize(p, A)
+        compute_thresholds(p)
 
 
 def test_cubic_infeasible_pair_raises(ref_params):

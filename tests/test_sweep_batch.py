@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rumor_inspect import Allocation, ModelParams, SolverConfig, SolverError, cli, full_steady_state
+from rumor_inspect import Allocation, ModelParams, SolverConfig, SolverError, cli, full_steady_state, model
 from rumor_inspect.cli import STEADY_FIELDS, RunConfig, main, sweep_records
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,7 +38,7 @@ def per_point_rows(cfg: RunConfig, solver: SolverConfig) -> list[dict]:
             x = v if cfg.axis == "x" else cfg.x
             a = Allocation.uniform(cfg.alpha) if cfg.alpha is not None else Allocation.targeted(cfg.alpha0, cfg.alpha1)
         if lam is None:
-            p = ModelParams.from_rates(cfg.nu, cfg.k, cfg.delta, x)
+            p = ModelParams(cfg.nu, cfg.k, cfg.delta, x)
         else:
             p = ModelParams.from_lambda(lam, x)
         ss = full_steady_state(p, a, solver)
@@ -194,7 +194,7 @@ SOLVER_SWEEPS = [
 @pytest.mark.parametrize("args", SOLVER_SWEEPS)
 def test_solver_failure_exits_3_like_the_first_failing_point(monkeypatch, capsys, args):
     # two Newton iterations settle no endemic point
-    monkeypatch.setattr(cli, "_solver_config", lambda cfg: SolverConfig(max_iter=2))
+    monkeypatch.setattr(model, "MAX_ITER", 2)
     argv = ["sweep", *args]
     cfg = cli._run_config(cli.build_parser().parse_args(argv))
     with pytest.raises(SolverError) as first:
