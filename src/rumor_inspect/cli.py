@@ -144,10 +144,7 @@ def _run_config(ns: argparse.Namespace) -> RunConfig:
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    try:
-        return SolverConfig(tol=cfg.tol) if cfg.tol is not None else SolverConfig()
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SolverConfig(tol=cfg.tol) if cfg.tol is not None else SolverConfig()
 
 
 def _params(cfg: RunConfig, *, lam_override: float | None = None, x_override: float | None = None) -> ModelParams:
@@ -155,33 +152,26 @@ def _params(cfg: RunConfig, *, lam_override: float | None = None, x_override: fl
     if x is None:
         raise ConfigError("--x is required")
     rates = (cfg.nu, cfg.k, cfg.delta)
-    try:
-        if lam_override is not None:
-            if cfg.lam is not None or any(r is not None for r in rates):
-                raise ConfigError("the swept diffusion rate cannot also be fixed on the command line")
-            return ModelParams.from_lambda(lam_override, x)
-        if cfg.lam is not None:
-            if any(r is not None for r in rates):
-                raise ConfigError("give either --lambda or the full --nu/--k/--delta triple, not both")
-            return ModelParams.from_lambda(cfg.lam, x)
-        if all(r is not None for r in rates):
-            return ModelParams(cfg.nu, cfg.k, cfg.delta, x)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    if lam_override is not None:
+        if cfg.lam is not None or any(r is not None for r in rates):
+            raise ConfigError("the swept diffusion rate cannot also be fixed on the command line")
+        return ModelParams.from_lambda(lam_override, x)
+    if cfg.lam is not None:
+        if any(r is not None for r in rates):
+            raise ConfigError("give either --lambda or the full --nu/--k/--delta triple, not both")
+        return ModelParams.from_lambda(cfg.lam, x)
+    if all(r is not None for r in rates):
+        return ModelParams(cfg.nu, cfg.k, cfg.delta, x)
     raise ConfigError("model parameters missing: give --lambda or all of --nu/--k/--delta")
 
 
 def _allocation(cfg: RunConfig) -> Allocation:
-    targeted = cfg.alpha0 is not None or cfg.alpha1 is not None
-    try:
-        if cfg.alpha is not None:
-            if targeted:
-                raise ConfigError("give either --alpha or --alpha0/--alpha1, not both")
-            return Allocation.uniform(cfg.alpha)
-        if cfg.alpha0 is not None and cfg.alpha1 is not None:
-            return Allocation.targeted(cfg.alpha0, cfg.alpha1)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    if cfg.alpha is not None:
+        if cfg.alpha0 is not None or cfg.alpha1 is not None:
+            raise ConfigError("give either --alpha or --alpha0/--alpha1, not both")
+        return Allocation.uniform(cfg.alpha)
+    if cfg.alpha0 is not None and cfg.alpha1 is not None:
+        return Allocation.targeted(cfg.alpha0, cfg.alpha1)
     raise ConfigError("allocation missing: give --alpha or both --alpha0 and --alpha1")
 
 
@@ -480,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, IntegratorError, FloatingPointError) as exc:
+    except (SolverError, IntegratorError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

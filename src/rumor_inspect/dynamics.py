@@ -22,7 +22,7 @@ accepted step, so its time grid is the integrator's own step sequence; the
 CLI writes one row per accepted step. A step that leaves [0, 1] is rejected
 and retried at half the size. The limit of the iteration is a fixed point
 of the exact dynamics, so steady-state limits do not depend on the first
-step dt. Near criticality the system is stiff: at nu=4.0906, k=3,
+step FIRST_STEP. Near criticality the system is stiff: at nu=4.0906, k=3,
 delta=0.7071, x=0.8834, rates (0.856, 0.506) (rumor reproduction number
 0.99966) the Jacobian's eigenvalues span -11.6 to -2.5e-4, stability holds
 the step near 0.29, and the run stops at the horizon after about 50,000 steps.
@@ -57,24 +57,22 @@ class IntegratorError(RuntimeError):
 class IntegratorConfig:
     """Dormand-Prince 5(4) settings.
 
-    dt is the first step; later steps follow the error control. The run
-    stops once max|dr/dt| < conv_tol, or at t_max (None means 1e4 / delta).
-    The relative and absolute error tolerances are both derived from
-    conv_tol (see integrate), so there is no separate accuracy knob.
+    The run stops once max|dr/dt| < conv_tol, or at the horizon. The
+    relative and absolute error tolerances are both derived from conv_tol
+    (see integrate), so there is no separate accuracy knob.
     """
 
-    dt: float = 0.01
-    t_max: float | None = None
     conv_tol: float = 1e-10
 
     def __post_init__(self):
-        for name, v in (("dt", self.dt), ("t_max", self.t_max), ("conv_tol", self.conv_tol)):
-            if v is not None and not 0.0 < v < math.inf:
-                raise ParameterError(f"{name} must be finite and positive, got {v}")
+        if not 0.0 < self.conv_tol < math.inf:
+            raise ParameterError(f"conv_tol must be finite and positive, got {self.conv_tol}")
 
 
 DEFAULT_INTEGRATOR = IntegratorConfig()
 
+FIRST_STEP = 0.01  # the first step tried; later steps follow the error control
+HORIZON = 1e4  # the run stops at t = HORIZON / delta if it has not converged
 DEFAULT_SEED_LEVEL = 1e-3  # "small initial infection" in every live group
 STABILITY_TOL = 1e-6  # sup distance within which multi-start limits count as one
 
@@ -86,8 +84,12 @@ class Trajectory:
     states: tuple[DynState, ...]
     converged: bool
     max_rate: float  # residual max |dr/dt| at the final state
-    n_steps: int  # accepted steps
     n_rejected: int  # steps retried for error or for leaving [0, 1]
+
+    @property
+    def n_steps(self) -> int:
+        """Accepted steps."""
+        return len(self.states) - 1
 
     @property
     def final(self) -> DynState:
@@ -106,7 +108,6 @@ class StabilityReport:
     all_converged: bool
     max_gap: float
     limits: tuple[DynState, ...]
-    tol: float
 
 
 def rate_function(p: ModelParams, a: Allocation):
@@ -160,10 +161,11 @@ def integrate(
     a: Allocation,
     cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
 ) -> Trajectory:
-    """Run the dynamics from s0 until the rates vanish or the horizon is hit.
+    """Run the dynamics from s0 until the rates vanish or t reaches HORIZON / delta.
 
-    Every accepted step is stored. Coordinates of empty groups are forced to
-    zero at the start and never move.
+    The first step tried is FIRST_STEP. Every accepted step is stored.
+    Coordinates of empty groups are forced to zero at the start and never
+    move.
 
     Error control uses rtol = atol = conv_tol / (4 * (2*k*nu + delta)). By
     Gershgorin, 2*k*nu + delta bounds the row sums of the Jacobian, so it
@@ -184,11 +186,11 @@ def integrate(
     r = tuple(v if m > 0.0 else 0.0 for v, m in zip(s0[:4], group_masses(p, a)))
     tol = 0.25 * cfg.conv_tol / (2.0 * p.k * p.nu + p.delta)
     conv_tol = cfg.conv_tol
-    t_max = cfg.t_max if cfg.t_max is not None else 1e4 / p.delta
+    t_max = HORIZON / p.delta
     lo, hi = -_DOMAIN_SLACK, 1.0 + _DOMAIN_SLACK
-    h = cfg.dt
+    h = FIRST_STEP
     t = 0.0
-    n_steps = n_rejected = 0
+    n_rejected = 0
     states = [DynState(*r, t)]
     k1 = rhs(*r)
 
@@ -233,10 +235,9 @@ def integrate(
             n_rejected += 1
             continue
         r, k1, t = new, k7, t_next
-        n_steps += 1
         states.append(DynState(*r, t))
 
-    return Trajectory(tuple(states), converged, max_rate, n_steps, n_rejected)
+    return Trajectory(tuple(states), converged, max_rate, n_rejected)
 
 
 def check_stability_args(n_starts: int, seed: int) -> None:
@@ -262,11 +263,9 @@ def verify_global_stability(
     """
     check_stability_args(n_starts, seed)
     rng = np.random.default_rng(seed)
-    masses = group_masses(p, a)
     starts = [seed_state(p, a)]
-    for _ in range(n_starts):
-        draw = rng.uniform(0.01, 0.99, size=4)
-        starts.append(DynState(*(float(v) if m > 0.0 else 0.0 for v, m in zip(draw, masses)), t=0.0))
+    for _ in range(n_starts):  # integrate zeroes the coordinates of empty groups
+        starts.append(DynState(*rng.uniform(0.01, 0.99, size=4).tolist()))
 
     trajectories = [integrate(s0, p, a, cfg) for s0 in starts]
     limits = [traj.final for traj in trajectories]
@@ -279,5 +278,4 @@ def verify_global_stability(
         all_converged=all_converged,
         max_gap=max_gap,
         limits=tuple(limits),
-        tol=STABILITY_TOL,
     )

@@ -183,7 +183,6 @@ class _FloatOps:
     maximum = max
     minimum = min
     all = bool
-    copysign = math.copysign
 
     @staticmethod
     def where(cond, a, b):
@@ -275,12 +274,12 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
     )
 
 
-def _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction, ops=_FloatOps):
+def _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction):
     """dtheta0/du at the truth root theta0 along the policy direction (da0, da1, dI) = d(alpha0, alpha1, I)/du.
 
-    Floats, or arrays with ops=numpy. On the endemic branch, implicit
-    differentiation of the monic truth cubic G(t) (_truth_cubic, v = 1/lam)
-    gives -(G_theta1 dtheta1 + G_s ds + G_I dI) / G_t, with dtheta1 = -(1-x) da1,
+    On the endemic branch, implicit differentiation of the monic truth cubic
+    G(t) (_truth_cubic, v = 1/lam) gives
+    -(G_theta1 dtheta1 + G_s ds + G_I dI) / G_t, with dtheta1 = -(1-x) da1,
     ds = dI - x da0, G_theta1 = t^2 + (v - s) t - I v, G_s = -t^2 - (v + theta1) t
     and G_I = -theta1 v. G_t, the slope of the Newton iteration in
     _truth_given_rumor, is 0 only at a double root (nobody inspects,
@@ -296,7 +295,9 @@ def _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction, ops=_FloatOp
     g_theta1 = (t + v - s) * t - inspecting * v
     g_s = -t * (t + v + theta1)
     num = g_theta1 * (1.0 - x) * da1 - g_s * (di - x * da0) + theta1 * v * di
-    return ops.where(g_t == 0.0, ops.copysign(math.inf, num), num / ops.where(g_t == 0.0, 1.0, g_t))
+    if g_t == 0.0:
+        return math.copysign(math.inf, num)
+    return num / g_t
 
 
 def _steady_truth(lam, x, a0, a1, inspecting, cutoff, cfg: SolverConfig, ops=_FloatOps):
@@ -364,22 +365,21 @@ def rumor_steady_state(p: ModelParams, a: Allocation, cfg: SolverConfig = DEFAUL
     return _rumor_level(p.lam, p.x, a.alpha1, eradication_threshold(p), cfg)
 
 
-def no_rumor_positivity_readings(p: ModelParams) -> tuple[float, float]:
+def no_rumor_positivity_readings(p: ModelParams) -> tuple[float | None, float | None]:
     """Two algebraic readings of the alpha threshold for positive no-rumor truth.
 
     The grouping of the published condition is ambiguous; the first reading,
     (1/lam - x)/(1-x), is the one consistent with the no-rumor closed form
     (it is exactly where x + (1-x)*alpha - 1/lam changes sign) and is the
     operative one. The second, 1/((1-x)*(1/lam - x)), is reported purely as
-    a diagnostic. Both are nan at x = 1; the alternative is +/-inf when
-    1/lam == x.
+    a diagnostic. A reading that is undefined or not finite is None: both
+    at x = 1, the alternative when 1/lam == x.
     """
     if p.x >= 1.0:
-        return (math.nan, math.nan)
+        return (None, None)
     g = 1.0 / p.lam - p.x
-    reading = g / (1.0 - p.x)
-    alt = math.inf if g == 0.0 else 1.0 / ((1.0 - p.x) * g)
-    return (reading, alt)
+    alt = 1.0 / ((1.0 - p.x) * g) if g != 0.0 else math.inf
+    return tuple(v if math.isfinite(v) else None for v in (g / (1.0 - p.x), alt))
 
 
 def truth_steady_state(p: ModelParams, a: Allocation, cfg: SolverConfig = DEFAULT_SOLVER) -> float:

@@ -90,7 +90,6 @@ class OptResult:
     budget_spent: float
     slack: bool
     rumor_eradicated: bool
-    notes: tuple[str, ...] = ()
 
 
 def closed_thresholds(p: ModelParams) -> Thresholds:
@@ -202,7 +201,7 @@ def _pick(scored, x: float):
     return min(near, key=lambda av: av[0].alpha0), top
 
 
-def _maximize(p: ModelParams, A: float, segments, points, platform: bool, cfg: SolverConfig, notes=()) -> OptResult:
+def _maximize(p: ModelParams, A: float, segments, points, platform: bool, cfg: SolverConfig) -> OptResult:
     """Shared search of the three maximizers.
 
     The objective is theta0, or theta0 + theta1 for the platform. Each
@@ -224,7 +223,6 @@ def _maximize(p: ModelParams, A: float, segments, points, platform: bool, cfg: S
         budget_spent=spend,
         slack=spend < min(A, 1.0) - SLACK_TOL,
         rumor_eradicated=rumor_steady_state(p, alloc, cfg) == 0.0,
-        notes=notes,
     )
 
 
@@ -243,11 +241,12 @@ def _uniform_search(A: float):
 def minimize_rumor(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
     """Cheapest uniform rate that minimizes rumor prevalence.
 
-    Spending beyond the eradication threshold buys nothing, so the optimum is
-    min(A, alpha_prime).
+    The rumor counts as extinct from alpha' - cfg.tol on (alpha' the
+    eradication threshold), so spending beyond that buys nothing and the
+    optimum is min(A, max(0, alpha' - cfg.tol)).
     """
     A = _total(budget)
-    alpha = min(A, eradication_threshold(p))
+    alpha = min(A, max(0.0, eradication_threshold(p) - cfg.tol))
     alloc = Allocation.uniform(alpha)
     theta1 = rumor_steady_state(p, alloc, cfg)
     return OptResult(
@@ -314,7 +313,6 @@ def maximize_truth_targeted(
     """
     A = _total(budget)
     x = p.x
-    beyond_x = "budget exceeds the type-0 mass; full spend is no longer guaranteed to be optimal"
     points = [Allocation.targeted(0.0, 0.0)]
     segments = []
     if A > 0.0 and x <= 0.0:
@@ -329,7 +327,7 @@ def maximize_truth_targeted(
             segments.append((0.0, min(1.0, lo), lambda a1: Allocation.targeted(1.0, a1), (0.0, 1.0, 1.0 - x)))
         if A >= 1.0 - x:
             points.append(Allocation.targeted(0.0, 1.0))
-    return _maximize(p, A, segments, points, False, cfg, (beyond_x,) if A > x else ())
+    return _maximize(p, A, segments, points, False, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 from conftest import cubic_coefficients, diversification_budget_range, oracle_region_max
 from rumor_inspect import (
     Allocation,
-    IntegratorConfig,
     ModelParams,
     closed_thresholds,
     compute_thresholds,
@@ -33,8 +32,6 @@ from rumor_inspect.model import DEFAULT_SOLVER
 LAM_GRID = (0.5, 1.0, 2.0, 3.0, 5.0)
 X_GRID = (0.0, 0.3, 0.5, 0.7, 1.0)
 ALPHA_GRID = (0.0, 0.2, 0.5, 2.0 / 7.0, 1.0)
-
-ODE_CFG = IntegratorConfig(dt=0.05)  # steady limits are dt-independent
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -80,7 +77,7 @@ def test_c2_fixed_point_vs_ode():
                 if ss.theta <= 0.0:
                     continue
                 endemic += 1
-                rep = verify_global_stability(p, a, 8, ODE_CFG, seed=2024)
+                rep = verify_global_stability(p, a, 8, seed=2024)
                 all_ok = all_ok and rep.passed
                 worst_gap = max(worst_gap, rep.max_gap)
                 th0, th1 = prevalences(rep.limits[0], p, a)

@@ -216,12 +216,13 @@ def test_optimize_rumor_min(capsys):
 
 def test_optimize_rumor_min_takes_tol(capsys):
     # --tol widens the band below alpha' = 0.6 in which the rumor counts as extinct
+    # and so lowers the rate that buys extinction to 0.6 - tol
     args = ("optimize", "--objective", "rumor-min", "--lambda", "5", "--x", "0.5", "--A", "0.5996")
-    for extra, eradicated in (((), False), (("--tol", "1e-3"), True)):
+    for extra, spent, eradicated in (((), 0.5996, False), (("--tol", "1e-3"), 0.6 - 1e-3, True)):
         code, out = run(capsys, *args, *extra)
         assert code == 0
         row = parse_csv(out)[1][0]
-        assert row["budget_spent"] == 0.5996 and row["rumor_eradicated"] is eradicated
+        assert row["budget_spent"] == spent and row["rumor_eradicated"] is eradicated
         assert (row["objective"] == 0.0) is eradicated
 
 
@@ -255,6 +256,23 @@ def test_thresholds_command(capsys):
     assert row["interval_hi"] == pytest.approx(2.5, abs=1e-12)
     assert row["positivity_alpha"] == pytest.approx((0.5 - 0.3) / 0.7, abs=1e-12)
     assert row["positivity_alpha_alt"] is not None
+
+
+@pytest.mark.parametrize("x,empty", [("1", ["positivity_alpha", "positivity_alpha_alt"]),
+                                     ("0.25", ["positivity_alpha_alt"])])
+def test_thresholds_print_undefined_readings_as_empty_or_null(capsys, x, empty):
+    # at x = 1 neither reading is defined; at x = 1/lam the alternative divides by zero
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    code, out = run(capsys, "thresholds", "--lambda", "4", "--x", x)
+    assert code == 0
+    row = parse_csv(out)[1][0]
+    assert [k for k in ("positivity_alpha", "positivity_alpha_alt") if row[k] is None] == empty
+    code, out = run(capsys, "thresholds", "--lambda", "4", "--x", x, "--format", "json")
+    assert code == 0
+    row = json.loads(out, parse_constant=no_constant)["rows"][0]
+    assert [k for k in ("positivity_alpha", "positivity_alpha_alt") if row[k] is None] == empty
 
 
 # ---------------------------------------------------------------------------
@@ -339,34 +357,56 @@ def test_config_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "rates",
+    "rates,message",
     [
-        ["--lambda", "inf"],
-        ["--nu", "1e308", "--k", "1e308", "--delta", "1e-308"],  # lam overflows
+        (["--lambda", "inf"], "nu, k, delta must be finite and strictly positive, got (inf, 1.0, 0.5)"),
+        (["--nu", "1e308", "--k", "1e308", "--delta", "1e-308"],  # lam overflows
+         "lam = nu * k / delta must be finite and strictly positive, got inf"),
     ],
+    ids=["lambda", "overflow"],
 )
-def test_non_finite_model_inputs_exit_2(capsys, rates):
+def test_non_finite_model_inputs_exit_2(capsys, rates, message):
     code = main(["steady", *rates, "--x", "0.3", "--alpha", "0.2"])
     out, err = capsys.readouterr()
     assert code == 2
-    assert out == "" and "error:" in err
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,name",
     [
-        ["steady", "--alpha", "0.2"],
-        ["dynamics", "--alpha", "0.2"],
-        ["optimize", "--objective", "truth", "--A", "0.2"],
-        ["thresholds"],
+        (["steady", "--alpha", "0.2"], "tol"),
+        (["dynamics", "--alpha", "0.2"], "conv_tol"),
+        (["optimize", "--objective", "truth", "--A", "0.2"], "tol"),
+        (["thresholds"], "tol"),
     ],
     ids=["steady", "dynamics", "optimize", "thresholds"],
 )
-def test_infinite_tol_exit_2(capsys, args):
+def test_infinite_tol_exit_2(capsys, args, name):
     code = main([*args, "--lambda", "2", "--x", "0.3", "--tol", "inf"])
     out, err = capsys.readouterr()
     assert code == 2
-    assert out == "" and "error:" in err
+    assert out == "" and err == f"error: {name} must be finite and positive, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["steady", "--nu", "1", "--k", "1", "--delta", "0", "--x", "0.3", "--alpha", "0.2"],
+         "nu, k, delta must be finite and strictly positive, got (1.0, 1.0, 0.0)"),
+        (["steady", "--lambda", "2", "--x", "0.3", "--alpha", "2"], "alpha0 must lie in [0, 1], got 2.0"),
+        (["steady", "--lambda", "2", "--x", "0.3", "--alpha0", "0.1", "--alpha1", "-1"],
+         "alpha1 must lie in [0, 1], got -1.0"),
+        (["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "0.2", "--tol", "0"],
+         "tol must be finite and positive, got 0.0"),
+    ],
+    ids=["rates", "alpha", "alpha1", "tol"],
+)
+def test_parameter_errors_exit_2_with_their_message(capsys, args, message):
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_targeted_at_x_zero_matches_uniform(capsys):

@@ -9,6 +9,7 @@ from rumor_inspect import (
     IntegratorConfig,
     ModelParams,
     ParameterError,
+    dynamics,
     full_steady_state,
     group_masses,
     integrate,
@@ -17,8 +18,6 @@ from rumor_inspect import (
     verify_global_stability,
 )
 from rumor_inspect.dynamics import rate_function
-
-FAST = IntegratorConfig(dt=0.05)
 
 
 def analytic_state(p, a):
@@ -61,7 +60,7 @@ def test_empty_groups_are_pinned():
     r00a, r00na, r10a, r11na = rate_function(p, a)(0.2, 0.7, 0.2, 0.7)
     assert r00na == 0.0 and r11na == 0.0
     assert r00a != 0.0
-    traj = integrate(DynState(0.2, 0.7, 0.2, 0.7), p, a, FAST)
+    traj = integrate(DynState(0.2, 0.7, 0.2, 0.7), p, a)
     assert all(s.r00na == 0.0 and s.r11na == 0.0 for s in traj.states)
 
 
@@ -82,12 +81,14 @@ DP_A = (
 DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 
 
-def test_integrate_single_step_composes_derivatives(ref_params):
+def test_integrate_single_step_composes_derivatives(monkeypatch, ref_params):
     # one accepted step must equal the Dormand-Prince tableau assembled from
     # the shared right-hand side, at the step size the error control chose
+    monkeypatch.setattr(dynamics, "FIRST_STEP", 0.05)
+    monkeypatch.setattr(dynamics, "HORIZON", 0.05 * ref_params.delta)  # stop at t = 0.05
     a = Allocation.uniform(0.2)
     s0 = DynState(0.3, 0.1, 0.25, 0.4)
-    traj = integrate(s0, ref_params, a, IntegratorConfig(dt=0.05, t_max=0.05))
+    traj = integrate(s0, ref_params, a)
     rates = rate_function(ref_params, a)
     h = traj.states[1].t
     assert 0.0 < h <= 0.05
@@ -107,20 +108,20 @@ def test_integrate_single_step_composes_derivatives(ref_params):
 
 def test_analytic_steady_state_converges_immediately(ref_params):
     a = Allocation.uniform(0.2)
-    traj = integrate(analytic_state(ref_params, a), ref_params, a, FAST)
+    traj = integrate(analytic_state(ref_params, a), ref_params, a)
     assert traj.converged and traj.n_steps <= 1
 
 
 def test_zero_seed_stays_zero(ref_params):
     a = Allocation.uniform(0.2)
-    traj = integrate(DynState(0.0, 0.0, 0.0, 0.0), ref_params, a, FAST)
+    traj = integrate(DynState(0.0, 0.0, 0.0, 0.0), ref_params, a)
     assert traj.converged and traj.n_steps == 0
     assert traj.final[:4] == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_small_seed_reaches_fixed_point(ref_params):
     a = Allocation.uniform(0.2)
-    traj = integrate(seed_state(ref_params, a), ref_params, a, FAST)
+    traj = integrate(seed_state(ref_params, a), ref_params, a)
     assert traj.converged
     th0, th1 = prevalences(traj.final, ref_params, a)
     assert th0 == pytest.approx(THETA0_REF, abs=1e-6)
@@ -129,7 +130,7 @@ def test_small_seed_reaches_fixed_point(ref_params):
 
 def test_large_seed_reaches_same_fixed_point(ref_params):
     a = Allocation.uniform(0.2)
-    traj = integrate(DynState(0.9, 0.9, 0.9, 0.9), ref_params, a, FAST)
+    traj = integrate(DynState(0.9, 0.9, 0.9, 0.9), ref_params, a)
     th0, th1 = prevalences(traj.final, ref_params, a)
     assert traj.converged
     assert th0 == pytest.approx(THETA0_REF, abs=1e-6)
@@ -138,16 +139,17 @@ def test_large_seed_reaches_same_fixed_point(ref_params):
 
 def test_trajectory_stays_in_unit_box(ref_params):
     a = Allocation.uniform(0.2)
-    traj = integrate(DynState(0.99, 0.99, 0.99, 0.99), ref_params, a, FAST)
+    traj = integrate(DynState(0.99, 0.99, 0.99, 0.99), ref_params, a)
     for s in traj.states:
         for c in s[:4]:
             assert -1e-12 <= c <= 1.0 + 1e-12
 
 
-def test_oversized_step_is_halved_not_fatal():
+def test_oversized_step_is_halved_not_fatal(monkeypatch):
+    monkeypatch.setattr(dynamics, "FIRST_STEP", 40.0)
     p = ModelParams.from_lambda(5.0, 0.3)
     a = Allocation.uniform(0.2)
-    traj = integrate(DynState(0.999, 0.999, 0.999, 0.999), p, a, IntegratorConfig(dt=40.0))
+    traj = integrate(DynState(0.999, 0.999, 0.999, 0.999), p, a)
     # the first step of 40 is rejected and retried smaller, not fatal
     assert traj.n_rejected >= 1 and traj.states[1].t < 40.0
     assert traj.converged
@@ -168,17 +170,19 @@ def test_converges_where_a_fixed_tolerance_stalls(lam, x, alpha):
         assert got == pytest.approx(want, abs=1e-6)
 
 
-def test_horizon_flag_when_not_converged(ref_params):
+def test_horizon_flag_when_not_converged(monkeypatch, ref_params):
+    monkeypatch.setattr(dynamics, "HORIZON", 1.0 * ref_params.delta)  # stop at t = 1
     a = Allocation.uniform(0.2)
-    traj = integrate(seed_state(ref_params, a), ref_params, a, IntegratorConfig(dt=0.05, t_max=1.0))
+    traj = integrate(seed_state(ref_params, a), ref_params, a)
     assert not traj.converged and traj.status == "horizon"
+    assert traj.final.t == 1.0
 
 
 def test_rumor_coordinate_monotone_from_below(ref_params):
     a = Allocation.uniform(0.2)
     base = analytic_state(ref_params, a)
     start = DynState(base.r00a, base.r00na, base.r10a, 0.5 * base.r11na, t=0.0)
-    traj = integrate(start, ref_params, a, FAST)
+    traj = integrate(start, ref_params, a)
     rumor_path = [s.r11na for s in traj.states]
     assert all(b >= a_ - 1e-12 for a_, b in zip(rumor_path, rumor_path[1:]))
     assert traj.converged
@@ -189,7 +193,7 @@ def test_time_scale_invariance():
     slow = ModelParams(nu=1.0, k=1.0, delta=0.5, x=0.3)
     fast = ModelParams(nu=3.0, k=1.0, delta=1.5, x=0.3)
     a = Allocation.uniform(0.2)
-    cfg = IntegratorConfig(dt=0.02, conv_tol=1e-12)
+    cfg = IntegratorConfig(conv_tol=1e-12)
     lim_slow = integrate(seed_state(slow, a), slow, a, cfg).final
     lim_fast = integrate(seed_state(fast, a), fast, a, cfg).final
     for u, v in zip(lim_slow[:4], lim_fast[:4]):
@@ -204,7 +208,7 @@ def test_time_scale_invariance():
 def test_limit_matches_analytic_componentwise(lam, x, alpha):
     p = ModelParams.from_lambda(lam, x)
     a = Allocation.uniform(alpha)
-    traj = integrate(seed_state(p, a), p, a, FAST)
+    traj = integrate(seed_state(p, a), p, a)
     assert traj.converged
     target = analytic_state(p, a)
     for got, want, m in zip(traj.final[:4], target[:4], group_masses(p, a)):
@@ -220,7 +224,7 @@ def test_limit_matches_analytic_componentwise(lam, x, alpha):
 
 def test_stability_subcritical_limits_are_zero():
     p = ModelParams.from_lambda(0.5, 0.3)
-    report = verify_global_stability(p, Allocation.uniform(0.5), 4, FAST, seed=7)
+    report = verify_global_stability(p, Allocation.uniform(0.5), 4, seed=7)
     assert report.passed
     for lim in report.limits:
         assert max(lim[:4]) < 1e-6
@@ -232,15 +236,18 @@ def pairwise_gap(limits):
 
 
 def test_stability_reference_point(ref_params):
-    report = verify_global_stability(ref_params, Allocation.uniform(0.2), 8, FAST, seed=3)
+    report = verify_global_stability(ref_params, Allocation.uniform(0.2), 8, seed=3)
     assert report.passed and report.all_converged
     assert report.max_gap < 1e-6
     assert report.max_gap == pairwise_gap(report.limits)
 
 
 def test_stability_full_inspection(ref_params):
-    report = verify_global_stability(ref_params, Allocation.uniform(1.0), 8, FAST, seed=3)
+    report = verify_global_stability(ref_params, Allocation.uniform(1.0), 8, seed=3)
     assert report.passed
+    # the non-inspecting groups are empty: integrate zeroes the random starts there
+    assert all(lim.r00na == 0.0 and lim.r11na == 0.0 for lim in report.limits)
+    assert all(type(c) is float for lim in report.limits for c in lim)
     th0, th1 = prevalences(report.limits[0], ref_params, Allocation.uniform(1.0))
     assert th0 == pytest.approx(0.5, abs=1e-6)
     assert th1 == 0.0
@@ -251,24 +258,22 @@ def test_stability_requires_two_starts(ref_params):
         verify_global_stability(ref_params, Allocation.uniform(0.2), 1)
 
 
-def test_stability_reports_failure_without_crash(ref_params):
-    short = IntegratorConfig(dt=0.05, t_max=0.5)
-    report = verify_global_stability(ref_params, Allocation.uniform(0.2), 3, short, seed=5)
+def test_stability_reports_failure_without_crash(monkeypatch, ref_params):
+    monkeypatch.setattr(dynamics, "HORIZON", 0.5 * ref_params.delta)  # stop at t = 0.5
+    report = verify_global_stability(ref_params, Allocation.uniform(0.2), 3, seed=5)
     assert not report.passed and not report.all_converged
     assert report.max_gap == pairwise_gap(report.limits) > 1e-3
 
 
 def test_stability_reruns_deterministic(ref_params):
     a = Allocation.uniform(0.2)
-    first = verify_global_stability(ref_params, a, 4, FAST, seed=11)
-    second = verify_global_stability(ref_params, a, 4, FAST, seed=11)
+    first = verify_global_stability(ref_params, a, 4, seed=11)
+    second = verify_global_stability(ref_params, a, 4, seed=11)
     assert first.limits == second.limits
     assert first.max_gap == second.max_gap
 
 
-@pytest.mark.parametrize(
-    "fields", [{"dt": math.inf}, {"dt": math.nan}, {"t_max": math.inf}, {"conv_tol": math.inf}]
-)
-def test_integrator_config_rejects_non_finite(fields):
+@pytest.mark.parametrize("conv_tol", [math.inf, math.nan, 0.0, -1e-10])
+def test_integrator_config_rejects_non_finite(conv_tol):
     with pytest.raises(ParameterError):
-        IntegratorConfig(**fields)
+        IntegratorConfig(conv_tol=conv_tol)

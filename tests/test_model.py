@@ -449,9 +449,12 @@ def test_positivity_readings_operative_matches_closed_form():
             lo = x + (1 - x) * (reading - eps) - 1 / lam
             hi = x + (1 - x) * (reading + eps) - 1 / lam
             assert lo < 0.0 < hi
-        assert alt != reading or math.isnan(alt)
+        assert alt is not None and alt != reading
 
 
 def test_positivity_readings_undefined_at_x1():
-    reading, alt = no_rumor_positivity_readings(ModelParams.from_lambda(2.0, 1.0))
-    assert math.isnan(reading) and math.isnan(alt)
+    assert no_rumor_positivity_readings(ModelParams.from_lambda(2.0, 1.0)) == (None, None)
+
+
+def test_positivity_alternative_undefined_where_x_is_one_over_lam():
+    assert no_rumor_positivity_readings(ModelParams.from_lambda(4.0, 0.25)) == (0.0, None)

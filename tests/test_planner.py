@@ -63,6 +63,21 @@ def test_minimize_rumor_small_budget(ref_params):
     assert not res.slack and not res.rumor_eradicated
 
 
+def test_minimize_rumor_spends_only_what_extinction_needs():
+    # the rumor counts as extinct from alpha' - tol on, so a budget of alpha' = 0.6 is not all spent
+    res = minimize_rumor(ModelParams.from_lambda(5.0, 0.5), 0.6)
+    assert res.budget_spent == res.allocation.alpha0 == 0.6 - 1e-12
+    assert res.objective == 0.0 and res.rumor_eradicated and not res.slack
+
+
+def test_minimize_rumor_spends_nothing_when_threshold_is_below_tol():
+    p = ModelParams.from_lambda(1.0 + 1e-13, 0.0)
+    assert 0.0 < eradication_threshold(p) < DEFAULT_SOLVER.tol
+    res = minimize_rumor(p, 0.6)
+    assert res.budget_spent == res.allocation.alpha0 == 0.0
+    assert res.objective == 0.0 and res.rumor_eradicated and res.slack
+
+
 def test_minimize_rumor_subcritical():
     res = minimize_rumor(ModelParams.from_lambda(1.0, 0.3), 0.4)
     assert res.allocation.alpha0 == 0.0
@@ -557,9 +572,10 @@ def test_targeted_heavy_budget_keeps_rumor(ref_params):
 
 
 def test_targeted_budget_above_group_mass_flagged(ref_params):
+    # above the type-0 mass full spend is no longer guaranteed; slack flags a departure from it
     res = maximize_truth_targeted(ref_params, 0.5)
-    assert res.notes  # departure from the full-spend regime is flagged
     assert res.budget_spent <= 0.5 + 1e-12
+    assert res.slack == (res.budget_spent < 0.5 - planner.SLACK_TOL)
 
 
 def test_targeted_searches_full_type0_edge_above_group_mass():
@@ -570,6 +586,7 @@ def test_targeted_searches_full_type0_edge_above_group_mass():
     assert res.allocation.alpha0 == 1.0
     assert res.allocation.alpha1 == pytest.approx(0.0600, abs=5e-4)
     assert res.objective == pytest.approx(0.086994, abs=1e-6)
+    assert res.slack and res.budget_spent < A - planner.SLACK_TOL
     edge_hi = (A - x) / (1 - x)
     for a1 in np.linspace(0.0, edge_hi, 201):
         assert res.objective >= oracle_truth(lam, x, 1.0, a1) - 1e-9
