@@ -19,8 +19,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .dynamics import (
     DEFAULT_SEED_LEVEL,
@@ -216,6 +214,8 @@ def optimize_record(p: ModelParams, objective: str, A: float, solver: SolverConf
 
 def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list[list]]:
     """The header and the columns of a sweep: the swept values, then one column per field."""
+    import numpy as np  # sweeps alone need numpy, so the other commands start without it
+
     axis = cfg.axis
     lo, hi = cfg.start, cfg.stop
     if axis in ("alpha", "x", "A"):
@@ -234,7 +234,12 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         raise ConfigError(f"{axis} sweep range must stay inside [0, 1], got [{lo}, {hi}]")
     if axis in ("lambda", "A") and lo < 0.0:
         raise ConfigError(f"{axis} sweep range must be nonnegative, got start {lo}")
-    grid = np.linspace(lo, hi, cfg.steps)
+    try:
+        grid = np.linspace(lo, hi, cfg.steps)
+    except (ValueError, MemoryError, IndexError) as exc:
+        # numpy refuses a count past its size limit (ValueError) or one it cannot
+        # allocate (MemoryError); near 2**63 its arange comes out empty (IndexError)
+        raise ConfigError(f"cannot build a sweep grid of {cfg.steps} steps: {exc}") from exc
     values = grid.tolist()
 
     if axis == "alpha":
@@ -271,15 +276,18 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
     return (header, [values, *columns])
 
 
-def _steady_columns(axis: str, grid: np.ndarray, point, solver: SolverConfig) -> list[list]:
+def _steady_columns(axis: str, grid, point, solver: SolverConfig) -> list[list]:
     """The STEADY_FIELDS columns of a sweep along alpha, lambda or x, solved as one batch.
 
+    grid is the numpy array of the swept values.
     point(v) builds the ModelParams and Allocation of the sweep point v and
     checks their domains. It runs at the two ends only: along each axis the
     domain checks are monotone in the swept value, so ends that pass mean
     every point passes. The columns hold plain floats and bools, equal to
     steady_record at each point.
     """
+    import numpy as np
+
     p, a = point(grid[0].item())
     point(grid[-1].item())
     lam, x, a0, a1 = p.lam, p.x, a.alpha0, a.alpha1

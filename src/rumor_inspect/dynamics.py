@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .model import Allocation, ModelParams, ParameterError, group_masses
 
 
@@ -262,6 +260,8 @@ def verify_global_stability(
     trajectory yields a failing report, not an exception.
     """
     check_stability_args(n_starts, seed)
+    import numpy as np  # for the random starts alone; integrate needs no numpy
+
     rng = np.random.default_rng(seed)
     starts = [seed_state(p, a)]
     for _ in range(n_starts):  # integrate zeroes the coordinates of empty groups

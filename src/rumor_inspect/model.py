@@ -51,8 +51,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 
 class ParameterError(ValueError):
     """A model parameter, rate, or state left its admissible domain."""
@@ -265,6 +263,8 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
         done = done | stop
         if ops.all(done):
             return where(settled, closed, t)
+    import numpy as np  # reporting only; a float solve computes without numpy
+
     i = int(np.argmin(done))  # first entry still open; a float solve has only one
     bracket = (float(np.ravel(lo)[i]), float(np.ravel(hi)[i]))
     raise SolverError(
@@ -338,6 +338,8 @@ def _steady_fields(lam, x, a0, a1, inspecting, cfg: SolverConfig, ops=_FloatOps)
     budget = max(1e-9, 100.0 * cfg.tol)
     ok = ops.maximum(abs(r0 - theta0), abs(r1 - theta1)) <= budget
     if not ops.all(ok):
+        import numpy as np  # reporting only; a float solve computes without numpy
+
         i = int(np.argmin(ok))
         r0, theta0, r1, theta1 = (float(np.ravel(v)[i]) for v in (r0, theta0, r1, theta1))
         raise SolverError(

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import THETA0_REF, oracle_truth
 from rumor_inspect import Allocation, ModelParams, cli, truth_steady_state
-from rumor_inspect.cli import main
+from rumor_inspect.cli import OBJECTIVES, main
 
 
 def run(capsys, *args):
@@ -409,6 +413,16 @@ def test_parameter_errors_exit_2_with_their_message(capsys, args, message):
     assert out == "" and err == f"error: {message}\n"
 
 
+# 10**20 is past numpy's size limit, and at 2**63 its arange comes out empty:
+# neither allocates a grid
+@pytest.mark.parametrize("steps", [10**20, 2**63], ids=["1e20", "2**63"])
+def test_oversized_sweep_steps_exit_2(capsys, steps):
+    code = main(["sweep", "--axis", "alpha", "--lambda", "2", "--x", "0.3", "--steps", str(steps)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith(f"error: cannot build a sweep grid of {steps} steps: ")
+
+
 def test_targeted_at_x_zero_matches_uniform(capsys):
     # at x = 0 alpha0 has no mass behind it, so both planners reach the same truth
     rows = {}
@@ -470,3 +484,49 @@ def test_metadata_lines_present(capsys):
     assert meta[0].startswith("# rumor-inspect ")
     assert meta[1].startswith("# config: ")
     json.loads(meta[1].removeprefix("# config: "))  # config echo is valid JSON
+
+
+# ---------------------------------------------------------------------------
+# start-up: numpy is imported only by the commands that need arrays
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from rumor_inspect.cli import main
+seen = [(None, "numpy" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append((main(argv), "numpy" in sys.modules))
+print(json.dumps(seen))
+"""
+
+
+def numpy_after(*commands):
+    """(exit code, numpy imported) after importing the CLI, then after each command, in one fresh interpreter."""
+    argvs = [[*argv, "--lambda", "2", "--x", "0.3"] for argv in commands]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return [tuple(step) for step in json.loads(proc.stdout)]
+
+
+def test_commands_without_arrays_leave_numpy_unimported():
+    seen = numpy_after(
+        ["steady", "--alpha", "0.2"],
+        *(["optimize", "--objective", objective, "--A", "0.3"] for objective in OBJECTIVES),
+        ["thresholds"],
+        ["dynamics", "--alpha", "0.2"],
+    )
+    assert seen == [(None, False)] + [(0, False)] * 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--axis", "alpha", "--steps", "5"], ["dynamics", "--alpha", "0.2", "--starts", "2"]],
+    ids=["sweep", "starts"],
+)
+def test_array_commands_import_numpy(argv):
+    # the probe sees numpy once a command needs it
+    assert numpy_after(argv) == [(None, False), (0, True)]

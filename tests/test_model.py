@@ -328,6 +328,46 @@ def test_solver_error_carries_bracket(monkeypatch, ref_params):
     assert 0.0 <= lo < hi <= 1.0
 
 
+def _recompose_off_from_half(monkeypatch):
+    """Make recomposition miss theta0 by 1e-3 from alpha0 = 0.5 on; return the message a solve at 0.5 raises."""
+    real = model._recompose
+
+    def off(x, a0, a1, r):
+        theta0, theta1 = real(x, a0, a1, r)
+        return theta0 + 1e-3 * (a0 >= 0.5), theta1  # a0 is a float or an array
+
+    ss = full_steady_state(ModelParams.from_lambda(2.0, 0.3), Allocation.uniform(0.5))
+    r0, r1 = real(0.3, 0.5, 0.5, (ss.rho_00_a, ss.rho_00_na, ss.rho_10_a, ss.rho_11_na))
+    monkeypatch.setattr(model, "_recompose", off)
+    return f"steady state failed recomposition: |{r0 + 1e-3} - {ss.theta0}|, |{r1} - {ss.theta1}| exceed 1e-09"
+
+
+def test_recomposition_failure_names_the_first_failing_entry(monkeypatch):
+    # the float solve and the batch report the same entry: the batch's first
+    # failing one, alpha = 0.5, and not any later one
+    expected = _recompose_off_from_half(monkeypatch)
+    with pytest.raises(SolverError) as single:
+        full_steady_state(ModelParams.from_lambda(2.0, 0.3), Allocation.uniform(0.5))
+    alphas = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(SolverError) as batch:
+        model._steady_fields(2.0, 0.3, alphas, alphas, alphas, DEFAULT_SOLVER, np)
+    assert str(single.value) == str(batch.value) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["steady", "--alpha", "0.5"], ["sweep", "--axis", "alpha", "--steps", "11"]],
+    ids=["steady", "sweep"],
+)
+def test_recomposition_failure_exits_3(monkeypatch, capsys, argv):
+    from rumor_inspect.cli import main
+
+    expected = _recompose_off_from_half(monkeypatch)
+    assert main([*argv, "--lambda", "2", "--x", "0.3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"numerical failure: {expected}\n"
+
+
 @given(lam=wide_lams, x=xs, a0=rates, a1=rates)
 @settings(max_examples=300)
 # the truth root lies 1.5e-18 below 1, and the float gap at 1 cancels to the wrong sign

@@ -306,6 +306,30 @@ def test_planner_does_not_import_numpy():
     assert "numpy" not in imported and "math" in imported
 
 
+def _imported_modules(node, *, in_functions):
+    """Top-level names of the absolute imports under node, leaving out function bodies unless in_functions."""
+    names, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        elif in_functions or not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_numpy_at_import_time():
+    # numpy is imported inside the functions that build arrays, so importing
+    # the package (and every command that builds none) does not load it
+    for path in sorted(Path(planner.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "numpy" not in _imported_modules(tree, in_functions=False), path.name
+        if path.stem in ("cli", "dynamics", "model"):
+            assert "numpy" in _imported_modules(tree, in_functions=True), path.name
+
+
 def test_budget_thresholds_optimizer_call_count(monkeypatch):
     calls = []
     for name in ("maximize_truth_uniform", "maximize_platform"):
