@@ -17,15 +17,20 @@ Integration uses the adaptive Dormand-Prince 5(4) pair (Dormand & Prince,
 J. Comput. Appl. Math. 6 (1980) 19-26; Hairer, Norsett & Wanner, Solving
 ODEs I, II.4-II.5) with first-same-as-last stages: the last stage of an
 accepted step is the rate at the new state, and it is also what the stop
-rule max|dr/dt| < conv_tol reads. The trajectory holds the start and every
-accepted step, so its time grid is the integrator's own step sequence; the
-CLI writes one row per accepted step. A step that leaves [0, 1] is rejected
-and retried at half the size. The limit of the iteration is a fixed point
-of the exact dynamics, so steady-state limits do not depend on the first
-step FIRST_STEP. Near criticality the system is stiff: at nu=4.0906, k=3,
-delta=0.7071, x=0.8834, rates (0.856, 0.506) (rumor reproduction number
-0.99966) the Jacobian's eigenvalues span -11.6 to -2.5e-4, stability holds
-the step near 0.29, and the run stops at the horizon after about 50,000 steps.
+rule max|dr/dt| < conv_tol reads. Each stage is written out as four scalar
+expressions, one per group, with no per-step lists. The trajectory holds the
+start and every accepted step, so its time grid is the integrator's own step
+sequence; the CLI writes one row per accepted step. A step that leaves
+[0, 1] is rejected and retried at half the size. The limit of the iteration
+is a fixed point of the exact dynamics, so steady-state limits do not depend
+on the first step FIRST_STEP. Near criticality the system is stiff: at
+nu=4.0906, k=3, delta=0.7071, x=0.8834, rates (0.856, 0.506) (rumor
+reproduction number 0.99966) the Jacobian's eigenvalues span -11.6 to
+-2.5e-4, stability holds the step near 0.29, and the run stops at the
+horizon after about 51,000 attempted steps. MAX_STEPS bounds the attempts,
+accepted plus rejected, so that a run whose rates never fall below conv_tol
+in rounding (lambda = 1e8, or conv_tol = 1e-22) fails instead of running on
+for minutes.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ class DynState(NamedTuple):
 
 
 class IntegratorError(RuntimeError):
-    """The step size underflowed: no step, however small, was accepted."""
+    """The step size underflowed, or MAX_STEPS steps were attempted before the run ended."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,7 @@ DEFAULT_INTEGRATOR = IntegratorConfig()
 
 FIRST_STEP = 0.01  # the first step tried; later steps follow the error control
 HORIZON = 1e4  # the run stops at t = HORIZON / delta if it has not converged
+MAX_STEPS = 200_000  # attempted steps, accepted plus rejected, before integrate gives up
 DEFAULT_SEED_LEVEL = 1e-3  # "small initial infection" in every live group
 STABILITY_TOL = 1e-6  # sup distance within which multi-start limits count as one
 
@@ -163,7 +169,10 @@ def integrate(
 
     The first step tried is FIRST_STEP. Every accepted step is stored.
     Coordinates of empty groups are forced to zero at the start and never
-    move.
+    move. Each step is unrolled over the four coordinates, in the same
+    floating-point order as a loop over them. IntegratorError is raised
+    when MAX_STEPS steps, accepted plus rejected, did not end the run, or
+    when the step size underflows.
 
     Error control uses rtol = atol = conv_tol / (4 * (2*k*nu + delta)). By
     Gershgorin, 2*k*nu + delta bounds the row sums of the Jacobian, so it
@@ -181,22 +190,30 @@ def integrate(
         if not 0.0 <= v <= 1.0:
             raise ParameterError(f"{name} must lie in [0, 1], got {v}")
     rhs = rate_function(p, a)
-    r = tuple(v if m > 0.0 else 0.0 for v, m in zip(s0[:4], group_masses(p, a)))
+    y1, y2, y3, y4 = (v if m > 0.0 else 0.0 for v, m in zip(s0[:4], group_masses(p, a)))
     tol = 0.25 * cfg.conv_tol / (2.0 * p.k * p.nu + p.delta)
     conv_tol = cfg.conv_tol
     t_max = HORIZON / p.delta
     lo, hi = -_DOMAIN_SLACK, 1.0 + _DOMAIN_SLACK
+    max_steps = MAX_STEPS
     h = FIRST_STEP
     t = 0.0
-    n_rejected = 0
-    states = [DynState(*r, t)]
-    k1 = rhs(*r)
+    n_attempts = n_rejected = 0
+    states = [DynState(y1, y2, y3, y4, t)]
+    # y is the state; p, q, r, s, u, v, w are the seven stage rates, p at y and w at the new state n
+    p1, p2, p3, p4 = rhs(y1, y2, y3, y4)
 
     while True:
-        max_rate = max(map(abs, k1))
+        max_rate = max(abs(p1), abs(p2), abs(p3), abs(p4))
         converged = max_rate < conv_tol
         if converged or t >= t_max:
             break
+        if n_attempts == max_steps:
+            raise IntegratorError(
+                f"step budget exhausted: {max_steps} steps attempted "
+                f"({n_attempts - n_rejected} accepted) by t={t}, max|dr/dt| = {max_rate}"
+            )
+        n_attempts += 1
         if h >= t_max - t:
             h, t_next = t_max - t, t_max
         else:
@@ -204,36 +221,54 @@ def integrate(
         if not t_next > t:
             raise IntegratorError(f"step size underflowed at t={t}")
 
-        k2 = rhs(*[y + h * (_A21 * q1) for y, q1 in zip(r, k1)])
-        k3 = rhs(*[y + h * (_A31 * q1 + _A32 * q2) for y, q1, q2 in zip(r, k1, k2)])
-        k4 = rhs(*[y + h * (_A41 * q1 + _A42 * q2 + _A43 * q3) for y, q1, q2, q3 in zip(r, k1, k2, k3)])
-        k5 = rhs(*[y + h * (_A51 * q1 + _A52 * q2 + _A53 * q3 + _A54 * q4)
-                   for y, q1, q2, q3, q4 in zip(r, k1, k2, k3, k4)])
-        k6 = rhs(*[y + h * (_A61 * q1 + _A62 * q2 + _A63 * q3 + _A64 * q4 + _A65 * q5)
-                   for y, q1, q2, q3, q4, q5 in zip(r, k1, k2, k3, k4, k5)])
-        new = [y + h * (_B1 * q1 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6)
-               for y, q1, q3, q4, q5, q6 in zip(r, k1, k3, k4, k5, k6)]
-        least, most = min(new), max(new)
+        q1, q2, q3, q4 = rhs(y1 + h * (_A21 * p1), y2 + h * (_A21 * p2), y3 + h * (_A21 * p3), y4 + h * (_A21 * p4))
+        r1, r2, r3, r4 = rhs(
+            y1 + h * (_A31 * p1 + _A32 * q1), y2 + h * (_A31 * p2 + _A32 * q2),
+            y3 + h * (_A31 * p3 + _A32 * q3), y4 + h * (_A31 * p4 + _A32 * q4),
+        )
+        s1, s2, s3, s4 = rhs(
+            y1 + h * (_A41 * p1 + _A42 * q1 + _A43 * r1), y2 + h * (_A41 * p2 + _A42 * q2 + _A43 * r2),
+            y3 + h * (_A41 * p3 + _A42 * q3 + _A43 * r3), y4 + h * (_A41 * p4 + _A42 * q4 + _A43 * r4),
+        )
+        u1, u2, u3, u4 = rhs(
+            y1 + h * (_A51 * p1 + _A52 * q1 + _A53 * r1 + _A54 * s1),
+            y2 + h * (_A51 * p2 + _A52 * q2 + _A53 * r2 + _A54 * s2),
+            y3 + h * (_A51 * p3 + _A52 * q3 + _A53 * r3 + _A54 * s3),
+            y4 + h * (_A51 * p4 + _A52 * q4 + _A53 * r4 + _A54 * s4),
+        )
+        v1, v2, v3, v4 = rhs(
+            y1 + h * (_A61 * p1 + _A62 * q1 + _A63 * r1 + _A64 * s1 + _A65 * u1),
+            y2 + h * (_A61 * p2 + _A62 * q2 + _A63 * r2 + _A64 * s2 + _A65 * u2),
+            y3 + h * (_A61 * p3 + _A62 * q3 + _A63 * r3 + _A64 * s3 + _A65 * u3),
+            y4 + h * (_A61 * p4 + _A62 * q4 + _A63 * r4 + _A64 * s4 + _A65 * u4),
+        )
+        n1 = y1 + h * (_B1 * p1 + _B3 * r1 + _B4 * s1 + _B5 * u1 + _B6 * v1)
+        n2 = y2 + h * (_B1 * p2 + _B3 * r2 + _B4 * s2 + _B5 * u2 + _B6 * v2)
+        n3 = y3 + h * (_B1 * p3 + _B3 * r3 + _B4 * s3 + _B5 * u3 + _B6 * v3)
+        n4 = y4 + h * (_B1 * p4 + _B3 * r4 + _B4 * s4 + _B5 * u4 + _B6 * v4)
+        least, most = min(n1, n2, n3, n4), max(n1, n2, n3, n4)
         if least < lo or most > hi:
             h *= 0.5
             n_rejected += 1
             continue
         if least < 0.0 or most > 1.0:
-            new = [min(1.0, max(0.0, v)) for v in new]
-        k7 = rhs(*new)  # first-same-as-last: the rate at the new state
+            n1, n2, n3, n4 = (min(1.0, max(0.0, n)) for n in (n1, n2, n3, n4))
+        w1, w2, w3, w4 = rhs(n1, n2, n3, n4)  # first-same-as-last: the rate at the new state
         # RMS over the four coordinates (hypot / 2) of the error estimate, each
         # scaled by atol + rtol * max(|y|, |y_new|), where y and y_new lie in [0, 1]
-        err = math.hypot(*[
-            h * (_E1 * q1 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7) / (1.0 + (y if y > z else z))
-            for y, z, q1, q3, q4, q5, q6, q7 in zip(r, new, k1, k3, k4, k5, k6, k7)
-        ]) / (2.0 * tol)
+        err = math.hypot(
+            h * (_E1 * p1 + _E3 * r1 + _E4 * s1 + _E5 * u1 + _E6 * v1 + _E7 * w1) / (1.0 + (y1 if y1 > n1 else n1)),
+            h * (_E1 * p2 + _E3 * r2 + _E4 * s2 + _E5 * u2 + _E6 * v2 + _E7 * w2) / (1.0 + (y2 if y2 > n2 else n2)),
+            h * (_E1 * p3 + _E3 * r3 + _E4 * s3 + _E5 * u3 + _E6 * v3 + _E7 * w3) / (1.0 + (y3 if y3 > n3 else n3)),
+            h * (_E1 * p4 + _E3 * r4 + _E4 * s4 + _E5 * u4 + _E6 * v4 + _E7 * w4) / (1.0 + (y4 if y4 > n4 else n4)),
+        ) / (2.0 * tol)
         factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
         h *= factor
         if err > 1.0:
             n_rejected += 1
             continue
-        r, k1, t = new, k7, t_next
-        states.append(DynState(*r, t))
+        y1, y2, y3, y4, p1, p2, p3, p4, t = n1, n2, n3, n4, w1, w2, w3, w4, t_next
+        states.append(DynState(y1, y2, y3, y4, t))
 
     return Trajectory(tuple(states), converged, max_rate, n_rejected)
 
@@ -256,8 +291,9 @@ def verify_global_stability(
     """Integrate from random interior states plus the near-zero seed, one after another.
 
     Passes iff every trajectory converges and all limits agree to
-    STABILITY_TOL in sup distance over the four coordinates. A non-converged
-    trajectory yields a failing report, not an exception.
+    STABILITY_TOL in sup distance over the four coordinates. A trajectory
+    that stops at the horizon yields a failing report, not an exception; one
+    that exhausts MAX_STEPS raises IntegratorError, as integrate does.
     """
     check_stability_args(n_starts, seed)
     import numpy as np  # for the random starts alone; integrate needs no numpy

@@ -263,3 +263,87 @@ def diversification_budget_range(p) -> tuple[float, float] | None:
     if last + 1 == len(budgets):
         return lo, 1.0
     return lo, _bisect_flip(lambda A: not diversifies(A), budgets[last], budgets[last + 1], res)
+
+
+# ---------------------------------------------------------------------------
+# the Dormand-Prince loop written over lists, the bit-identity oracle of integrate
+# ---------------------------------------------------------------------------
+
+def reference_integrate(s0, p, a, cfg=None):
+    """dynamics.integrate as a loop over 4-element lists, with no step budget.
+
+    integrate writes each stage out as four scalar expressions; this loop
+    does the same floating-point operations in the same order through zip
+    comprehensions, so both must return equal Trajectory objects. It reads
+    the tableau, FIRST_STEP and HORIZON from the dynamics module at call
+    time, so a test that patches those patches both.
+    """
+    import math
+
+    from rumor_inspect import ParameterError, dynamics, group_masses
+    from rumor_inspect.dynamics import (
+        _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+        _B1, _B3, _B4, _B5, _B6, _DOMAIN_SLACK, _E1, _E3, _E4, _E5, _E6, _E7,
+        DynState, IntegratorError, Trajectory, rate_function,
+    )
+
+    cfg = dynamics.DEFAULT_INTEGRATOR if cfg is None else cfg
+    for name, v in zip(DynState._fields, s0[:4]):
+        if not 0.0 <= v <= 1.0:
+            raise ParameterError(f"{name} must lie in [0, 1], got {v}")
+    rhs = rate_function(p, a)
+    r = tuple(v if m > 0.0 else 0.0 for v, m in zip(s0[:4], group_masses(p, a)))
+    tol = 0.25 * cfg.conv_tol / (2.0 * p.k * p.nu + p.delta)
+    conv_tol = cfg.conv_tol
+    t_max = dynamics.HORIZON / p.delta
+    lo, hi = -_DOMAIN_SLACK, 1.0 + _DOMAIN_SLACK
+    h = dynamics.FIRST_STEP
+    t = 0.0
+    n_rejected = 0
+    states = [DynState(*r, t)]
+    k1 = rhs(*r)
+
+    while True:
+        max_rate = max(map(abs, k1))
+        converged = max_rate < conv_tol
+        if converged or t >= t_max:
+            break
+        if h >= t_max - t:
+            h, t_next = t_max - t, t_max
+        else:
+            t_next = t + h
+        if not t_next > t:
+            raise IntegratorError(f"step size underflowed at t={t}")
+
+        k2 = rhs(*[y + h * (_A21 * q1) for y, q1 in zip(r, k1)])
+        k3 = rhs(*[y + h * (_A31 * q1 + _A32 * q2) for y, q1, q2 in zip(r, k1, k2)])
+        k4 = rhs(*[y + h * (_A41 * q1 + _A42 * q2 + _A43 * q3) for y, q1, q2, q3 in zip(r, k1, k2, k3)])
+        k5 = rhs(*[y + h * (_A51 * q1 + _A52 * q2 + _A53 * q3 + _A54 * q4)
+                   for y, q1, q2, q3, q4 in zip(r, k1, k2, k3, k4)])
+        k6 = rhs(*[y + h * (_A61 * q1 + _A62 * q2 + _A63 * q3 + _A64 * q4 + _A65 * q5)
+                   for y, q1, q2, q3, q4, q5 in zip(r, k1, k2, k3, k4, k5)])
+        new = [y + h * (_B1 * q1 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6)
+               for y, q1, q3, q4, q5, q6 in zip(r, k1, k3, k4, k5, k6)]
+        least, most = min(new), max(new)
+        if least < lo or most > hi:
+            h *= 0.5
+            n_rejected += 1
+            continue
+        if least < 0.0 or most > 1.0:
+            new = [min(1.0, max(0.0, v)) for v in new]
+        k7 = rhs(*new)  # first-same-as-last: the rate at the new state
+        # RMS over the four coordinates (hypot / 2) of the error estimate, each
+        # scaled by atol + rtol * max(|y|, |y_new|), where y and y_new lie in [0, 1]
+        err = math.hypot(*[
+            h * (_E1 * q1 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7) / (1.0 + (y if y > z else z))
+            for y, z, q1, q3, q4, q5, q6, q7 in zip(r, new, k1, k3, k4, k5, k6, k7)
+        ]) / (2.0 * tol)
+        factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
+        h *= factor
+        if err > 1.0:
+            n_rejected += 1
+            continue
+        r, k1, t = new, k7, t_next
+        states.append(DynState(*r, t))
+
+    return Trajectory(tuple(states), converged, max_rate, n_rejected)

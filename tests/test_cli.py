@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import THETA0_REF, oracle_truth
-from rumor_inspect import Allocation, ModelParams, cli, truth_steady_state
+from rumor_inspect import Allocation, ModelParams, cli, dynamics, truth_steady_state
 from rumor_inspect.cli import OBJECTIVES, main
 
 
@@ -321,6 +321,14 @@ def test_dynamics_exit_3_when_not_converged(capsys):
     assert code == 3
     meta = comments(out)
     assert any("status: horizon" in ln for ln in meta)
+
+
+def test_dynamics_exit_3_when_step_budget_exhausted(monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 50)
+    code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and err.startswith("numerical failure: step budget exhausted: 50 steps attempted")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import THETA0_REF, oracle_truth
+from conftest import THETA0_REF, oracle_truth, reference_integrate
 from rumor_inspect import (
     Allocation,
     DynState,
     IntegratorConfig,
+    IntegratorError,
     ModelParams,
     ParameterError,
     dynamics,
@@ -155,6 +158,48 @@ def test_oversized_step_is_halved_not_fatal(monkeypatch):
     assert traj.converged
     th0, th1 = prevalences(traj.final, p, a)
     assert th0 == pytest.approx(oracle_truth(5.0, 0.3, 0.2, 0.2), abs=1e-6)
+
+
+unit_or_edge = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+start_level = st.one_of(st.sampled_from([0.0, 1.0, dynamics.DEFAULT_SEED_LEVEL]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nu=st.floats(0.05, 5.0), k=st.floats(0.5, 4.0), delta=st.floats(0.1, 2.0), x=unit_or_edge,
+    alpha0=unit_or_edge, alpha1=unit_or_edge, start=st.tuples(start_level, start_level, start_level, start_level),
+    conv_tol=st.sampled_from([1e-10, 1e-6]), first_step=st.sampled_from([dynamics.FIRST_STEP, 40.0]),
+)
+# the domain rejection: an oversized first step leaves [0, 1] and is halved
+@example(nu=2.5, k=1.0, delta=0.5, x=0.3, alpha0=0.2, alpha1=0.2, start=(0.999,) * 4, conv_tol=1e-10, first_step=40.0)
+# the clip: the step accepted at h = 1.25 lands r00a and r10a within _DOMAIN_SLACK below 0
+@example(nu=0.2, k=1.0, delta=1.8, x=0.5, alpha0=0.06, alpha1=0.16, start=(0.0, 0.0, 1e-12, 1e-10), conv_tol=1e-10,
+         first_step=40.0)
+def test_integrate_matches_reference_loop(nu, k, delta, x, alpha0, alpha1, start, conv_tol, first_step):
+    # integrate unrolls the step over the four coordinates; the list loop it
+    # replaced must give the same trajectory bit for bit (repr tells -0.0 from 0.0)
+    p = ModelParams(nu, k, delta, x)
+    a = Allocation.targeted(alpha0, alpha1)
+    cfg = IntegratorConfig(conv_tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "FIRST_STEP", first_step)
+        got = integrate(DynState(*start), p, a, cfg)
+        want = reference_integrate(DynState(*start), p, a, cfg)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_step_budget_caps_attempted_steps(monkeypatch, ref_params):
+    a = Allocation.uniform(0.2)
+    s0 = DynState(0.999, 0.999, 0.999, 0.999)
+    monkeypatch.setattr(dynamics, "FIRST_STEP", 40.0)  # so that some attempts are rejected
+    traj = integrate(s0, ref_params, a)
+    attempts = traj.n_steps + traj.n_rejected
+    assert traj.converged and traj.n_rejected >= 1
+    monkeypatch.setattr(dynamics, "MAX_STEPS", attempts)  # a run that needs exactly the budget
+    assert integrate(s0, ref_params, a) == traj
+    monkeypatch.setattr(dynamics, "MAX_STEPS", attempts - 1)
+    with pytest.raises(IntegratorError, match=f"step budget exhausted: {attempts - 1} steps attempted"):
+        integrate(s0, ref_params, a)
 
 
 @pytest.mark.parametrize("lam,x,alpha", [(3.205606, 0.300744, 0.330817), (4.824308, 0.189228, 0.616507)])
