@@ -33,7 +33,6 @@ from .dynamics import (
 from .planner import (
     OptResult,
     Thresholds,
-    closed_thresholds,
     compute_thresholds,
     maximize_platform,
     maximize_truth_targeted,
@@ -56,7 +55,6 @@ __all__ = [
     "SteadyState",
     "Thresholds",
     "Trajectory",
-    "closed_thresholds",
     "compute_thresholds",
     "eradication_threshold",
     "full_steady_state",

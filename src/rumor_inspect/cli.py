@@ -35,6 +35,7 @@ from .model import (
     ParameterError,
     SolverConfig,
     SolverError,
+    _inspecting_mass,
     _steady_fields,
     full_steady_state,
     no_rumor_positivity_readings,
@@ -52,7 +53,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-OBJECTIVES = ("rumor-min", "truth", "truth-targeted", "platform")
+# objective -> (planner, the CLI's mode column): the planners with one shared rate report "uniform"
+PLANNERS = {
+    "rumor-min": (minimize_rumor, "uniform"),
+    "truth": (maximize_truth_uniform, "uniform"),
+    "truth-targeted": (maximize_truth_targeted, "targeted"),
+    "platform": (maximize_platform, "uniform"),
+}
+OBJECTIVES = tuple(PLANNERS)
 AXES = ("alpha", "lambda", "x", "A")
 
 
@@ -62,6 +70,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """The parsed command line, filled in place by argparse; a field without a flag keeps its default."""
+
     command: str
     lam: float | None = None
     nu: float | None = None
@@ -133,14 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for name in vars(cfg):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    return cfg
-
-
 def _solver_config(cfg: RunConfig) -> SolverConfig:
     return SolverConfig(tol=cfg.tol) if cfg.tol is not None else SolverConfig()
 
@@ -191,18 +193,10 @@ def steady_record(p: ModelParams, a: Allocation, solver: SolverConfig) -> dict:
 
 
 def optimize_record(p: ModelParams, objective: str, A: float, solver: SolverConfig) -> dict:
-    if objective == "rumor-min":
-        res = minimize_rumor(p, A, solver)
-    elif objective == "truth":
-        res = maximize_truth_uniform(p, A, solver)
-    elif objective == "truth-targeted":
-        res = maximize_truth_targeted(p, A, solver)
-    elif objective == "platform":
-        res = maximize_platform(p, A, solver)
-    else:
-        raise ConfigError(f"unknown objective {objective!r}")
+    planner, mode = PLANNERS[objective]
+    res = planner(p, A, solver)
     return {
-        "mode": res.allocation.mode,
+        "mode": mode,
         "alpha0": res.allocation.alpha0,
         "alpha1": res.allocation.alpha1,
         "objective": res.objective,
@@ -297,7 +291,7 @@ def _steady_columns(axis: str, grid, point, solver: SolverConfig) -> list[list]:
         lam = grid  # from_lambda gives each swept value back as lam (at a subnormal one, every field is 0 either way)
     else:
         x = grid
-    inspecting = grid if axis == "alpha" else a.inspecting_mass(x)
+    inspecting = _inspecting_mass(x, a0, a1, np)
     with np.errstate(all="ignore"):  # float arithmetic overflows to inf silently; so does the batch
         fields = _steady_fields(lam, x, a0, a1, inspecting, solver, np)
     theta0, theta1, theta, rho_a, rho_00_na, rho_11_na = (f.tolist() for f in fields)
@@ -466,10 +460,9 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        cfg = parser.parse_args(argv, RunConfig(command=""))
     except SystemExit as exc:  # argparse already printed its message
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    cfg = _run_config(ns)
     try:
         # a missing or unwritable --out directory fails before any computation
         if cfg.out and not os.access(os.path.dirname(os.path.abspath(cfg.out)), os.W_OK):

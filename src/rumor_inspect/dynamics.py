@@ -36,6 +36,7 @@ for minutes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,7 +54,7 @@ class DynState(NamedTuple):
 
 
 class IntegratorError(RuntimeError):
-    """The step size underflowed, or MAX_STEPS steps were attempted before the run ended."""
+    """The error tolerance or the step size underflowed, or MAX_STEPS steps were attempted before the run ended."""
 
 
 @dataclass(frozen=True)
@@ -171,8 +172,10 @@ def integrate(
     Coordinates of empty groups are forced to zero at the start and never
     move. Each step is unrolled over the four coordinates, in the same
     floating-point order as a loop over them. IntegratorError is raised
-    when MAX_STEPS steps, accepted plus rejected, did not end the run, or
-    when the step size underflows.
+    before the first step when the error tolerance below is not a positive
+    normal float (a subnormal conv_tol, or 2*k*nu beyond the float range),
+    and later when MAX_STEPS steps, accepted plus rejected, did not end the
+    run, or when the step size underflows.
 
     Error control uses rtol = atol = conv_tol / (4 * (2*k*nu + delta)). By
     Gershgorin, 2*k*nu + delta bounds the row sums of the Jacobian, so it
@@ -191,8 +194,10 @@ def integrate(
             raise ParameterError(f"{name} must lie in [0, 1], got {v}")
     rhs = rate_function(p, a)
     y1, y2, y3, y4 = (v if m > 0.0 else 0.0 for v, m in zip(s0[:4], group_masses(p, a)))
-    tol = 0.25 * cfg.conv_tol / (2.0 * p.k * p.nu + p.delta)
     conv_tol = cfg.conv_tol
+    tol = 0.25 * conv_tol / (2.0 * (p.k * p.nu) + p.delta)  # k*nu first: 2*k alone may overflow
+    if not tol >= sys.float_info.min:
+        raise IntegratorError(f"error tolerance {tol} derived from conv_tol={conv_tol} is not a positive normal float")
     t_max = HORIZON / p.delta
     lo, hi = -_DOMAIN_SLACK, 1.0 + _DOMAIN_SLACK
     max_steps = MAX_STEPS

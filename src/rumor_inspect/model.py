@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 
 class ParameterError(ValueError):
@@ -101,42 +100,35 @@ class ModelParams:
         return cls(nu=lam * 0.5, k=1.0, delta=0.5, x=x)
 
 
-Mode = Literal["uniform", "targeted"]
-
-
 @dataclass(frozen=True)
 class Allocation:
-    """An inspection policy: one population-wide rate, or one rate per type."""
+    """An inspection policy: one rate per type, alpha0 for truth-biased and alpha1 for rumor-biased agents.
+
+    A uniform policy is the pair of two equal rates; it spends exactly its rate.
+    """
 
     alpha0: float
     alpha1: float
-    mode: Mode = "targeted"
 
     def __post_init__(self):
-        if self.mode not in ("uniform", "targeted"):
-            raise ParameterError(f"unknown allocation mode {self.mode!r}")
         for name, v in (("alpha0", self.alpha0), ("alpha1", self.alpha1)):
             if not 0.0 <= v <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-        if self.mode == "uniform" and self.alpha0 != self.alpha1:
-            raise ParameterError("uniform mode requires alpha0 == alpha1")
 
     @classmethod
     def uniform(cls, alpha: float) -> "Allocation":
-        return cls(alpha0=alpha, alpha1=alpha, mode="uniform")
+        return cls(alpha0=alpha, alpha1=alpha)
 
     @classmethod
     def targeted(cls, alpha0: float, alpha1: float) -> "Allocation":
-        return cls(alpha0=alpha0, alpha1=alpha1, mode="targeted")
+        return cls(alpha0=alpha0, alpha1=alpha1)
 
     def rates(self) -> tuple[float, float]:
         return (self.alpha0, self.alpha1)
 
     def inspecting_mass(self, x: float) -> float:
-        """Population mass that inspects messages (also the budget spend)."""
-        if self.mode == "uniform":
-            return self.alpha0
-        return x * self.alpha0 + (1.0 - x) * self.alpha1
+        """Population mass that inspects messages (also the budget spend); see _inspecting_mass."""
+        return _inspecting_mass(x, self.alpha0, self.alpha1)
 
 
 MAX_ITER = 200  # Newton iterations before a truth solve raises SolverError
@@ -185,6 +177,14 @@ class _FloatOps:
     @staticmethod
     def where(cond, a, b):
         return a if cond else b
+
+
+def _inspecting_mass(x, a0, a1, ops=_FloatOps):
+    """Inspecting mass x*alpha0 + (1-x)*alpha1, and exactly the rate where alpha0 == alpha1.
+
+    Equal rates spend their rate, with none of the rounding of the weighted sum.
+    """
+    return ops.where(a0 == a1, a0, x * a0 + (1.0 - x) * a1)
 
 
 def _eradication_level(lam, x, ops=_FloatOps):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import (
     DEFAULT_SOLVER,
@@ -68,19 +68,18 @@ class Thresholds:
     lambda_bar is 2 + sqrt(2 - 1/(1-x)) where defined (x <= 1/2), else None.
     eradication_interval is the lam range where, at the marginal eradication
     budget, the targeted planner prefers to let the rumor live; it is empty
-    (None) iff (4-x)^2 < 12. The budget fields are filled only by
-    compute_thresholds: A_lower/A_upper bound the region of budgets where the
-    uniform truth planner leaves slack, A_tilde is where the platform stops
-    leaving slack. None means not computed, or no region at least
-    THRESHOLD_RESOLUTION wide.
+    (None) iff (4-x)^2 < 12. A_lower/A_upper bound the region of budgets
+    where the uniform truth planner leaves slack, A_tilde is where the
+    platform stops leaving slack; each is None when there is no region at
+    least THRESHOLD_RESOLUTION wide.
     """
 
     alpha_prime: float
     lambda_bar: float | None
     eradication_interval: tuple[float, float] | None
-    A_lower: float | None = None
-    A_upper: float | None = None
-    A_tilde: float | None = None
+    A_lower: float | None
+    A_upper: float | None
+    A_tilde: float | None
 
 
 @dataclass(frozen=True)
@@ -90,23 +89,6 @@ class OptResult:
     budget_spent: float
     slack: bool
     rumor_eradicated: bool
-
-
-def closed_thresholds(p: ModelParams) -> Thresholds:
-    """The cheap, closed-form part of the threshold bundle."""
-    radicand = 2.0 - 1.0 / (1.0 - p.x) if p.x < 1.0 else -1.0
-    lambda_bar = 2.0 + math.sqrt(radicand) if radicand >= 0.0 else None
-    disc = (4.0 - p.x) ** 2 - 12.0
-    if disc < 0.0:
-        interval = None
-    else:
-        root = math.sqrt(disc)
-        interval = ((4.0 - p.x - root) / 2.0, (4.0 - p.x + root) / 2.0)
-    return Thresholds(
-        alpha_prime=eradication_threshold(p),
-        lambda_bar=lambda_bar,
-        eradication_interval=interval,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +339,7 @@ def _slack_region(p: ModelParams, platform: bool, cfg: SolverConfig) -> tuple[fl
 
 
 def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Thresholds:
-    """Closed-form thresholds plus the budget boundaries of the slack regions.
+    """The threshold bundle: alpha', lambda_bar and the eradication interval in closed form, then the slack regions.
 
     A_lower / A_upper bracket the budgets at which maximize_truth_uniform
     reports slack; A_tilde is the top of the analogous region for the
@@ -370,6 +352,15 @@ def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Th
     slack when a cheaper rate does as well. _slack_region reads the edges
     off each curve's peak with no optimizer call.
     """
+    radicand = 2.0 - 1.0 / (1.0 - p.x) if p.x < 1.0 else -1.0
+    disc = (4.0 - p.x) ** 2 - 12.0
+    root = math.sqrt(disc) if disc >= 0.0 else None
     a_lower, a_upper = _slack_region(p, False, cfg)
-    _, a_tilde = _slack_region(p, True, cfg)
-    return replace(closed_thresholds(p), A_lower=a_lower, A_upper=a_upper, A_tilde=a_tilde)
+    return Thresholds(
+        alpha_prime=eradication_threshold(p),
+        lambda_bar=2.0 + math.sqrt(radicand) if radicand >= 0.0 else None,
+        eradication_interval=None if root is None else ((4.0 - p.x - root) / 2.0, (4.0 - p.x + root) / 2.0),
+        A_lower=a_lower,
+        A_upper=a_upper,
+        A_tilde=_slack_region(p, True, cfg)[1],
+    )

@@ -92,7 +92,7 @@ def ref_params():
 def truth_map(theta0: float, theta1: float, p, a) -> float:
     """One application of the self-consistency map for the truth prevalence.
 
-    Inspectors (mass x*alpha0 + (1-x)*alpha1; plain alpha in uniform mode)
+    Inspectors (mass x*alpha0 + (1-x)*alpha1; the rate itself when both are equal)
     convert either message into truth belief, so they respond to total
     prevalence; non-inspecting type-0 agents (mass x*(1-alpha0)) respond to
     the truth alone. The steady truth prevalence is the fixed point of this

@@ -166,6 +166,21 @@ def test_sweep_budget_axis_runs_optimizer(capsys):
     assert rows[-1]["rumor_eradicated"] is True
 
 
+# the mode column: "targeted" for the per-type planner, "uniform" for the planners with one shared rate
+MODES = {"rumor-min": "uniform", "truth": "uniform", "truth-targeted": "targeted", "platform": "uniform"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_mode_column_names_the_planner(capsys, objective, fmt):
+    assert set(MODES) == set(OBJECTIVES)
+    for command in (["optimize", "--A", "0.3"], ["sweep", "--axis", "A", "--steps", "4"]):
+        code, out = run(capsys, *command, "--objective", objective, "--lambda", "2", "--x", "0.3", "--format", fmt)
+        assert code == 0
+        rows = json.loads(out)["rows"] if fmt == "json" else parse_csv(out)[1]
+        assert [row["mode"] for row in rows] == [MODES[objective]] * len(rows)
+
+
 def test_sweep_budget_reruns_identical_output(capsys):
     args = ("sweep", "--axis", "A", "--lambda", "2", "--x", "0.3", "--objective", "truth-targeted", "--steps", "6")
     _, first = run(capsys, *args)
@@ -329,6 +344,30 @@ def test_dynamics_exit_3_when_step_budget_exhausted(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == 3
     assert out == "" and err.startswith("numerical failure: step budget exhausted: 50 steps attempted")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        # 2*k overflows to inf unless nu scales it first
+        (["--nu", "1e-100", "--k", "1e308", "--delta", "1"], "numerical failure: step size underflowed at t="),
+        (["--lambda", "2", "--tol", "5e-324"],
+         "numerical failure: error tolerance 0.0 derived from conv_tol=5e-324 is not a positive normal float\n"),
+    ],
+    ids=["k_nu", "subnormal_tol"],
+)
+def test_dynamics_extremes_exit_3(capsys, args, message):
+    code = main(["dynamics", *args, "--x", "0.3", "--alpha", "0.2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and err.startswith(message)
+
+
+def test_steady_equal_rates_match_the_uniform_rate(capsys):
+    # at x = 0.02, x*0.11 + (1-x)*0.11 rounds below 0.11; both policies spend 0.11
+    _, uniform = run(capsys, "steady", "--lambda", "2", "--x", "0.02", "--alpha", "0.11")
+    _, equal = run(capsys, "steady", "--lambda", "2", "--x", "0.02", "--alpha0", "0.11", "--alpha1", "0.11")
+    assert parse_csv(equal) == parse_csv(uniform)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -316,6 +317,24 @@ def test_stability_reruns_deterministic(ref_params):
     second = verify_global_stability(ref_params, a, 4, seed=11)
     assert first.limits == second.limits
     assert first.max_gap == second.max_gap
+
+
+def test_overflowing_two_k_ends_in_step_underflow():
+    # k*nu = 1e208 is finite, but 2*k alone overflows; the run fails like any too-stiff one
+    with pytest.raises(IntegratorError, match="step size underflowed"):
+        integrate(DynState(0.5, 0.5, 0.5, 0.5), ModelParams(1e-100, 1e308, 1.0, 0.3), Allocation.uniform(0.2))
+
+
+def test_error_tolerance_must_be_a_positive_normal_float(monkeypatch, ref_params):
+    # at lambda = 2 (nu = k = 1, delta = 0.5) the error tolerance is conv_tol / 10
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 0)  # a tolerance that passes ends at the step budget
+    a = Allocation.uniform(0.2)
+    s0 = seed_state(ref_params, a)
+    with pytest.raises(IntegratorError, match="step budget exhausted"):
+        integrate(s0, ref_params, a, IntegratorConfig(10.0 * sys.float_info.min))  # tol is the smallest normal
+    for conv_tol in (math.nextafter(10.0 * sys.float_info.min, 0.0), 5e-324):
+        with pytest.raises(IntegratorError, match=f"derived from conv_tol={conv_tol!r} is not a positive normal float"):
+            integrate(s0, ref_params, a, IntegratorConfig(conv_tol))
 
 
 @pytest.mark.parametrize("conv_tol", [math.inf, math.nan, 0.0, -1e-10])

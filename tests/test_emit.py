@@ -108,7 +108,7 @@ def test_main_matches_row_wise_render(command, fmt, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    cfg = cli._run_config(cli.build_parser().parse_args(argv))
+    cfg = cli.build_parser().parse_args(argv, cli.RunConfig(command=""))
     header, rows, summary = reference_table(cfg)
     # compared line by line, ends kept: pytest reports the first differing line quickly
     assert out.splitlines(keepends=True) == row_wise_render(header, rows, cfg, summary).splitlines(keepends=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,21 @@ def test_allocation_modes():
     t = Allocation.targeted(0.1, 0.6)
     assert t.rates() == (0.1, 0.6)
     assert t.inspecting_mass(0.3) == pytest.approx(0.3 * 0.1 + 0.7 * 0.6, abs=0)
+
+
+def test_a_policy_is_its_two_rates():
+    assert [f.name for f in dataclasses.fields(Allocation)] == ["alpha0", "alpha1"]
+
+
+@given(a=rates, x=xs)
+@example(a=0.11, x=0.02)  # x*a + (1-x)*a rounds below a here
+def test_equal_rates_are_the_uniform_policy_and_spend_their_rate(a, x):
+    u = Allocation.uniform(a)
+    assert u == Allocation.targeted(a, a)
+    assert u.inspecting_mass(x) == a
+    # the array form a sweep takes gives the same spend, entry by entry
+    spend = model._inspecting_mass(np.array([x, 0.5]), np.array([a, 0.2]), np.array([a, 0.6]), np)
+    assert spend.tolist() == [a, Allocation.targeted(0.2, 0.6).inspecting_mass(0.5)]
 
 
 # ---------------------------------------------------------------------------

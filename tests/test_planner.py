@@ -25,7 +25,6 @@ from rumor_inspect import (
     Allocation,
     ModelParams,
     ParameterError,
-    closed_thresholds,
     compute_thresholds,
     eradication_threshold,
     full_steady_state,
@@ -209,23 +208,23 @@ def test_condition_true_everywhere_implies_full_spend():
 # ---------------------------------------------------------------------------
 
 def test_closed_thresholds_values():
-    t = closed_thresholds(ModelParams.from_lambda(2.0, 0.3))
+    t = compute_thresholds(ModelParams.from_lambda(2.0, 0.3))
     assert t.alpha_prime == pytest.approx(2 / 7, abs=1e-12)
     assert t.lambda_bar == pytest.approx(2.0 + (2.0 - 1.0 / 0.7) ** 0.5, abs=1e-12)
     lo, hi = t.eradication_interval
     assert lo == pytest.approx(1.2, abs=1e-12)
     assert hi == pytest.approx(2.5, abs=1e-12)
 
-    t5 = closed_thresholds(ModelParams.from_lambda(2.0, 0.5))
+    t5 = compute_thresholds(ModelParams.from_lambda(2.0, 0.5))
     assert t5.lambda_bar == pytest.approx(2.0, abs=1e-12)
 
-    t7 = closed_thresholds(ModelParams.from_lambda(2.0, 0.7))
+    t7 = compute_thresholds(ModelParams.from_lambda(2.0, 0.7))
     assert t7.lambda_bar is None
 
-    t6 = closed_thresholds(ModelParams.from_lambda(3.0, 0.6))
+    t6 = compute_thresholds(ModelParams.from_lambda(3.0, 0.6))
     assert t6.eradication_interval is None  # (3.4)^2 < 12
 
-    t1 = closed_thresholds(ModelParams.from_lambda(2.0, 1.0))
+    t1 = compute_thresholds(ModelParams.from_lambda(2.0, 1.0))
     assert t1.lambda_bar is None and t1.alpha_prime == 0.0
 
 

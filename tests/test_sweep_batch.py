@@ -196,7 +196,7 @@ def test_solver_failure_exits_3_like_the_first_failing_point(monkeypatch, capsys
     # two Newton iterations settle no endemic point
     monkeypatch.setattr(model, "MAX_ITER", 2)
     argv = ["sweep", *args]
-    cfg = cli._run_config(cli.build_parser().parse_args(argv))
+    cfg = cli.build_parser().parse_args(argv, cli.RunConfig(command=""))
     with pytest.raises(SolverError) as first:
         per_point_rows(cfg, cli._solver_config(cfg))
     assert main(argv) == 3
@@ -210,7 +210,7 @@ def test_sweep_at_the_smallest_tolerance_settles(capsys, args):
     # at tol = 5e-324 Newton ends on a bracket of two adjacent floats, which
     # counts as converged
     argv = ["sweep", *args, "--tol", "5e-324"]
-    assert_rows_equal(cli._run_config(cli.build_parser().parse_args(argv)))
+    assert_rows_equal(cli.build_parser().parse_args(argv, cli.RunConfig(command="")))
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
 
