@@ -24,7 +24,6 @@ from .dynamics import (
     DEFAULT_SEED_LEVEL,
     IntegratorConfig,
     IntegratorError,
-    check_stability_args,
     integrate,
     seed_state,
     verify_global_stability,
@@ -70,7 +69,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """The parsed command line, filled in place by argparse; a field without a flag keeps its default."""
+    """The parsed command line, filled in place by argparse; the only place a setting's default is written."""
 
     command: str
     lam: float | None = None
@@ -105,41 +104,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    # no flag has a default, so a flag that was not passed leaves its RunConfig field as it is
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--lambda", dest="lam", type=float, help="diffusion rate nu*k/delta")
     common.add_argument("--nu", type=float, help="per-contact transmission rate")
     common.add_argument("--k", type=float, help="meetings per period")
     common.add_argument("--delta", type=float, help="death/replacement rate")
     common.add_argument("--x", type=float, help="mass of truth-biased agents")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--tol", type=float, default=None)
+    common.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    common.add_argument("--out", type=str)
+    common.add_argument("--tol", type=float)
 
-    alloc = argparse.ArgumentParser(add_help=False)
+    alloc = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     alloc.add_argument("--alpha", type=float, help="uniform inspection rate")
     alloc.add_argument("--alpha0", type=float, help="inspection rate of truth-biased agents")
     alloc.add_argument("--alpha1", type=float, help="inspection rate of rumor-biased agents")
 
-    sub.add_parser("steady", parents=[common, alloc])
+    sub.add_parser("steady", parents=[common, alloc], argument_default=argparse.SUPPRESS)
 
-    p_dyn = sub.add_parser("dynamics", parents=[common, alloc])
-    p_dyn.add_argument("--starts", type=int, default=None, help="verify stability from this many random starts")
-    p_dyn.add_argument("--init", type=float, default=DEFAULT_SEED_LEVEL, help="initial believing fraction per group")
+    p_dyn = sub.add_parser("dynamics", parents=[common, alloc], argument_default=argparse.SUPPRESS)
+    p_dyn.add_argument("--starts", type=int, help="verify stability from this many random starts")
+    p_dyn.add_argument("--seed", type=int, help="seed of the random starts")
+    p_dyn.add_argument("--init", type=float, help="initial believing fraction per group")
 
-    p_sweep = sub.add_parser("sweep", parents=[common, alloc])
+    p_sweep = sub.add_parser("sweep", parents=[common, alloc], argument_default=argparse.SUPPRESS)
     p_sweep.add_argument("--axis", choices=AXES, required=True)
-    p_sweep.add_argument("--start", type=float, default=None)
-    p_sweep.add_argument("--stop", type=float, default=None)
-    p_sweep.add_argument("--steps", type=int, default=101)
-    p_sweep.add_argument("--objective", choices=OBJECTIVES, default=None)
-    p_sweep.add_argument("--A", type=float, default=None)
+    p_sweep.add_argument("--start", type=float)
+    p_sweep.add_argument("--stop", type=float)
+    p_sweep.add_argument("--steps", type=int)
+    p_sweep.add_argument("--objective", choices=OBJECTIVES, help="the planner of --axis A")
 
-    p_opt = sub.add_parser("optimize", parents=[common])
+    p_opt = sub.add_parser("optimize", parents=[common], argument_default=argparse.SUPPRESS)
     p_opt.add_argument("--objective", choices=OBJECTIVES, required=True)
     p_opt.add_argument("--A", type=float, required=True)
 
-    sub.add_parser("thresholds", parents=[common])
+    sub.add_parser("thresholds", parents=[common], argument_default=argparse.SUPPRESS)
     return parser
 
 
@@ -211,6 +210,8 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
     import numpy as np  # sweeps alone need numpy, so the other commands start without it
 
     axis = cfg.axis
+    if (cfg.objective is None) == (axis == "A"):
+        raise ConfigError("--objective is required when sweeping the budget, and read by no other axis")
     lo, hi = cfg.start, cfg.stop
     if axis in ("alpha", "x", "A"):
         lo = 0.0 if lo is None else lo
@@ -226,8 +227,6 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         raise ConfigError(f"--start must be below --stop, got [{lo}, {hi}]")
     if axis in ("alpha", "x") and not (0.0 <= lo and hi <= 1.0):
         raise ConfigError(f"{axis} sweep range must stay inside [0, 1], got [{lo}, {hi}]")
-    if axis in ("lambda", "A") and lo < 0.0:
-        raise ConfigError(f"{axis} sweep range must be nonnegative, got start {lo}")
     try:
         grid = np.linspace(lo, hi, cfg.steps)
     except (ValueError, MemoryError, IndexError) as exc:
@@ -242,8 +241,6 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         point = lambda v: (p, Allocation.uniform(v))  # noqa: E731
     elif axis == "lambda":
         a = _allocation(cfg)
-        if values[0] <= 0.0:
-            raise ConfigError("lambda sweep must start above 0")
         point = lambda v: (_params(cfg, lam_override=v), a)  # noqa: E731
     elif axis == "x":
         if cfg.x is not None:
@@ -252,8 +249,6 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         point = lambda v: (_params(cfg, x_override=v), a)  # noqa: E731
     else:  # axis == "A": one optimization per budget
         _forbid_allocation(cfg, "when sweeping the budget")
-        if cfg.objective is None:
-            raise ConfigError("--objective is required when sweeping the budget")
         p = _params(cfg)
         records = [optimize_record(p, cfg.objective, v, solver) for v in values]
         return (["A", *records[0]], [values, *map(list, zip(*(r.values() for r in records)))])
@@ -313,16 +308,19 @@ def _fmt(v) -> str:
 
 
 def _fmt_column(col) -> list[str]:
-    # a column of exact floats (no bool, None or float subclass) needs no
-    # per-cell dispatch: _fmt would take float.__repr__ of every cell
-    if {*map(type, col)} == {float}:
+    # a column of exact floats (no bool, None or float subclass), or of bools
+    # alone, needs no per-cell dispatch: _fmt would treat every cell alike
+    kinds = {*map(type, col)}
+    if kinds == {float}:
         return list(map(float.__repr__, col))
+    if kinds == {bool}:
+        return ["true" if v else "false" for v in col]
     return list(map(_fmt, col))
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    # everything that affects the computed values; the destination does not.
-    # RunConfig holds scalars only, so its shallow vars() equals asdict()
+    # every RunConfig field that has a value, defaults included, except the
+    # destination. RunConfig holds scalars only, so its shallow vars() equals asdict()
     return {k: v for k, v in vars(cfg).items() if v is not None and k != "out"}
 
 
@@ -389,8 +387,6 @@ def run_sweep(cfg: RunConfig) -> int:
 def run_optimize(cfg: RunConfig) -> int:
     solver = _solver_config(cfg)
     p = _params(cfg)
-    if cfg.A is None or cfg.A < 0.0:
-        raise ConfigError(f"--A must be >= 0, got {cfg.A}")
     row = {**optimize_record(p, cfg.objective, cfg.A, solver), **_threshold_fields(compute_thresholds(p, solver))}
     emit(list(row), [[v] for v in row.values()], cfg)
     return EXIT_OK
@@ -422,11 +418,10 @@ def run_dynamics(cfg: RunConfig) -> int:
     p = _params(cfg)
     a = _allocation(cfg)
     integ = IntegratorConfig(conv_tol=cfg.tol) if cfg.tol is not None else IntegratorConfig()
-    if not 0.0 <= cfg.init <= 1.0:
-        raise ConfigError(f"--init must lie in [0, 1], got {cfg.init}")
-    if cfg.starts is not None:
-        check_stability_args(cfg.starts, cfg.seed)
-    traj = integrate(seed_state(p, a, cfg.init), p, a, integ)
+    s0 = seed_state(p, a, cfg.init)
+    # the stability check goes first: it rejects --starts and --seed before it integrates
+    report = None if cfg.starts is None else verify_global_stability(p, a, cfg.starts, integ, seed=cfg.seed)
+    traj = integrate(s0, p, a, integ)
     rows = [(s.t, s.r00a, s.r00na, s.r10a, s.r11na, *prevalences(s, p, a)) for s in traj.states]
     summary = {
         "status": traj.status,
@@ -436,8 +431,7 @@ def run_dynamics(cfg: RunConfig) -> int:
         "rejected_steps": traj.n_rejected,
     }
     ok = traj.converged
-    if cfg.starts is not None:
-        report = verify_global_stability(p, a, cfg.starts, integ, seed=cfg.seed)
+    if report is not None:
         summary["stability_passed"] = report.passed
         summary["stability_max_gap"] = report.max_gap
         ok = ok and report.passed
@@ -464,7 +458,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed its message
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        # a missing or unwritable --out directory fails before any computation
+        # an --out that is a directory, or whose directory is missing or unwritable, fails before any computation
+        if cfg.out and os.path.isdir(cfg.out):
+            raise ConfigError(f"cannot write --out {cfg.out}: it is a directory")
         if cfg.out and not os.access(os.path.dirname(os.path.abspath(cfg.out)), os.W_OK):
             raise ConfigError(f"cannot write --out {cfg.out}: its directory is missing or not writable")
         return COMMANDS[cfg.command](cfg)

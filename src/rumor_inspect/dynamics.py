@@ -278,14 +278,6 @@ def integrate(
     return Trajectory(tuple(states), converged, max_rate, n_rejected)
 
 
-def check_stability_args(n_starts: int, seed: int) -> None:
-    """Raise ParameterError unless verify_global_stability accepts n_starts and seed."""
-    if n_starts < 2:
-        raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-
-
 def verify_global_stability(
     p: ModelParams,
     a: Allocation,
@@ -299,8 +291,12 @@ def verify_global_stability(
     STABILITY_TOL in sup distance over the four coordinates. A trajectory
     that stops at the horizon yields a failing report, not an exception; one
     that exhausts MAX_STEPS raises IntegratorError, as integrate does.
+    ParameterError is raised before any integration when n_starts < 2 or seed < 0.
     """
-    check_stability_args(n_starts, seed)
+    if n_starts < 2:
+        raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     import numpy as np  # for the random starts alone; integrate needs no numpy
 
     rng = np.random.default_rng(seed)

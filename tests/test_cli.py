@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import THETA0_REF, oracle_truth
 from rumor_inspect import Allocation, ModelParams, cli, dynamics, truth_steady_state
@@ -39,6 +44,11 @@ def parse_csv(text):
 
 def comments(text):
     return [ln for ln in text.strip().splitlines() if ln.startswith("#")]
+
+
+def no_constant(name):
+    """json.loads' parse_constant: NaN and Infinity are not JSON."""
+    raise AssertionError(f"{name} is not JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +199,30 @@ def test_sweep_budget_reruns_identical_output(capsys):
     assert len(parse_csv(first)[1]) == 6
 
 
-def test_jobs_flag_rejected(capsys):
-    code = main(["sweep", "--axis", "alpha", "--lambda", "2", "--x", "0.3", "--jobs", "2"])
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["sweep", "--axis", "alpha", "--lambda", "2", "--x", "0.3", "--jobs", "2"], "--jobs"),
+        # only dynamics reads --seed, and only optimize reads --A
+        (["steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--seed", "7"], "--seed"),
+        (["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "0.2", "--seed", "7"], "--seed"),
+        (["thresholds", "--lambda", "2", "--x", "0.3", "--seed", "7"], "--seed"),
+        (["sweep", "--axis", "A", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--seed", "7"], "--seed"),
+        (["sweep", "--axis", "alpha", "--lambda", "2", "--x", "0.3", "--A", "0.4"], "--A"),
+        # only the budget axis reads --objective
+        (["sweep", "--axis", "alpha", "--lambda", "2", "--x", "0.3", "--objective", "truth"], "--objective"),
+        (["sweep", "--axis", "lambda", "--x", "0.3", "--alpha", "0.2", "--start", "1", "--stop", "5",
+          "--objective", "truth"], "--objective"),
+        (["sweep", "--axis", "x", "--lambda", "2", "--alpha", "0.2", "--objective", "truth"], "--objective"),
+    ],
+    ids=["jobs", "steady-seed", "optimize-seed", "thresholds-seed", "sweep-seed", "sweep-A",
+         "alpha-objective", "lambda-objective", "x-objective"],
+)
+def test_unread_flags_rejected(capsys, argv, flag):
+    code = main(argv)
     out, err = capsys.readouterr()
     assert code == 2
-    assert out == "" and "--jobs" in err
+    assert out == "" and flag in err
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +310,6 @@ def test_thresholds_command(capsys):
                                      ("0.25", ["positivity_alpha_alt"])])
 def test_thresholds_print_undefined_readings_as_empty_or_null(capsys, x, empty):
     # at x = 1 neither reading is defined; at x = 1/lam the alternative divides by zero
-    def no_constant(name):
-        raise AssertionError(f"{name} is not JSON")
-
     code, out = run(capsys, "thresholds", "--lambda", "4", "--x", x)
     assert code == 0
     row = parse_csv(out)[1][0]
@@ -450,8 +476,16 @@ def test_infinite_tol_exit_2(capsys, args, name):
          "alpha1 must lie in [0, 1], got -1.0"),
         (["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "0.2", "--tol", "0"],
          "tol must be finite and positive, got 0.0"),
+        (["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "-1"],
+         "budget must be >= 0, got -1.0"),
+        (["sweep", "--axis", "A", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--start", "-1"],
+         "budget must be >= 0, got -1.0"),
+        (["sweep", "--axis", "lambda", "--x", "0.3", "--alpha", "0.2", "--start", "0", "--stop", "2"],
+         "lam must be strictly positive, got 0.0"),
+        (["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--init", "2"],
+         "seed level must lie in [0, 1], got 2.0"),
     ],
-    ids=["rates", "alpha", "alpha1", "tol"],
+    ids=["rates", "alpha", "alpha1", "tol", "budget", "budget-sweep", "lambda-sweep", "init"],
 )
 def test_parameter_errors_exit_2_with_their_message(capsys, args, message):
     code = main(args)
@@ -511,18 +545,67 @@ def test_unwritable_out_exit_2(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-def test_unwritable_out_checked_before_computing(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "0.2"], "missing/f.csv"),
+        (["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", "8"], "."),  # a directory
+    ],
+    ids=["missing-dir", "directory"],
+)
+def test_unwritable_out_checked_before_computing(monkeypatch, tmp_path, capsys, argv, target):
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before --out was checked")
 
-    monkeypatch.setattr(cli, "optimize_record", no_compute)
-    monkeypatch.setattr(cli, "compute_thresholds", no_compute)
-    target = tmp_path / "missing" / "f.csv"
-    code = main(["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "0.2", "--out", str(target)])
+    for name in ("optimize_record", "compute_thresholds", "integrate", "verify_global_stability"):
+        monkeypatch.setattr(cli, name, no_compute)
+    code = main([*argv, "--out", str(tmp_path / target)])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and "error:" in err
-    assert not target.parent.exists()
+    assert not any(tmp_path.iterdir())
+
+
+# the config echo of a run with every optional flag left out: the defaults come from RunConfig alone
+DEFAULT_ECHOES = {
+    "steady --lambda 2 --x 0.3 --alpha 0.2": (
+        '{"alpha": 0.2, "command": "steady", "fmt": "csv", "init": 0.001, "lam": 2.0, "seed": 0, "steps": 101, '
+        '"x": 0.3}',
+        '{"command": "steady", "lam": 2.0, "x": 0.3, "alpha": 0.2, "steps": 101, "init": 0.001, "seed": 0, '
+        '"fmt": "json"}',
+    ),
+    "dynamics --lambda 2 --x 0.3 --alpha 0.2": (
+        '{"alpha": 0.2, "command": "dynamics", "fmt": "csv", "init": 0.001, "lam": 2.0, "seed": 0, "steps": 101, '
+        '"x": 0.3}',
+        '{"command": "dynamics", "lam": 2.0, "x": 0.3, "alpha": 0.2, "steps": 101, "init": 0.001, "seed": 0, '
+        '"fmt": "json"}',
+    ),
+    "sweep --axis alpha --lambda 2 --x 0.3": (
+        '{"axis": "alpha", "command": "sweep", "fmt": "csv", "init": 0.001, "lam": 2.0, "seed": 0, "steps": 101, '
+        '"x": 0.3}',
+        '{"command": "sweep", "lam": 2.0, "x": 0.3, "axis": "alpha", "steps": 101, "init": 0.001, "seed": 0, '
+        '"fmt": "json"}',
+    ),
+    "optimize --objective truth --lambda 2 --x 0.3 --A 0.2": (
+        '{"A": 0.2, "command": "optimize", "fmt": "csv", "init": 0.001, "lam": 2.0, "objective": "truth", '
+        '"seed": 0, "steps": 101, "x": 0.3}',
+        '{"command": "optimize", "lam": 2.0, "x": 0.3, "A": 0.2, "objective": "truth", "steps": 101, '
+        '"init": 0.001, "seed": 0, "fmt": "json"}',
+    ),
+    "thresholds --lambda 2 --x 0.3": (
+        '{"command": "thresholds", "fmt": "csv", "init": 0.001, "lam": 2.0, "seed": 0, "steps": 101, "x": 0.3}',
+        '{"command": "thresholds", "lam": 2.0, "x": 0.3, "steps": 101, "init": 0.001, "seed": 0, "fmt": "json"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("command", DEFAULT_ECHOES)
+def test_config_echo_of_a_default_run(capsys, command):
+    csv_echo, json_echo = DEFAULT_ECHOES[command]
+    code, out = run(capsys, *command.split())
+    assert code == 0 and comments(out)[1] == f"# config: {csv_echo}"
+    code, out = run(capsys, *command.split(), "--format", "json")
+    assert code == 0 and json.dumps(json.loads(out)["config"]) == json_echo  # key order included
 
 
 def test_metadata_lines_present(capsys):
@@ -531,6 +614,73 @@ def test_metadata_lines_present(capsys):
     assert meta[0].startswith("# rumor-inspect ")
     assert meta[1].startswith("# config: ")
     json.loads(meta[1].removeprefix("# config: "))  # config echo is valid JSON
+
+
+# ---------------------------------------------------------------------------
+# edge property: every subcommand at finite inputs up to the float extremes
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(5e-324, sys.float_info.max)  # rates, --lambda, --A and --tol
+UNIT = st.sampled_from([0.0, 1.0, 2**-53, 1 - 2**-53, 5e-324]) | st.floats(0.0, 1.0)  # x and the alphas
+# the fraction, inspection-rate and prevalence fields of every subcommand's rows
+UNIT_FIELDS = {
+    "theta0", "theta1", "theta", "rho_00_a", "rho_10_a", "rho_00_na", "rho_11_na",  # steady and sweep
+    "r00a", "r00na", "r10a", "r11na",  # dynamics
+    "alpha", "x",  # sweep axes
+    "alpha0", "alpha1", "objective", "budget_spent", "alpha_prime", "A_lower", "A_upper", "A_tilde",  # planners
+}
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """A --format json command line of any subcommand, with each flag its command reads."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    axis = draw(st.sampled_from(cli.AXES)) if command == "sweep" else None
+    argv = [command, "--format", "json"]
+    if axis != "lambda":
+        if draw(st.booleans()):
+            argv += ["--lambda", repr(draw(FINITE))]
+        else:
+            argv += [tok for flag in ("--nu", "--k", "--delta") for tok in (flag, repr(draw(FINITE)))]
+    if axis != "x":
+        argv += ["--x", repr(draw(UNIT))]
+    if command in ("steady", "dynamics") or axis in ("lambda", "x"):
+        if draw(st.booleans()):
+            argv += ["--alpha", repr(draw(UNIT))]
+        else:
+            argv += ["--alpha0", repr(draw(UNIT)), "--alpha1", repr(draw(UNIT))]
+    if command == "optimize" or axis == "A":
+        argv += ["--objective", draw(st.sampled_from(OBJECTIVES))]
+    if command == "optimize":
+        argv += ["--A", repr(draw(FINITE))]
+    if axis is not None:
+        ends = sorted(draw(st.lists(UNIT if axis in ("alpha", "x") else FINITE, min_size=2, max_size=2)))
+        argv += ["--axis", axis, "--start", repr(ends[0]), "--stop", repr(ends[1]),
+                 "--steps", str(draw(st.integers(2, 4)))]
+    if command == "dynamics" and draw(st.booleans()):
+        argv += ["--init", repr(draw(UNIT))]
+    if command == "dynamics" and draw(st.booleans()):
+        argv += ["--starts", "2", "--seed", str(draw(st.integers(0, 2**32)))]
+    if draw(st.booleans()):
+        argv += ["--tol", repr(draw(FINITE))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_every_run_exits_0_2_or_3_with_its_rows_in_their_domain(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # a budget exit is exit 3 at any MAX_STEPS; a smaller one keeps each run short
+    with mock.patch.object(dynamics, "MAX_STEPS", 2_000), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code != 0:
+        return
+    for row in json.loads(out.getvalue(), parse_constant=no_constant)["rows"]:
+        assert all(0.0 <= v <= 1.0 for k, v in row.items() if k in UNIT_FIELDS and v is not None), row
+        if "theta" in row:
+            assert row["theta"] == row["theta0"] + row["theta1"], row
 
 
 # ---------------------------------------------------------------------------

@@ -123,9 +123,10 @@ def test_emit_formats_mixed_columns_like_fmt(fmt, capsys):
         [False, False, True, None, False],
         shared + [float("nan"), -0.0],
         shared + [float("nan"), -0.0],
+        [True, False, False, True, True],
     ]
     columns[4] = columns[3]  # the same list object twice, as rho_00_a and rho_10_a are
-    header = ["mixed", "np", "flag", "shared_a", "shared_b"]
+    header = ["mixed", "np", "flag", "shared_a", "shared_b", "bools"]
     cfg = cli.RunConfig(command="steady", fmt=fmt)
     text = cli.emit(header, columns, cfg, summary={"status": "converged", "gap": np.float64(1e-9)})
     assert capsys.readouterr().out == text
@@ -133,5 +134,5 @@ def test_emit_formats_mixed_columns_like_fmt(fmt, capsys):
     assert text == row_wise_render(header, rows, cfg, summary={"status": "converged", "gap": np.float64(1e-9)})
     if fmt == "csv":
         # np.float64 cells print as plain numbers
-        assert text.splitlines()[3] == ",0.1,false,0.1,0.1"
+        assert text.splitlines()[3] == ",0.1,false,0.1,0.1,true"
         assert text.splitlines()[-1] == "# gap: 1e-09"
