@@ -41,6 +41,9 @@ from .model import (
     prevalences,
 )
 from .planner import (
+    OptResult,
+    UniformCurve,
+    _thresholds,
     compute_thresholds,
     maximize_platform,
     maximize_truth_targeted,
@@ -52,7 +55,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# objective -> (planner, the CLI's mode column): the planners with one shared rate report "uniform"
+# objective -> (planner, the CLI's mode column): the planners with one shared rate report "uniform".
+# The truth and platform planners are their uniform curve's optimum, so the CLI reads that curve instead
 PLANNERS = {
     "rumor-min": (minimize_rumor, "uniform"),
     "truth": (maximize_truth_uniform, "uniform"),
@@ -191,18 +195,22 @@ def steady_record(p: ModelParams, a: Allocation, solver: SolverConfig) -> dict:
     return {**{f: getattr(ss, f) for f in STEADY_FIELDS[:-1]}, "eradicated": ss.theta1 == 0.0}
 
 
-def optimize_record(p: ModelParams, objective: str, A: float, solver: SolverConfig) -> dict:
-    planner, mode = PLANNERS[objective]
-    res = planner(p, A, solver)
-    return {
-        "mode": mode,
-        "alpha0": res.allocation.alpha0,
-        "alpha1": res.allocation.alpha1,
-        "objective": res.objective,
-        "budget_spent": res.budget_spent,
-        "slack": res.slack,
-        "rumor_eradicated": res.rumor_eradicated,
-    }
+def budget_solver(p: ModelParams, objective: str, solver: SolverConfig, curves: dict):
+    """budget -> OptResult of the objective's planner at p, built once per point.
+
+    A truth or platform planner reads its uniform curve, analysed here once
+    and kept in curves (platform flag -> UniformCurve).
+    """
+    if objective not in ("truth", "platform"):
+        return functools.partial(PLANNERS[objective][0], p, cfg=solver)
+    curve = curves[objective == "platform"] = UniformCurve(p, objective == "platform", solver)
+    return curve.optimum
+
+
+def optimize_record(res: OptResult, objective: str) -> dict:
+    a = res.allocation
+    return {"mode": PLANNERS[objective][1], "alpha0": a.alpha0, "alpha1": a.alpha1, "objective": res.objective,
+            "budget_spent": res.budget_spent, "slack": res.slack, "rumor_eradicated": res.rumor_eradicated}
 
 
 def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list[list]]:
@@ -249,8 +257,8 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         point = lambda v: (_params(cfg, x_override=v), a)  # noqa: E731
     else:  # axis == "A": one optimization per budget
         _forbid_allocation(cfg, "when sweeping the budget")
-        p = _params(cfg)
-        records = [optimize_record(p, cfg.objective, v, solver) for v in values]
+        solve = budget_solver(_params(cfg), cfg.objective, solver, {})
+        records = [optimize_record(solve(v), cfg.objective) for v in values]
         return (["A", *records[0]], [values, *map(list, zip(*(r.values() for r in records)))])
 
     header = [axis, *STEADY_FIELDS]
@@ -387,22 +395,17 @@ def run_sweep(cfg: RunConfig) -> int:
 def run_optimize(cfg: RunConfig) -> int:
     solver = _solver_config(cfg)
     p = _params(cfg)
-    row = {**optimize_record(p, cfg.objective, cfg.A, solver), **_threshold_fields(compute_thresholds(p, solver))}
+    curves = {}
+    res = budget_solver(p, cfg.objective, solver, curves)(cfg.A)
+    row = {**optimize_record(res, cfg.objective), **_threshold_fields(_thresholds(p, solver, curves))}
     emit(list(row), [[v] for v in row.values()], cfg)
     return EXIT_OK
 
 
 def _threshold_fields(thr) -> dict:
-    lo, hi = thr.eradication_interval if thr.eradication_interval else (None, None)
-    return {
-        "alpha_prime": thr.alpha_prime,
-        "lambda_bar": thr.lambda_bar,
-        "interval_lo": lo,
-        "interval_hi": hi,
-        "A_lower": thr.A_lower,
-        "A_upper": thr.A_upper,
-        "A_tilde": thr.A_tilde,
-    }
+    lo, hi = thr.eradication_interval or (None, None)
+    return {"alpha_prime": thr.alpha_prime, "lambda_bar": thr.lambda_bar, "interval_lo": lo, "interval_hi": hi,
+            "A_lower": thr.A_lower, "A_upper": thr.A_upper, "A_tilde": thr.A_tilde}
 
 
 def run_thresholds(cfg: RunConfig) -> int:

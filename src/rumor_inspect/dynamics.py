@@ -28,9 +28,9 @@ nu=4.0906, k=3, delta=0.7071, x=0.8834, rates (0.856, 0.506) (rumor
 reproduction number 0.99966) the Jacobian's eigenvalues span -11.6 to
 -2.5e-4, stability holds the step near 0.29, and the run stops at the
 horizon after about 51,000 attempted steps. MAX_STEPS bounds the attempts,
-accepted plus rejected, so that a run whose rates never fall below conv_tol
-in rounding (lambda = 1e8, or conv_tol = 1e-22) fails instead of running on
-for minutes.
+accepted plus rejected, so that no run goes on for minutes; a conv_tol below
+the rounding floor of the rates (lambda = 1e7, or conv_tol = 1e-22) is
+refused before the first step (see integrate).
 """
 
 from __future__ import annotations
@@ -160,12 +160,7 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 
 
-def integrate(
-    s0: DynState,
-    p: ModelParams,
-    a: Allocation,
-    cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
-) -> Trajectory:
+def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> Trajectory:
     """Run the dynamics from s0 until the rates vanish or t reaches HORIZON / delta.
 
     The first step tried is FIRST_STEP. Every accepted step is stored.
@@ -173,9 +168,17 @@ def integrate(
     move. Each step is unrolled over the four coordinates, in the same
     floating-point order as a loop over them. IntegratorError is raised
     before the first step when the error tolerance below is not a positive
-    normal float (a subnormal conv_tol, or 2*k*nu beyond the float range),
-    and later when MAX_STEPS steps, accepted plus rejected, did not end the
-    run, or when the step size underflows.
+    normal float (a subnormal conv_tol, or 2*k*nu beyond the float range) or
+    conv_tol is below the rounding floor, and later when MAX_STEPS steps,
+    accepted plus rejected, did not end the run, or when the step size underflows.
+
+    The rounding floor: a rate (1 - r)*k*nu*s - r*delta, s the group's
+    source prevalence, is 0 at r = lam*s/(1 + lam*s) and falls by at least
+    k*nu*s per unit of r there. The nearest float may lie half a spacing, at
+    least eps*r/4, from that root, which leaves a rate of k*nu*s*r*eps/4. A
+    seeded truth reaches the mass m = x + (1-x)*alpha1 and sustains s >= m -
+    1/lam, a seeded rumor s = 1 - m - 1/lam; the floor is taken at the larger
+    s. At x = 0.3 and alpha = 0.2 it is 1.6e-11 at lambda = 1e6, 1.6e-10 at 1e7.
 
     Error control uses rtol = atol = conv_tol / (4 * (2*k*nu + delta)). By
     Gershgorin, 2*k*nu + delta bounds the row sums of the Jacobian, so it
@@ -198,6 +201,11 @@ def integrate(
     tol = 0.25 * conv_tol / (2.0 * (p.k * p.nu) + p.delta)  # k*nu first: 2*k alone may overflow
     if not tol >= sys.float_info.min:
         raise IntegratorError(f"error tolerance {tol} derived from conv_tol={conv_tol} is not a positive normal float")
+    m, v = p.x + (1.0 - p.x) * a.alpha1, 1.0 / p.lam  # the mass the truth reaches, and 1/lam
+    s = max([0.0, *(w - v for w, seeded in ((m, y1 + y2 + y3 > 0.0), (1.0 - m, y4 > 0.0)) if seeded)])
+    floor = 0.25 * sys.float_info.epsilon * (p.k * p.nu) * s * s / (v + s)  # v > 0: lam is finite
+    if conv_tol < floor:
+        raise IntegratorError(f"conv_tol={conv_tol} is below the rounding floor {floor:.3g} of the rates at the fixed point")
     t_max = HORIZON / p.delta
     lo, hi = -_DOMAIN_SLACK, 1.0 + _DOMAIN_SLACK
     max_steps = MAX_STEPS

@@ -8,23 +8,24 @@ with unit inspection cost:
   * maximize_truth_targeted -- maximize truth prevalence, per-type rates
   * maximize_platform       -- maximize total prevalence, one shared rate
 
-The three maximizers share one search, _maximize, along segments of
-policies on which alpha1 moves: the uniform line, the targeted budget line
-and its alpha0 = 1 edge. Each segment splits at the kink where alpha1
-reaches the eradication threshold. Above it the rumor is extinct and the
-objective is the no-rumor closed form, nondecreasing in alpha1. Below it,
-on the endemic piece, the truth cubic gives the slope in closed form
-(model._truth_slope): its sign is the paper's marginal condition. On
-dense profiles (30,000 random draws, lam up to 1000, any x) that sign
-changed at most once on every endemic piece, so a piece peaks inside only
-if the slope is positive at its lower end and not at its upper end, and a
-bracketed root finder solves for that peak. The peaks, the kinks and the
-segment ends are the candidates, and one tie rule picks among them: the
-cheapest within 1e-10 of the best, then the smallest alpha0.
+The three maximizers search segments of policies on which alpha1 moves:
+the uniform line, the targeted budget line and its alpha0 = 1 edge. Each
+segment splits at the kink where alpha1 reaches the eradication threshold.
+Above it the rumor is extinct and the objective is the no-rumor closed
+form, nondecreasing in alpha1. Below it, on the endemic piece, the truth
+cubic gives the slope in closed form (model._truth_slope): its sign is the
+paper's marginal condition. On dense profiles (30,000 random draws, lam
+up to 1000, any x) that sign changed at most once on every endemic piece,
+so a piece peaks inside only if the slope is positive at its lower end
+and not at its upper end, and a bracketed root finder solves for that
+peak. The peaks, the kinks and the segment ends are the candidates, and
+one tie rule picks among them: the cheapest within 1e-10 of the best,
+then the smallest alpha0.
 
-The budget thresholds of compute_thresholds call none of the optimizers:
-the uniform truth and platform curves do not depend on the budget, so the
-edges of the slack regions follow in closed form from each curve's peak.
+The uniform line does not depend on the budget, so UniformCurve analyses
+its truth or platform curve once: both uniform planners read the optimum
+at each budget off that analysis, and compute_thresholds reads the edges
+of the slack regions off its peak, with no optimizer call.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ THRESHOLD_RESOLUTION = 1e-6  # narrowest slack region compute_thresholds reports
 
 def _total(budget: float) -> float:
     A = float(budget)
-    if not A >= 0.0:
-        raise ParameterError(f"budget must be >= 0, got {A}")
+    if not 0.0 <= A < math.inf:
+        raise ParameterError(f"budget must be {'finite' if A > 0.0 else '>= 0'}, got {A}")
     return A
 
 
@@ -183,37 +184,45 @@ def _pick(scored, x: float):
     return min(near, key=lambda av: av[0].alpha0), top
 
 
-def _maximize(p: ModelParams, A: float, segments, points, platform: bool, cfg: SolverConfig) -> OptResult:
-    """Shared search of the three maximizers.
+def _result(p: ModelParams, A: float, alloc: Allocation, value: float, cfg: SolverConfig) -> OptResult:
+    """The OptResult of a maximizer's winner alloc, of objective value, at the budget A."""
+    spend = alloc.inspecting_mass(p.x)
+    eradicated = rumor_steady_state(p, alloc, cfg) == 0.0
+    return OptResult(alloc, value, spend, slack=spend < min(A, 1.0) - SLACK_TOL, rumor_eradicated=eradicated)
 
-    The objective is theta0, or theta0 + theta1 for the platform. Each
-    segment is a tuple (lo, hi, alloc, direction): the line of policies
-    alloc(u) for alpha1 = u in [lo, hi], moving along direction; its
-    _segment_rates join the fixed candidate `points`, every candidate is
-    scored, with the scalar solver where its segment has not already
-    solved it, and _pick's tie rule chooses.
+
+class UniformCurve:
+    """The uniform truth curve of p, or with platform the truth plus the rumor, analysed once for every budget.
+
+    rates holds, scored, the rates below 1 where _segment_rates finds that
+    the curve can peak over [0, 1]: 0, the kink (alpha' - cfg.tol) and the
+    peak of the endemic piece. peak is the rate _pick's tie rule names among
+    them, top its value.
     """
-    x = p.x
-    candidates = [(a, None) for a in points]
-    for lo, hi, alloc, direction in segments:
-        candidates += [(alloc(u), v) for u, v in _segment_rates(p, lo, hi, alloc, direction, platform, cfg)]
-    (alloc, vstar), _ = _pick(_score(p, candidates, platform, cfg), x)
-    spend = alloc.inspecting_mass(x)
-    return OptResult(
-        allocation=alloc,
-        objective=vstar,
-        budget_spent=spend,
-        slack=spend < min(A, 1.0) - SLACK_TOL,
-        rumor_eradicated=rumor_steady_state(p, alloc, cfg) == 0.0,
-    )
 
+    def __init__(self, p: ModelParams, platform: bool, cfg: SolverConfig = DEFAULT_SOLVER):
+        uniform = (1.0, 1.0, 1.0)  # d(alpha0, alpha1, I)/dalpha along the uniform line
+        rates = _segment_rates(p, 0.0, 1.0, Allocation.uniform, uniform, platform, cfg)
+        self.p, self.platform, self.cfg, self.kink = p, platform, cfg, eradication_threshold(p) - cfg.tol
+        self.rates = _score(p, [(Allocation.uniform(u), v) for u, v in rates if u < 1.0], platform, cfg)
+        (peak, _), self.top = _pick(self.rates, p.x)
+        self.peak = peak.alpha0
 
-UNIFORM = (1.0, 1.0, 1.0)  # d(alpha0, alpha1, I)/dalpha along the uniform line
+    def optimum(self, budget: float) -> OptResult:
+        """argmax of the curve over [0, c], c = min(A, 1): _pick among the rates up to c, and c where it can win.
 
-
-def _uniform_search(A: float):
-    """(segments, points) of _maximize for one shared rate alpha in [0, min(A, 1)]."""
-    return [(0.0, min(A, 1.0), Allocation.uniform, UNIFORM)], []
+        Below the peak the curve rises, so c competes with 0 at the cost of one
+        scalar solve; from the peak to the kink no rate beats the peak; above
+        the kink, on the nondecreasing no-rumor line, c is in closed form.
+        """
+        A = _total(budget)
+        p, c = self.p, min(A, 1.0)
+        scored = [(a, v) for a, v in self.rates if a.alpha0 <= c]
+        if 0.0 < c < self.peak:
+            scored.append((Allocation.uniform(c), _objective(p, Allocation.uniform(c), self.platform, self.cfg)))
+        elif c > self.kink:
+            scored.append((Allocation.uniform(c), _no_rumor_truth(p.lam, p.x, c)))
+        return _result(p, A, *_pick(scored, p.x)[0], self.cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -231,33 +240,19 @@ def minimize_rumor(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SO
     alpha = min(A, max(0.0, eradication_threshold(p) - cfg.tol))
     alloc = Allocation.uniform(alpha)
     theta1 = rumor_steady_state(p, alloc, cfg)
-    return OptResult(
-        allocation=alloc,
-        objective=theta1,
-        budget_spent=alpha,
-        slack=alpha < A - SLACK_TOL,
-        rumor_eradicated=theta1 == 0.0,
-    )
+    return OptResult(alloc, theta1, alpha, slack=alpha < A - SLACK_TOL, rumor_eradicated=theta1 == 0.0)
 
 
-def maximize_truth_uniform(
-    p: ModelParams,
-    budget: float,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> OptResult:
-    """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]."""
+def maximize_truth_uniform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
+    """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]; see UniformCurve."""
     A = _total(budget)
-    return _maximize(p, A, *_uniform_search(A), False, cfg)
+    return UniformCurve(p, False, cfg).optimum(A)
 
 
-def maximize_platform(
-    p: ModelParams,
-    budget: float,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> OptResult:
-    """Same search as maximize_truth_uniform, but the objective is theta0 + theta1."""
+def maximize_platform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
+    """Same as maximize_truth_uniform, but the objective is theta0 + theta1."""
     A = _total(budget)
-    return _maximize(p, A, *_uniform_search(A), True, cfg)
+    return UniformCurve(p, True, cfg).optimum(A)
 
 
 def _binding_alpha0(A: float, x: float, a1: float) -> float:
@@ -272,11 +267,7 @@ def _binding_alpha0(A: float, x: float, a1: float) -> float:
     return min(1.0, rest / x)
 
 
-def maximize_truth_targeted(
-    p: ModelParams,
-    budget: float,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> OptResult:
+def maximize_truth_targeted(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
     """argmax of truth prevalence over per-type rates under the budget.
 
     At a fixed alpha1, raising alpha0 weakly helps: it moves type-0 mass
@@ -290,12 +281,13 @@ def maximize_truth_targeted(
     policies are added as explicit candidates. At x = 0 only alpha1 has
     mass, and the segment alpha0 = 0, alpha1 in [0, min(1, A)] is searched:
     it reaches the uniform planner's truth values. At A = 0 and at x = 1
-    (where inspection buys nothing) the only candidate is (0, 0). Ties
-    follow _maximize: the smallest spend, then the smallest alpha0.
+    (where inspection buys nothing) the only candidate is (0, 0). Every
+    candidate is scored, with the scalar solver where its segment has not
+    solved it, and _pick's tie rule chooses.
     """
     A = _total(budget)
     x = p.x
-    points = [Allocation.targeted(0.0, 0.0)]
+    candidates = [(Allocation.targeted(0.0, 0.0), None)]
     segments = []
     if A > 0.0 and x <= 0.0:
         segments.append((0.0, min(1.0, A), lambda a1: Allocation.targeted(0.0, a1), (0.0, 1.0, 1.0)))
@@ -308,33 +300,27 @@ def maximize_truth_targeted(
         if A > x:
             segments.append((0.0, min(1.0, lo), lambda a1: Allocation.targeted(1.0, a1), (0.0, 1.0, 1.0 - x)))
         if A >= 1.0 - x:
-            points.append(Allocation.targeted(0.0, 1.0))
-    return _maximize(p, A, segments, points, False, cfg)
+            candidates.append((Allocation.targeted(0.0, 1.0), None))
+    for lo, hi, alloc, direction in segments:  # (lo, hi, the policy at alpha1 = u, its direction): see _segment_rates
+        candidates += [(alloc(u), v) for u, v in _segment_rates(p, lo, hi, alloc, direction, False, cfg)]
+    return _result(p, A, *_pick(_score(p, candidates, False, cfg), x)[0], cfg)
 
 
 # ---------------------------------------------------------------------------
 # budget thresholds
 # ---------------------------------------------------------------------------
 
-def _slack_region(p: ModelParams, platform: bool, cfg: SolverConfig) -> tuple[float | None, float | None]:
-    """Edges of the budgets A at which maximizing the uniform curve over [0, A] leaves slack, or (None, None).
+def _slack_region(curve: UniformCurve) -> tuple[float | None, float | None]:
+    """Edges of the budgets at which the curve's optimum leaves slack, or (None, None).
 
-    Up to the kink the curve's slope changes sign at most once, and above it
-    the curve is the nondecreasing no-rumor line x + (1-x)*alpha - 1/lam. So
-    the best rate up to the kink is among the rates _segment_rates gives over
-    [0, 1], less the end 1, and _pick's tie rule names that peak. Budgets
-    from the peak on, but at least THRESHOLD_RESOLUTION, leave slack until
-    the line climbs TIE_TOL above the best value, or up to 1. A region
-    narrower than THRESHOLD_RESOLUTION counts as none.
+    Budgets from the curve's peak on, but at least THRESHOLD_RESOLUTION, leave slack until the no-rumor
+    line climbs TIE_TOL above the peak's value, or up to 1. A narrower region counts as none.
     """
-    x = p.x
-    rates = _segment_rates(p, 0.0, 1.0, Allocation.uniform, UNIFORM, platform, cfg)
-    scored = _score(p, [(Allocation.uniform(u), v) for u, v in rates if u < 1.0], platform, cfg)
-    (peak, _), top = _pick(scored, x)
-    level = top + TIE_TOL
+    p, x = curve.p, curve.p.x
+    level = curve.top + TIE_TOL
     # at x = 1 the line is flat at the value of the peak at 0, so this divides by no zero
     upper = 1.0 if _no_rumor_truth(p.lam, x, 1.0) <= level else (level - x + 1.0 / p.lam) / (1.0 - x)
-    lower = max(peak.alpha0, THRESHOLD_RESOLUTION)
+    lower = max(curve.peak, THRESHOLD_RESOLUTION)
     return (lower, upper) if upper - lower >= THRESHOLD_RESOLUTION else (None, None)
 
 
@@ -345,22 +331,24 @@ def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Th
     reports slack; A_tilde is the top of the analogous region for the
     platform objective. All three are None when the corresponding slack
     region is narrower than THRESHOLD_RESOLUTION; budgets above 1 buy
-    nothing more.
-
-    Both objectives are fixed curves in the uniform rate, maximized over
-    [0, min(A, 1)] with ties going to the cheapest rate, so a budget leaves
-    slack when a cheaper rate does as well. _slack_region reads the edges
-    off each curve's peak with no optimizer call.
+    nothing more. _slack_region reads the edges off each uniform curve's
+    peak with no optimizer call.
     """
+    return _thresholds(p, cfg, {})
+
+
+def _thresholds(p: ModelParams, cfg: SolverConfig, curves: dict) -> Thresholds:
+    """compute_thresholds, reusing the curves of p already analysed: platform flag -> UniformCurve."""
+    truth, platform = (curves.get(flag) or UniformCurve(p, flag, cfg) for flag in (False, True))
     radicand = 2.0 - 1.0 / (1.0 - p.x) if p.x < 1.0 else -1.0
     disc = (4.0 - p.x) ** 2 - 12.0
     root = math.sqrt(disc) if disc >= 0.0 else None
-    a_lower, a_upper = _slack_region(p, False, cfg)
+    a_lower, a_upper = _slack_region(truth)
     return Thresholds(
         alpha_prime=eradication_threshold(p),
         lambda_bar=2.0 + math.sqrt(radicand) if radicand >= 0.0 else None,
         eradication_interval=None if root is None else ((4.0 - p.x - root) / 2.0, (4.0 - p.x + root) / 2.0),
         A_lower=a_lower,
         A_upper=a_upper,
-        A_tilde=_slack_region(p, True, cfg)[1],
+        A_tilde=_slack_region(platform)[1],
     )

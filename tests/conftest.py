@@ -347,3 +347,32 @@ def reference_integrate(s0, p, a, cfg=None):
         states.append(DynState(*r, t))
 
     return Trajectory(tuple(states), converged, max_rate, n_rejected)
+
+
+# ---------------------------------------------------------------------------
+# the uniform planners' search of each budget on its own, the oracle of their one curve analysis
+# ---------------------------------------------------------------------------
+
+def reference_uniform_optimum(p, A, platform, cfg=None):
+    """maximize_truth_uniform, or with platform maximize_platform, searched over [0, min(A, 1)] at this budget alone.
+
+    The planners read every budget's optimum off one analysis of their
+    curve (planner.UniformCurve). This is the search they ran before at each
+    budget: the rates _segment_rates gives over [0, min(A, 1)], scored, and
+    the tie rule _pick.
+    """
+    from rumor_inspect import Allocation, OptResult, planner, rumor_steady_state
+
+    cfg = planner.DEFAULT_SOLVER if cfg is None else cfg
+    A = planner._total(A)
+    rates = planner._segment_rates(p, 0.0, min(A, 1.0), Allocation.uniform, (1.0, 1.0, 1.0), platform, cfg)
+    scored = planner._score(p, [(Allocation.uniform(u), v) for u, v in rates], platform, cfg)
+    (alloc, value), _ = planner._pick(scored, p.x)
+    spend = alloc.inspecting_mass(p.x)
+    return OptResult(
+        allocation=alloc,
+        objective=value,
+        budget_spent=spend,
+        slack=spend < min(A, 1.0) - planner.SLACK_TOL,
+        rumor_eradicated=rumor_steady_state(p, alloc, cfg) == 0.0,
+    )

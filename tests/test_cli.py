@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import THETA0_REF, oracle_truth
-from rumor_inspect import Allocation, ModelParams, cli, dynamics, truth_steady_state
+from rumor_inspect import Allocation, ModelParams, cli, dynamics, planner, truth_steady_state
 from rumor_inspect.cli import OBJECTIVES, main
 
 
@@ -376,11 +376,13 @@ def test_dynamics_exit_3_when_step_budget_exhausted(monkeypatch, capsys):
     "args,message",
     [
         # 2*k overflows to inf unless nu scales it first
-        (["--nu", "1e-100", "--k", "1e308", "--delta", "1"], "numerical failure: step size underflowed at t="),
+        (["--nu", "1e-100", "--k", "1e308", "--delta", "1"], "numerical failure: conv_tol=1e-10 is below the rounding floor"),
         (["--lambda", "2", "--tol", "5e-324"],
          "numerical failure: error tolerance 0.0 derived from conv_tol=5e-324 is not a positive normal float\n"),
+        (["--lambda", "1e7"],
+         "numerical failure: conv_tol=1e-10 is below the rounding floor 1.55e-10 of the rates at the fixed point\n"),
     ],
-    ids=["k_nu", "subnormal_tol"],
+    ids=["k_nu", "subnormal_tol", "rounding_floor"],
 )
 def test_dynamics_extremes_exit_3(capsys, args, message):
     code = main(["dynamics", *args, "--x", "0.3", "--alpha", "0.2"])
@@ -478,6 +480,8 @@ def test_infinite_tol_exit_2(capsys, args, name):
          "tol must be finite and positive, got 0.0"),
         (["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "-1"],
          "budget must be >= 0, got -1.0"),
+        (["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "inf", "--format", "json"],
+         "budget must be finite, got inf"),
         (["sweep", "--axis", "A", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--start", "-1"],
          "budget must be >= 0, got -1.0"),
         (["sweep", "--axis", "lambda", "--x", "0.3", "--alpha", "0.2", "--start", "0", "--stop", "2"],
@@ -485,7 +489,7 @@ def test_infinite_tol_exit_2(capsys, args, name):
         (["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--init", "2"],
          "seed level must lie in [0, 1], got 2.0"),
     ],
-    ids=["rates", "alpha", "alpha1", "tol", "budget", "budget-sweep", "lambda-sweep", "init"],
+    ids=["rates", "alpha", "alpha1", "tol", "budget", "budget-inf", "budget-sweep", "lambda-sweep", "init"],
 )
 def test_parameter_errors_exit_2_with_their_message(capsys, args, message):
     code = main(args)
@@ -502,6 +506,21 @@ def test_oversized_sweep_steps_exit_2(capsys, steps):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and err.startswith(f"error: cannot build a sweep grid of {steps} steps: ")
+
+
+@pytest.mark.parametrize("steps", [11, 101])
+@pytest.mark.parametrize("objective", ["truth", "platform"])
+def test_budget_sweep_analyses_its_curve_once(monkeypatch, capsys, objective, steps):
+    # the uniform curve does not depend on the budget, so a sweep solves for
+    # its peak once, however many budgets it has: at lam = 2, x = 0.3 both
+    # curves peak inside, the truth at 0.198 and the platform below 0.29
+    calls = []
+    slope_root = planner._slope_root
+    monkeypatch.setattr(planner, "_slope_root", lambda *args: calls.append(args) or slope_root(*args))
+    code, out = run(capsys, "sweep", "--axis", "A", "--objective", objective, "--lambda", "2", "--x", "0.3",
+                    "--steps", str(steps))
+    assert code == 0 and len(parse_csv(out)[1]) == steps
+    assert len(calls) == 1
 
 
 def test_targeted_at_x_zero_matches_uniform(capsys):

@@ -319,22 +319,51 @@ def test_stability_reruns_deterministic(ref_params):
     assert first.max_gap == second.max_gap
 
 
-def test_overflowing_two_k_ends_in_step_underflow():
-    # k*nu = 1e208 is finite, but 2*k alone overflows; the run fails like any too-stiff one
-    with pytest.raises(IntegratorError, match="step size underflowed"):
+def test_overflowing_two_k_is_refused_at_the_rounding_floor():
+    # k*nu = 1e208 is finite, but 2*k alone overflows. The error tolerance is a
+    # normal float, and the rounding floor, about k*nu*eps/4, is far above
+    # conv_tol: the run is refused before its first step
+    with pytest.raises(IntegratorError, match=r"conv_tol=1e-10 is below the rounding floor 3\.\d+e\+191 of the rates"):
         integrate(DynState(0.5, 0.5, 0.5, 0.5), ModelParams(1e-100, 1e308, 1.0, 0.3), Allocation.uniform(0.2))
 
 
-def test_error_tolerance_must_be_a_positive_normal_float(monkeypatch, ref_params):
+def test_error_tolerance_must_be_a_positive_normal_float(ref_params):
     # at lambda = 2 (nu = k = 1, delta = 0.5) the error tolerance is conv_tol / 10
-    monkeypatch.setattr(dynamics, "MAX_STEPS", 0)  # a tolerance that passes ends at the step budget
+    # a tolerance that passes meets the next check, the rounding floor of the rates
     a = Allocation.uniform(0.2)
     s0 = seed_state(ref_params, a)
-    with pytest.raises(IntegratorError, match="step budget exhausted"):
+    with pytest.raises(IntegratorError, match="below the rounding floor"):
         integrate(s0, ref_params, a, IntegratorConfig(10.0 * sys.float_info.min))  # tol is the smallest normal
     for conv_tol in (math.nextafter(10.0 * sys.float_info.min, 0.0), 5e-324):
         with pytest.raises(IntegratorError, match=f"derived from conv_tol={conv_tol!r} is not a positive normal float"):
             integrate(s0, ref_params, a, IntegratorConfig(conv_tol))
+
+
+def test_rounding_floor_refuses_what_no_float_state_meets(monkeypatch):
+    # at lambda = 1e7 (x = 0.3, alpha = 0.2) rounding a fraction to a float can
+    # leave a rate of 1.55e-10, above the default conv_tol = 1e-10: the run
+    # stalled there, and is now refused before the first step
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 0)  # a run that took a step would end at the step budget
+    a = Allocation.uniform(0.2)
+    p = ModelParams.from_lambda(1e7, 0.3)
+    for start in (seed_state(p, a), DynState(0.0, 0.0, 0.0, 0.5)):  # the rumor sets the floor, seeded alone or not
+        with pytest.raises(IntegratorError, match=r"conv_tol=1e-10 is below the rounding floor 1\.55e-10 "):
+            integrate(start, p, a)
+    q = ModelParams.from_lambda(2.0, 0.3)  # the rumor sustains 0.06, the truth nothing: the floor is 3.57e-19
+    with pytest.raises(IntegratorError, match=r"conv_tol=1e-20 is below the rounding floor 3\.57e-19 "):
+        integrate(seed_state(q, a), q, a, IntegratorConfig(1e-20))
+    # with nothing seeded nothing spreads: the rates are 0, and there is no floor
+    traj = integrate(DynState(0.0, 0.0, 0.0, 0.0), p, a)
+    assert traj.converged and traj.n_steps == 0
+
+
+def test_rounding_floor_lets_lambda_1e6_converge():
+    # the floor is 1.55e-11 at lambda = 1e6: the run converges, step for step
+    # the loop that has no floor check
+    p, a = ModelParams.from_lambda(1e6, 0.3), Allocation.uniform(0.2)
+    traj = integrate(seed_state(p, a), p, a)
+    assert traj.converged and traj.n_steps == 4059
+    assert traj == reference_integrate(seed_state(p, a), p, a)
 
 
 @pytest.mark.parametrize("conv_tol", [math.inf, math.nan, 0.0, -1e-10])

@@ -41,7 +41,8 @@ def reference_table(cfg):
         return list(row), [row], None
     if cfg.command == "optimize":
         p = cli._params(cfg)
-        row = {**cli.optimize_record(p, cfg.objective, cfg.A, solver), **cli._threshold_fields(cli.compute_thresholds(p, solver))}
+        res = cli.PLANNERS[cfg.objective][0](p, cfg.A, solver)
+        row = {**cli.optimize_record(res, cfg.objective), **cli._threshold_fields(cli.compute_thresholds(p, solver))}
         return list(row), [row], None
     if cfg.command == "thresholds":
         p = cli._params(cfg)
@@ -70,7 +71,8 @@ def reference_table(cfg):
     values = np.linspace(lo, hi, cfg.steps).tolist()
     if cfg.axis == "A":
         p = cli._params(cfg)
-        rows = [{"A": v, **cli.optimize_record(p, cfg.objective, v, solver)} for v in values]
+        planner = cli.PLANNERS[cfg.objective][0]
+        rows = [{"A": v, **cli.optimize_record(planner(p, v, solver), cfg.objective)} for v in values]
         return list(rows[0]), rows, None
     rows = []
     for v in values:

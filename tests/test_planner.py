@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -20,11 +21,13 @@ from conftest import (
     oracle_region_max,
     oracle_rumor,
     oracle_truth,
+    reference_uniform_optimum,
 )
 from rumor_inspect import (
     Allocation,
     ModelParams,
     ParameterError,
+    SolverConfig,
     compute_thresholds,
     eradication_threshold,
     full_steady_state,
@@ -710,6 +713,56 @@ def test_maximizers_beat_a_dense_scan_of_their_segments(lam, x, A):
         assert res.objective >= max(scan, default=0.0) - planner.TIE_TOL
         a = res.allocation
         assert res.objective == truth_steady_state(p, a) + (rumor_steady_state(p, a) if platform else 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.5, 1000.0), x=st.floats(0.0, 1.0), tol=st.floats(1e-15, planner.TIE_TOL),
+       drawn=st.lists(st.floats(0.0, 1.0), max_size=6))
+@example(lam=2.0, x=0.3, tol=1e-12, drawn=[0.1, 0.25])
+@example(lam=1.6, x=0.4, tol=1e-12, drawn=[0.3, 0.5])  # no rumor, and no truth up to 0.375: the peak is 0
+@example(lam=5.0, x=0.5, tol=1e-12, drawn=[0.6])  # the truth optimum is the kink
+# the peak of [0, kink] lies 9.7e-13 from the slope's sign change, that of [0, 0.8314] 5.2e-14
+@example(lam=569.8007467571913, x=0.7588690462219729, tol=9.82675026939412e-10, drawn=[0.8314028652289338])
+def test_uniform_curve_matches_the_search_of_each_budget(lam, x, tol, drawn):
+    # the optimum read off one analysis of a curve is what a search over
+    # [0, min(A, 1)] at that budget finds (conftest.reference_uniform_optimum),
+    # on a grid of 0, the peak, the kink and its neighbouring floats, 1,
+    # budgets above 1 and drawn ones. Both solve the same peak to ROOT_XTOL,
+    # in the brackets [0, kink] and [0, A], so the rates agree within twice
+    # that. A tol above TIE_TOL is not drawn: there the solver's own error can
+    # exceed the tie tolerance, and the two may pick apart values that differ
+    # by solver error alone (A = 5e-324 next to a peak at 0, tol = 8e-5)
+    p = ModelParams.from_lambda(lam, x)
+    cfg = SolverConfig(tol)
+    kink = eradication_threshold(p) - tol
+    for platform in (False, True):
+        curve = planner.UniformCurve(p, platform, cfg)
+        budgets = [0.0, curve.peak, 1.0, 1.5, 3.0, *drawn]
+        budgets += [kink, math.nextafter(kink, 0.0), math.nextafter(kink, 1.0)] if kink > 0.0 else []
+        for A in budgets:
+            got, want = curve.optimum(A), reference_uniform_optimum(p, A, platform, cfg)
+            assert got.allocation.alpha0 == got.allocation.alpha1
+            assert abs(got.allocation.alpha0 - want.allocation.alpha0) <= 2.0 * planner.ROOT_XTOL, A
+            assert abs(got.objective - want.objective) <= planner.TIE_TOL, A
+            assert (got.slack, got.rumor_eradicated) == (want.slack, want.rumor_eradicated), A
+        assert (maximize_platform if platform else maximize_truth_uniform)(p, 0.5, cfg) == curve.optimum(0.5)
+
+
+def test_uniform_optimum_scores_every_recorded_rate_above_the_kink():
+    # _pick is not transitive: a rate that loses the peak to a cheaper one by
+    # less than TIE_TOL can still beat the no-rumor line at c, which beats the
+    # cheaper one. So above the kink the optimum scores every recorded rate, as
+    # the search over [0, c] did, not the peak alone. Synthetic values around
+    # the line at c = 0.9: the peak is 0, and the search picks 0.3
+    p = ModelParams.from_lambda(5.0, 0.5)
+    curve = planner.UniformCurve(p, False)
+    line = _no_rumor_truth(p.lam, p.x, 0.9)
+    curve.rates = [(Allocation.uniform(0.0), line - 1.5e-10), (Allocation.uniform(0.3), line - 0.6e-10),
+                   (Allocation.uniform(curve.kink), line - 5e-10)]
+    (peak, _), curve.top = planner._pick(curve.rates, p.x)
+    curve.peak = peak.alpha0
+    assert curve.peak == 0.0
+    assert curve.optimum(0.9).allocation == Allocation.uniform(0.3)
 
 
 @pytest.mark.parametrize(
