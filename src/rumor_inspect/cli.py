@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .dynamics import (
@@ -34,9 +34,9 @@ from .model import (
     ParameterError,
     SolverConfig,
     SolverError,
+    _FloatOps,
     _inspecting_mass,
     _steady_fields,
-    full_steady_state,
     no_rumor_positivity_readings,
     prevalences,
 )
@@ -44,6 +44,7 @@ from .planner import (
     OptResult,
     UniformCurve,
     _thresholds,
+    _total,
     compute_thresholds,
     maximize_platform,
     maximize_truth_targeted,
@@ -150,21 +151,16 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
     return SolverConfig(tol=cfg.tol) if cfg.tol is not None else SolverConfig()
 
 
-def _params(cfg: RunConfig, *, lam_override: float | None = None, x_override: float | None = None) -> ModelParams:
-    x = x_override if x_override is not None else cfg.x
-    if x is None:
+def _params(cfg: RunConfig) -> ModelParams:
+    if cfg.x is None:
         raise ConfigError("--x is required")
     rates = (cfg.nu, cfg.k, cfg.delta)
-    if lam_override is not None:
-        if cfg.lam is not None or any(r is not None for r in rates):
-            raise ConfigError("the swept diffusion rate cannot also be fixed on the command line")
-        return ModelParams.from_lambda(lam_override, x)
     if cfg.lam is not None:
         if any(r is not None for r in rates):
             raise ConfigError("give either --lambda or the full --nu/--k/--delta triple, not both")
-        return ModelParams.from_lambda(cfg.lam, x)
+        return ModelParams.from_lambda(cfg.lam, cfg.x)
     if all(r is not None for r in rates):
-        return ModelParams(cfg.nu, cfg.k, cfg.delta, x)
+        return ModelParams(cfg.nu, cfg.k, cfg.delta, cfg.x)
     raise ConfigError("model parameters missing: give --lambda or all of --nu/--k/--delta")
 
 
@@ -178,11 +174,6 @@ def _allocation(cfg: RunConfig) -> Allocation:
     raise ConfigError("allocation missing: give --alpha or both --alpha0 and --alpha1")
 
 
-def _forbid_allocation(cfg: RunConfig, why: str) -> None:
-    if cfg.alpha is not None or cfg.alpha0 is not None or cfg.alpha1 is not None:
-        raise ConfigError(f"allocation flags are not allowed {why}")
-
-
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -190,9 +181,14 @@ def _forbid_allocation(cfg: RunConfig, why: str) -> None:
 STEADY_FIELDS = ("theta0", "theta1", "theta", "rho_00_a", "rho_10_a", "rho_00_na", "rho_11_na", "eradicated")
 
 
-def steady_record(p: ModelParams, a: Allocation, solver: SolverConfig) -> dict:
-    ss = full_steady_state(p, a, solver)
-    return {**{f: getattr(ss, f) for f in STEADY_FIELDS[:-1]}, "eradicated": ss.theta1 == 0.0}
+def steady_columns(lam, x, a0, a1, solver: SolverConfig, ops=_FloatOps) -> list[list]:
+    """The STEADY_FIELDS columns at the diffusion rate lam, the mass x and the rates a0, a1, as floats and bools.
+
+    With floats they hold one row; with numpy arrays and numpy as ops, a batch equal row by row to the float solves.
+    """
+    fields = _steady_fields(lam, x, a0, a1, _inspecting_mass(x, a0, a1, ops), solver, ops)
+    theta0, theta1, theta, rho_a, rho_00_na, rho_11_na = ([f] if ops is _FloatOps else f.tolist() for f in fields)
+    return [theta0, theta1, theta, rho_a, rho_a, rho_00_na, rho_11_na, [t == 0.0 for t in theta1]]
 
 
 def budget_solver(p: ModelParams, objective: str, solver: SolverConfig, curves: dict):
@@ -214,7 +210,12 @@ def optimize_record(res: OptResult, objective: str) -> dict:
 
 
 def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list[list]]:
-    """The header and the columns of a sweep: the swept values, then one column per field."""
+    """The header and the columns of a sweep: the swept values, then one column per field.
+
+    The domain checks are monotone in the swept value along every axis, and np.linspace returns --start and
+    --stop as its exact ends, so they are checked before the grid: a failing sweep reports its first point's
+    error. A steady sweep is solved as one batch, which reports its first failing entry.
+    """
     import numpy as np  # sweeps alone need numpy, so the other commands start without it
 
     axis = cfg.axis
@@ -235,6 +236,19 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         raise ConfigError(f"--start must be below --stop, got [{lo}, {hi}]")
     if axis in ("alpha", "x") and not (0.0 <= lo and hi <= 1.0):
         raise ConfigError(f"{axis} sweep range must stay inside [0, 1], got [{lo}, {hi}]")
+    if axis == "lambda" and any(v is not None for v in (cfg.lam, cfg.nu, cfg.k, cfg.delta)):
+        raise ConfigError("the swept diffusion rate cannot also be fixed on the command line")
+    if axis == "x" and cfg.x is not None:
+        raise ConfigError("the swept x cannot also be fixed on the command line")
+    if axis in ("alpha", "A") and any(v is not None for v in (cfg.alpha, cfg.alpha0, cfg.alpha1)):
+        swept = "alpha" if axis == "alpha" else "the budget"
+        raise ConfigError(f"allocation flags are not allowed when sweeping {swept}")
+    if axis == "A":
+        p = _params(cfg)
+        _total(lo), _total(hi)
+    else:  # the point at each end; the first one's params and allocation hold the batch's fixed values
+        field = "lam" if axis == "lambda" else axis
+        (p, a), _ = [(_params(end), _allocation(end)) for end in (replace(cfg, **{field: v}) for v in (lo, hi))]
     try:
         grid = np.linspace(lo, hi, cfg.steps)
     except (ValueError, MemoryError, IndexError) as exc:
@@ -243,50 +257,10 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         raise ConfigError(f"cannot build a sweep grid of {cfg.steps} steps: {exc}") from exc
     values = grid.tolist()
 
-    if axis == "alpha":
-        _forbid_allocation(cfg, "when sweeping alpha")
-        p = _params(cfg)
-        point = lambda v: (p, Allocation.uniform(v))  # noqa: E731
-    elif axis == "lambda":
-        a = _allocation(cfg)
-        point = lambda v: (_params(cfg, lam_override=v), a)  # noqa: E731
-    elif axis == "x":
-        if cfg.x is not None:
-            raise ConfigError("the swept x cannot also be fixed on the command line")
-        a = _allocation(cfg)
-        point = lambda v: (_params(cfg, x_override=v), a)  # noqa: E731
-    else:  # axis == "A": one optimization per budget
-        _forbid_allocation(cfg, "when sweeping the budget")
-        solve = budget_solver(_params(cfg), cfg.objective, solver, {})
+    if axis == "A":  # one optimization per budget
+        solve = budget_solver(p, cfg.objective, solver, {})
         records = [optimize_record(solve(v), cfg.objective) for v in values]
         return (["A", *records[0]], [values, *map(list, zip(*(r.values() for r in records)))])
-
-    header = [axis, *STEADY_FIELDS]
-    try:
-        columns = _steady_columns(axis, grid, point, solver)
-    except (ConfigError, ParameterError, SolverError):
-        # the batch reports a failure, but a sweep reports its first failing
-        # point: solve point by point up to it, which raises its error
-        for v in values:
-            steady_record(*point(v), solver)
-        raise
-    return (header, [values, *columns])
-
-
-def _steady_columns(axis: str, grid, point, solver: SolverConfig) -> list[list]:
-    """The STEADY_FIELDS columns of a sweep along alpha, lambda or x, solved as one batch.
-
-    grid is the numpy array of the swept values.
-    point(v) builds the ModelParams and Allocation of the sweep point v and
-    checks their domains. It runs at the two ends only: along each axis the
-    domain checks are monotone in the swept value, so ends that pass mean
-    every point passes. The columns hold plain floats and bools, equal to
-    steady_record at each point.
-    """
-    import numpy as np
-
-    p, a = point(grid[0].item())
-    point(grid[-1].item())
     lam, x, a0, a1 = p.lam, p.x, a.alpha0, a.alpha1
     if axis == "alpha":
         a0 = a1 = grid
@@ -294,11 +268,9 @@ def _steady_columns(axis: str, grid, point, solver: SolverConfig) -> list[list]:
         lam = grid  # from_lambda gives each swept value back as lam (at a subnormal one, every field is 0 either way)
     else:
         x = grid
-    inspecting = _inspecting_mass(x, a0, a1, np)
     with np.errstate(all="ignore"):  # float arithmetic overflows to inf silently; so does the batch
-        fields = _steady_fields(lam, x, a0, a1, inspecting, solver, np)
-    theta0, theta1, theta, rho_a, rho_00_na, rho_11_na = (f.tolist() for f in fields)
-    return [theta0, theta1, theta, rho_a, rho_a, rho_00_na, rho_11_na, [t == 0.0 for t in theta1]]
+        columns = steady_columns(lam, x, a0, a1, solver, np)
+    return ([axis, *STEADY_FIELDS], [values, *columns])
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +353,7 @@ def run_steady(cfg: RunConfig) -> int:
     solver = _solver_config(cfg)
     p = _params(cfg)
     a = _allocation(cfg)
-    row = steady_record(p, a, solver)
-    emit(list(row), [[v] for v in row.values()], cfg)
+    emit(list(STEADY_FIELDS), steady_columns(p.lam, p.x, a.alpha0, a.alpha1, solver), cfg)
     return EXIT_OK
 
 

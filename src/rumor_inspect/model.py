@@ -228,10 +228,13 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
     below s = I + x*(1-alpha0), so the cubic's root lies in (0, min(s, cap))
     for a caller-known bound cap. Newton steps start at the upper end and
     keep a sign bracket, bisecting when a step would leave it or the slope
-    is not positive. Entries that are settled from the start may carry
-    inf or nan coefficients (1/lam overflows at a subnormal lam); their
-    steps are masked. A solve that does not settle raises SolverError for
-    the first open entry.
+    is not positive. Where the constant -I*theta1/lam underflows to 0 and
+    no coefficient is negative, 0 is the cubic's only root in [0, hi]: the
+    solve returns it at once, since Newton steps onto 0 leave the bracket
+    and bisection takes about a thousand halvings to reach it. Entries that
+    are settled from the start may carry inf or nan coefficients (1/lam
+    overflows at a subnormal lam); their steps are masked. A solve that
+    does not settle raises SolverError for the first open entry.
     """
     closed = _no_rumor_truth(lam, x, a1, ops)
     settled = (theta1 <= 0.0) | (inspecting <= 0.0)
@@ -242,8 +245,9 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
     c2, c1, c0 = _truth_cubic(1.0 / lam, theta1, inspecting, s)
     hi = ops.minimum(s, cap)
     lo = 0.0 * hi
-    t = hi
-    done = settled
+    zero = (c0 == 0.0) & (c1 >= 0.0) & (c2 >= 0.0)
+    t = where(zero, lo, hi)
+    done = settled | zero
     tol = cfg.tol
     for _ in range(MAX_ITER):
         f = ((t + c2) * t + c1) * t + c0

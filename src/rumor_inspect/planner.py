@@ -185,7 +185,7 @@ def _pick(scored, x: float):
 
 
 def _result(p: ModelParams, A: float, alloc: Allocation, value: float, cfg: SolverConfig) -> OptResult:
-    """The OptResult of a maximizer's winner alloc, of objective value, at the budget A."""
+    """The OptResult of a planner's winner alloc, of objective value, at the budget A: slack below min(A, 1)."""
     spend = alloc.inspecting_mass(p.x)
     eradicated = rumor_steady_state(p, alloc, cfg) == 0.0
     return OptResult(alloc, value, spend, slack=spend < min(A, 1.0) - SLACK_TOL, rumor_eradicated=eradicated)
@@ -237,10 +237,8 @@ def minimize_rumor(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SO
     optimum is min(A, max(0, alpha' - cfg.tol)).
     """
     A = _total(budget)
-    alpha = min(A, max(0.0, eradication_threshold(p) - cfg.tol))
-    alloc = Allocation.uniform(alpha)
-    theta1 = rumor_steady_state(p, alloc, cfg)
-    return OptResult(alloc, theta1, alpha, slack=alpha < A - SLACK_TOL, rumor_eradicated=theta1 == 0.0)
+    alloc = Allocation.uniform(min(A, max(0.0, eradication_threshold(p) - cfg.tol)))
+    return _result(p, A, alloc, rumor_steady_state(p, alloc, cfg), cfg)
 
 
 def maximize_truth_uniform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:

@@ -127,6 +127,23 @@ def test_steady_settles_on_a_bracket_of_one_float(capsys):
     assert 0.42831554271398753 <= rows[0]["theta0"] <= 0.42831554271398764
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["steady", "--lambda", "2", "--x", "0.3", "--alpha", "5e-324", "--tol", "1e-100"],
+     ["sweep", "--axis", "x", "--start", "0.1", "--stop", "0.3", "--steps", "3", "--lambda", "2", "--alpha", "5e-324",
+      "--tol", "1e-300"]],
+    ids=["steady", "sweep"],
+)
+def test_truth_root_at_an_underflowed_constant_exits_0(capsys, args):
+    # the cubic's constant underflows to -0.0, and its root 0 is reported, not a solver failure
+    code, out = run(capsys, *args)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [row["theta0"] for row in rows] == [0.0] * len(rows)
+    assert all(row["theta1"] > 0.0 for row in rows)
+    assert "-0.0" not in out
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -3,18 +3,19 @@
 ``row_wise_render`` below is the earlier renderer: one dict per row, each
 cell formatted with ``cli._fmt``, the config echoed through
 ``dataclasses.asdict``. ``reference_table`` rebuilds each command's rows the
-way the earlier CLI did, point by point and dict by dict, from the library
-and the CLI's record helpers. ``cli.main`` output must equal the reference
-byte for byte, in CSV and in JSON.
+way the earlier CLI did, point by point and dict by dict, from the library:
+a steady row from ``full_steady_state``, with each sweep point's parameters
+built on their own. ``cli.main`` output must equal the reference byte for
+byte, in CSV and in JSON.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from rumor_inspect import Allocation, IntegratorConfig, __version__, cli
+from rumor_inspect import Allocation, IntegratorConfig, ModelParams, __version__, cli, full_steady_state
 from rumor_inspect.dynamics import integrate, seed_state, verify_global_stability
 from rumor_inspect.model import no_rumor_positivity_readings, prevalences
 
@@ -33,11 +34,17 @@ def row_wise_render(header, rows, cfg, summary=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def steady_row(p, a, solver) -> dict:
+    ss = full_steady_state(p, a, solver)
+    fields = ("theta0", "theta1", "theta", "rho_00_a", "rho_10_a", "rho_00_na", "rho_11_na")
+    return {**{f: getattr(ss, f) for f in fields}, "eradicated": ss.theta1 == 0.0}
+
+
 def reference_table(cfg):
     """(header, rows, summary) of a command, built row by row as dicts."""
     solver = cli._solver_config(cfg)
     if cfg.command == "steady":
-        row = cli.steady_record(cli._params(cfg), cli._allocation(cfg), solver)
+        row = steady_row(cli._params(cfg), cli._allocation(cfg), solver)
         return list(row), [row], None
     if cfg.command == "optimize":
         p = cli._params(cfg)
@@ -79,10 +86,10 @@ def reference_table(cfg):
         if cfg.axis == "alpha":
             p, a = cli._params(cfg), Allocation.uniform(v)
         elif cfg.axis == "lambda":
-            p, a = cli._params(cfg, lam_override=v), cli._allocation(cfg)
+            p, a = ModelParams.from_lambda(v, cfg.x), cli._allocation(cfg)
         else:
-            p, a = cli._params(cfg, x_override=v), cli._allocation(cfg)
-        rows.append({cfg.axis: v, **cli.steady_record(p, a, solver)})
+            p, a = cli._params(replace(cfg, x=v)), cli._allocation(cfg)
+        rows.append({cfg.axis: v, **steady_row(p, a, solver)})
     return list(rows[0]), rows, None
 
 

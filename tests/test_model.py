@@ -344,6 +344,20 @@ def test_solver_error_carries_bracket(monkeypatch, ref_params):
     assert 0.0 <= lo < hi <= 1.0
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-60, 1e-100, 1e-300, 5e-324])
+def test_truth_root_at_an_underflowed_constant_is_zero(tol):
+    # at alpha = 5e-324 the cubic's constant -I*theta1/lam underflows to -0.0,
+    # so 0 is its exact float root; the float solve and the batch both return it
+    cfg = SolverConfig(tol=tol)
+    p = ModelParams.from_lambda(2.0, 0.3)
+    single = full_steady_state(p, Allocation.uniform(5e-324), cfg)
+    xs = np.array([0.1, 0.2, 0.3])
+    batch = model._steady_fields(2.0, xs, 5e-324, 5e-324, model._inspecting_mass(xs, 5e-324, 5e-324, np), cfg, np)
+    assert single.theta0 == batch[0][-1] == 0.0 and math.copysign(1.0, single.theta0) == 1.0
+    assert batch[0].tolist() == [0.0, 0.0, 0.0]
+    assert single.theta1 == batch[1][-1] == rumor_steady_state(p, Allocation.uniform(5e-324), cfg) > 0.0
+
+
 def _recompose_off_from_half(monkeypatch):
     """Make recomposition miss theta0 by 1e-3 from alpha0 = 0.5 on; return the message a solve at 0.5 raises."""
     real = model._recompose

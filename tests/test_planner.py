@@ -80,6 +80,16 @@ def test_minimize_rumor_spends_nothing_when_threshold_is_below_tol():
     assert res.objective == 0.0 and res.rumor_eradicated and res.slack
 
 
+def test_minimize_rumor_slack_is_measured_against_what_a_budget_can_buy():
+    # a budget above 1 buys a rate of 1 at most, for every planner: spending
+    # alpha' - tol = 1 - 1e-10 - 1e-12 of A = 2 leaves less than SLACK_TOL of it
+    p = ModelParams.from_lambda(1e10, 0.0)
+    res = minimize_rumor(p, 2.0)
+    assert res.budget_spent == res.allocation.alpha0 == eradication_threshold(p) - DEFAULT_SOLVER.tol
+    assert res.objective == 0.0 and res.rumor_eradicated and not res.slack
+    assert not maximize_truth_uniform(p, 2.0).slack
+
+
 def test_minimize_rumor_subcritical():
     res = minimize_rumor(ModelParams.from_lambda(1.0, 0.3), 0.4)
     assert res.allocation.alpha0 == 0.0
