@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 
 from . import __version__
 from .dynamics import (
@@ -72,9 +71,8 @@ class ConfigError(ValueError):
     """The command line describes an invalid or inconsistent run."""
 
 
-@dataclass
-class RunConfig:
-    """The parsed command line, filled in place by argparse; the only place a setting's default is written."""
+class RunConfig(argparse.Namespace):
+    """The parsed command line, filled in place by argparse: every field below, in echo order, with its only default."""
 
     command: str
     lam: float | None = None
@@ -97,6 +95,14 @@ class RunConfig:
     fmt: str = "csv"
     out: str | None = None
     tol: float | None = None
+
+    def __init__(self, command: str, **settings):
+        if not settings.keys() <= _RUN_DEFAULTS.keys():
+            raise TypeError(f"RunConfig has no field {', '.join(sorted(settings.keys() - _RUN_DEFAULTS.keys()))}")
+        vars(self).update(_RUN_DEFAULTS, command=command, **settings)
+
+
+_RUN_DEFAULTS = {name: getattr(RunConfig, name, None) for name in RunConfig.__annotations__}  # in field order
 
 
 @functools.cache
@@ -248,7 +254,7 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         _total(lo), _total(hi)
     else:  # the point at each end; the first one's params and allocation hold the batch's fixed values
         field = "lam" if axis == "lambda" else axis
-        (p, a), _ = [(_params(end), _allocation(end)) for end in (replace(cfg, **{field: v}) for v in (lo, hi))]
+        (p, a), _ = [(_params(end), _allocation(end)) for end in (RunConfig(**{**vars(cfg), field: v}) for v in (lo, hi))]
     try:
         grid = np.linspace(lo, hi, cfg.steps)
     except (ValueError, MemoryError, IndexError) as exc:
@@ -299,8 +305,8 @@ def _fmt_column(col) -> list[str]:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    # every RunConfig field that has a value, defaults included, except the
-    # destination. RunConfig holds scalars only, so its shallow vars() equals asdict()
+    # every RunConfig field that has a value, defaults included, in RunConfig's
+    # field order, except the destination
     return {k: v for k, v in vars(cfg).items() if v is not None and k != "out"}
 
 
@@ -395,7 +401,8 @@ def run_dynamics(cfg: RunConfig) -> int:
     s0 = seed_state(p, a, cfg.init)
     # the stability check goes first: it rejects --starts and --seed before it integrates
     report = None if cfg.starts is None else verify_global_stability(p, a, cfg.starts, integ, seed=cfg.seed)
-    traj = integrate(s0, p, a, integ)
+    reuse = report is not None and cfg.init == DEFAULT_SEED_LEVEL  # the check has integrated this very start
+    traj = report.seed_trajectory if reuse else integrate(s0, p, a, integ)
     rows = [(s.t, s.r00a, s.r00na, s.r10a, s.r11na, *prevalences(s, p, a)) for s in traj.states]
     summary = {
         "status": traj.status,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .model import Allocation, ModelParams, ParameterError, group_masses
@@ -57,8 +57,7 @@ class IntegratorError(RuntimeError):
     """The error tolerance or the step size underflowed, or MAX_STEPS steps were attempted before the run ended."""
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(namedtuple("IntegratorConfig", "conv_tol")):
     """Dormand-Prince 5(4) settings.
 
     The run stops once max|dr/dt| < conv_tol, or at the horizon. The
@@ -66,11 +65,13 @@ class IntegratorConfig:
     (see integrate), so there is no separate accuracy knob.
     """
 
-    conv_tol: float = 1e-10
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs the checks too
 
-    def __post_init__(self):
-        if not 0.0 < self.conv_tol < math.inf:
-            raise ParameterError(f"conv_tol must be finite and positive, got {self.conv_tol}")
+    def __new__(cls, conv_tol: float = 1e-10) -> IntegratorConfig:
+        if not 0.0 < conv_tol < math.inf:
+            raise ParameterError(f"conv_tol must be finite and positive, got {conv_tol}")
+        return tuple.__new__(cls, (conv_tol,))
 
 
 DEFAULT_INTEGRATOR = IntegratorConfig()
@@ -82,8 +83,7 @@ DEFAULT_SEED_LEVEL = 1e-3  # "small initial infection" in every live group
 STABILITY_TOL = 1e-6  # sup distance within which multi-start limits count as one
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """The start and every accepted step of the dynamics, plus its termination status."""
 
     states: tuple[DynState, ...]
@@ -105,14 +105,14 @@ class Trajectory:
         return "converged" if self.converged else "horizon"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Outcome of multi-start integration toward a common limit."""
 
     passed: bool
     all_converged: bool
     max_gap: float
     limits: tuple[DynState, ...]
+    seed_trajectory: Trajectory  # the run from seed_state(p, a), whose limit is limits[0]
 
 
 def rate_function(p: ModelParams, a: Allocation):
@@ -300,6 +300,7 @@ def verify_global_stability(
     that stops at the horizon yields a failing report, not an exception; one
     that exhausts MAX_STEPS raises IntegratorError, as integrate does.
     ParameterError is raised before any integration when n_starts < 2 or seed < 0.
+    The report keeps the seed's trajectory: a run from the default seed need not integrate it again.
     """
     if n_starts < 2:
         raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
@@ -313,14 +314,9 @@ def verify_global_stability(
         starts.append(DynState(*rng.uniform(0.01, 0.99, size=4).tolist()))
 
     trajectories = [integrate(s0, p, a, cfg) for s0 in starts]
-    limits = [traj.final for traj in trajectories]
+    limits = tuple(traj.final for traj in trajectories)
     all_converged = all(traj.converged for traj in trajectories)
 
     # rounding is monotone, so the widest pairwise fl(|u - v|) of a coordinate is fl(max - min)
     max_gap = max(max(c) - min(c) for c in zip(*(lim[:4] for lim in limits)))
-    return StabilityReport(
-        passed=all_converged and max_gap < STABILITY_TOL,
-        all_converged=all_converged,
-        max_gap=max_gap,
-        limits=tuple(limits),
-    )
+    return StabilityReport(all_converged and max_gap < STABILITY_TOL, all_converged, max_gap, limits, trajectories[0])

@@ -48,7 +48,8 @@ to the single solves, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 
 class ParameterError(ValueError):
@@ -63,8 +64,7 @@ class SolverError(RuntimeError):
         self.bracket = bracket
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "nu k delta x")):
     """Exogenous model constants.
 
     The diffusion rate ``lam`` is derived, never stored, so
@@ -74,19 +74,18 @@ class ModelParams:
     bit-exact).
     """
 
-    nu: float
-    k: float
-    delta: float
-    x: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs the checks too
 
-    def __post_init__(self):
-        rates = (self.nu, self.k, self.delta)
-        if not all(0.0 < r < math.inf for r in rates):
-            raise ParameterError(f"nu, k, delta must be finite and strictly positive, got {rates}")
-        if not 0.0 <= self.x <= 1.0:
-            raise ParameterError(f"x must lie in [0, 1], got {self.x}")
+    def __new__(cls, nu: float, k: float, delta: float, x: float) -> ModelParams:
+        self = tuple.__new__(cls, (nu, k, delta, x))
+        if not all(0.0 < r < math.inf for r in (nu, k, delta)):
+            raise ParameterError(f"nu, k, delta must be finite and strictly positive, got {(nu, k, delta)}")
+        if not 0.0 <= x <= 1.0:
+            raise ParameterError(f"x must lie in [0, 1], got {x}")
         if not 0.0 < self.lam < math.inf:
             raise ParameterError(f"lam = nu * k / delta must be finite and strictly positive, got {self.lam}")
+        return self
 
     @property
     def lam(self) -> float:
@@ -94,34 +93,34 @@ class ModelParams:
         return self.nu * self.k / self.delta
 
     @classmethod
-    def from_lambda(cls, lam: float, x: float) -> "ModelParams":
+    def from_lambda(cls, lam: float, x: float) -> ModelParams:
         if not lam > 0.0:
             raise ParameterError(f"lam must be strictly positive, got {lam}")
         return cls(nu=lam * 0.5, k=1.0, delta=0.5, x=x)
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(namedtuple("Allocation", "alpha0 alpha1")):
     """An inspection policy: one rate per type, alpha0 for truth-biased and alpha1 for rumor-biased agents.
 
     A uniform policy is the pair of two equal rates; it spends exactly its rate.
     """
 
-    alpha0: float
-    alpha1: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs the checks too
 
-    def __post_init__(self):
-        for name, v in (("alpha0", self.alpha0), ("alpha1", self.alpha1)):
+    def __new__(cls, alpha0: float, alpha1: float) -> Allocation:
+        for name, v in (("alpha0", alpha0), ("alpha1", alpha1)):
             if not 0.0 <= v <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {v}")
+        return tuple.__new__(cls, (alpha0, alpha1))
 
     @classmethod
-    def uniform(cls, alpha: float) -> "Allocation":
-        return cls(alpha0=alpha, alpha1=alpha)
+    def uniform(cls, alpha: float) -> Allocation:
+        return cls(alpha, alpha)
 
     @classmethod
-    def targeted(cls, alpha0: float, alpha1: float) -> "Allocation":
-        return cls(alpha0=alpha0, alpha1=alpha1)
+    def targeted(cls, alpha0: float, alpha1: float) -> Allocation:
+        return cls(alpha0, alpha1)
 
     def rates(self) -> tuple[float, float]:
         return (self.alpha0, self.alpha1)
@@ -134,8 +133,7 @@ class Allocation:
 MAX_ITER = 200  # Newton iterations before a truth solve raises SolverError
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(namedtuple("SolverConfig", "tol")):
     """Settings of the truth root solver.
 
     A root is accepted once the last step or the sign bracket around it is at
@@ -144,18 +142,19 @@ class SolverConfig:
     rumor counts as extinct from ``tol`` below the eradication threshold on.
     """
 
-    tol: float = 1e-12
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs the checks too
 
-    def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ParameterError(f"tol must be finite and positive, got {self.tol}")
+    def __new__(cls, tol: float = 1e-12) -> SolverConfig:
+        if not 0.0 < tol < math.inf:
+            raise ParameterError(f"tol must be finite and positive, got {tol}")
+        return tuple.__new__(cls, (tol,))
 
 
 DEFAULT_SOLVER = SolverConfig()
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(NamedTuple):
     """Solved prevalence bundle; ``theta == theta0 + theta1`` by construction."""
 
     theta0: float

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     DEFAULT_SOLVER,
@@ -62,8 +62,7 @@ def _total(budget: float) -> float:
     return A
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Closed-form policy thresholds, and the budget edges read off each curve's peak.
 
     lambda_bar is 2 + sqrt(2 - 1/(1-x)) where defined (x <= 1/2), else None.
@@ -83,8 +82,7 @@ class Thresholds:
     A_tilde: float | None
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     allocation: Allocation
     objective: float
     budget_spent: float

@@ -572,6 +572,25 @@ def test_negative_seed_exit_2(capsys):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("init,extra", [([], 1), (["--init", "0.2"], 2)], ids=["default-init", "init"])
+def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, extra):
+    # the stability check integrates the default seed and each random start; the run reuses the seed's trajectory
+    starts = []
+    integrate = dynamics.integrate
+
+    def counted(s0, *args, **kwargs):
+        starts.append(s0)
+        return integrate(s0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", counted)
+    monkeypatch.setattr(cli, "integrate", counted)
+    n_starts = 3
+    code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", str(n_starts), *init])
+    out = capsys.readouterr().out
+    assert code == 0 and "# stability_passed: true" in out
+    assert len(starts) == n_starts + extra
+
+
 def test_unwritable_out_exit_2(tmp_path, capsys):
     target = tmp_path / "missing" / "f.csv"
     code = main(["steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--out", str(target)])
@@ -726,23 +745,37 @@ def test_every_run_exits_0_2_or_3_with_its_rows_in_their_domain(argv):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 NUMPY_PROBE = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
 from rumor_inspect.cli import main
+import contextlib, io, json
+added = sorted(set(sys.modules) - before)
 seen = [(None, "numpy" in sys.modules)]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         seen.append((main(argv), "numpy" in sys.modules))
-print(json.dumps(seen))
+print(json.dumps([added, seen]))
 """
 
 
 def numpy_after(*commands):
-    """(exit code, numpy imported) after importing the CLI, then after each command, in one fresh interpreter."""
+    """(exit code, numpy imported) after importing the CLI, then after each command, in one fresh interpreter.
+
+    The import itself must load neither dataclasses nor inspect. Only the modules it adds count, so that
+    modules a site hook loads at start-up do not.
+    """
     argvs = [[*argv, "--lambda", "2", "--x", "0.3"] for argv in commands]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    return [tuple(step) for step in json.loads(proc.stdout)]
+    added, seen = json.loads(proc.stdout)
+    assert "rumor_inspect.cli" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added), added
+    return [tuple(step) for step in seen]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert numpy_after() == [(None, False)]
 
 
 def test_commands_without_arrays_leave_numpy_unimported():

@@ -1,16 +1,16 @@
 """The column-wise emitter must print the bytes of the row-wise one.
 
 ``row_wise_render`` below is the earlier renderer: one dict per row, each
-cell formatted with ``cli._fmt``, the config echoed through
-``dataclasses.asdict``. ``reference_table`` rebuilds each command's rows the
-way the earlier CLI did, point by point and dict by dict, from the library:
-a steady row from ``full_steady_state``, with each sweep point's parameters
-built on their own. ``cli.main`` output must equal the reference byte for
-byte, in CSV and in JSON.
+cell formatted with ``cli._fmt``, the config echoed field by field in the
+order ``RunConfig`` declares them. ``reference_table`` rebuilds each
+command's rows the way the earlier CLI did, point by point and dict by dict,
+from the library: a steady row from ``full_steady_state``, with each sweep
+point's parameters built on their own. ``cli.main`` output must equal the
+reference byte for byte, in CSV and in JSON.
 """
 
+import copy
 import json
-from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,8 @@ from rumor_inspect.model import no_rumor_positivity_readings, prevalences
 
 
 def row_wise_render(header, rows, cfg, summary=None) -> str:
-    echo = {k: v for k, v in asdict(cfg).items() if v is not None and k != "out"}
+    values = {k: getattr(cfg, k) for k in cli.RunConfig.__annotations__}
+    echo = {k: v for k, v in values.items() if v is not None and k != "out"}
     if cfg.fmt == "json":
         doc = {"tool": "rumor-inspect", "version": __version__, "config": echo, "rows": rows}
         if summary is not None:
@@ -88,7 +89,9 @@ def reference_table(cfg):
         elif cfg.axis == "lambda":
             p, a = ModelParams.from_lambda(v, cfg.x), cli._allocation(cfg)
         else:
-            p, a = cli._params(replace(cfg, x=v)), cli._allocation(cfg)
+            point = copy.copy(cfg)
+            point.x = v
+            p, a = cli._params(point), cli._allocation(cfg)
         rows.append({cfg.axis: v, **steady_row(p, a, solver)})
     return list(rows[0]), rows, None
 
