@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Compare the truth planner and the volume-maximizing platform over budgets.
+"""Compare the truth planner, the volume-maximizing platform and the targeted planner over budgets.
 
-For each budget on a grid, runs both uniform optimizers and prints the
-chosen rates side by side along with the located slack-region boundaries.
-The platform's rate never exceeds the planner's, and above a budget
-threshold the two coincide at full spend.
+For each budget on a grid, prints the uniform truth planner's and the
+platform's rates side by side, then the targeted planner's two rates, its
+truth and whether its optimum eradicates the rumor, along with the located
+slack-region boundaries. The platform's rate never exceeds the planner's,
+and above a budget threshold the two coincide at full spend. Over a range
+of budgets the targeted planner puts its budget on truth-biased inspectors
+and lets the rumor live, although eradicating it is affordable. Each planner
+analyses its budget-independent curve once for the whole grid.
 
     python scripts/budget_frontier.py --lambda 2 --x 0.3 --points 30
 """
@@ -14,7 +18,8 @@ import sys
 
 import numpy as np
 
-from rumor_inspect import ModelParams, compute_thresholds, maximize_platform, maximize_truth_uniform
+from rumor_inspect import ModelParams, compute_thresholds
+from rumor_inspect.planner import Curve, targeted_optimum
 
 
 def main() -> int:
@@ -26,13 +31,17 @@ def main() -> int:
     args = ap.parse_args()
 
     p = ModelParams.from_lambda(args.lam, args.x)
-    lines = ["A,planner_alpha,planner_theta0,platform_alpha,platform_theta"]
-    for A in np.linspace(0.02, 1.0, args.points):
-        planner = maximize_truth_uniform(p, float(A))
-        platform = maximize_platform(p, float(A))
+    budgets = np.linspace(0.02, 1.0, args.points).tolist()
+    truth, platform, targeted = Curve(p, False).optimum, Curve(p, True).optimum, targeted_optimum(p, 1.0)
+    lines = ["A,planner_alpha,planner_theta0,platform_alpha,platform_theta,"
+             "targeted_alpha0,targeted_alpha1,targeted_theta0,targeted_rumor_eradicated"]
+    for A in budgets:
+        planner, total, tgt = truth(A), platform(A), targeted(A)
         lines.append(
-            f"{float(A)!r},{planner.allocation.alpha0!r},{planner.objective!r},"
-            f"{platform.allocation.alpha0!r},{platform.objective!r}"
+            f"{A!r},{planner.allocation.alpha0!r},{planner.objective!r},"
+            f"{total.allocation.alpha0!r},{total.objective!r},"
+            f"{tgt.allocation.alpha0!r},{tgt.allocation.alpha1!r},{tgt.objective!r},"
+            f"{'true' if tgt.rumor_eradicated else 'false'}"
         )
 
     thr = compute_thresholds(p)

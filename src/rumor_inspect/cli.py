@@ -41,29 +41,22 @@ from .model import (
 )
 from .planner import (
     OptResult,
-    UniformCurve,
+    Curve,
     _thresholds,
     _total,
     compute_thresholds,
-    maximize_platform,
-    maximize_truth_targeted,
-    maximize_truth_uniform,
     minimize_rumor,
+    targeted_optimum,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# objective -> (planner, the CLI's mode column): the planners with one shared rate report "uniform".
-# The truth and platform planners are their uniform curve's optimum, so the CLI reads that curve instead
-PLANNERS = {
-    "rumor-min": (minimize_rumor, "uniform"),
-    "truth": (maximize_truth_uniform, "uniform"),
-    "truth-targeted": (maximize_truth_targeted, "targeted"),
-    "platform": (maximize_platform, "uniform"),
-}
-OBJECTIVES = tuple(PLANNERS)
+# objective -> the CLI's mode column: the planners with one shared rate report "uniform". budget_solver builds
+# each objective's planner: minimize_rumor, maximize_truth_uniform, maximize_truth_targeted, maximize_platform
+MODES = {"rumor-min": "uniform", "truth": "uniform", "truth-targeted": "targeted", "platform": "uniform"}
+OBJECTIVES = tuple(MODES)
 AXES = ("alpha", "lambda", "x", "A")
 
 
@@ -197,21 +190,23 @@ def steady_columns(lam, x, a0, a1, solver: SolverConfig, ops=_FloatOps) -> list[
     return [theta0, theta1, theta, rho_a, rho_a, rho_00_na, rho_11_na, [t == 0.0 for t in theta1]]
 
 
-def budget_solver(p: ModelParams, objective: str, solver: SolverConfig, curves: dict):
-    """budget -> OptResult of the objective's planner at p, built once per point.
+def budget_solver(p: ModelParams, objective: str, solver: SolverConfig, curves: dict, bound: float):
+    """budget -> OptResult of the objective's planner at p, for budgets up to bound, built once per point.
 
-    A truth or platform planner reads its uniform curve, analysed here once
-    and kept in curves (platform flag -> UniformCurve).
+    A truth or platform planner reads its uniform curve, analysed here once and kept in curves (platform flag ->
+    Curve); the targeted planner reads its alpha0 = 1 edge, analysed once up to bound.
     """
-    if objective not in ("truth", "platform"):
-        return functools.partial(PLANNERS[objective][0], p, cfg=solver)
-    curve = curves[objective == "platform"] = UniformCurve(p, objective == "platform", solver)
+    if objective == "truth-targeted":
+        return targeted_optimum(p, bound, solver)
+    if objective == "rumor-min":
+        return functools.partial(minimize_rumor, p, cfg=solver)
+    curve = curves[objective == "platform"] = Curve(p, objective == "platform", solver)
     return curve.optimum
 
 
 def optimize_record(res: OptResult, objective: str) -> dict:
     a = res.allocation
-    return {"mode": PLANNERS[objective][1], "alpha0": a.alpha0, "alpha1": a.alpha1, "objective": res.objective,
+    return {"mode": MODES[objective], "alpha0": a.alpha0, "alpha1": a.alpha1, "objective": res.objective,
             "budget_spent": res.budget_spent, "slack": res.slack, "rumor_eradicated": res.rumor_eradicated}
 
 
@@ -264,7 +259,7 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
     values = grid.tolist()
 
     if axis == "A":  # one optimization per budget
-        solve = budget_solver(p, cfg.objective, solver, {})
+        solve = budget_solver(p, cfg.objective, solver, {}, max(values))
         records = [optimize_record(solve(v), cfg.objective) for v in values]
         return (["A", *records[0]], [values, *map(list, zip(*(r.values() for r in records)))])
     lam, x, a0, a1 = p.lam, p.x, a.alpha0, a.alpha1
@@ -373,7 +368,7 @@ def run_optimize(cfg: RunConfig) -> int:
     solver = _solver_config(cfg)
     p = _params(cfg)
     curves = {}
-    res = budget_solver(p, cfg.objective, solver, curves)(cfg.A)
+    res = budget_solver(p, cfg.objective, solver, curves, cfg.A)(cfg.A)
     row = {**optimize_record(res, cfg.objective), **_threshold_fields(_thresholds(p, solver, curves))}
     emit(list(row), [[v] for v in row.values()], cfg)
     return EXIT_OK

@@ -22,10 +22,10 @@ peak. The peaks, the kinks and the segment ends are the candidates, and
 one tie rule picks among them: the cheapest within 1e-10 of the best,
 then the smallest alpha0.
 
-The uniform line does not depend on the budget, so UniformCurve analyses
-its truth or platform curve once: both uniform planners read the optimum
-at each budget off that analysis, and compute_thresholds reads the edges
-of the slack regions off its peak, with no optimizer call.
+The uniform line and the alpha0 = 1 edge do not depend on the budget, so
+a Curve analyses each once: the planners read each budget's optimum off
+it, the targeted one with a search of its budget line, and
+compute_thresholds reads the slack regions off the uniform curves' peaks.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _slope_root(slope, a: float, ga: float, b: float, gb: float) -> float:
 
     Regula falsi; an end that two steps in a row keep is scaled as Anderson
     and Bjorck do, where Illinois halves it. It stops once a step is under
-    ROOT_XTOL/2: 6.7-7.9 slopes per root on budget-sweep, 8.7-10.6 for Illinois.
+    ROOT_XTOL/2: 7.3-7.5 slopes per root, past the two ends, on budget-sweep.
     """
     kept = 0  # the end the last step kept: +1 for b, -1 for a
     while gb != 0.0 and b - a > ROOT_XTOL:
@@ -125,7 +125,7 @@ def _slope_root(slope, a: float, ga: float, b: float, gb: float) -> float:
 
 
 def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, direction, platform: bool, cfg: SolverConfig):
-    """(u, value) pairs for the rates u in [lo, hi] at which the objective on the segment alloc(u) can peak.
+    """(alloc(u), value) pairs for the rates u in [lo, hi] at which the objective on the segment alloc(u) can peak.
 
     alloc(u) is the policy at alpha1 = u, and direction its constant
     d(alpha0, alpha1, I)/du. Above the kink, where alpha1 reaches the
@@ -134,10 +134,10 @@ def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, direction, platf
     kink and hi. Below it, on the endemic piece, the slope changes sign at
     most once, so the piece peaks inside only when the slope is positive at
     lo and not at its upper end: _slope_root solves for that peak. These and
-    lo are every place a maximum can sit. value is the objective at alloc(u)
-    where a slope solved it below the kink, bit for bit the scalar solver's,
-    else None: at the kink the solver takes the rumor as extinct, the slope
-    as endemic.
+    lo are every place a maximum can sit. value is the objective at alloc(u),
+    bit for bit the scalar solver's: the no-rumor closed form from the kink
+    on, where the solver takes the rumor as extinct, the value a slope
+    solved below it, else None.
     """
     lam, x = p.lam, p.x
     kink = eradication_threshold(p) - cfg.tol
@@ -157,7 +157,7 @@ def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, direction, platf
         g_lo, g_end = slope(lo), slope(end)
         if g_lo > 0.0 >= g_end:
             rates.append(_slope_root(slope, lo, g_lo, end, g_end))
-    return [(u, values.get(u)) for u in rates]
+    return [(alloc(u), _no_rumor_truth(lam, x, u) if u >= kink else values.get(u)) for u in rates]
 
 
 def _score(p: ModelParams, candidates, platform: bool, cfg: SolverConfig) -> list:
@@ -176,10 +176,9 @@ def _pick(scored, x: float):
     within TIE_TOL, then the smallest alpha0.
     """
     top = max(v for _, v in scored)
-    near = [(a, v) for a, v in scored if v >= top - TIE_TOL]
-    min_spend = min(a.inspecting_mass(x) for a, _ in near)
-    near = [(a, v) for a, v in near if a.inspecting_mass(x) <= min_spend + TIE_TOL]
-    return min(near, key=lambda av: av[0].alpha0), top
+    near = [(a.inspecting_mass(x), a, v) for a, v in scored if v >= top - TIE_TOL]
+    min_spend = min(spend for spend, _, _ in near)
+    return min(((a, v) for spend, a, v in near if spend <= min_spend + TIE_TOL), key=lambda av: av[0].alpha0), top
 
 
 def _result(p: ModelParams, A: float, alloc: Allocation, value: float, cfg: SolverConfig) -> OptResult:
@@ -189,38 +188,45 @@ def _result(p: ModelParams, A: float, alloc: Allocation, value: float, cfg: Solv
     return OptResult(alloc, value, spend, slack=spend < min(A, 1.0) - SLACK_TOL, rumor_eradicated=eradicated)
 
 
-class UniformCurve:
-    """The uniform truth curve of p, or with platform the truth plus the rumor, analysed once for every budget.
+class Curve:
+    """The truth, or with platform the truth plus the rumor, on a segment no budget moves, analysed once.
 
-    rates holds, scored, the rates below 1 where _segment_rates finds that
-    the curve can peak over [0, 1]: 0, the kink (alpha' - cfg.tol) and the
-    peak of the endemic piece. peak is the rate _pick's tie rule names among
-    them, top its value.
+    alloc(u) is the policy at alpha1 = u in [0, hi] and direction its d(alpha0, alpha1, I)/du, by default
+    the uniform line's. rates holds, scored, the rates below hi where _segment_rates finds that the curve
+    can peak: 0, the kink (alpha' - cfg.tol) and the endemic piece's peak. peak is the alpha1 that _pick
+    names among them, top its value.
     """
 
-    def __init__(self, p: ModelParams, platform: bool, cfg: SolverConfig = DEFAULT_SOLVER):
-        uniform = (1.0, 1.0, 1.0)  # d(alpha0, alpha1, I)/dalpha along the uniform line
-        rates = _segment_rates(p, 0.0, 1.0, Allocation.uniform, uniform, platform, cfg)
-        self.p, self.platform, self.cfg, self.kink = p, platform, cfg, eradication_threshold(p) - cfg.tol
-        self.rates = _score(p, [(Allocation.uniform(u), v) for u, v in rates if u < 1.0], platform, cfg)
+    def __init__(self, p: ModelParams, platform: bool, cfg: SolverConfig = DEFAULT_SOLVER,
+                 alloc=Allocation.uniform, direction=(1.0, 1.0, 1.0), hi: float = 1.0):
+        rates = _segment_rates(p, 0.0, hi, alloc, direction, platform, cfg)
+        self.p, self.alloc, self.platform, self.cfg = p, alloc, platform, cfg
+        self.kink = eradication_threshold(p) - cfg.tol
+        self.rates = _score(p, [(a, v) for a, v in rates if a.alpha1 < hi], platform, cfg)
         (peak, _), self.top = _pick(self.rates, p.x)
-        self.peak = peak.alpha0
+        self.peak = peak.alpha1
+
+    def upto(self, c: float) -> list:
+        """The (allocation, value) candidates over [0, c], c <= hi: 0, c where it can win, the rates up to c.
+
+        Below the peak the curve rises, so c competes, unsolved (None); from
+        the peak to the kink no rate beats the peak; above the kink, on the
+        nondecreasing no-rumor line, c is in closed form. _pick breaks a tie
+        in alpha0 by order, so c follows 0, as in _segment_rates.
+        """
+        p, scored = self.p, [(a, v) for a, v in self.rates if a.alpha1 <= c]
+        if 0.0 < c < self.peak:
+            scored.insert(1, (self.alloc(c), None))
+        elif c > self.kink:
+            scored.insert(1, (self.alloc(c), _no_rumor_truth(p.lam, p.x, c)))
+        return scored
 
     def optimum(self, budget: float) -> OptResult:
-        """argmax of the curve over [0, c], c = min(A, 1): _pick among the rates up to c, and c where it can win.
-
-        Below the peak the curve rises, so c competes with 0 at the cost of one
-        scalar solve; from the peak to the kink no rate beats the peak; above
-        the kink, on the nondecreasing no-rumor line, c is in closed form.
-        """
+        """argmax of the curve over [0, min(A, 1)]: _pick among upto(min(A, 1))."""
         A = _total(budget)
-        p, c = self.p, min(A, 1.0)
-        scored = [(a, v) for a, v in self.rates if a.alpha0 <= c]
-        if 0.0 < c < self.peak:
-            scored.append((Allocation.uniform(c), _objective(p, Allocation.uniform(c), self.platform, self.cfg)))
-        elif c > self.kink:
-            scored.append((Allocation.uniform(c), _no_rumor_truth(p.lam, p.x, c)))
-        return _result(p, A, *_pick(scored, p.x)[0], self.cfg)
+        p, platform, cfg = self.p, self.platform, self.cfg
+        scored = [(a, _objective(p, a, platform, cfg) if v is None else v) for a, v in self.upto(min(A, 1.0))]
+        return _result(p, A, *_pick(scored, p.x)[0], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -240,73 +246,67 @@ def minimize_rumor(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SO
 
 
 def maximize_truth_uniform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
-    """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]; see UniformCurve."""
-    A = _total(budget)
-    return UniformCurve(p, False, cfg).optimum(A)
+    """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]; see Curve."""
+    return Curve(p, False, cfg).optimum(budget)
 
 
 def maximize_platform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
     """Same as maximize_truth_uniform, but the objective is theta0 + theta1."""
-    A = _total(budget)
-    return UniformCurve(p, True, cfg).optimum(A)
+    return Curve(p, True, cfg).optimum(budget)
 
 
 def _binding_alpha0(A: float, x: float, a1: float) -> float:
-    """alpha0 that makes the budget bind at alpha1 = a1, clipped to [0, 1].
-
-    At the segment end a1 = A/(1-x) the remaining budget is rounding residue
-    of order eps*A, which must give alpha0 = 0 exactly rather than ~1e-16.
-    """
+    """alpha0 that binds the budget at alpha1 = a1: 0 or 1 exactly where the rest is 0 or x up to rounding (eps*A)."""
     rest = A - (1.0 - x) * a1
-    if rest <= 4.0 * EPS * A:
-        return 0.0
-    return min(1.0, rest / x)
+    return 0.0 if rest <= 4.0 * EPS * A else 1.0 if rest >= x - 4.0 * EPS * A else rest / x
 
 
 def maximize_truth_targeted(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
-    """argmax of truth prevalence over per-type rates under the budget.
+    """argmax of truth prevalence over per-type rates under the budget; see targeted_optimum."""
+    return targeted_optimum(p, budget, cfg)(budget)
 
-    At a fixed alpha1, raising alpha0 weakly helps: it moves type-0 mass
-    from the truth-only term of the fixed-point map into inspection, which
-    responds to total prevalence, so the map rises pointwise. The optimum
-    therefore lies on the budget-binding segment or, once A > x, on the
-    alpha0 = 1 edge below it with alpha1 in [0, (A-x)/(1-x)]; both are
-    searched, parametrized by alpha1. Raising alpha1 is not always good:
-    it starves the inspectors that convert the rumor. Once the rumor is
-    extinct alpha0 is worthless, so cheaper non-binding eradicating
-    policies are added as explicit candidates. At x = 0 only alpha1 has
-    mass, and the segment alpha0 = 0, alpha1 in [0, min(1, A)] is searched:
-    it reaches the uniform planner's truth values. At A = 0 and at x = 1
-    (where inspection buys nothing) the only candidate is (0, 0). Every
-    candidate is scored, with the scalar solver where its segment has not
-    solved it, and _pick's tie rule chooses.
+
+def targeted_optimum(p: ModelParams, bound: float, cfg: SolverConfig = DEFAULT_SOLVER):
+    """budget -> OptResult of maximize_truth_targeted at p for budgets up to bound, analysing once what no budget moves.
+
+    Raising alpha0 at a fixed alpha1 weakly helps: it moves type-0 mass from
+    the truth-only term of the fixed-point map into inspection, which
+    responds to total prevalence. So the optimum lies on the budget line,
+    searched per budget, or once A > x on the alpha0 = 1 edge below it,
+    alpha1 in [0, (A-x)/(1-x)]: a Curve up to (bound-x)/(1-x). Once the
+    rumor is extinct alpha0 is worthless, so (0, 0) and, from A = 1-x on,
+    (0, 1) compete too, scored once; _pick chooses. At x = 0 the line is the
+    point (0, A) and the edge runs at alpha0 = 0; at x = 1 only (0, 0) is left.
     """
-    A = _total(budget)
-    x = p.x
-    candidates = [(Allocation.targeted(0.0, 0.0), None)]
-    segments = []
-    if A > 0.0 and x <= 0.0:
-        segments.append((0.0, min(1.0, A), lambda a1: Allocation.targeted(0.0, a1), (0.0, 1.0, 1.0)))
-    elif A > 0.0 and x < 1.0:
-        lo = max(0.0, (A - x) / (1.0 - x))
-        hi = min(1.0, A / (1.0 - x))
-        if lo <= hi:
-            segments.append((lo, hi, lambda a1: Allocation.targeted(_binding_alpha0(A, x, a1), a1),
-                             (-(1.0 - x) / x, 1.0, 0.0)))
-        if A > x:
-            segments.append((0.0, min(1.0, lo), lambda a1: Allocation.targeted(1.0, a1), (0.0, 1.0, 1.0 - x)))
-        if A >= 1.0 - x:
-            candidates.append((Allocation.targeted(0.0, 1.0), None))
-    for lo, hi, alloc, direction in segments:  # (lo, hi, the policy at alpha1 = u, its direction): see _segment_rates
-        candidates += [(alloc(u), v) for u, v in _segment_rates(p, lo, hi, alloc, direction, False, cfg)]
-    return _result(p, A, *_pick(_score(p, candidates, False, cfg), x)[0], cfg)
+    x, top = p.x, _total(bound)
+    corners = [Allocation.targeted(0.0, 0.0)] + [Allocation.targeted(0.0, 1.0)] * (x < 1.0 and top >= 1.0 - x)
+    corners = [(a, _objective(p, a, False, cfg)) for a in corners]
+    edge = Curve(p, False, cfg, lambda a1: Allocation.targeted(float(x > 0.0), a1), (0.0, 1.0, 1.0 - x),
+                 min(1.0, (top - x) / (1.0 - x))) if x < min(top, 1.0) else None
+
+    def optimum(budget: float) -> OptResult:
+        A = _total(budget)
+        if A > top:  # past the edge analysed
+            return targeted_optimum(p, A, cfg)(A)
+        candidates = corners[:1 + (A >= 1.0 - x)]
+        if 0.0 < A and x < 1.0:
+            lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))
+            if lo <= hi:  # at x = 0, lo = hi: the direction is never read
+                line = (-(1.0 - x) / x if x else 0.0, 1.0, 0.0)
+                candidates += _segment_rates(
+                    p, lo, hi, lambda a1: Allocation.targeted(_binding_alpha0(A, x, a1), a1), line, False, cfg)
+            if A > x:
+                candidates += edge.upto(min(1.0, lo))
+        return _result(p, A, *_pick(_score(p, candidates, False, cfg), x)[0], cfg)
+
+    return optimum
 
 
 # ---------------------------------------------------------------------------
 # budget thresholds
 # ---------------------------------------------------------------------------
 
-def _slack_region(curve: UniformCurve) -> tuple[float | None, float | None]:
+def _slack_region(curve: Curve) -> tuple[float | None, float | None]:
     """Edges of the budgets at which the curve's optimum leaves slack, or (None, None).
 
     Budgets from the curve's peak on, but at least THRESHOLD_RESOLUTION, leave slack until the no-rumor
@@ -334,8 +334,8 @@ def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Th
 
 
 def _thresholds(p: ModelParams, cfg: SolverConfig, curves: dict) -> Thresholds:
-    """compute_thresholds, reusing the curves of p already analysed: platform flag -> UniformCurve."""
-    truth, platform = (curves.get(flag) or UniformCurve(p, flag, cfg) for flag in (False, True))
+    """compute_thresholds, reusing the uniform curves of p already analysed: platform flag -> Curve."""
+    truth, platform = (curves.get(flag) or Curve(p, flag, cfg) for flag in (False, True))
     radicand = 2.0 - 1.0 / (1.0 - p.x) if p.x < 1.0 else -1.0
     disc = (4.0 - p.x) ** 2 - 12.0
     root = math.sqrt(disc) if disc >= 0.0 else None

@@ -350,23 +350,13 @@ def reference_integrate(s0, p, a, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# the uniform planners' search of each budget on its own, the oracle of their one curve analysis
+# the planners' search of each budget on its own, the oracle of their curve analyses
 # ---------------------------------------------------------------------------
 
-def reference_uniform_optimum(p, A, platform, cfg=None):
-    """maximize_truth_uniform, or with platform maximize_platform, searched over [0, min(A, 1)] at this budget alone.
+def _reference_result(p, A, scored, cfg):
+    """The OptResult of _pick's winner among the scored (allocation, objective) pairs at the budget A."""
+    from rumor_inspect import OptResult, planner, rumor_steady_state
 
-    The planners read every budget's optimum off one analysis of their
-    curve (planner.UniformCurve). This is the search they ran before at each
-    budget: the rates _segment_rates gives over [0, min(A, 1)], scored, and
-    the tie rule _pick.
-    """
-    from rumor_inspect import Allocation, OptResult, planner, rumor_steady_state
-
-    cfg = planner.DEFAULT_SOLVER if cfg is None else cfg
-    A = planner._total(A)
-    rates = planner._segment_rates(p, 0.0, min(A, 1.0), Allocation.uniform, (1.0, 1.0, 1.0), platform, cfg)
-    scored = planner._score(p, [(Allocation.uniform(u), v) for u, v in rates], platform, cfg)
     (alloc, value), _ = planner._pick(scored, p.x)
     spend = alloc.inspecting_mass(p.x)
     return OptResult(
@@ -376,3 +366,53 @@ def reference_uniform_optimum(p, A, platform, cfg=None):
         slack=spend < min(A, 1.0) - planner.SLACK_TOL,
         rumor_eradicated=rumor_steady_state(p, alloc, cfg) == 0.0,
     )
+
+
+def reference_uniform_optimum(p, A, platform, cfg=None):
+    """maximize_truth_uniform, or with platform maximize_platform, searched over [0, min(A, 1)] at this budget alone.
+
+    The planners read every budget's optimum off one analysis of their
+    curve (planner.Curve). This is the search they ran before at each
+    budget: the rates _segment_rates gives over [0, min(A, 1)], scored, and
+    the tie rule _pick.
+    """
+    from rumor_inspect import Allocation, planner
+
+    cfg = planner.DEFAULT_SOLVER if cfg is None else cfg
+    A = planner._total(A)
+    rates = planner._segment_rates(p, 0.0, min(A, 1.0), Allocation.uniform, (1.0, 1.0, 1.0), platform, cfg)
+    return _reference_result(p, A, planner._score(p, rates, platform, cfg), cfg)
+
+
+def reference_targeted_optimum(p, A, cfg=None):
+    """maximize_truth_targeted searched at this budget alone: its budget line and its alpha0 = 1 edge up to (A-x)/(1-x).
+
+    The planner analyses the edge once for every budget up to a bound
+    (planner.targeted_optimum) and scores (0, 0) and (0, 1) once. This is
+    the search it ran before at each budget: (0, 0), (0, 1) from A = 1-x
+    on, and the rates _segment_rates gives on the budget line and on the
+    edge [0, min(1, (A-x)/(1-x))] (at x = 0 on alpha0 = 0, alpha1 in
+    [0, min(1, A)]), scored, and the tie rule _pick.
+    """
+    from rumor_inspect import Allocation, planner
+
+    cfg = planner.DEFAULT_SOLVER if cfg is None else cfg
+    A = planner._total(A)
+    x = p.x
+    candidates = [(Allocation.targeted(0.0, 0.0), None)]
+    segments = []
+    if A > 0.0 and x <= 0.0:
+        segments.append((0.0, min(1.0, A), lambda a1: Allocation.targeted(0.0, a1), (0.0, 1.0, 1.0)))
+    elif A > 0.0 and x < 1.0:
+        lo = max(0.0, (A - x) / (1.0 - x))
+        hi = min(1.0, A / (1.0 - x))
+        if lo <= hi:
+            segments.append((lo, hi, lambda a1: Allocation.targeted(planner._binding_alpha0(A, x, a1), a1),
+                             (-(1.0 - x) / x, 1.0, 0.0)))
+        if A > x:
+            segments.append((0.0, min(1.0, lo), lambda a1: Allocation.targeted(1.0, a1), (0.0, 1.0, 1.0 - x)))
+        if A >= 1.0 - x:
+            candidates.append((Allocation.targeted(0.0, 1.0), None))
+    for lo, hi, alloc, direction in segments:
+        candidates += planner._segment_rates(p, lo, hi, alloc, direction, False, cfg)
+    return _reference_result(p, A, planner._score(p, candidates, False, cfg), cfg)

@@ -526,18 +526,49 @@ def test_oversized_sweep_steps_exit_2(capsys, steps):
 
 
 @pytest.mark.parametrize("steps", [11, 101])
-@pytest.mark.parametrize("objective", ["truth", "platform"])
+@pytest.mark.parametrize("objective", ["truth", "platform", "truth-targeted"])
 def test_budget_sweep_analyses_its_curve_once(monkeypatch, capsys, objective, steps):
-    # the uniform curve does not depend on the budget, so a sweep solves for
-    # its peak once, however many budgets it has: at lam = 2, x = 0.3 both
-    # curves peak inside, the truth at 0.198 and the platform below 0.29
-    calls = []
-    slope_root = planner._slope_root
-    monkeypatch.setattr(planner, "_slope_root", lambda *args: calls.append(args) or slope_root(*args))
+    # the uniform curve and the targeted alpha0 = 1 edge do not depend on the
+    # budget, so a sweep searches each once, however many budgets it has: at
+    # lam = 2, x = 0.3 both uniform curves peak inside, the truth at 0.198 and
+    # the platform below 0.29, so each solves for one peak. The targeted
+    # planner searches its budget line at every budget, its edge once
+    uniform, edge = (1.0, 1.0, 1.0), (0.0, 1.0, 0.7)  # d(alpha0, alpha1, I)/dalpha1 on each segment
+    calls, roots = [], []
+    segment_rates, slope_root = planner._segment_rates, planner._slope_root
+    monkeypatch.setattr(planner, "_segment_rates", lambda *args: calls.append(args[4]) or segment_rates(*args))
+    monkeypatch.setattr(planner, "_slope_root", lambda *args: roots.append(args) or slope_root(*args))
     code, out = run(capsys, "sweep", "--axis", "A", "--objective", objective, "--lambda", "2", "--x", "0.3",
                     "--steps", str(steps))
     assert code == 0 and len(parse_csv(out)[1]) == steps
-    assert len(calls) == 1
+    if objective == "truth-targeted":
+        assert calls.count(edge) == 1 and calls.count(uniform) == 0
+    else:
+        assert calls == [uniform] and len(roots) == 1
+
+
+def test_targeted_budget_sweep_rows_are_single_optimizations(monkeypatch, capsys):
+    # a targeted sweep analyses the alpha0 = 1 edge once, up to --stop; each
+    # row is what optimize finds at that budget alone, whose edge ends at its
+    # own A. The peak is solved once in each, to ROOT_XTOL
+    ends = []  # where each search of the edge ends
+    segment_rates = planner._segment_rates
+    monkeypatch.setattr(planner, "_segment_rates",
+                        lambda *args: args[4] == (0.0, 1.0, 0.7) and ends.append(args[2]) or segment_rates(*args))
+    args = ["--objective", "truth-targeted", "--lambda", "2", "--x", "0.3"]
+    code, out = run(capsys, "sweep", "--axis", "A", *args, "--start", "0.2", "--stop", "0.6", "--steps", "9")
+    assert code == 0 and ends == [(0.6 - 0.3) / 0.7]
+    rows = parse_csv(out)[1]
+    assert len(rows) == 9 and rows[-1]["A"] == 0.6
+    for row in rows:
+        ends.clear()
+        code, out = run(capsys, "optimize", *args, "--A", repr(row["A"]))
+        assert code == 0 and ends == ([(row["A"] - 0.3) / 0.7] if row["A"] > 0.3 else [])
+        single = parse_csv(out)[1][0]
+        for field in ("alpha0", "alpha1", "budget_spent"):
+            assert abs(row[field] - single[field]) <= 2.0 * planner.ROOT_XTOL, (row["A"], field)
+        assert abs(row["objective"] - single["objective"]) <= planner.TIE_TOL
+        assert (row["slack"], row["rumor_eradicated"]) == (single["slack"], single["rumor_eradicated"])
 
 
 def test_targeted_at_x_zero_matches_uniform(capsys):

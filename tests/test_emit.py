@@ -18,6 +18,11 @@ import pytest
 from rumor_inspect import Allocation, IntegratorConfig, ModelParams, __version__, cli, full_steady_state
 from rumor_inspect.dynamics import integrate, seed_state, verify_global_stability
 from rumor_inspect.model import no_rumor_positivity_readings, prevalences
+from rumor_inspect.planner import maximize_platform, maximize_truth_targeted, maximize_truth_uniform, minimize_rumor
+
+# the library planner of each objective, called at each budget on its own
+PLANNERS = {"rumor-min": minimize_rumor, "truth": maximize_truth_uniform, "truth-targeted": maximize_truth_targeted,
+            "platform": maximize_platform}
 
 
 def row_wise_render(header, rows, cfg, summary=None) -> str:
@@ -49,7 +54,7 @@ def reference_table(cfg):
         return list(row), [row], None
     if cfg.command == "optimize":
         p = cli._params(cfg)
-        res = cli.PLANNERS[cfg.objective][0](p, cfg.A, solver)
+        res = PLANNERS[cfg.objective](p, cfg.A, solver)
         row = {**cli.optimize_record(res, cfg.objective), **cli._threshold_fields(cli.compute_thresholds(p, solver))}
         return list(row), [row], None
     if cfg.command == "thresholds":
@@ -79,7 +84,7 @@ def reference_table(cfg):
     values = np.linspace(lo, hi, cfg.steps).tolist()
     if cfg.axis == "A":
         p = cli._params(cfg)
-        planner = cli.PLANNERS[cfg.objective][0]
+        planner = PLANNERS[cfg.objective]
         rows = [{"A": v, **cli.optimize_record(planner(p, v, solver), cfg.objective)} for v in values]
         return list(rows[0]), rows, None
     rows = []

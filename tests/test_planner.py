@@ -21,6 +21,7 @@ from conftest import (
     oracle_region_max,
     oracle_rumor,
     oracle_truth,
+    reference_targeted_optimum,
     reference_uniform_optimum,
 )
 from rumor_inspect import (
@@ -746,7 +747,7 @@ def test_uniform_curve_matches_the_search_of_each_budget(lam, x, tol, drawn):
     cfg = SolverConfig(tol)
     kink = eradication_threshold(p) - tol
     for platform in (False, True):
-        curve = planner.UniformCurve(p, platform, cfg)
+        curve = planner.Curve(p, platform, cfg)
         budgets = [0.0, curve.peak, 1.0, 1.5, 3.0, *drawn]
         budgets += [kink, math.nextafter(kink, 0.0), math.nextafter(kink, 1.0)] if kink > 0.0 else []
         for A in budgets:
@@ -765,7 +766,7 @@ def test_uniform_optimum_scores_every_recorded_rate_above_the_kink():
     # the search over [0, c] did, not the peak alone. Synthetic values around
     # the line at c = 0.9: the peak is 0, and the search picks 0.3
     p = ModelParams.from_lambda(5.0, 0.5)
-    curve = planner.UniformCurve(p, False)
+    curve = planner.Curve(p, False)
     line = _no_rumor_truth(p.lam, p.x, 0.9)
     curve.rates = [(Allocation.uniform(0.0), line - 1.5e-10), (Allocation.uniform(0.3), line - 0.6e-10),
                    (Allocation.uniform(curve.kink), line - 5e-10)]
@@ -810,6 +811,51 @@ def test_targeted_segment_end_has_no_rounding_residue():
     res = maximize_truth_targeted(ModelParams.from_lambda(2.0, 0.3), 0.3506366834170854)
     assert res.allocation.alpha0 == 0.0
     assert res.rumor_eradicated
+
+
+def test_targeted_line_starts_exactly_at_the_edge_end():
+    # at alpha1 = (A-x)/(1-x) the rest A - (1-x)*alpha1 is x up to rounding: the
+    # binding alpha0 there must be exactly 1, so that the budget line's first
+    # point and the edge's end are one policy. With min(1, rest/x) it came out
+    # 0.9999999999999998 in 1,724 of these 200,000 draws, and the tie rule
+    # then reported that alpha0 at lam = 2, x = 0.1, A = 0.36
+    rng = np.random.default_rng(0)
+    x, A = rng.uniform(0.0, 1.0, 200_000), rng.uniform(0.0, 1.0, 200_000)
+    A = x + (1.0 - x) * A
+    for x, A in zip(x.tolist(), A.tolist()):
+        if x < A < 1.0:
+            assert planner._binding_alpha0(A, x, (A - x) / (1.0 - x)) == 1.0, (x, A)
+    res = maximize_truth_targeted(ModelParams.from_lambda(2.0, 0.1), 0.36)
+    assert res.allocation == Allocation.targeted(1.0, (0.36 - 0.1) / 0.9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lam=st.floats(0.5, 1000.0), x=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       bound=st.one_of(st.sampled_from([1.0, 1.5]), st.floats(0.0, 1.0)),
+       drawn=st.lists(st.floats(0.0, 1.0), max_size=6))
+@example(lam=2.0, x=0.3, bound=1.0, drawn=[0.28, 0.32])
+@example(lam=1.789004, x=0.263299, bound=0.35, drawn=[0.3])  # the optimum on the edge, below the line
+@example(lam=2.0, x=0.1, bound=1.5, drawn=[0.36])  # the optimum at the corner (1, (A-x)/(1-x))
+@example(lam=2.0, x=0.0, bound=1.5, drawn=[0.2, 0.3])
+@example(lam=10.0, x=0.1, bound=1.0, drawn=[0.3])  # x = 1/lam: an infinite slope at alpha1 = 0
+def test_targeted_curve_matches_the_search_of_each_budget(lam, x, bound, drawn):
+    # the targeted optimum that analyses the alpha0 = 1 edge once, up to the
+    # bound, is at every budget up to it what a search of that budget's line
+    # and edge finds (conftest.reference_targeted_optimum), in ascending and
+    # descending order. The line is searched alike; the edge's peak is solved
+    # in [0, kink] or [0, (bound-x)/(1-x)] once and in [0, (A-x)/(1-x)] by the
+    # search, each to ROOT_XTOL, so the rates agree within twice that
+    p = ModelParams.from_lambda(lam, x)
+    optimum = planner.targeted_optimum(p, bound)
+    budgets = sorted({A for A in (0.0, x, 1.0 - x, bound, *(bound * d for d in drawn)) if A <= bound})
+    for A in budgets + budgets[::-1]:
+        got, want = optimum(A), reference_targeted_optimum(p, A)
+        for g, w in zip(got.allocation.rates(), want.allocation.rates()):
+            assert abs(g - w) <= 2.0 * planner.ROOT_XTOL, A
+        assert abs(got.objective - want.objective) <= planner.TIE_TOL, A
+        assert (got.slack, got.rumor_eradicated) == (want.slack, want.rumor_eradicated), A
+    assert maximize_truth_targeted(p, bound) == optimum(bound)
+    assert optimum(bound + 0.25) == maximize_truth_targeted(p, bound + 0.25)  # past the bound: analysed anew
 
 
 def test_targeted_beats_2d_grid(ref_params):
