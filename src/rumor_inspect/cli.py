@@ -65,7 +65,7 @@ class ConfigError(ValueError):
 
 
 class RunConfig(argparse.Namespace):
-    """The parsed command line, filled in place by argparse: every field below, in echo order, with its only default."""
+    """The parsed command line: every field below, in echo order, with its only default."""
 
     command: str
     lam: float | None = None
@@ -144,6 +144,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("thresholds", parents=[common], argument_default=argparse.SUPPRESS)
     return parser
+
+
+@functools.cache
+def _flag_table() -> dict:
+    """subcommand -> (its one-value flags -> their argparse Actions, its required Actions), read from build_parser."""
+    (commands,) = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: ({s: a for s, a in sub._option_string_actions.items()
+                    if isinstance(a, argparse._StoreAction) and a.nargs is None},
+                   {a for a in sub._actions if a.required})
+            for name, sub in commands.items()}
+
+
+def _fast_parse(argv: list[str]) -> RunConfig | None:
+    """parse_args' RunConfig of a line of exact '--flag value' pairs it accepts, none starting with '-'; else None."""
+    if len(argv) % 2 == 0 or argv[0] not in _flag_table():
+        return None
+    flags, required = _flag_table()[argv[0]]
+    actions = [flags.get(flag) for flag in argv[1::2]]
+    if None in actions or not required <= {*actions}:
+        return None
+    cfg = RunConfig(command=argv[0])
+    for action, text in zip(actions, argv[2::2]):
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError):
+            return None
+        if text.startswith("-") or action.choices is not None and value not in action.choices:
+            return None
+        setattr(cfg, action.dest, value)  # a repeated flag keeps its last value, as in argparse
+    return cfg
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
@@ -428,9 +458,13 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line (sys.argv[1:] by default) and return its exit code.
+
+    _fast_parse reads a well-formed line; argparse parses every other line, and so writes all help and errors.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = parser.parse_args(argv, RunConfig(command=""))
+        cfg = _fast_parse(argv) or build_parser().parse_args(argv, RunConfig(command=""))
     except SystemExit as exc:  # argparse already printed its message
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

@@ -1,9 +1,12 @@
+import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -827,3 +830,136 @@ def test_commands_without_arrays_leave_numpy_unimported():
 def test_array_commands_import_numpy(argv):
     # the probe sees numpy once a command needs it
     assert numpy_after(argv) == [(None, False), (0, True)]
+
+
+# ---------------------------------------------------------------------------
+# parsing: a well-formed line skips argparse and parses as argparse parses it
+# ---------------------------------------------------------------------------
+
+def outcome(argv, fast=True):
+    """(exit code, stdout, stderr, files written) of main(argv) in a fresh working directory.
+
+    fast=False patches the fast path off, so that argparse parses every line.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dynamics, "MAX_STEPS", 2_000), \
+            mock.patch.object(cli, "_fast_parse", cli._fast_parse if fast else lambda argv: None), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.chdir(tmp)  # an --out of any drawn value writes here
+        try:
+            code = main(list(argv))
+            files = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue(), files
+
+
+# command lines of every kind, argparse's own forms and errors included; each parses alike on both paths
+PARSE_CORPUS = [
+    ["steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2"],
+    ["steady", "--nu", "1", "--k", "2", "--delta", "1", "--x", "0.3", "--alpha0", "0.1", "--alpha1", "0.4"],
+    ["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.5", "--init", "0.01", "--starts", "2", "--seed", "7"],
+    ["sweep", "--axis", "alpha", "--lambda", "2", "--x", "0.3", "--steps", "5", "--format", "json"],
+    ["optimize", "--objective", "truth-targeted", "--lambda", "2", "--x", "0.3", "--A", "0.25"],
+    ["thresholds", "--lambda", "2", "--x", "0.3", "--tol", "1e-12", "--out", ""],
+    ["steady", "--lambda", "2E+0", "--x", "3e-1", "--alpha", "2.0e-1"],
+    ["steady", "--lambda", "1.7976931348623157e+308", "--x", "5e-324", "--alpha", "1"],
+    ["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "1e999"],
+    ["steady", "--lambda", "inf", "--x", "nan", "--alpha", "0.2"],
+    ["steady", "--lambda", "2", "--x", "-0.3", "--alpha", "0.2"],
+    ["steady", "--lambda", "-inf", "--x", "0.3", "--alpha", "0.2"],
+    ["sweep", "--axis", "alpha", "--start", "-0.5", "--lambda", "2", "--x", "0.3"],
+    ["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", "2", "--seed", "-1"],
+    ["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "-1"],
+    [], ["-h"], ["--help"], ["--version"], ["steady", "-h"], ["sweep", "--help"], ["thresholds", "-h", "--x", "0.3"],
+    ["steady", "--", "--lambda", "2"], ["steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--"],
+    ["--", "steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2"],
+    [""], ["steady", "--x", ""], ["steady", "", "2"], ["steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", ""],
+    ["steady", "--lambda=2", "--x", "0.3", "--alpha", "0.2"], ["steady", "--lambda=-2", "--x=0.3", "--alpha=0.2"],
+    ["steady", "--lam", "2", "--x", "0.3", "--alpha", "0.2"], ["steady", "--lambda", "2", "--x", "0.3", "--alp", "0.2"],
+    ["thresholds", "--lambda", "2", "--x", "0.3", "--form", "json"],
+    ["steady", "--x", "0.1", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--lambda", "3"],
+    ["thresholds", "--lambda", "2", "--x", "0.3", "--format", "xml", "--format", "json"],
+    ["steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--axis", "alpha"],
+    ["thresholds", "--lambda", "2", "--x", "0.3", "--alpha", "0.2"], ["optimize", "--objective", "truth", "--steps", "3"],
+    ["steady", "--lambda", "2", "--x", "0.3", "--alpha"], ["optimize", "--objective"], ["steady"], ["sweep"],
+    ["thresholds", "--lambda", "2", "--x", "0.3", "--format", "xml"], ["sweep", "--axis", "beta", "--lambda", "2"],
+    ["optimize", "--objective", "best", "--lambda", "2", "--x", "0.3", "--A", "0.2"],
+    ["optimize", "--lambda", "2", "--x", "0.3", "--A", "0.2"], ["optimize", "--objective", "truth", "--A", "0.2"],
+    ["sweep", "--axis", "x", "--steps", "2.5"], ["steady", "--x", "abc"], ["dynamics", "--seed", "1e3"],
+    ["bogus", "--x", "0.3"], ["Steady", "--x", "0.3"], ["steady", "--X", "0.3"], ["steady", "x", "0.3"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_fast_path_matches_argparse_on_the_corpus(argv):
+    assert outcome(argv) == outcome(argv, fast=False)
+
+
+# lines that argparse alone may read: a form only argparse knows, a value starting with '-', or a parse error
+@pytest.mark.parametrize("argv", [
+    ["steady", "--lambda=2", "--x", "0.3", "--alpha", "0.2"], ["steady", "--lam", "2", "--x", "0.3", "--alpha", "0.2"],
+    ["steady", "--lambda", "2", "--x", "-0.3", "--alpha", "0.2"], ["steady", "-h"], ["steady", "--", "--x", "0.3"],
+    ["steady", "--lambda", "2", "--x", "0.3", "--alpha"], ["thresholds", "--lambda", "2", "--x", "0.3", "--alpha", "1"],
+    ["thresholds", "--x", "0.3", "--format", "xml"], ["dynamics", "--seed", "1e3"], ["optimize", "--A", "0.2"], [],
+], ids=" ".join)
+def test_lines_only_argparse_reads_leave_the_fast_path(argv):
+    assert cli._fast_parse(argv) is None
+
+
+SUBPARSERS = next(a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+FLAGS = {name: sorted(sub._option_string_actions) for name, sub in SUBPARSERS.items()}  # -h and --help included
+VALUES = st.sampled_from(["0.3", "2", "1e-3", "2E+2", "5e-324", "1.7976931348623157e+308", "1e999", "inf", "nan",
+                          "-1", "-0.5", "-1e-3", "-inf", "abc", "", "csv", "json", "xml", "beta", "best",
+                          *cli.AXES, *OBJECTIVES]) | st.floats().map(repr) | st.integers(-3, 5).map(str)
+
+
+@st.composite
+def parse_argv(draw) -> list[str]:
+    """A well-formed line or '--flag value' pairs of one subcommand, then edited by argparse's other forms."""
+    command = draw(st.sampled_from(list(FLAGS)))
+    if draw(st.booleans()):
+        argv = draw(cli_argv())
+        command = argv[0]
+    else:
+        pairs = draw(st.lists(st.tuples(st.sampled_from(FLAGS[command]), VALUES), max_size=6))
+        argv = [command, *(tok for pair in pairs for tok in pair)]
+    flag = st.sampled_from(FLAGS[command])
+    noise = st.one_of(
+        st.sampled_from(["-h", "--help", "--", "", *(f for flags in FLAGS.values() for f in flags)]),
+        st.builds(lambda f, v: f"{f}={v}", flag, VALUES),
+        st.builds(lambda f, n: f[:n], flag, st.integers(3, 6)),  # an abbreviation, or an unknown prefix
+        VALUES,
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(noise))
+    if len(argv) > 1 and draw(st.booleans()):
+        argv.pop()  # the last flag loses its value, or a flag its last pair
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=parse_argv())
+def test_fast_path_matches_argparse(argv):
+    assert outcome(argv) == outcome(argv, fast=False)
+
+
+def test_benchmark_commands_never_reach_argparse(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no cache files next to the benchmark's workloads
+    spec = importlib.util.spec_from_file_location("workloads", SRC.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [[*argv, *fmt] for seed in (1, 2, 3) for build in workloads.WORKLOADS.values() for argv in build(seed)
+             for fmt in ([], ["--format", "json"])]
+    expected = [list(vars(cli.build_parser().parse_args(argv, cli.RunConfig(command=""))).items()) for argv in argvs]
+
+    calls, seen = [], []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda *args, **kwargs: calls.append(args) or parse_known_args(*args, **kwargs))
+    for name in cli.COMMANDS:  # only the parse counts here; scripts/output_digest.py checks the outputs
+        monkeypatch.setitem(cli.COMMANDS, name, lambda cfg: seen.append(cfg) or 0)
+    assert [main(argv) for argv in argvs] == [0] * len(argvs)
+    assert calls == []
+    assert [list(vars(cfg).items()) for cfg in seen] == expected  # the same fields and values, in the same order

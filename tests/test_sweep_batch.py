@@ -236,10 +236,22 @@ RERUNS = [
     ["optimize", "--objective", "truth", "--lambda", "2", "--x", "0.3", "--A", "-1"],
     ["thresholds", "--lambda", "2", "--x", "0.3"],
     ["steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2"],
+    # forms that argparse alone reads
+    ["steady", "--lambda=2", "--x", "0.3", "--alpha", "0.2"],
+    ["steady", "--lam", "2", "--x", "0.3", "--alpha", "0.2"],
+    ["sweep", "--axis", "alpha", "--start", "-0.5", "--lambda", "2", "--x", "0.3"],
+    ["steady", "-h"],
+    ["steady", "--lambda", "2", "--x", "0.3", "--alpha"],
 ]
 
 
-def test_parser_is_built_once():
+def test_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
+    cli._flag_table.cache_clear()
+    for argv in (RERUNS[0], RERUNS[3], RERUNS[0]):  # the flag table's path, argparse's, then the table's again
+        main(argv)
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == cli._flag_table.cache_info().misses == 1
     assert cli.build_parser() is cli.build_parser()
 
 
