@@ -34,7 +34,6 @@ from .model import (
     SolverConfig,
     SolverError,
     _FloatOps,
-    _inspecting_mass,
     _steady_fields,
     no_rumor_positivity_readings,
     prevalences,
@@ -215,7 +214,7 @@ def steady_columns(lam, x, a0, a1, solver: SolverConfig, ops=_FloatOps) -> list[
 
     With floats they hold one row; with numpy arrays and numpy as ops, a batch equal row by row to the float solves.
     """
-    fields = _steady_fields(lam, x, a0, a1, _inspecting_mass(x, a0, a1, ops), solver, ops)
+    fields = _steady_fields(lam, x, a0, a1, solver, ops)
     theta0, theta1, theta, rho_a, rho_00_na, rho_11_na = ([f] if ops is _FloatOps else f.tolist() for f in fields)
     return [theta0, theta1, theta, rho_a, rho_a, rho_00_na, rho_11_na, [t == 0.0 for t in theta1]]
 

@@ -38,19 +38,17 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import NamedTuple
 
 from .model import Allocation, ModelParams, ParameterError, group_masses
 
 
-class DynState(NamedTuple):
-    """Believing fractions of the four groups at time t."""
+class DynState(namedtuple("DynState", "r00a r00na r10a r11na t", defaults=(0.0,))):
+    """Believing fractions of the four groups at time t.
 
-    r00a: float   # inspecting type-0
-    r00na: float  # non-inspecting type-0
-    r10a: float   # inspecting type-1
-    r11na: float  # non-inspecting type-1
-    t: float = 0.0
+    r00a and r00na belong to inspecting and non-inspecting type-0 agents, r10a and r11na to type-1 agents.
+    """
+
+    __slots__ = ()
 
 
 class IntegratorError(RuntimeError):
@@ -83,13 +81,14 @@ DEFAULT_SEED_LEVEL = 1e-3  # "small initial infection" in every live group
 STABILITY_TOL = 1e-6  # sup distance within which multi-start limits count as one
 
 
-class Trajectory(NamedTuple):
-    """The start and every accepted step of the dynamics, plus its termination status."""
+class Trajectory(namedtuple("Trajectory", "states converged max_rate n_rejected")):
+    """The start and every accepted step of the dynamics (states), plus its termination status.
 
-    states: tuple[DynState, ...]
-    converged: bool
-    max_rate: float  # residual max |dr/dt| at the final state
-    n_rejected: int  # steps retried for error or for leaving [0, 1]
+    converged is False where the run stopped at the horizon; max_rate is the residual max |dr/dt| at the
+    final state; n_rejected counts the steps retried for error or for leaving [0, 1].
+    """
+
+    __slots__ = ()
 
     @property
     def n_steps(self) -> int:
@@ -105,14 +104,15 @@ class Trajectory(NamedTuple):
         return "converged" if self.converged else "horizon"
 
 
-class StabilityReport(NamedTuple):
-    """Outcome of multi-start integration toward a common limit."""
+class StabilityReport(namedtuple("StabilityReport", "passed all_converged max_gap limits seed_trajectory")):
+    """Outcome of multi-start integration toward a common limit.
 
-    passed: bool
-    all_converged: bool
-    max_gap: float
-    limits: tuple[DynState, ...]
-    seed_trajectory: Trajectory  # the run from seed_state(p, a), whose limit is limits[0]
+    passed iff all_converged (no run stopped at the horizon) and max_gap, the widest spread of the limits
+    in one coordinate, is below STABILITY_TOL. limits holds each run's final DynState; seed_trajectory is
+    the run from seed_state(p, a), whose limit is limits[0].
+    """
+
+    __slots__ = ()
 
 
 def rate_function(p: ModelParams, a: Allocation):

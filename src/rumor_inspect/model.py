@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 
 class ParameterError(ValueError):
@@ -154,16 +153,15 @@ class SolverConfig(namedtuple("SolverConfig", "tol")):
 DEFAULT_SOLVER = SolverConfig()
 
 
-class SteadyState(NamedTuple):
-    """Solved prevalence bundle; ``theta == theta0 + theta1`` by construction."""
+class SteadyState(namedtuple("SteadyState", "theta0 theta1 theta rho_00_a rho_10_a rho_00_na rho_11_na")):
+    """Solved prevalence bundle; ``theta == theta0 + theta1`` by construction.
 
-    theta0: float
-    theta1: float
-    theta: float
-    rho_00_a: float   # believing-truth fraction among inspecting type-0 agents
-    rho_10_a: float   # believing-truth fraction among inspecting type-1 agents
-    rho_00_na: float  # believing-truth fraction among non-inspecting type-0 agents
-    rho_11_na: float  # believing-rumor fraction among non-inspecting type-1 agents
+    rho_00_a, rho_10_a and rho_00_na are the believing-truth fractions among inspecting type-0, inspecting
+    type-1 and non-inspecting type-0 agents; rho_11_na is the believing-rumor fraction among non-inspecting
+    type-1 agents.
+    """
+
+    __slots__ = ()
 
 
 class _FloatOps:
@@ -323,15 +321,16 @@ def _recompose(x, a0, a1, r):
     return theta0, theta1
 
 
-def _steady_fields(lam, x, a0, a1, inspecting, cfg: SolverConfig, ops=_FloatOps):
+def _steady_fields(lam, x, a0, a1, cfg: SolverConfig, ops=_FloatOps):
     """(theta0, theta1, theta, rho_a, rho_00_na, rho_11_na) at the steady state.
 
     Floats, or with ops=numpy arrays that broadcast as in _truth_given_rumor.
-    (theta0, theta1) come from _steady_truth, and the rho fields are the
-    group fractions of the module docstring. They are verified by
-    recomposing theta0 / theta1 from the group fractions; disagreement
+    (theta0, theta1) come from _steady_truth at the rates' _inspecting_mass,
+    and the rho fields are the group fractions of the module docstring.
+    They are verified by recomposing theta0 / theta1 from the group fractions; disagreement
     beyond solver accuracy raises SolverError for the first entry that fails.
     """
+    inspecting = _inspecting_mass(x, a0, a1, ops)
     theta0, theta1 = _steady_truth(lam, x, a0, a1, inspecting, _eradication_level(lam, x, ops), cfg, ops)
     theta = theta0 + theta1
     rho_a = lam * theta / (1.0 + lam * theta)
@@ -411,7 +410,5 @@ def prevalences(r, p: ModelParams, a: Allocation) -> tuple[float, float]:
 
 def full_steady_state(p: ModelParams, a: Allocation, cfg: SolverConfig = DEFAULT_SOLVER) -> SteadyState:
     """Solve both prevalences and fill in the four group fractions; see _steady_fields."""
-    theta0, theta1, theta, rho_a, rho_00_na, rho_11_na = _steady_fields(
-        p.lam, p.x, a.alpha0, a.alpha1, a.inspecting_mass(p.x), cfg
-    )
+    theta0, theta1, theta, rho_a, rho_00_na, rho_11_na = _steady_fields(p.lam, p.x, a.alpha0, a.alpha1, cfg)
     return SteadyState(theta0, theta1, theta, rho_a, rho_a, rho_00_na, rho_11_na)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import (
     DEFAULT_SOLVER,
@@ -62,9 +62,10 @@ def _total(budget: float) -> float:
     return A
 
 
-class Thresholds(NamedTuple):
+class Thresholds(namedtuple("Thresholds", "alpha_prime lambda_bar eradication_interval A_lower A_upper A_tilde")):
     """Closed-form policy thresholds, and the budget edges read off each curve's peak.
 
+    alpha_prime is the eradication threshold (model.eradication_threshold).
     lambda_bar is 2 + sqrt(2 - 1/(1-x)) where defined (x <= 1/2), else None.
     eradication_interval is the lam range where, at the marginal eradication
     budget, the targeted planner prefers to let the rumor live; it is empty
@@ -74,20 +75,10 @@ class Thresholds(NamedTuple):
     least THRESHOLD_RESOLUTION wide.
     """
 
-    alpha_prime: float
-    lambda_bar: float | None
-    eradication_interval: tuple[float, float] | None
-    A_lower: float | None
-    A_upper: float | None
-    A_tilde: float | None
+    __slots__ = ()
 
 
-class OptResult(NamedTuple):
-    allocation: Allocation
-    objective: float
-    budget_spent: float
-    slack: bool
-    rumor_eradicated: bool
+OptResult = namedtuple("OptResult", "allocation objective budget_spent slack rumor_eradicated")
 
 
 # ---------------------------------------------------------------------------

@@ -812,6 +812,15 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert numpy_after() == [(None, False)]
 
 
+def test_cli_import_without_site_hooks_loads_no_typing_dataclasses_or_inspect():
+    # python -S runs no site hook, so every module loaded is the import's own: a hook that loads typing
+    # at start-up would hide it from numpy_after, which counts only the modules the import adds
+    probe = "import sys, rumor_inspect.cli; print(*sorted({'typing', 'dataclasses', 'inspect'} & {*sys.modules}))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == []
+
+
 def test_commands_without_arrays_leave_numpy_unimported():
     seen = numpy_after(
         ["steady", "--alpha", "0.2"],

@@ -352,7 +352,7 @@ def test_truth_root_at_an_underflowed_constant_is_zero(tol):
     p = ModelParams.from_lambda(2.0, 0.3)
     single = full_steady_state(p, Allocation.uniform(5e-324), cfg)
     xs = np.array([0.1, 0.2, 0.3])
-    batch = model._steady_fields(2.0, xs, 5e-324, 5e-324, model._inspecting_mass(xs, 5e-324, 5e-324, np), cfg, np)
+    batch = model._steady_fields(2.0, xs, 5e-324, 5e-324, cfg, np)
     assert single.theta0 == batch[0][-1] == 0.0 and math.copysign(1.0, single.theta0) == 1.0
     assert batch[0].tolist() == [0.0, 0.0, 0.0]
     assert single.theta1 == batch[1][-1] == rumor_steady_state(p, Allocation.uniform(5e-324), cfg) > 0.0
@@ -380,7 +380,7 @@ def test_recomposition_failure_names_the_first_failing_entry(monkeypatch):
         full_steady_state(ModelParams.from_lambda(2.0, 0.3), Allocation.uniform(0.5))
     alphas = np.linspace(0.0, 1.0, 11)
     with pytest.raises(SolverError) as batch:
-        model._steady_fields(2.0, 0.3, alphas, alphas, alphas, DEFAULT_SOLVER, np)
+        model._steady_fields(2.0, 0.3, alphas, alphas, DEFAULT_SOLVER, np)
     assert str(single.value) == str(batch.value) == expected
 
 
