@@ -11,12 +11,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
 import sys
+import types
 
 from . import __version__
 from .dynamics import (
@@ -53,7 +53,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # objective -> the CLI's mode column: the planners with one shared rate report "uniform". budget_solver builds
-# each objective's planner: minimize_rumor, maximize_truth_uniform, maximize_truth_targeted, maximize_platform
+# each objective's planner: a minimize_rumor partial, a uniform Curve (truth or platform) or targeted_optimum
 MODES = {"rumor-min": "uniform", "truth": "uniform", "truth-targeted": "targeted", "platform": "uniform"}
 OBJECTIVES = tuple(MODES)
 AXES = ("alpha", "lambda", "x", "A")
@@ -63,115 +63,93 @@ class ConfigError(ValueError):
     """The command line describes an invalid or inconsistent run."""
 
 
-class RunConfig(argparse.Namespace):
-    """The parsed command line: every field below, in echo order, with its only default."""
+# flag -> (its RunConfig field, its type or the tuple of its choices, its default, its help), in field order,
+# which is the config echo's order
+SETTINGS = {
+    "--lambda": ("lam", float, None, "diffusion rate nu*k/delta"),
+    "--nu": ("nu", float, None, "per-contact transmission rate"),
+    "--k": ("k", float, None, "meetings per period"),
+    "--delta": ("delta", float, None, "death/replacement rate"),
+    "--x": ("x", float, None, "mass of truth-biased agents"),
+    "--alpha": ("alpha", float, None, "uniform inspection rate"),
+    "--alpha0": ("alpha0", float, None, "inspection rate of truth-biased agents"),
+    "--alpha1": ("alpha1", float, None, "inspection rate of rumor-biased agents"),
+    "--A": ("A", float, None, None),
+    "--objective": ("objective", OBJECTIVES, None, "the planner's objective; a sweep reads it only on --axis A"),
+    "--axis": ("axis", AXES, None, None),
+    "--start": ("start", float, None, None),
+    "--stop": ("stop", float, None, None),
+    "--steps": ("steps", int, 101, None),
+    "--starts": ("starts", int, None, "verify stability from this many random starts"),
+    "--init": ("init", float, DEFAULT_SEED_LEVEL, "initial believing fraction per group"),
+    "--seed": ("seed", int, 0, "seed of the random starts"),
+    "--format": ("fmt", ("csv", "json"), "csv", None),
+    "--out": ("out", str, None, None),
+    "--tol": ("tol", float, None, None),
+}
+_COMMON = ("--lambda", "--nu", "--k", "--delta", "--x", "--format", "--out", "--tol")
+_ALLOC = ("--alpha", "--alpha0", "--alpha1")
+# subcommand -> (its flags in help order, its required flags)
+SUBCOMMANDS = {
+    "steady": (_COMMON + _ALLOC, ()),
+    "dynamics": (_COMMON + _ALLOC + ("--starts", "--seed", "--init"), ()),
+    "sweep": (_COMMON + _ALLOC + ("--axis", "--start", "--stop", "--steps", "--objective"), ("--axis",)),
+    "optimize": (_COMMON + ("--objective", "--A"), ("--objective", "--A")),
+    "thresholds": (_COMMON, ()),
+}
+_DEFAULTS = {"command": "", **{field: default for field, _, default, _ in SETTINGS.values()}}  # in echo order
 
-    command: str
-    lam: float | None = None
-    nu: float | None = None
-    k: float | None = None
-    delta: float | None = None
-    x: float | None = None
-    alpha: float | None = None
-    alpha0: float | None = None
-    alpha1: float | None = None
-    A: float | None = None
-    objective: str | None = None
-    axis: str | None = None
-    start: float | None = None
-    stop: float | None = None
-    steps: int = 101
-    starts: int | None = None
-    init: float = DEFAULT_SEED_LEVEL
-    seed: int = 0
-    fmt: str = "csv"
-    out: str | None = None
-    tol: float | None = None
 
-    def __init__(self, command: str, **settings):
-        if not settings.keys() <= _RUN_DEFAULTS.keys():
-            raise TypeError(f"RunConfig has no field {', '.join(sorted(settings.keys() - _RUN_DEFAULTS.keys()))}")
-        vars(self).update(_RUN_DEFAULTS, command=command, **settings)
+class RunConfig(types.SimpleNamespace):
+    """The parsed command line: the subcommand, then every SETTINGS field in echo order, each at its default
+    unless given. command defaults to "" so that copy.copy, which calls the class bare, can rebuild one."""
 
-
-_RUN_DEFAULTS = {name: getattr(RunConfig, name, None) for name in RunConfig.__annotations__}  # in field order
+    def __init__(self, command: str = "", **settings):
+        if not settings.keys() <= _DEFAULTS.keys():
+            raise TypeError(f"RunConfig has no field {', '.join(sorted(settings.keys() - _DEFAULTS.keys()))}")
+        vars(self).update(_DEFAULTS, command=command, **settings)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and then shared: it keeps no state between parses."""
+def build_parser():
+    """argparse's parser of SETTINGS and SUBCOMMANDS, for the lines _fast_parse declines: argparse writes every
+    help, usage and parse error. Built on the first call and then shared: it keeps no state between parses."""
+    import argparse  # a well-formed line never loads it
+
     parser = argparse.ArgumentParser(
         prog="rumor-inspect",
         description="Steady states, dynamics, and budgeted inspection planning "
         "for the two-message diffusion model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # no flag has a default, so a flag that was not passed leaves its RunConfig field as it is
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--lambda", dest="lam", type=float, help="diffusion rate nu*k/delta")
-    common.add_argument("--nu", type=float, help="per-contact transmission rate")
-    common.add_argument("--k", type=float, help="meetings per period")
-    common.add_argument("--delta", type=float, help="death/replacement rate")
-    common.add_argument("--x", type=float, help="mass of truth-biased agents")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    common.add_argument("--out", type=str)
-    common.add_argument("--tol", type=float)
-
-    alloc = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    alloc.add_argument("--alpha", type=float, help="uniform inspection rate")
-    alloc.add_argument("--alpha0", type=float, help="inspection rate of truth-biased agents")
-    alloc.add_argument("--alpha1", type=float, help="inspection rate of rumor-biased agents")
-
-    sub.add_parser("steady", parents=[common, alloc], argument_default=argparse.SUPPRESS)
-
-    p_dyn = sub.add_parser("dynamics", parents=[common, alloc], argument_default=argparse.SUPPRESS)
-    p_dyn.add_argument("--starts", type=int, help="verify stability from this many random starts")
-    p_dyn.add_argument("--seed", type=int, help="seed of the random starts")
-    p_dyn.add_argument("--init", type=float, help="initial believing fraction per group")
-
-    p_sweep = sub.add_parser("sweep", parents=[common, alloc], argument_default=argparse.SUPPRESS)
-    p_sweep.add_argument("--axis", choices=AXES, required=True)
-    p_sweep.add_argument("--start", type=float)
-    p_sweep.add_argument("--stop", type=float)
-    p_sweep.add_argument("--steps", type=int)
-    p_sweep.add_argument("--objective", choices=OBJECTIVES, help="the planner of --axis A")
-
-    p_opt = sub.add_parser("optimize", parents=[common], argument_default=argparse.SUPPRESS)
-    p_opt.add_argument("--objective", choices=OBJECTIVES, required=True)
-    p_opt.add_argument("--A", type=float, required=True)
-
-    sub.add_parser("thresholds", parents=[common], argument_default=argparse.SUPPRESS)
+    for name, (flags, required) in SUBCOMMANDS.items():
+        # no flag has a default here, so a flag that was not passed leaves its RunConfig field as it is
+        command = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            field, kind, _, text = SETTINGS[flag]
+            command.add_argument(flag, dest=field, required=flag in required, help=text,
+                                 **{"choices" if isinstance(kind, tuple) else "type": kind})
     return parser
 
 
-@functools.cache
-def _flag_table() -> dict:
-    """subcommand -> (its one-value flags -> their argparse Actions, its required Actions), read from build_parser."""
-    (commands,) = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: ({s: a for s, a in sub._option_string_actions.items()
-                    if isinstance(a, argparse._StoreAction) and a.nargs is None},
-                   {a for a in sub._actions if a.required})
-            for name, sub in commands.items()}
-
-
 def _fast_parse(argv: list[str]) -> RunConfig | None:
-    """parse_args' RunConfig of a line of exact '--flag value' pairs it accepts, none starting with '-'; else None."""
-    if len(argv) % 2 == 0 or argv[0] not in _flag_table():
+    """The RunConfig that build_parser would parse from a line of exact '--flag value' pairs of its subcommand,
+    with every required flag and no value starting with '-'; None for any other line (-h, --flag=value, an
+    abbreviation, a negative value, a parse error), which goes to argparse."""
+    if len(argv) % 2 == 0 or argv[0] not in SUBCOMMANDS:
         return None
-    flags, required = _flag_table()[argv[0]]
-    actions = [flags.get(flag) for flag in argv[1::2]]
-    if None in actions or not required <= {*actions}:
+    (flags, required), given = SUBCOMMANDS[argv[0]], argv[1::2]
+    if not {*flags}.issuperset(given) or not {*given}.issuperset(required):
         return None
-    cfg = RunConfig(command=argv[0])
-    for action, text in zip(actions, argv[2::2]):
+    cfg = RunConfig(argv[0])
+    for flag, text in zip(given, argv[2::2]):
+        field, kind, _, _ = SETTINGS[flag]
+        if text.startswith("-") or isinstance(kind, tuple) and text not in kind:
+            return None
         try:
-            value = text if action.type is None else action.type(text)
-        except (TypeError, ValueError):
+            setattr(cfg, field, text if isinstance(kind, tuple) else kind(text))  # the last of a repeated flag wins
+        except ValueError:
             return None
-        if text.startswith("-") or action.choices is not None and value not in action.choices:
-            return None
-        setattr(cfg, action.dest, value)  # a repeated flag keeps its last value, as in argparse
     return cfg
 
 
@@ -423,7 +401,9 @@ def run_dynamics(cfg: RunConfig) -> int:
     a = _allocation(cfg)
     integ = IntegratorConfig(conv_tol=cfg.tol) if cfg.tol is not None else IntegratorConfig()
     s0 = seed_state(p, a, cfg.init)
-    # the stability check goes first: it rejects --starts and --seed before it integrates
+    if cfg.seed < 0:  # read only with --starts, but refused on every line
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    # the stability check goes first: it rejects --starts before it integrates
     report = None if cfg.starts is None else verify_global_stability(p, a, cfg.starts, integ, seed=cfg.seed)
     reuse = report is not None and cfg.init == DEFAULT_SEED_LEVEL  # the check has integrated this very start
     traj = report.seed_trajectory if reuse else integrate(s0, p, a, integ)
@@ -459,11 +439,12 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """Run one command line (sys.argv[1:] by default) and return its exit code.
 
-    _fast_parse reads a well-formed line; argparse parses every other line, and so writes all help and errors.
+    _fast_parse reads a well-formed line from SETTINGS and SUBCOMMANDS without loading argparse; build_parser's
+    argparse parser reads every other line from the same tables, and so writes all help and parse errors.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _fast_parse(argv) or build_parser().parse_args(argv, RunConfig(command=""))
+        cfg = _fast_parse(argv) or build_parser().parse_args(argv, RunConfig())
     except SystemExit as exc:  # argparse already printed its message
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

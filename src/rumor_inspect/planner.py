@@ -213,11 +213,9 @@ class Curve:
         return scored
 
     def optimum(self, budget: float) -> OptResult:
-        """argmax of the curve over [0, min(A, 1)]: _pick among upto(min(A, 1))."""
-        A = _total(budget)
-        p, platform, cfg = self.p, self.platform, self.cfg
-        scored = [(a, _objective(p, a, platform, cfg) if v is None else v) for a, v in self.upto(min(A, 1.0))]
-        return _result(p, A, *_pick(scored, p.x)[0], cfg)
+        """argmax of the curve over [0, min(A, 1)]: _pick among upto(min(A, 1)), scored."""
+        A, p = _total(budget), self.p
+        return _result(p, A, *_pick(_score(p, self.upto(min(A, 1.0)), self.platform, self.cfg), p.x)[0], self.cfg)
 
 
 # ---------------------------------------------------------------------------

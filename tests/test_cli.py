@@ -587,7 +587,8 @@ def test_targeted_at_x_zero_matches_uniform(capsys):
     assert rows["truth-targeted"]["alpha1"] == pytest.approx(rows["truth"]["alpha1"], abs=1e-8)
 
 
-@pytest.mark.parametrize("flags", [["--starts", "1"], ["--starts", "2", "--seed", "-1"]], ids=["starts", "seed"])
+@pytest.mark.parametrize("flags", [["--starts", "1"], ["--starts", "2", "--seed", "-1"], ["--seed", "-5"]],
+                         ids=["starts", "seed", "seed-without-starts"])
 def test_stability_flags_checked_before_integrating(monkeypatch, capsys, flags):
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated before the flags were checked")
@@ -599,11 +600,12 @@ def test_stability_flags_checked_before_integrating(monkeypatch, capsys, flags):
     assert out == "" and "error:" in err
 
 
-def test_negative_seed_exit_2(capsys):
-    code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", "2", "--seed", "-1"])
+@pytest.mark.parametrize("flags", [["--starts", "2", "--seed", "-1"], ["--seed", "-5"]], ids=["starts", "no-starts"])
+def test_negative_seed_exit_2(capsys, flags):
+    code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", *flags])
     out, err = capsys.readouterr()
     assert code == 2
-    assert out == "" and "error:" in err
+    assert out == "" and f"error: seed must be >= 0, got {flags[-1]}" in err
 
 
 @pytest.mark.parametrize("init,extra", [([], 1), (["--init", "0.2"], 2)], ids=["default-init", "init"])
@@ -819,6 +821,33 @@ def test_cli_import_without_site_hooks_loads_no_typing_dataclasses_or_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == []
+
+
+ARGPARSE_PROBE = r"""
+import contextlib, io, json, sys
+from rumor_inspect import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue(), "argparse" in sys.modules
+
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_only_lines_the_tables_decline_load_argparse():
+    # python -S: no site hook loads argparse first; each line runs after the ones before it, in one process
+    argvs = [["steady", "--lambda", "2", "--x", "0.3", "--alpha", "0.2"],
+             ["steady", "--lam=2", "--x=0.3", "--alpha", "0.2"], ["sweep", "-h"]]
+    proc = subprocess.run([sys.executable, "-S", "-c", ARGPARSE_PROBE, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+                          check=True)
+    (fast, fast_out, fast_loaded), (slow, slow_out, slow_loaded), (help_code, help_out, _) = json.loads(proc.stdout)
+    assert (fast, fast_loaded) == (0, False)
+    assert (slow, slow_out, slow_loaded) == (0, fast_out, True)
+    assert help_code == 0 and help_out.startswith("usage: rumor-inspect sweep")
 
 
 def test_commands_without_arrays_leave_numpy_unimported():

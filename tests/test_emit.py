@@ -2,7 +2,7 @@
 
 ``row_wise_render`` below is the earlier renderer: one dict per row, each
 cell formatted with ``cli._fmt``, the config echoed field by field in the
-order ``RunConfig`` declares them. ``reference_table`` rebuilds each
+order ``cli.SETTINGS`` declares them. ``reference_table`` rebuilds each
 command's rows the way the earlier CLI did, point by point and dict by dict,
 from the library: a steady row from ``full_steady_state``, with each sweep
 point's parameters built on their own. ``cli.main`` output must equal the
@@ -26,7 +26,7 @@ PLANNERS = {"rumor-min": minimize_rumor, "truth": maximize_truth_uniform, "truth
 
 
 def row_wise_render(header, rows, cfg, summary=None) -> str:
-    values = {k: getattr(cfg, k) for k in cli.RunConfig.__annotations__}
+    values = {k: getattr(cfg, k) for k in ["command", *(field for field, *_ in cli.SETTINGS.values())]}
     echo = {k: v for k, v in values.items() if v is not None and k != "out"}
     if cfg.fmt == "json":
         doc = {"tool": "rumor-inspect", "version": __version__, "config": echo, "rows": rows}
