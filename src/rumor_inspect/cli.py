@@ -7,6 +7,9 @@ emitted with full round-trip precision, and a given config (including the
 seed) always produces byte-identical output.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+
+Importing this module loads the package's model alone. The planner loads for optimize, thresholds and a budget
+sweep, and the dynamics for dynamics: each command imports them when it runs, as the sweeps import numpy.
 """
 
 from __future__ import annotations
@@ -19,16 +22,10 @@ import sys
 import types
 
 from . import __version__
-from .dynamics import (
-    DEFAULT_SEED_LEVEL,
-    IntegratorConfig,
-    IntegratorError,
-    integrate,
-    seed_state,
-    verify_global_stability,
-)
 from .model import (
+    DEFAULT_SEED_LEVEL,
     Allocation,
+    IntegratorError,
     ModelParams,
     ParameterError,
     SolverConfig,
@@ -37,15 +34,6 @@ from .model import (
     _steady_fields,
     no_rumor_positivity_readings,
     prevalences,
-)
-from .planner import (
-    OptResult,
-    Curve,
-    _thresholds,
-    _total,
-    compute_thresholds,
-    minimize_rumor,
-    targeted_optimum,
 )
 
 EXIT_OK = 0
@@ -203,6 +191,8 @@ def budget_solver(p: ModelParams, objective: str, solver: SolverConfig, curves: 
     A truth or platform planner reads its uniform curve, analysed here once and kept in curves (platform flag ->
     Curve); the targeted planner reads its alpha0 = 1 edge, analysed once up to bound.
     """
+    from .planner import Curve, minimize_rumor, targeted_optimum  # the planner loads for the commands that plan
+
     if objective == "truth-targeted":
         return targeted_optimum(p, bound, solver)
     if objective == "rumor-min":
@@ -211,7 +201,7 @@ def budget_solver(p: ModelParams, objective: str, solver: SolverConfig, curves: 
     return curve.optimum
 
 
-def optimize_record(res: OptResult, objective: str) -> dict:
+def optimize_record(res, objective: str) -> dict:
     a = res.allocation
     return {"mode": MODES[objective], "alpha0": a.alpha0, "alpha1": a.alpha1, "objective": res.objective,
             "budget_spent": res.budget_spent, "slack": res.slack, "rumor_eradicated": res.rumor_eradicated}
@@ -252,6 +242,8 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         swept = "alpha" if axis == "alpha" else "the budget"
         raise ConfigError(f"allocation flags are not allowed when sweeping {swept}")
     if axis == "A":
+        from .planner import _total
+
         p = _params(cfg)
         _total(lo), _total(hi)
     else:  # the point at each end; the first one's params and allocation hold the batch's fixed values
@@ -372,6 +364,8 @@ def run_sweep(cfg: RunConfig) -> int:
 
 
 def run_optimize(cfg: RunConfig) -> int:
+    from .planner import _thresholds
+
     solver = _solver_config(cfg)
     p = _params(cfg)
     curves = {}
@@ -388,6 +382,8 @@ def _threshold_fields(thr) -> dict:
 
 
 def run_thresholds(cfg: RunConfig) -> int:
+    from .planner import compute_thresholds
+
     solver = _solver_config(cfg)
     p = _params(cfg)
     row = _threshold_fields(compute_thresholds(p, solver))
@@ -397,6 +393,8 @@ def run_thresholds(cfg: RunConfig) -> int:
 
 
 def run_dynamics(cfg: RunConfig) -> int:
+    from .dynamics import IntegratorConfig, integrate, seed_state, verify_global_stability
+
     p = _params(cfg)
     a = _allocation(cfg)
     integ = IntegratorConfig(conv_tol=cfg.tol) if cfg.tol is not None else IntegratorConfig()

@@ -39,7 +39,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .model import Allocation, ModelParams, ParameterError, group_masses
+from .model import DEFAULT_SEED_LEVEL, Allocation, IntegratorError, ModelParams, ParameterError, group_masses
 
 
 class DynState(namedtuple("DynState", "r00a r00na r10a r11na t", defaults=(0.0,))):
@@ -49,10 +49,6 @@ class DynState(namedtuple("DynState", "r00a r00na r10a r11na t", defaults=(0.0,)
     """
 
     __slots__ = ()
-
-
-class IntegratorError(RuntimeError):
-    """The error tolerance or the step size underflowed, or MAX_STEPS steps were attempted before the run ended."""
 
 
 class IntegratorConfig(namedtuple("IntegratorConfig", "conv_tol")):
@@ -77,7 +73,6 @@ DEFAULT_INTEGRATOR = IntegratorConfig()
 FIRST_STEP = 0.01  # the first step tried; later steps follow the error control
 HORIZON = 1e4  # the run stops at t = HORIZON / delta if it has not converged
 MAX_STEPS = 200_000  # attempted steps, accepted plus rejected, before integrate gives up
-DEFAULT_SEED_LEVEL = 1e-3  # "small initial infection" in every live group
 STABILITY_TOL = 1e-6  # sup distance within which multi-start limits count as one
 
 

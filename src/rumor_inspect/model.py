@@ -63,6 +63,15 @@ class SolverError(RuntimeError):
         self.bracket = bracket
 
 
+# dynamics raises IntegratorError and seeds its runs at DEFAULT_SEED_LEVEL. Both live here, so that the CLI
+# catches the error and sets its --init default without loading dynamics.
+class IntegratorError(RuntimeError):
+    """The error tolerance or the step size underflowed, or MAX_STEPS steps were attempted before the run ended."""
+
+
+DEFAULT_SEED_LEVEL = 1e-3  # "small initial infection" in every live group
+
+
 class ModelParams(namedtuple("ModelParams", "nu k delta x")):
     """Exogenous model constants.
 

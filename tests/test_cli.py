@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -593,7 +594,7 @@ def test_stability_flags_checked_before_integrating(monkeypatch, capsys, flags):
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated before the flags were checked")
 
-    monkeypatch.setattr(cli, "integrate", no_integration)
+    monkeypatch.setattr(dynamics, "integrate", no_integration)  # verify_global_stability's calls included
     code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", *flags])
     out, err = capsys.readouterr()
     assert code == 2
@@ -618,8 +619,7 @@ def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, extr
         starts.append(s0)
         return integrate(s0, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "integrate", counted)
-    monkeypatch.setattr(cli, "integrate", counted)
+    monkeypatch.setattr(dynamics, "integrate", counted)  # the CLI looks it up at call time, as the check does
     n_starts = 3
     code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", str(n_starts), *init])
     out = capsys.readouterr().out
@@ -648,8 +648,9 @@ def test_unwritable_out_checked_before_computing(monkeypatch, tmp_path, capsys, 
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before --out was checked")
 
-    for name in ("optimize_record", "compute_thresholds", "integrate", "verify_global_stability"):
-        monkeypatch.setattr(cli, name, no_compute)
+    for module, name in ((cli, "optimize_record"), (planner, "compute_thresholds"), (planner, "_thresholds"),
+                         (dynamics, "integrate"), (dynamics, "verify_global_stability")):
+        monkeypatch.setattr(module, name, no_compute)
     code = main([*argv, "--out", str(tmp_path / target)])
     out, err = capsys.readouterr()
     assert code == 2
@@ -775,7 +776,7 @@ def test_every_run_exits_0_2_or_3_with_its_rows_in_their_domain(argv):
 
 
 # ---------------------------------------------------------------------------
-# start-up: numpy is imported only by the commands that need arrays
+# start-up: numpy, the planner and the dynamics load only for the commands that run them
 # ---------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -786,32 +787,40 @@ before = set(sys.modules)
 from rumor_inspect.cli import main
 import contextlib, io, json
 added = sorted(set(sys.modules) - before)
-seen = [(None, "numpy" in sys.modules)]
+package = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "rumor_inspect")
+seen = [(None, "numpy" in sys.modules, package())]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        seen.append((main(argv), "numpy" in sys.modules))
+        seen.append((main(argv), "numpy" in sys.modules, package()))
 print(json.dumps([added, seen]))
 """
+IMPORTED = ["rumor_inspect", "rumor_inspect.cli", "rumor_inspect.model"]  # all that `import rumor_inspect.cli` runs
+PLANS, INTEGRATES = ["rumor_inspect.planner"], ["rumor_inspect.dynamics"]  # what a command may add to those
+AT = ("--lambda", "2", "--x", "0.3")
 
 
-def numpy_after(*commands):
-    """(exit code, numpy imported) after importing the CLI, then after each command, in one fresh interpreter.
+def numpy_after(*argvs):
+    """(exit code, numpy imported, the package modules the step added) after importing the CLI, then after each
+    command line, in one fresh interpreter.
 
     The import itself must load neither dataclasses nor inspect. Only the modules it adds count, so that
     modules a site hook loads at start-up do not.
     """
-    argvs = [[*argv, "--lambda", "2", "--x", "0.3"] for argv in commands]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     added, seen = json.loads(proc.stdout)
     assert "rumor_inspect.cli" in added
     assert {"dataclasses", "inspect"}.isdisjoint(added), added
-    return [tuple(step) for step in seen]
+    steps, loaded = [], set()
+    for code, numpy_loaded, package in seen:
+        steps.append((code, numpy_loaded, sorted({*package} - loaded)))
+        loaded.update(package)
+    return steps
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    assert numpy_after() == [(None, False)]
+    assert numpy_after() == [(None, False, IMPORTED)]
 
 
 def test_cli_import_without_site_hooks_loads_no_typing_dataclasses_or_inspect():
@@ -852,22 +861,43 @@ def test_only_lines_the_tables_decline_load_argparse():
 
 def test_commands_without_arrays_leave_numpy_unimported():
     seen = numpy_after(
-        ["steady", "--alpha", "0.2"],
-        *(["optimize", "--objective", objective, "--A", "0.3"] for objective in OBJECTIVES),
-        ["thresholds"],
-        ["dynamics", "--alpha", "0.2"],
+        ["steady", "--alpha", "0.2", *AT],
+        *(["optimize", "--objective", objective, "--A", "0.3", *AT] for objective in OBJECTIVES),
+        ["thresholds", *AT],
+        ["dynamics", "--alpha", "0.2", *AT],
     )
-    assert seen == [(None, False)] + [(0, False)] * 7
+    assert seen == [(None, False, IMPORTED), (0, False, []), (0, False, PLANS)] + [(0, False, [])] * 4 + [
+        (0, False, INTEGRATES)]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["sweep", "--axis", "alpha", "--steps", "5"], ["dynamics", "--alpha", "0.2", "--starts", "2"]],
+    "argv,loaded",
+    [(["sweep", "--axis", "alpha", "--steps", "5", *AT], []),
+     (["dynamics", "--alpha", "0.2", "--starts", "2", *AT], INTEGRATES)],
     ids=["sweep", "starts"],
 )
-def test_array_commands_import_numpy(argv):
+def test_array_commands_import_numpy(argv, loaded):
     # the probe sees numpy once a command needs it
-    assert numpy_after(argv) == [(None, False), (0, True)]
+    assert numpy_after(argv) == [(None, False, IMPORTED), (0, True, loaded)]
+
+
+# a command line, and the package modules that running it adds to those the import loaded
+PACKAGE_LOADS = [
+    (["steady", "--alpha", "0.2", *AT], []),
+    (["sweep", "--axis", "alpha", "--steps", "5", *AT], []),
+    (["sweep", "--axis", "lambda", "--start", "1", "--stop", "3", "--steps", "5", "--x", "0.3", "--alpha", "0.2"], []),
+    (["sweep", "--axis", "x", "--steps", "5", "--lambda", "2", "--alpha0", "0.1", "--alpha1", "0.4"], []),
+    *((["optimize", "--objective", objective, "--A", "0.3", *AT], PLANS) for objective in OBJECTIVES),
+    (["thresholds", *AT], PLANS),
+    (["sweep", "--axis", "A", "--objective", "truth-targeted", "--steps", "3", *AT], PLANS),
+    (["dynamics", "--alpha", "0.2", *AT], INTEGRATES),
+]
+
+
+@pytest.mark.parametrize("argv,loaded", PACKAGE_LOADS, ids=[" ".join(argv) for argv, _ in PACKAGE_LOADS])
+def test_each_command_loads_only_the_package_modules_it_runs(argv, loaded):
+    # a fresh interpreter per command: the import runs model alone, and each command adds only what it calls
+    assert [step[::2] for step in numpy_after(argv)] == [(None, IMPORTED), (0, loaded)]
 
 
 # ---------------------------------------------------------------------------
@@ -946,8 +976,15 @@ def test_lines_only_argparse_reads_leave_the_fast_path(argv):
     assert cli._fast_parse(argv) is None
 
 
-SUBPARSERS = next(a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-FLAGS = {name: sorted(sub._option_string_actions) for name, sub in SUBPARSERS.items()}  # -h and --help included
+@functools.cache
+def parser_flags() -> dict[str, list[str]]:
+    """subcommand -> its option strings, -h and --help included, walked from argparse's own parser: a view of the
+    flags independent of SUBCOMMANDS. The walk reads argparse internals, so it runs when parse_argv draws: an
+    argparse that renames them fails test_fast_path_matches_argparse alone, not the collection of this file."""
+    subparsers = next(a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sorted(sub._option_string_actions) for name, sub in subparsers.items()}
+
+
 VALUES = st.sampled_from(["0.3", "2", "1e-3", "2E+2", "5e-324", "1.7976931348623157e+308", "1e999", "inf", "nan",
                           "-1", "-0.5", "-1e-3", "-inf", "abc", "", "csv", "json", "xml", "beta", "best",
                           *cli.AXES, *OBJECTIVES]) | st.floats().map(repr) | st.integers(-3, 5).map(str)
@@ -956,16 +993,17 @@ VALUES = st.sampled_from(["0.3", "2", "1e-3", "2E+2", "5e-324", "1.7976931348623
 @st.composite
 def parse_argv(draw) -> list[str]:
     """A well-formed line or '--flag value' pairs of one subcommand, then edited by argparse's other forms."""
-    command = draw(st.sampled_from(list(FLAGS)))
+    flags = parser_flags()
+    command = draw(st.sampled_from(list(flags)))
     if draw(st.booleans()):
         argv = draw(cli_argv())
         command = argv[0]
     else:
-        pairs = draw(st.lists(st.tuples(st.sampled_from(FLAGS[command]), VALUES), max_size=6))
+        pairs = draw(st.lists(st.tuples(st.sampled_from(flags[command]), VALUES), max_size=6))
         argv = [command, *(tok for pair in pairs for tok in pair)]
-    flag = st.sampled_from(FLAGS[command])
+    flag = st.sampled_from(flags[command])
     noise = st.one_of(
-        st.sampled_from(["-h", "--help", "--", "", *(f for flags in FLAGS.values() for f in flags)]),
+        st.sampled_from(["-h", "--help", "--", "", *(f for names in flags.values() for f in names)]),
         st.builds(lambda f, v: f"{f}={v}", flag, VALUES),
         st.builds(lambda f, n: f[:n], flag, st.integers(3, 6)),  # an abbreviation, or an unknown prefix
         VALUES,

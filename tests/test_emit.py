@@ -18,7 +18,8 @@ import pytest
 from rumor_inspect import Allocation, IntegratorConfig, ModelParams, __version__, cli, full_steady_state
 from rumor_inspect.dynamics import integrate, seed_state, verify_global_stability
 from rumor_inspect.model import no_rumor_positivity_readings, prevalences
-from rumor_inspect.planner import maximize_platform, maximize_truth_targeted, maximize_truth_uniform, minimize_rumor
+from rumor_inspect.planner import (compute_thresholds, maximize_platform, maximize_truth_targeted,
+                                   maximize_truth_uniform, minimize_rumor)
 
 # the library planner of each objective, called at each budget on its own
 PLANNERS = {"rumor-min": minimize_rumor, "truth": maximize_truth_uniform, "truth-targeted": maximize_truth_targeted,
@@ -55,11 +56,11 @@ def reference_table(cfg):
     if cfg.command == "optimize":
         p = cli._params(cfg)
         res = PLANNERS[cfg.objective](p, cfg.A, solver)
-        row = {**cli.optimize_record(res, cfg.objective), **cli._threshold_fields(cli.compute_thresholds(p, solver))}
+        row = {**cli.optimize_record(res, cfg.objective), **cli._threshold_fields(compute_thresholds(p, solver))}
         return list(row), [row], None
     if cfg.command == "thresholds":
         p = cli._params(cfg)
-        row = cli._threshold_fields(cli.compute_thresholds(p, solver))
+        row = cli._threshold_fields(compute_thresholds(p, solver))
         row["positivity_alpha"], row["positivity_alpha_alt"] = no_rumor_positivity_readings(p)
         return list(row), [row], None
     if cfg.command == "dynamics":
