@@ -46,34 +46,6 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "__version__",
-    "Allocation",
-    "DynState",
-    "IntegratorConfig",
-    "IntegratorError",
-    "ModelParams",
-    "OptResult",
-    "ParameterError",
-    "SolverConfig",
-    "SolverError",
-    "StabilityReport",
-    "SteadyState",
-    "Thresholds",
-    "Trajectory",
-    "compute_thresholds",
-    "eradication_threshold",
-    "full_steady_state",
-    "group_masses",
-    "integrate",
-    "maximize_platform",
-    "maximize_truth_targeted",
-    "maximize_truth_uniform",
-    "minimize_rumor",
-    "no_rumor_positivity_readings",
-    "prevalences",
-    "rumor_steady_state",
-    "seed_state",
-    "truth_steady_state",
-    "verify_global_stability",
-]
+# the public names: the version, what the model import bound, and the lazy names
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if getattr(value, "__module__", None) == f"{__name__}.model"), *_LAZY]

@@ -277,37 +277,34 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
 
     i = int(np.argmin(done))  # first entry still open; a float solve has only one
     bracket = (float(np.ravel(lo)[i]), float(np.ravel(hi)[i]))
-    raise SolverError(
-        f"truth fixed point did not reach tol={cfg.tol} within {MAX_ITER} "
-        f"iterations; last bracket [{bracket[0]}, {bracket[1]}]",
-        bracket=bracket,
-    )
+    raise SolverError(f"truth fixed point did not reach tol={cfg.tol} within {MAX_ITER} iterations; "
+                      f"last bracket [{bracket[0]}, {bracket[1]}]", bracket=bracket)
+
+
+def _truth_partials(lam, x, a0, inspecting, theta1, t, direction):
+    """(G, G_t, G_u, G_tt, G_tu, G_uu): the monic truth cubic G (_truth_cubic) and its partials at (t, u).
+
+    u moves the policy along direction = (da0, da1, dI) = d(alpha0, alpha1, I)/du, and on the endemic branch
+    theta1 with it, dtheta1 = -(1-x) da1. So theta1, I and s are affine in u, ds = dI - x da0, and the
+    cubic's coefficients are polynomials in u of degree at most 2 (c2'' = 0).
+    """
+    da0, da1, di = direction
+    v, s = 1.0 / lam, inspecting + x * (1.0 - a0)
+    c2, c1, c0 = _truth_cubic(v, theta1, inspecting, s)
+    d_theta1, d_s = -(1.0 - x) * da1, di - x * da0
+    d2, d1, d0 = d_theta1 - d_s, d_theta1 * (v - s) - (v + theta1) * d_s, -v * (di * theta1 + inspecting * d_theta1)
+    return (((t + c2) * t + c1) * t + c0, (3.0 * t + 2.0 * c2) * t + c1, (d2 * t + d1) * t + d0,
+            6.0 * t + 2.0 * c2, 2.0 * d2 * t + d1, -2.0 * d_theta1 * (d_s * t + v * di))
 
 
 def _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction):
-    """dtheta0/du at the truth root theta0 along the policy direction (da0, da1, dI) = d(alpha0, alpha1, I)/du.
+    """dtheta0/du = -G_u / G_t at the truth root theta0 along direction (_truth_partials).
 
-    On the endemic branch, implicit differentiation of the monic truth cubic
-    G(t) (_truth_cubic, v = 1/lam) gives
-    -(G_theta1 dtheta1 + G_s ds + G_I dI) / G_t, with dtheta1 = -(1-x) da1,
-    ds = dI - x da0, G_theta1 = t^2 + (v - s) t - I v, G_s = -t^2 - (v + theta1) t
-    and G_I = -theta1 v. G_t, the slope of the Newton iteration in
-    _truth_given_rumor, is 0 only at a double root (nobody inspects,
-    x = 1/lam): the slope is then infinite. Slopes are only taken below a
-    kink above 0, where lam*(1-x) > 1.
+    G_t, the slope of the Newton iteration in _truth_given_rumor, is 0 only at a double root (nobody inspects,
+    x = 1/lam): the slope is then infinite. Slopes are only taken below a kink above 0, where lam*(1-x) > 1.
     """
-    da0, da1, di = direction
-    v = 1.0 / lam
-    s = inspecting + x * (1.0 - a0)
-    c2, c1, _ = _truth_cubic(v, theta1, inspecting, s)
-    t = theta0
-    g_t = (3.0 * t + 2.0 * c2) * t + c1
-    g_theta1 = (t + v - s) * t - inspecting * v
-    g_s = -t * (t + v + theta1)
-    num = g_theta1 * (1.0 - x) * da1 - g_s * (di - x * da0) + theta1 * v * di
-    if g_t == 0.0:
-        return math.copysign(math.inf, num)
-    return num / g_t
+    _, g_t, g_u, _, _, _ = _truth_partials(lam, x, a0, inspecting, theta1, theta0, direction)
+    return math.copysign(math.inf, -g_u) if g_t == 0.0 else -g_u / g_t
 
 
 def _steady_truth(lam, x, a0, a1, inspecting, cutoff, cfg: SolverConfig, ops=_FloatOps):
@@ -353,10 +350,7 @@ def _steady_fields(lam, x, a0, a1, cfg: SolverConfig, ops=_FloatOps):
 
         i = int(np.argmin(ok))
         r0, theta0, r1, theta1 = (float(np.ravel(v)[i]) for v in (r0, theta0, r1, theta1))
-        raise SolverError(
-            f"steady state failed recomposition: |{r0} - {theta0}|, "
-            f"|{r1} - {theta1}| exceed {budget}"
-        )
+        raise SolverError(f"steady state failed recomposition: |{r0} - {theta0}|, |{r1} - {theta1}| exceed {budget}")
     return theta0, theta1, theta, rho_a, rho_00_na, rho_11_na
 
 

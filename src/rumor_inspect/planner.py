@@ -17,10 +17,13 @@ cubic gives the slope in closed form (model._truth_slope): its sign is the
 paper's marginal condition. On dense profiles (30,000 random draws, lam
 up to 1000, any x) that sign changed at most once on every endemic piece,
 so a piece peaks inside only if the slope is positive at its lower end
-and not at its upper end, and a bracketed root finder solves for that
-peak. The peaks, the kinks and the segment ends are the candidates, and
-one tie rule picks among them: the cheapest within 1e-10 of the best,
-then the smallest alpha0.
+and not at its upper end. The peak then solves two polynomial equations
+in (theta0, alpha1), the truth cubic and the marginal condition, by
+Newton's method from the piece's ends; a step that leaves the bracket
+gives way to one regula falsi step with a full truth solve (_peak). The
+peaks, the kinks and the segment ends are the candidates, and one tie
+rule picks among them: the cheapest within 1e-10 of the best, then the
+smallest alpha0.
 
 The uniform line and the alpha0 = 1 edge do not depend on the budget, so
 a Curve analyses each once: the planners read each budget's optimum off
@@ -40,15 +43,18 @@ from .model import (
     ModelParams,
     ParameterError,
     SolverConfig,
+    _inspecting_mass,
     _no_rumor_truth,
     _steady_truth,
+    _truth_partials,
     _truth_slope,
     eradication_threshold,
     rumor_steady_state,
     truth_steady_state,
 )
 
-ROOT_XTOL = 1e-12  # width in alpha1 to which _slope_root solves a peak
+ROOT_XTOL = 1e-12  # width in alpha1 to which _peak solves a peak: its last Newton step, or its bracket
+NEWTON_STEPS = 8  # Newton iterations on a peak before _peak takes a bracketed step
 TIE_TOL = 1e-10
 SLACK_TOL = 1e-9
 EPS = sys.float_info.epsilon
@@ -91,21 +97,40 @@ def _objective(p: ModelParams, a: Allocation, platform: bool, cfg: SolverConfig)
     return truth + rumor_steady_state(p, a, cfg) if platform else truth
 
 
-def _slope_root(slope, a: float, ga: float, b: float, gb: float) -> float:
-    """A root in (a, b] of a slope with slope(a) = ga > 0 >= gb = slope(b), to ROOT_XTOL.
+def _peak(lam: float, x: float, slope, direction, kappa: float, lo, end) -> float:
+    """The rate in [a, b] at which the slope is 0, to ROOT_XTOL, from slope's (g, u, theta0, alpha0, I) at a and at b.
 
-    Regula falsi; an end that two steps in a row keep is scaled as Anderson
-    and Bjorck do, where Illinois halves it. It stops once a step is under
-    ROOT_XTOL/2: 7.3-7.5 slopes per root, past the two ends, on budget-sweep.
+    It solves G(t, u) = 0 and G_u + kappa*G_t = 0 in (t, u) = (theta0, alpha1): G is the monic truth cubic
+    (model._truth_partials), kappa = (1-x)*da1 for the platform and 0 for the truth. theta1, alpha0 and I
+    are affine in u, so a Newton step on the pair is float arithmetic from the last solved point; the first
+    starts at the secant between the ends. A step that leaves the bracket [a, b], or the root's range
+    0 < t < min(s, 1 - theta1), gives way to one bracketed step, a full slope solve at the regula falsi point
+    (an end that two such steps keep is scaled as Anderson and Bjorck do), and Newton restarts there.
     """
-    kept = 0  # the end the last step kept: +1 for b, -1 for a
+    (ga, a, t, a0, inspecting), (gb, b, t_b, _, _) = lo, end
+    (da0, _, di), v, y, tol = direction, 1.0 / lam, 1.0 - x, 0.5 * ROOT_XTOL
+    u0, kept = a, 0  # u0: where alpha0 and I were solved; kept: the end the last bracketed step kept, +1 for b
     while gb != 0.0 and b - a > ROOT_XTOL:
         c = (a * gb - b * ga) / (gb - ga)
         c = c if c == c else 0.5 * (a + b)  # nan from an infinite slope at an end (see _truth_slope): bisect
-        if kept and abs(c - (a if kept == 1 else b)) <= 0.5 * ROOT_XTOL:
+        u, step = u0, math.inf
+        if not kept:  # the first Newton run starts at the secant, t interpolated between the ends
+            u, t = c, t + (t_b - t) * (c - a) / (b - a)
+        for _ in range(NEWTON_STEPS):
+            a0_u, i_u, theta1 = a0 + da0 * (u - u0), inspecting + di * (u - u0), (1.0 - u) * y - v
+            if not (a <= u <= b and 0.0 < t < i_u + x * (1.0 - a0_u) and t < 1.0 - theta1):
+                break
+            if -tol <= step <= tol:
+                return u
+            g, g_t, g_u, g_tt, g_tu, g_uu = _truth_partials(lam, x, a0_u, i_u, theta1, t, direction)
+            h, h_t, h_u = g_u + kappa * g_t, g_tu + kappa * g_tt, g_uu + kappa * g_tu
+            det = g_t * h_u - g_u * h_t or math.nan  # a singular step leaves the bracket
+            step = (g * h_t - g_t * h) / det
+            t, u = t + (g_u * h - g * h_u) / det, u + step
+        if kept and abs(c - (a if kept == 1 else b)) <= tol:
             return c  # the step is below ROOT_XTOL/2: converged
-        c = min(max(c, a + 0.5 * ROOT_XTOL), b - 0.5 * ROOT_XTOL)  # a step next to the root crosses it
-        gc = slope(c)
+        c = min(max(c, a + tol), b - tol)  # a step next to the root crosses it
+        gc, u0, t, a0, inspecting = slope(c)
         if gc > 0.0:
             m = 1.0 - gc / ga if kept == 1 else 1.0
             a, ga, gb, kept = c, gc, gb * (m if m > 0.0 else 0.5), 1
@@ -124,31 +149,34 @@ def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, direction, platf
     the no-rumor closed form, nondecreasing in alpha1, so it adds only the
     kink and hi. Below it, on the endemic piece, the slope changes sign at
     most once, so the piece peaks inside only when the slope is positive at
-    lo and not at its upper end: _slope_root solves for that peak. These and
-    lo are every place a maximum can sit. value is the objective at alloc(u),
-    bit for bit the scalar solver's: the no-rumor closed form from the kink
-    on, where the solver takes the rumor as extinct, the value a slope
-    solved below it, else None.
+    lo and not at its upper end: _peak solves for that peak, by Newton's
+    method on the truth cubic and the marginal condition from the two ends
+    solved here. These and lo are every place a maximum can sit. value is
+    the objective at alloc(u), bit for bit the scalar solver's: the no-rumor
+    closed form from the kink on, where the solver takes the rumor as
+    extinct, the value a slope solved below it, else None (the peak, which
+    _score solves once).
     """
     lam, x = p.lam, p.x
     kink = eradication_threshold(p) - cfg.tol
     rates = [lo, hi] + ([kink] if lo < kink < hi else [])
     end = min(hi, kink)
-    values = {}
+    solved = {}  # u -> (alloc(u), the objective there) for each rate a slope solved
     if lo < end:
-        def slope(u: float) -> float:
-            a = alloc(u)
-            inspecting = a.inspecting_mass(x)
-            theta0, theta1 = _steady_truth(lam, x, a.alpha0, u, inspecting, math.inf, cfg)
-            if u < kink:
-                values[u] = theta0 + theta1 if platform else theta0
-            g = _truth_slope(lam, x, a.alpha0, inspecting, theta1, theta0, direction)
-            return g - (1.0 - x) * direction[1] if platform else g
+        kappa = (1.0 - x) * direction[1] if platform else 0.0
 
-        g_lo, g_end = slope(lo), slope(end)
-        if g_lo > 0.0 >= g_end:
-            rates.append(_slope_root(slope, lo, g_lo, end, g_end))
-    return [(alloc(u), _no_rumor_truth(lam, x, u) if u >= kink else values.get(u)) for u in rates]
+        def slope(u: float):  # (the objective's slope, u, theta0, alpha0, I) at alloc(u), from a full truth solve
+            a0, a1 = a = alloc(u)
+            inspecting = a.inspecting_mass(x)
+            theta0, theta1 = _steady_truth(lam, x, a0, a1, inspecting, math.inf, cfg)
+            solved[u] = a, theta0 + theta1 if platform else theta0
+            return _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction) - kappa, u, theta0, a0, inspecting
+
+        ends = slope(lo), slope(end)
+        if ends[0][0] > 0.0 >= ends[1][0]:
+            rates.append(_peak(lam, x, slope, direction, kappa, *ends))
+    pairs = [solved.get(u) or (alloc(u), None) for u in rates]
+    return [(a, _no_rumor_truth(lam, x, a.alpha1) if a.alpha1 >= kink else v) for a, v in pairs]
 
 
 def _score(p: ModelParams, candidates, platform: bool, cfg: SolverConfig) -> list:
@@ -250,6 +278,13 @@ def _binding_alpha0(A: float, x: float, a1: float) -> float:
     return 0.0 if rest <= 4.0 * EPS * A else 1.0 if rest >= x - 4.0 * EPS * A else rest / x
 
 
+def _fit(A: float, x: float, a0: float, a1: float) -> Allocation:
+    """(a0, a1), the rate of the larger of x*a0 and (1-x)*a1 stepped down by ulps while the spend rounds above A."""
+    while x * a0 + (1.0 - x) * a1 > A and _inspecting_mass(x, a0, a1) > A:  # the sum unless the rates are equal
+        a0, a1 = (math.nextafter(a0, 0.0), a1) if x * a0 >= (1.0 - x) * a1 else (a0, math.nextafter(a1, 0.0))
+    return Allocation(a0, a1)
+
+
 def maximize_truth_targeted(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
     """argmax of truth prevalence over per-type rates under the budget; see targeted_optimum."""
     return targeted_optimum(p, budget, cfg)(budget)
@@ -280,10 +315,12 @@ def targeted_optimum(p: ModelParams, bound: float, cfg: SolverConfig = DEFAULT_S
         candidates = corners[:1 + (A >= 1.0 - x)]
         if 0.0 < A and x < 1.0:
             lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))
+            while lo > 0.0 and x + (1.0 - x) * lo > A and _inspecting_mass(x, 1.0, lo) > A:  # as in _fit
+                lo = math.nextafter(lo, 0.0)  # so the line's start, the edge's end, spends at most A
             if lo <= hi:  # at x = 0, lo = hi: the direction is never read
                 line = (-(1.0 - x) / x if x else 0.0, 1.0, 0.0)
                 candidates += _segment_rates(
-                    p, lo, hi, lambda a1: Allocation.targeted(_binding_alpha0(A, x, a1), a1), line, False, cfg)
+                    p, lo, hi, lambda a1: _fit(A, x, _binding_alpha0(A, x, a1), a1), line, False, cfg)
             if A > x:
                 candidates += edge.upto(min(1.0, lo))
         return _result(p, A, *_pick(_score(p, candidates, False, cfg), x)[0], cfg)
@@ -330,10 +367,6 @@ def _thresholds(p: ModelParams, cfg: SolverConfig, curves: dict) -> Thresholds:
     root = math.sqrt(disc) if disc >= 0.0 else None
     a_lower, a_upper = _slack_region(truth)
     return Thresholds(
-        alpha_prime=eradication_threshold(p),
-        lambda_bar=2.0 + math.sqrt(radicand) if radicand >= 0.0 else None,
+        alpha_prime=eradication_threshold(p), lambda_bar=2.0 + math.sqrt(radicand) if radicand >= 0.0 else None,
         eradication_interval=None if root is None else ((4.0 - p.x - root) / 2.0, (4.0 - p.x + root) / 2.0),
-        A_lower=a_lower,
-        A_upper=a_upper,
-        A_tilde=_slack_region(platform)[1],
-    )
+        A_lower=a_lower, A_upper=a_upper, A_tilde=_slack_region(platform)[1])

@@ -538,17 +538,17 @@ def test_budget_sweep_analyses_its_curve_once(monkeypatch, capsys, objective, st
     # the platform below 0.29, so each solves for one peak. The targeted
     # planner searches its budget line at every budget, its edge once
     uniform, edge = (1.0, 1.0, 1.0), (0.0, 1.0, 0.7)  # d(alpha0, alpha1, I)/dalpha1 on each segment
-    calls, roots = [], []
-    segment_rates, slope_root = planner._segment_rates, planner._slope_root
+    calls, peaks = [], []
+    segment_rates, peak = planner._segment_rates, planner._peak
     monkeypatch.setattr(planner, "_segment_rates", lambda *args: calls.append(args[4]) or segment_rates(*args))
-    monkeypatch.setattr(planner, "_slope_root", lambda *args: roots.append(args) or slope_root(*args))
+    monkeypatch.setattr(planner, "_peak", lambda *args: peaks.append(args) or peak(*args))
     code, out = run(capsys, "sweep", "--axis", "A", "--objective", objective, "--lambda", "2", "--x", "0.3",
                     "--steps", str(steps))
     assert code == 0 and len(parse_csv(out)[1]) == steps
     if objective == "truth-targeted":
         assert calls.count(edge) == 1 and calls.count(uniform) == 0
     else:
-        assert calls == [uniform] and len(roots) == 1
+        assert calls == [uniform] and len(peaks) == 1
 
 
 def test_targeted_budget_sweep_rows_are_single_optimizations(monkeypatch, capsys):
