@@ -7,8 +7,9 @@ truth and whether its optimum eradicates the rumor, along with the located
 slack-region boundaries. The platform's rate never exceeds the planner's,
 and above a budget threshold the two coincide at full spend. Over a range
 of budgets the targeted planner puts its budget on truth-biased inspectors
-and lets the rumor live, although eradicating it is affordable. Each planner
-analyses its budget-independent curve once for the whole grid.
+and lets the rumor live, although eradicating it is affordable. One
+planner.Planner of the point serves the whole grid and the thresholds, so
+each budget-independent curve is analysed once.
 
     python scripts/budget_frontier.py --lambda 2 --x 0.3 --points 30
 """
@@ -18,8 +19,8 @@ import sys
 
 import numpy as np
 
-from rumor_inspect import ModelParams, compute_thresholds
-from rumor_inspect.planner import Curve, targeted_optimum
+from rumor_inspect import ModelParams
+from rumor_inspect.planner import Planner
 
 
 def main() -> int:
@@ -32,11 +33,11 @@ def main() -> int:
 
     p = ModelParams.from_lambda(args.lam, args.x)
     budgets = np.linspace(0.02, 1.0, args.points).tolist()
-    truth, platform, targeted = Curve(p, False).optimum, Curve(p, True).optimum, targeted_optimum(p, 1.0)
+    plan = Planner(p)
     lines = ["A,planner_alpha,planner_theta0,platform_alpha,platform_theta,"
              "targeted_alpha0,targeted_alpha1,targeted_theta0,targeted_rumor_eradicated"]
     for A in budgets:
-        planner, total, tgt = truth(A), platform(A), targeted(A)
+        planner, total, tgt = (plan.optimum(objective, A) for objective in ("truth", "platform", "truth-targeted"))
         lines.append(
             f"{A!r},{planner.allocation.alpha0!r},{planner.objective!r},"
             f"{total.allocation.alpha0!r},{total.objective!r},"
@@ -44,7 +45,7 @@ def main() -> int:
             f"{'true' if tgt.rumor_eradicated else 'false'}"
         )
 
-    thr = compute_thresholds(p)
+    thr = plan.thresholds()
     lines.append(f"# A_lower: {thr.A_lower!r}")
     lines.append(f"# A_upper: {thr.A_upper!r}")
     lines.append(f"# A_tilde: {thr.A_tilde!r}")

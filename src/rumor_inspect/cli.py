@@ -40,8 +40,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# objective -> the CLI's mode column: the planners with one shared rate report "uniform". budget_solver builds
-# each objective's planner: a minimize_rumor partial, a uniform Curve (truth or platform) or targeted_optimum
+# objective -> the CLI's mode column: the planners with one shared rate report "uniform". planner.Planner
+# dispatches each objective to its planner at one point, and optimize reads its thresholds off the same Planner
 MODES = {"rumor-min": "uniform", "truth": "uniform", "truth-targeted": "targeted", "platform": "uniform"}
 OBJECTIVES = tuple(MODES)
 AXES = ("alpha", "lambda", "x", "A")
@@ -185,22 +185,6 @@ def steady_columns(lam, x, a0, a1, solver: SolverConfig, ops=_FloatOps) -> list[
     return [theta0, theta1, theta, rho_a, rho_a, rho_00_na, rho_11_na, [t == 0.0 for t in theta1]]
 
 
-def budget_solver(p: ModelParams, objective: str, solver: SolverConfig, curves: dict, bound: float):
-    """budget -> OptResult of the objective's planner at p, for budgets up to bound, built once per point.
-
-    A truth or platform planner reads its uniform curve, analysed here once and kept in curves (platform flag ->
-    Curve); the targeted planner reads its alpha0 = 1 edge, analysed once up to bound.
-    """
-    from .planner import Curve, minimize_rumor, targeted_optimum  # the planner loads for the commands that plan
-
-    if objective == "truth-targeted":
-        return targeted_optimum(p, bound, solver)
-    if objective == "rumor-min":
-        return functools.partial(minimize_rumor, p, cfg=solver)
-    curve = curves[objective == "platform"] = Curve(p, objective == "platform", solver)
-    return curve.optimum
-
-
 def optimize_record(res, objective: str) -> dict:
     a = res.allocation
     return {"mode": MODES[objective], "alpha0": a.alpha0, "alpha1": a.alpha1, "objective": res.objective,
@@ -242,7 +226,7 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         swept = "alpha" if axis == "alpha" else "the budget"
         raise ConfigError(f"allocation flags are not allowed when sweeping {swept}")
     if axis == "A":
-        from .planner import _total
+        from .planner import Planner, _total
 
         p = _params(cfg)
         _total(lo), _total(hi)
@@ -257,9 +241,9 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         raise ConfigError(f"cannot build a sweep grid of {cfg.steps} steps: {exc}") from exc
     values = grid.tolist()
 
-    if axis == "A":  # one optimization per budget
-        solve = budget_solver(p, cfg.objective, solver, {}, max(values))
-        records = [optimize_record(solve(v), cfg.objective) for v in values]
+    if axis == "A":  # one optimization per budget, each read off the point's one Planner
+        planner = Planner(p, solver)
+        records = [optimize_record(planner.optimum(cfg.objective, v), cfg.objective) for v in values]
         return (["A", *records[0]], [values, *map(list, zip(*(r.values() for r in records)))])
     lam, x, a0, a1 = p.lam, p.x, a.alpha0, a.alpha1
     if axis == "alpha":
@@ -364,13 +348,12 @@ def run_sweep(cfg: RunConfig) -> int:
 
 
 def run_optimize(cfg: RunConfig) -> int:
-    from .planner import _thresholds
+    from .planner import Planner
 
     solver = _solver_config(cfg)
-    p = _params(cfg)
-    curves = {}
-    res = budget_solver(p, cfg.objective, solver, curves, cfg.A)(cfg.A)
-    row = {**optimize_record(res, cfg.objective), **_threshold_fields(_thresholds(p, solver, curves))}
+    planner = Planner(_params(cfg), solver)  # the thresholds reuse the curves the optimum analysed
+    row = {**optimize_record(planner.optimum(cfg.objective, cfg.A), cfg.objective),
+           **_threshold_fields(planner.thresholds())}
     emit(list(row), [[v] for v in row.values()], cfg)
     return EXIT_OK
 

@@ -26,13 +26,15 @@ rule picks among them: the cheapest within 1e-10 of the best, then the
 smallest alpha0.
 
 The uniform line and the alpha0 = 1 edge do not depend on the budget, so
-a Curve analyses each once: the planners read each budget's optimum off
-it, the targeted one with a search of its budget line, and
-compute_thresholds reads the slack regions off the uniform curves' peaks.
+a Planner analyses each once per point, as a Curve, on first use: the
+planners read each budget's optimum off it, the targeted one with a search
+of its budget line, and the thresholds read the slack regions off the
+uniform curves' peaks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -210,23 +212,23 @@ def _result(p: ModelParams, A: float, alloc: Allocation, value: float, cfg: Solv
 class Curve:
     """The truth, or with platform the truth plus the rumor, on a segment no budget moves, analysed once.
 
-    alloc(u) is the policy at alpha1 = u in [0, hi] and direction its d(alpha0, alpha1, I)/du, by default
-    the uniform line's. rates holds, scored, the rates below hi where _segment_rates finds that the curve
+    alloc(u) is the policy at alpha1 = u in [0, 1] and direction its d(alpha0, alpha1, I)/du, by default
+    the uniform line's. rates holds, scored, the rates below 1 where _segment_rates finds that the curve
     can peak: 0, the kink (alpha' - cfg.tol) and the endemic piece's peak. peak is the alpha1 that _pick
     names among them, top its value.
     """
 
     def __init__(self, p: ModelParams, platform: bool, cfg: SolverConfig = DEFAULT_SOLVER,
-                 alloc=Allocation.uniform, direction=(1.0, 1.0, 1.0), hi: float = 1.0):
-        rates = _segment_rates(p, 0.0, hi, alloc, direction, platform, cfg)
+                 alloc=Allocation.uniform, direction=(1.0, 1.0, 1.0)):
+        rates = _segment_rates(p, 0.0, 1.0, alloc, direction, platform, cfg)
         self.p, self.alloc, self.platform, self.cfg = p, alloc, platform, cfg
         self.kink = eradication_threshold(p) - cfg.tol
-        self.rates = _score(p, [(a, v) for a, v in rates if a.alpha1 < hi], platform, cfg)
+        self.rates = _score(p, [(a, v) for a, v in rates if a.alpha1 < 1.0], platform, cfg)
         (peak, _), self.top = _pick(self.rates, p.x)
         self.peak = peak.alpha1
 
     def upto(self, c: float) -> list:
-        """The (allocation, value) candidates over [0, c], c <= hi: 0, c where it can win, the rates up to c.
+        """The (allocation, value) candidates over [0, c], c <= 1: 0, c where it can win, the rates up to c.
 
         Below the peak the curve rises, so c competes, unsolved (None); from
         the peak to the kink no rate beats the peak; above the kink, on the
@@ -245,6 +247,19 @@ class Curve:
         A, p = _total(budget), self.p
         return _result(p, A, *_pick(_score(p, self.upto(min(A, 1.0)), self.platform, self.cfg), p.x)[0], self.cfg)
 
+    def slack_region(self) -> tuple[float | None, float | None]:
+        """Edges of the budgets at which the curve's optimum leaves slack, or (None, None).
+
+        Budgets from the curve's peak on, but at least THRESHOLD_RESOLUTION, leave slack until the no-rumor
+        line climbs TIE_TOL above the peak's value, or up to 1. A narrower region counts as none.
+        """
+        p, x = self.p, self.p.x
+        level = self.top + TIE_TOL
+        # at x = 1 the line is flat at the value of the peak at 0, so this divides by no zero
+        upper = 1.0 if _no_rumor_truth(p.lam, x, 1.0) <= level else (level - x + 1.0 / p.lam) / (1.0 - x)
+        lower = max(self.peak, THRESHOLD_RESOLUTION)
+        return (lower, upper) if upper - lower >= THRESHOLD_RESOLUTION else (None, None)
+
 
 # ---------------------------------------------------------------------------
 # the four planning problems
@@ -262,16 +277,6 @@ def minimize_rumor(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SO
     return _result(p, A, alloc, rumor_steady_state(p, alloc, cfg), cfg)
 
 
-def maximize_truth_uniform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
-    """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]; see Curve."""
-    return Curve(p, False, cfg).optimum(budget)
-
-
-def maximize_platform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
-    """Same as maximize_truth_uniform, but the objective is theta0 + theta1."""
-    return Curve(p, True, cfg).optimum(budget)
-
-
 def _binding_alpha0(A: float, x: float, a1: float) -> float:
     """alpha0 that binds the budget at alpha1 = a1: 0 or 1 exactly where the rest is 0 or x up to rounding (eps*A)."""
     rest = A - (1.0 - x) * a1
@@ -285,34 +290,50 @@ def _fit(A: float, x: float, a0: float, a1: float) -> Allocation:
     return Allocation(a0, a1)
 
 
-def maximize_truth_targeted(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
-    """argmax of truth prevalence over per-type rates under the budget; see targeted_optimum."""
-    return targeted_optimum(p, budget, cfg)(budget)
+class Planner:
+    """The planners and the thresholds at the point p, reading what no budget moves off one analysis of it.
 
-
-def targeted_optimum(p: ModelParams, bound: float, cfg: SolverConfig = DEFAULT_SOLVER):
-    """budget -> OptResult of maximize_truth_targeted at p for budgets up to bound, analysing once what no budget moves.
-
-    Raising alpha0 at a fixed alpha1 weakly helps: it moves type-0 mass from
-    the truth-only term of the fixed-point map into inspection, which
-    responds to total prevalence. So the optimum lies on the budget line,
-    searched per budget, or once A > x on the alpha0 = 1 edge below it,
-    alpha1 in [0, (A-x)/(1-x)]: a Curve up to (bound-x)/(1-x). Once the
-    rumor is extinct alpha0 is worthless, so (0, 0) and, from A = 1-x on,
-    (0, 1) compete too, scored once; _pick chooses. At x = 0 the line is the
-    point (0, A) and the edge runs at alpha0 = 0; at x = 1 only (0, 0) is left.
+    truth and platform are the uniform curves, edge the targeted planner's alpha0 = 1 edge over alpha1 in
+    [0, 1], and corners its two eradicating policies, scored. Each is analysed on its first use, so a
+    point analyses what its budgets and thresholds read, and nothing twice.
     """
-    x, top = p.x, _total(bound)
-    corners = [Allocation.targeted(0.0, 0.0)] + [Allocation.targeted(0.0, 1.0)] * (x < 1.0 and top >= 1.0 - x)
-    corners = [(a, _objective(p, a, False, cfg)) for a in corners]
-    edge = Curve(p, False, cfg, lambda a1: Allocation.targeted(float(x > 0.0), a1), (0.0, 1.0, 1.0 - x),
-                 min(1.0, (top - x) / (1.0 - x))) if x < min(top, 1.0) else None
 
-    def optimum(budget: float) -> OptResult:
-        A = _total(budget)
-        if A > top:  # past the edge analysed
-            return targeted_optimum(p, A, cfg)(A)
-        candidates = corners[:1 + (A >= 1.0 - x)]
+    def __init__(self, p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER):
+        self.p, self.cfg = p, cfg
+
+    truth = functools.cached_property(lambda self: Curve(self.p, False, self.cfg))
+    platform = functools.cached_property(lambda self: Curve(self.p, True, self.cfg))
+
+    @functools.cached_property
+    def edge(self) -> Curve:  # at x = 0 it runs at alpha0 = 0
+        x = self.p.x
+        return Curve(self.p, False, self.cfg, lambda a1: Allocation.targeted(float(x > 0.0), a1), (0.0, 1.0, 1.0 - x))
+
+    @functools.cached_property
+    def corners(self) -> list:  # (0, 0) and, for x < 1, (0, 1), each with its truth
+        corners = [Allocation.targeted(0.0, 0.0)] + [Allocation.targeted(0.0, 1.0)] * (self.p.x < 1.0)
+        return [(a, _objective(self.p, a, False, self.cfg)) for a in corners]
+
+    def optimum(self, objective: str, budget: float) -> OptResult:
+        """The OptResult at the budget of the objective's planner: rumor-min, truth, truth-targeted or platform.
+
+        The targeted planner: raising alpha0 at a fixed alpha1 weakly helps,
+        as it moves type-0 mass from the truth-only term of the fixed-point
+        map into inspection, which responds to total prevalence. So its
+        optimum lies on the budget line, searched per budget, or once A > x
+        on the edge below it, alpha1 in [0, (A-x)/(1-x)]. Once the rumor is
+        extinct alpha0 is worthless, so the corners (0, 0) and, from A = 1-x
+        on, (0, 1) compete too; _pick chooses. At x = 0 the line is the point
+        (0, A) and the edge runs at alpha0 = 0; at x = 1 only (0, 0) is left.
+        """
+        if objective in ("truth", "platform"):
+            return getattr(self, objective).optimum(budget)
+        if objective == "rumor-min":
+            return minimize_rumor(self.p, budget, self.cfg)
+        if objective != "truth-targeted":
+            raise ParameterError(f"unknown objective {objective!r}")
+        p, x, cfg, A = self.p, self.p.x, self.cfg, _total(budget)
+        candidates = self.corners[:1 + (A >= 1.0 - x)]
         if 0.0 < A and x < 1.0:
             lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))
             while lo > 0.0 and x + (1.0 - x) * lo > A and _inspecting_mass(x, 1.0, lo) > A:  # as in _fit
@@ -322,51 +343,45 @@ def targeted_optimum(p: ModelParams, bound: float, cfg: SolverConfig = DEFAULT_S
                 candidates += _segment_rates(
                     p, lo, hi, lambda a1: _fit(A, x, _binding_alpha0(A, x, a1), a1), line, False, cfg)
             if A > x:
-                candidates += edge.upto(min(1.0, lo))
+                candidates += self.edge.upto(min(1.0, lo))
         return _result(p, A, *_pick(_score(p, candidates, False, cfg), x)[0], cfg)
 
-    return optimum
+    def thresholds(self) -> Thresholds:
+        """The threshold bundle: alpha', lambda_bar and the eradication interval in closed form, then the slack regions.
+
+        A_lower / A_upper bracket the budgets at which the uniform truth
+        planner reports slack; A_tilde is the top of the analogous region for
+        the platform objective. All three are None when the corresponding
+        slack region is narrower than THRESHOLD_RESOLUTION; budgets above 1
+        buy nothing more. Curve.slack_region reads the edges off each uniform
+        curve's peak with no optimizer call.
+        """
+        x = self.p.x
+        radicand = 2.0 - 1.0 / (1.0 - x) if x < 1.0 else -1.0
+        disc = (4.0 - x) ** 2 - 12.0
+        root = math.sqrt(disc) if disc >= 0.0 else None
+        a_lower, a_upper = self.truth.slack_region()
+        return Thresholds(
+            alpha_prime=eradication_threshold(self.p), lambda_bar=2.0 + math.sqrt(radicand) if radicand >= 0.0 else None,
+            eradication_interval=None if root is None else ((4.0 - x - root) / 2.0, (4.0 - x + root) / 2.0),
+            A_lower=a_lower, A_upper=a_upper, A_tilde=self.platform.slack_region()[1])
 
 
-# ---------------------------------------------------------------------------
-# budget thresholds
-# ---------------------------------------------------------------------------
+def maximize_truth_uniform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
+    """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]; see Curve."""
+    return Planner(p, cfg).optimum("truth", budget)
 
-def _slack_region(curve: Curve) -> tuple[float | None, float | None]:
-    """Edges of the budgets at which the curve's optimum leaves slack, or (None, None).
 
-    Budgets from the curve's peak on, but at least THRESHOLD_RESOLUTION, leave slack until the no-rumor
-    line climbs TIE_TOL above the peak's value, or up to 1. A narrower region counts as none.
-    """
-    p, x = curve.p, curve.p.x
-    level = curve.top + TIE_TOL
-    # at x = 1 the line is flat at the value of the peak at 0, so this divides by no zero
-    upper = 1.0 if _no_rumor_truth(p.lam, x, 1.0) <= level else (level - x + 1.0 / p.lam) / (1.0 - x)
-    lower = max(curve.peak, THRESHOLD_RESOLUTION)
-    return (lower, upper) if upper - lower >= THRESHOLD_RESOLUTION else (None, None)
+def maximize_platform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
+    """Same as maximize_truth_uniform, but the objective is theta0 + theta1."""
+    return Planner(p, cfg).optimum("platform", budget)
+
+
+def maximize_truth_targeted(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
+    """argmax of truth prevalence over per-type rates under the budget; see Planner.optimum."""
+    return Planner(p, cfg).optimum("truth-targeted", budget)
 
 
 def compute_thresholds(p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER) -> Thresholds:
-    """The threshold bundle: alpha', lambda_bar and the eradication interval in closed form, then the slack regions.
-
-    A_lower / A_upper bracket the budgets at which maximize_truth_uniform
-    reports slack; A_tilde is the top of the analogous region for the
-    platform objective. All three are None when the corresponding slack
-    region is narrower than THRESHOLD_RESOLUTION; budgets above 1 buy
-    nothing more. _slack_region reads the edges off each uniform curve's
-    peak with no optimizer call.
-    """
-    return _thresholds(p, cfg, {})
-
-
-def _thresholds(p: ModelParams, cfg: SolverConfig, curves: dict) -> Thresholds:
-    """compute_thresholds, reusing the uniform curves of p already analysed: platform flag -> Curve."""
-    truth, platform = (curves.get(flag) or Curve(p, flag, cfg) for flag in (False, True))
-    radicand = 2.0 - 1.0 / (1.0 - p.x) if p.x < 1.0 else -1.0
-    disc = (4.0 - p.x) ** 2 - 12.0
-    root = math.sqrt(disc) if disc >= 0.0 else None
-    a_lower, a_upper = _slack_region(truth)
-    return Thresholds(
-        alpha_prime=eradication_threshold(p), lambda_bar=2.0 + math.sqrt(radicand) if radicand >= 0.0 else None,
-        eradication_interval=None if root is None else ((4.0 - p.x - root) / 2.0, (4.0 - p.x + root) / 2.0),
-        A_lower=a_lower, A_upper=a_upper, A_tilde=_slack_region(platform)[1])
+    """The threshold bundle at p; see Planner.thresholds."""
+    return Planner(p, cfg).thresholds()

@@ -387,9 +387,9 @@ def reference_uniform_optimum(p, A, platform, cfg=None):
 def reference_targeted_optimum(p, A, cfg=None):
     """maximize_truth_targeted searched at this budget alone: its budget line and its alpha0 = 1 edge up to (A-x)/(1-x).
 
-    The planner analyses the edge once for every budget up to a bound
-    (planner.targeted_optimum) and scores (0, 0) and (0, 1) once. This is
-    the search it ran before at each budget: (0, 0), (0, 1) from A = 1-x
+    The planner analyses the edge once per point, over alpha1 in [0, 1]
+    (planner.Planner), and scores (0, 0) and (0, 1) once. This is the
+    search it ran before at each budget: (0, 0), (0, 1) from A = 1-x
     on, and the rates _segment_rates gives on the budget line and on the
     edge [0, min(1, (A-x)/(1-x))] (at x = 0 on alpha0 = 0, alpha1 in
     [0, min(1, A)]), scored, and the tie rule _pick.

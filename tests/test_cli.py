@@ -552,27 +552,59 @@ def test_budget_sweep_analyses_its_curve_once(monkeypatch, capsys, objective, st
 
 
 def test_targeted_budget_sweep_rows_are_single_optimizations(monkeypatch, capsys):
-    # a targeted sweep analyses the alpha0 = 1 edge once, up to --stop; each
-    # row is what optimize finds at that budget alone, whose edge ends at its
-    # own A. The peak is solved once in each, to ROOT_XTOL
-    ends = []  # where each search of the edge ends
+    # a targeted sweep analyses the alpha0 = 1 edge once, over alpha1 in
+    # [0, 1]; optimize analyses the same edge when A > x. So each row is,
+    # bit for bit, what optimize finds at that budget alone
+    ends = []  # where each analysis of the edge ends
     segment_rates = planner._segment_rates
     monkeypatch.setattr(planner, "_segment_rates",
                         lambda *args: args[4] == (0.0, 1.0, 0.7) and ends.append(args[2]) or segment_rates(*args))
     args = ["--objective", "truth-targeted", "--lambda", "2", "--x", "0.3"]
     code, out = run(capsys, "sweep", "--axis", "A", *args, "--start", "0.2", "--stop", "0.6", "--steps", "9")
-    assert code == 0 and ends == [(0.6 - 0.3) / 0.7]
+    assert code == 0 and ends == [1.0]
     rows = parse_csv(out)[1]
     assert len(rows) == 9 and rows[-1]["A"] == 0.6
     for row in rows:
         ends.clear()
         code, out = run(capsys, "optimize", *args, "--A", repr(row["A"]))
-        assert code == 0 and ends == ([(row["A"] - 0.3) / 0.7] if row["A"] > 0.3 else [])
+        assert code == 0 and ends == ([1.0] if row["A"] > 0.3 else [])
         single = parse_csv(out)[1][0]
-        for field in ("alpha0", "alpha1", "budget_spent"):
-            assert abs(row[field] - single[field]) <= 2.0 * planner.ROOT_XTOL, (row["A"], field)
-        assert abs(row["objective"] - single["objective"]) <= planner.TIE_TOL
-        assert (row["slack"], row["rumor_eradicated"]) == (single["slack"], single["rumor_eradicated"])
+        assert all(row[key] == single[key] for key in row if key != "A"), row["A"]
+
+
+@pytest.mark.parametrize(
+    "argv,curves,corners",
+    [
+        (["optimize", "--objective", "truth", "--A", "0.5"], ["truth", "platform"], 0),
+        (["optimize", "--objective", "platform", "--A", "0.5"], ["platform", "truth"], 0),
+        (["optimize", "--objective", "rumor-min", "--A", "0.5"], ["truth", "platform"], 0),
+        (["optimize", "--objective", "truth-targeted", "--A", "0.2"], ["truth", "platform"], 2),
+        (["optimize", "--objective", "truth-targeted", "--A", "0.5"], ["edge", "truth", "platform"], 2),
+        (["sweep", "--axis", "A", "--objective", "truth-targeted", "--steps", "11"], ["edge"], 2),
+        (["thresholds"], ["truth", "platform"], 0),
+    ],
+    ids=["truth", "platform", "rumor-min", "targeted-below-x", "targeted", "targeted-sweep", "thresholds"],
+)
+def test_each_command_analyses_each_curve_once(monkeypatch, capsys, argv, curves, corners):
+    # a command builds one Planner of its point, and the Planner analyses each
+    # curve it reads once, in the order read: the optimum's first, then the
+    # thresholds'. It scores the targeted planner's corners (0, 0) and (0, 1)
+    # once, whatever the budgets, and reads the edge only at budgets above x
+    built, scored = [], []
+    names = {(False, (1.0, 1.0, 1.0)): "truth", (True, (1.0, 1.0, 1.0)): "platform", (False, (0.0, 1.0, 0.7)): "edge"}
+    init, objective = planner.Curve.__init__, planner._objective
+    eradicating = (Allocation.targeted(0.0, 0.0), Allocation.targeted(0.0, 1.0))
+
+    def counted_init(self, p, platform, cfg=planner.DEFAULT_SOLVER, *args):
+        built.append(names[platform, args[1] if args else (1.0, 1.0, 1.0)])
+        init(self, p, platform, cfg, *args)
+
+    monkeypatch.setattr(planner.Curve, "__init__", counted_init)
+    monkeypatch.setattr(planner, "_objective", lambda p, a, *args: (a in eradicating and scored.append(a))
+                        or objective(p, a, *args))
+    code, out = run(capsys, *argv, "--lambda", "2", "--x", "0.3")
+    assert code == 0 and out
+    assert built == curves and sorted(scored) == sorted(eradicating[:corners])
 
 
 def test_targeted_at_x_zero_matches_uniform(capsys):
@@ -648,7 +680,7 @@ def test_unwritable_out_checked_before_computing(monkeypatch, tmp_path, capsys, 
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before --out was checked")
 
-    for module, name in ((cli, "optimize_record"), (planner, "compute_thresholds"), (planner, "_thresholds"),
+    for module, name in ((cli, "optimize_record"), (planner, "compute_thresholds"), (planner, "Planner"),
                          (dynamics, "integrate"), (dynamics, "verify_global_stability")):
         monkeypatch.setattr(module, name, no_compute)
     code = main([*argv, "--out", str(tmp_path / target)])

@@ -925,31 +925,57 @@ def test_targeted_line_starts_exactly_at_the_edge_end():
 
 @settings(max_examples=80, deadline=None)
 @given(lam=st.floats(0.5, 1000.0), x=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-       bound=st.one_of(st.sampled_from([1.0, 1.5]), st.floats(0.0, 1.0)),
+       top=st.one_of(st.sampled_from([1.0, 1.5]), st.floats(0.0, 1.0)),
        drawn=st.lists(st.floats(0.0, 1.0), max_size=6))
-@example(lam=2.0, x=0.3, bound=1.0, drawn=[0.28, 0.32])
-@example(lam=1.789004, x=0.263299, bound=0.35, drawn=[0.3])  # the optimum on the edge, below the line
-@example(lam=2.0, x=0.1, bound=1.5, drawn=[0.36])  # the optimum at the corner (1, (A-x)/(1-x))
-@example(lam=2.0, x=0.0, bound=1.5, drawn=[0.2, 0.3])
-@example(lam=10.0, x=0.1, bound=1.0, drawn=[0.3])  # x = 1/lam: an infinite slope at alpha1 = 0
-def test_targeted_curve_matches_the_search_of_each_budget(lam, x, bound, drawn):
-    # the targeted optimum that analyses the alpha0 = 1 edge once, up to the
-    # bound, is at every budget up to it what a search of that budget's line
-    # and edge finds (conftest.reference_targeted_optimum), in ascending and
-    # descending order. The line is searched alike; the edge's peak is solved
-    # in [0, kink] or [0, (bound-x)/(1-x)] once and in [0, (A-x)/(1-x)] by the
-    # search, each to ROOT_XTOL, so the rates agree within twice that
+@example(lam=2.0, x=0.3, top=1.0, drawn=[0.28, 0.32])
+@example(lam=1.789004, x=0.263299, top=0.35, drawn=[0.3])  # the optimum on the edge, below the line
+@example(lam=2.0, x=0.1, top=1.5, drawn=[0.36])  # the optimum at the corner (1, (A-x)/(1-x))
+@example(lam=2.0, x=0.0, top=1.5, drawn=[0.2, 0.3])
+@example(lam=10.0, x=0.1, top=1.0, drawn=[0.3])  # x = 1/lam: an infinite slope at alpha1 = 0
+def test_targeted_curve_matches_the_search_of_each_budget(lam, x, top, drawn):
+    # the targeted optimum of a Planner, which analyses the alpha0 = 1 edge
+    # once over alpha1 in [0, 1], is at every budget what a search of that
+    # budget's line and edge finds (conftest.reference_targeted_optimum), in
+    # ascending and descending order. The line is searched alike; the edge's
+    # peak is solved in [0, kink] or [0, 1] once and in [0, (A-x)/(1-x)] by
+    # the search, each to ROOT_XTOL, so the rates agree within twice that
     p = ModelParams.from_lambda(lam, x)
-    optimum = planner.targeted_optimum(p, bound)
-    budgets = sorted({A for A in (0.0, x, 1.0 - x, bound, *(bound * d for d in drawn)) if A <= bound})
+    plan = planner.Planner(p)
+    budgets = sorted({A for A in (0.0, x, 1.0 - x, top, *(top * d for d in drawn)) if A <= top})
     for A in budgets + budgets[::-1]:
-        got, want = optimum(A), reference_targeted_optimum(p, A)
+        got, want = plan.optimum("truth-targeted", A), reference_targeted_optimum(p, A)
         for g, w in zip(got.allocation.rates(), want.allocation.rates()):
             assert abs(g - w) <= 2.0 * planner.ROOT_XTOL, A
         assert abs(got.objective - want.objective) <= planner.TIE_TOL, A
         assert (got.slack, got.rumor_eradicated) == (want.slack, want.rumor_eradicated), A
-    assert maximize_truth_targeted(p, bound) == optimum(bound)
-    assert optimum(bound + 0.25) == maximize_truth_targeted(p, bound + 0.25)  # past the bound: analysed anew
+
+
+@settings(max_examples=80, deadline=None)
+@given(lam=st.floats(0.5, 1000.0), x=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       budgets=st.lists(st.one_of(st.sampled_from([1.0, 1.5]), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+# a budget sweep to A = 1 and optimize at A alone analysed the edge up to different ends, and their last bits
+# differed at these points (the second by 1 ulp in alpha1)
+@example(lam=1.651892471505827, x=0.1590410252749208, budgets=[0.37463409356077904, 1.0])
+@example(lam=2.1548022867424916, x=0.08432471602267855, budgets=[0.4286501107198718, 1.0])
+@example(lam=2.0, x=0.3, budgets=[0.0, 0.2, 0.3, 0.7, 1.0])
+def test_planner_targeted_optimum_is_the_single_optimization(lam, x, budgets):
+    # one Planner serves a whole budget sweep: at every budget, in ascending
+    # and then descending order, it gives bit for bit what
+    # maximize_truth_targeted gives at that budget alone
+    p = ModelParams.from_lambda(lam, x)
+    plan = planner.Planner(p)
+    budgets = sorted(budgets)
+    for A in budgets + budgets[::-1]:
+        assert plan.optimum("truth-targeted", A) == maximize_truth_targeted(p, A), A
+
+
+@pytest.mark.parametrize("objective", ["volume", "Truth", "truth_targeted", ""])
+def test_planner_refuses_an_unknown_objective(objective):
+    # an objective the Planner does not know raises; it does not fall through to the truth curve
+    plan = planner.Planner(ModelParams.from_lambda(2.0, 0.3))
+    with pytest.raises(ParameterError, match="unknown objective"):
+        plan.optimum(objective, 0.5)
+    assert not {"truth", "platform", "edge", "corners"} & vars(plan).keys()  # and analyses nothing
 
 
 def test_targeted_beats_2d_grid(ref_params):
