@@ -261,6 +261,9 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
 # emission
 # ---------------------------------------------------------------------------
 
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps's spelling of a value, from one encoder for every call
+
+
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -271,51 +274,43 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _fmt_column(col) -> list[str]:
-    # a column of exact floats (no bool, None or float subclass), or of bools
-    # alone, needs no per-cell dispatch: _fmt would treat every cell alike
+def _fmt_column(col, fmt: str) -> list[str]:
+    # a column of exact finite floats (no bool, None or float subclass), or of bools alone, needs no per-cell
+    # dispatch and is the same in both formats; in any other, a JSON cell differs from _fmt's (null, NaN,
+    # Infinity and quoted strings), and _encode writes it as json.dumps does
     kinds = {*map(type, col)}
-    if kinds == {float}:
+    if kinds == {float} and (fmt == "csv" or math.isfinite(sum(col))):  # a finite sum: no nan or inf
         return list(map(float.__repr__, col))
     if kinds == {bool}:
         return ["true" if v else "false" for v in col]
-    return list(map(_fmt, col))
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    # every RunConfig field that has a value, defaults included, in RunConfig's
-    # field order, except the destination
-    return {k: v for k, v in vars(cfg).items() if v is not None and k != "out"}
+    return list(map(_fmt if fmt == "csv" else _encode, col))
 
 
 def emit(header: list[str], columns: list, cfg: RunConfig, summary: dict | None = None) -> str:
     """Write the table given column by column (columns[i] holds header[i]'s cells), as CSV or JSON.
 
-    A column that appears twice as the same object is formatted once.
+    A table of one row is formatted in one pass over its cells. A longer one is formatted column by column
+    (_fmt_column), and a column that appears twice as the same object is formatted once. Each JSON row is
+    written through one %-template in the indent=2 layout of json.dumps, which writes the head and summary.
     """
+    echo = {k: v for k, v in vars(cfg).items() if v is not None and k != "out"}  # in field order, defaults included
+    if len(columns[0]) == 1:
+        rows = [tuple(map(_fmt if cfg.fmt == "csv" else _encode, next(zip(*columns))))]
+    else:
+        formatted = {id(col): col for col in columns}  # a column given twice, as the same object, is formatted once
+        formatted = {key: _fmt_column(col, cfg.fmt) for key, col in formatted.items()}
+        rows = zip(*map(formatted.__getitem__, map(id, columns)))
     if cfg.fmt == "json":
-        doc = {
-            "tool": "rumor-inspect",
-            "version": __version__,
-            "config": _config_echo(cfg),
-            "rows": [dict(zip(header, row)) for row in zip(*columns)],
-        }
+        doc = {"tool": "rumor-inspect", "version": __version__, "config": echo, "rows": []}
         if summary is not None:
             doc["summary"] = summary
-        text = json.dumps(doc, indent=2, allow_nan=True) + "\n"
+        template = "    {\n      " + ": %s,\n      ".join(map(_encode, header)) + ": %s\n    }"  # a %s per name
+        body = ",\n".join(map(template.__mod__, rows))
+        # a line that opens with two spaces and "rows" is the document's own key: no JSON string holds a newline
+        text = json.dumps(doc, indent=2).replace('\n  "rows": []', f'\n  "rows": [\n{body}\n  ]', 1) + "\n"
     else:
-        lines = [
-            f"# rumor-inspect {__version__}",
-            "# config: " + json.dumps(_config_echo(cfg), sort_keys=True),
-            ",".join(header),
-        ]
-        formatted = {}
-        for col in columns:
-            if id(col) not in formatted:
-                formatted[id(col)] = _fmt_column(col)
-        lines += map(",".join, zip(*(formatted[id(col)] for col in columns)))
-        if summary is not None:
-            lines += [f"# {key}: {_fmt(val)}" for key, val in summary.items()]
+        lines = [f"# rumor-inspect {__version__}\n# config: {_encode(echo)}\n{','.join(header)}",
+                 *map(",".join, rows), *(f"# {key}: {_fmt(val)}" for key, val in (summary or {}).items())]
         text = "\n".join(lines) + "\n"
 
     if cfg.out:

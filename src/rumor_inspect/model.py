@@ -281,8 +281,9 @@ def _truth_given_rumor(lam, x, a0, a1, inspecting, theta1, cap, cfg: SolverConfi
                       f"last bracket [{bracket[0]}, {bracket[1]}]", bracket=bracket)
 
 
-def _truth_partials(lam, x, a0, inspecting, theta1, t, direction):
-    """(G, G_t, G_u, G_tt, G_tu, G_uu): the monic truth cubic G (_truth_cubic) and its partials at (t, u).
+def _truth_gradient(lam, x, a0, inspecting, theta1, t, direction):
+    """(G_t, G_u, terms) at (t, u): the first partials of the monic truth cubic G (_truth_cubic), and the terms
+    from which _truth_partials adds G and its second partials.
 
     u moves the policy along direction = (da0, da1, dI) = d(alpha0, alpha1, I)/du, and on the endemic branch
     theta1 with it, dtheta1 = -(1-x) da1. So theta1, I and s are affine in u, ds = dI - x da0, and the
@@ -293,17 +294,23 @@ def _truth_partials(lam, x, a0, inspecting, theta1, t, direction):
     c2, c1, c0 = _truth_cubic(v, theta1, inspecting, s)
     d_theta1, d_s = -(1.0 - x) * da1, di - x * da0
     d2, d1, d0 = d_theta1 - d_s, d_theta1 * (v - s) - (v + theta1) * d_s, -v * (di * theta1 + inspecting * d_theta1)
-    return (((t + c2) * t + c1) * t + c0, (3.0 * t + 2.0 * c2) * t + c1, (d2 * t + d1) * t + d0,
+    return (3.0 * t + 2.0 * c2) * t + c1, (d2 * t + d1) * t + d0, (c2, c1, c0, d2, d1, d_theta1, d_s, v, di)
+
+
+def _truth_partials(lam, x, a0, inspecting, theta1, t, direction):
+    """(G, G_t, G_u, G_tt, G_tu, G_uu) at (t, u): _truth_gradient's partials, with G and the second partials."""
+    g_t, g_u, (c2, c1, c0, d2, d1, d_theta1, d_s, v, di) = _truth_gradient(lam, x, a0, inspecting, theta1, t, direction)
+    return (((t + c2) * t + c1) * t + c0, g_t, g_u,
             6.0 * t + 2.0 * c2, 2.0 * d2 * t + d1, -2.0 * d_theta1 * (d_s * t + v * di))
 
 
 def _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction):
-    """dtheta0/du = -G_u / G_t at the truth root theta0 along direction (_truth_partials).
+    """dtheta0/du = -G_u / G_t at the truth root theta0 along direction (_truth_gradient).
 
     G_t, the slope of the Newton iteration in _truth_given_rumor, is 0 only at a double root (nobody inspects,
     x = 1/lam): the slope is then infinite. Slopes are only taken below a kink above 0, where lam*(1-x) > 1.
     """
-    _, g_t, g_u, _, _, _ = _truth_partials(lam, x, a0, inspecting, theta1, theta0, direction)
+    g_t, g_u, _ = _truth_gradient(lam, x, a0, inspecting, theta1, theta0, direction)
     return math.copysign(math.inf, -g_u) if g_t == 0.0 else -g_u / g_t
 
 

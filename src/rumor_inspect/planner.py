@@ -293,9 +293,9 @@ def _fit(A: float, x: float, a0: float, a1: float) -> Allocation:
 class Planner:
     """The planners and the thresholds at the point p, reading what no budget moves off one analysis of it.
 
-    truth and platform are the uniform curves, edge the targeted planner's alpha0 = 1 edge over alpha1 in
-    [0, 1], and corners its two eradicating policies, scored. Each is analysed on its first use, so a
-    point analyses what its budgets and thresholds read, and nothing twice.
+    truth and platform are the uniform curves, edge the targeted planner's alpha0 = 1 edge over alpha1 in [0, 1],
+    corners its eradicating policies scored so far: (0, 0), and (0, 1) once a budget reaches 1 - x. Each is
+    analysed on its first use, so a point analyses what its budgets and thresholds read, and nothing twice.
     """
 
     def __init__(self, p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER):
@@ -309,10 +309,7 @@ class Planner:
         x = self.p.x
         return Curve(self.p, False, self.cfg, lambda a1: Allocation.targeted(float(x > 0.0), a1), (0.0, 1.0, 1.0 - x))
 
-    @functools.cached_property
-    def corners(self) -> list:  # (0, 0) and, for x < 1, (0, 1), each with its truth
-        corners = [Allocation.targeted(0.0, 0.0)] + [Allocation.targeted(0.0, 1.0)] * (self.p.x < 1.0)
-        return [(a, _objective(self.p, a, False, self.cfg)) for a in corners]
+    corners = functools.cached_property(lambda self: _score(self.p, [(Allocation(0.0, 0.0), None)], False, self.cfg))
 
     def optimum(self, objective: str, budget: float) -> OptResult:
         """The OptResult at the budget of the objective's planner: rumor-min, truth, truth-targeted or platform.
@@ -333,6 +330,8 @@ class Planner:
         if objective != "truth-targeted":
             raise ParameterError(f"unknown objective {objective!r}")
         p, x, cfg, A = self.p, self.p.x, self.cfg, _total(budget)
+        if x < 1.0 and A >= 1.0 - x and len(self.corners) == 1:  # (0, 1) is scored once a budget reaches it
+            self.corners += _score(p, [(Allocation(0.0, 1.0), None)], False, cfg)
         candidates = self.corners[:1 + (A >= 1.0 - x)]
         if 0.0 < A and x < 1.0:
             lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))

@@ -578,18 +578,21 @@ def test_targeted_budget_sweep_rows_are_single_optimizations(monkeypatch, capsys
         (["optimize", "--objective", "truth", "--A", "0.5"], ["truth", "platform"], 0),
         (["optimize", "--objective", "platform", "--A", "0.5"], ["platform", "truth"], 0),
         (["optimize", "--objective", "rumor-min", "--A", "0.5"], ["truth", "platform"], 0),
-        (["optimize", "--objective", "truth-targeted", "--A", "0.2"], ["truth", "platform"], 2),
-        (["optimize", "--objective", "truth-targeted", "--A", "0.5"], ["edge", "truth", "platform"], 2),
+        (["optimize", "--objective", "truth-targeted", "--A", "0.2"], ["truth", "platform"], 1),
+        (["optimize", "--objective", "truth-targeted", "--A", "0.5"], ["edge", "truth", "platform"], 1),
+        (["optimize", "--objective", "truth-targeted", "--A", "0.8"], ["edge", "truth", "platform"], 2),
         (["sweep", "--axis", "A", "--objective", "truth-targeted", "--steps", "11"], ["edge"], 2),
         (["thresholds"], ["truth", "platform"], 0),
     ],
-    ids=["truth", "platform", "rumor-min", "targeted-below-x", "targeted", "targeted-sweep", "thresholds"],
+    ids=["truth", "platform", "rumor-min", "targeted-below-x", "targeted", "targeted-above-1-x", "targeted-sweep",
+         "thresholds"],
 )
 def test_each_command_analyses_each_curve_once(monkeypatch, capsys, argv, curves, corners):
     # a command builds one Planner of its point, and the Planner analyses each
     # curve it reads once, in the order read: the optimum's first, then the
-    # thresholds'. It scores the targeted planner's corners (0, 0) and (0, 1)
-    # once, whatever the budgets, and reads the edge only at budgets above x
+    # thresholds'. It scores the targeted planner's corner (0, 0) once, and
+    # (0, 1) once, from the first budget that reaches 1 - x, whatever the other
+    # budgets; it reads the edge only at budgets above x
     built, scored = [], []
     names = {(False, (1.0, 1.0, 1.0)): "truth", (True, (1.0, 1.0, 1.0)): "platform", (False, (0.0, 1.0, 0.7)): "edge"}
     init, objective = planner.Curve.__init__, planner._objective

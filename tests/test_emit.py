@@ -9,11 +9,15 @@ point's parameters built on their own. ``cli.main`` output must equal the
 reference byte for byte, in CSV and in JSON.
 """
 
+import contextlib
 import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rumor_inspect import Allocation, IntegratorConfig, ModelParams, __version__, cli, full_steady_state
 from rumor_inspect.dynamics import integrate, seed_state, verify_global_stability
@@ -154,3 +158,41 @@ def test_emit_formats_mixed_columns_like_fmt(fmt, capsys):
         # np.float64 cells print as plain numbers
         assert text.splitlines()[3] == ",0.1,false,0.1,0.1,true"
         assert text.splitlines()[-1] == "# gap: 1e-09"
+
+
+# a cell of any kind the CLI writes: None, bools, ints, floats with nan and +-inf, np.float64 and strings
+any_cells = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(),
+                      st.floats().map(np.float64), st.text())
+# columns of floats alone and of bools alone take _fmt_column's one-pass paths; the other columns go cell by cell
+column_kinds = st.sampled_from([st.floats(), st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+                                any_cells])
+
+
+@st.composite
+def tables(draw):
+    """(header, columns, summary): 1 to 5 rows, some column given twice as the same object, a summary or none."""
+    n_rows = draw(st.sampled_from([1, 2, 3, 4, 5]))  # one row takes emit's one-pass path, more its column path
+    kinds = draw(st.lists(column_kinds, min_size=1, max_size=6))
+    columns = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    if draw(st.booleans()):
+        columns.append(columns[draw(st.integers(0, len(columns) - 1))])  # as rho_00_a and rho_10_a share one list
+    header = [f"c{i}" for i in range(len(columns))]
+    summary = draw(st.none() | st.dictionaries(st.sampled_from(["status", "gap", "steps", "passed"]), any_cells))
+    return header, columns, summary
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(max_examples=300, deadline=None)
+@given(table=tables())
+@example(table=(["mode", "gap", "hi", "lo", "flag"], [["targeted"], [None], [float("nan")], [float("-inf")], [True]],
+                {"status": "horizon", "gap": float("inf")}))
+@example(table=(["t", "x", "mode"], [[0.5, float("inf"), 1.0], [np.float64(0.1), None, 3], ["a", "", "nan"]], None))
+def test_emit_matches_the_reference_on_any_table(fmt, table):
+    # the one-row path and the column path both write json.dumps's document and the row-wise CSV
+    header, columns, summary = table
+    cfg = cli.RunConfig(command="steady", fmt=fmt)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        text = cli.emit(header, columns, cfg, summary=summary)
+    assert out.getvalue() == text
+    # as JSON, the reference is json.dumps(doc, indent=2, allow_nan=True) + "\n" of the document of dicts
+    assert text == row_wise_render(header, [dict(zip(header, row)) for row in zip(*columns)], cfg, summary)

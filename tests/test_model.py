@@ -20,7 +20,8 @@ from rumor_inspect import (
     truth_steady_state,
 )
 from rumor_inspect import model
-from rumor_inspect.model import DEFAULT_SOLVER, _no_rumor_truth, _steady_truth, _truth_given_rumor, _truth_slope
+from rumor_inspect.model import (DEFAULT_SOLVER, _no_rumor_truth, _steady_truth, _truth_given_rumor, _truth_partials,
+                                 _truth_slope)
 
 lams = st.floats(0.2, 8.0)
 xs = st.floats(0.0, 1.0)
@@ -334,6 +335,16 @@ def test_truth_slope_matches_central_differences(lam, x, A, kind, r):
     assert slope == pytest.approx((truth(u + h) - truth(u - h)) / (2.0 * h), rel=1e-6, abs=1e-7)
     if kind == "uniform" and abs(slope) > 1e-9:
         assert (slope > 0.0) == marginal_condition_uniform(p, Allocation.uniform(u), full_steady_state(p, Allocation.uniform(u)))
+
+
+@settings(max_examples=500)
+@given(lam=wide_lams, x=xs, a0=rates, inspecting=rates, theta1=rates, t=rates,
+       direction=st.tuples(*[st.floats(-2.0, 2.0)] * 3) | st.sampled_from([d(0.3) for _, d, _ in SEGMENTS.values()]))
+def test_truth_slope_is_the_ratio_of_the_partials(lam, x, a0, inspecting, theta1, t, direction):
+    # the slope evaluates only the first partials, and they are _truth_partials' own, bit for bit
+    _, g_t, g_u, _, _, _ = _truth_partials(lam, x, a0, inspecting, theta1, t, direction)
+    slope = _truth_slope(lam, x, a0, inspecting, theta1, t, direction)
+    assert slope == (math.copysign(math.inf, -g_u) if g_t == 0.0 else -g_u / g_t)
 
 
 def test_solver_error_carries_bracket(monkeypatch, ref_params):
