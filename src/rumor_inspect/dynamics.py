@@ -17,10 +17,12 @@ Integration uses the adaptive Dormand-Prince 5(4) pair (Dormand & Prince,
 J. Comput. Appl. Math. 6 (1980) 19-26; Hairer, Norsett & Wanner, Solving
 ODEs I, II.4-II.5) with first-same-as-last stages: the last stage of an
 accepted step is the rate at the new state, and it is also what the stop
-rule max|dr/dt| < conv_tol reads. Each stage is written out as four scalar
-expressions, one per group, with no per-step lists. The trajectory holds the
-start and every accepted step, so its time grid is the integrator's own step
-sequence; the CLI writes one row per accepted step. A step that leaves
+rule max|dr/dt| < conv_tol reads. Each stage, its rates included, is written
+out as scalar expressions, one per group, with no per-step lists or calls:
+rate_function defines the rates, and the tests' reference loop, which calls
+it, pins the inline copy bit for bit. The trajectory holds the start and
+every accepted step, so its time grid is the integrator's own step sequence;
+the CLI writes one row per accepted step. A step that leaves
 [0, 1] is rejected and retried at half the size. The limit of the iteration
 is a fixed point of the exact dynamics, so steady-state limits do not depend
 on the first step FIRST_STEP. Near criticality the system is stiff: at
@@ -161,11 +163,15 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     The first step tried is FIRST_STEP. Every accepted step is stored.
     Coordinates of empty groups are forced to zero at the start and never
     move. Each step is unrolled over the four coordinates, in the same
-    floating-point order as a loop over them. IntegratorError is raised
-    before the first step when the error tolerance below is not a positive
-    normal float (a subnormal conv_tol, or 2*k*nu beyond the float range) or
-    conv_tol is below the rounding floor, and later when MAX_STEPS steps,
-    accepted plus rejected, did not end the run, or when the step size underflows.
+    floating-point order as a loop over them, and each stage's rates are
+    rate_function's arithmetic written inline in its float order, not called:
+    test_integrate_matches_reference_loop requires the trajectory of
+    conftest.reference_integrate, which calls rate_function, bit for bit.
+    IntegratorError is raised before the first step when the error tolerance
+    below is not a positive normal float (a subnormal conv_tol, or 2*k*nu
+    beyond the float range) or conv_tol is below the rounding floor, and later
+    when MAX_STEPS steps, accepted plus rejected, did not end the run, or when
+    the step size underflows.
 
     The rounding floor: a rate (1 - r)*k*nu*s - r*delta, s the group's
     source prevalence, is 0 at r = lam*s/(1 + lam*s) and falls by at least
@@ -190,26 +196,31 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     for name, v in zip(DynState._fields, s0[:4]):
         if not 0.0 <= v <= 1.0:
             raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-    rhs = rate_function(p, a)
-    y1, y2, y3, y4 = (v if m > 0.0 else 0.0 for v, m in zip(s0[:4], group_masses(p, a)))
+    w0a, w0n, w1a, w1n = masses = group_masses(p, a)  # rate_function's constants, read by the inline stages
+    m1, m2, m3, m4 = (1.0 if w > 0.0 else 0.0 for w in masses)
+    kv, d = p.k * p.nu, p.delta
+    y1, y2, y3, y4 = (v if w > 0.0 else 0.0 for v, w in zip(s0[:4], masses))
     conv_tol = cfg.conv_tol
-    tol = 0.25 * conv_tol / (2.0 * (p.k * p.nu) + p.delta)  # k*nu first: 2*k alone may overflow
+    tol = 0.25 * conv_tol / (2.0 * kv + d)  # k*nu first: 2*k alone may overflow
     if not tol >= sys.float_info.min:
         raise IntegratorError(f"error tolerance {tol} derived from conv_tol={conv_tol} is not a positive normal float")
     m, v = p.x + (1.0 - p.x) * a.alpha1, 1.0 / p.lam  # the mass the truth reaches, and 1/lam
     s = max([0.0, *(w - v for w, seeded in ((m, y1 + y2 + y3 > 0.0), (1.0 - m, y4 > 0.0)) if seeded)])
-    floor = 0.25 * sys.float_info.epsilon * (p.k * p.nu) * s * s / (v + s)  # v > 0: lam is finite
+    floor = 0.25 * sys.float_info.epsilon * kv * s * s / (v + s)  # v > 0: lam is finite
     if conv_tol < floor:
         raise IntegratorError(f"conv_tol={conv_tol} is below the rounding floor {floor:.3g} of the rates at the fixed point")
-    t_max = HORIZON / p.delta
+    t_max = HORIZON / d
     lo, hi = -_DOMAIN_SLACK, 1.0 + _DOMAIN_SLACK
     max_steps = MAX_STEPS
     h = FIRST_STEP
     t = 0.0
     n_attempts = n_rejected = 0
     states = [DynState(y1, y2, y3, y4, t)]
-    # y is the state; p, q, r, s, u, v, w are the seven stage rates, p at y and w at the new state n
-    p1, p2, p3, p4 = rhs(y1, y2, y3, y4)
+    # y is the state; p, q, r, s, u, v, w are the seven stage rates, p at y and w at the new state n. Each stage's
+    # rates are rate_function's at its state z, in its float order: th0, th1 and th are the source prevalences
+    th = (th0 := w0a * y1 + w0n * y2 + w1a * y3) + (th1 := w1n * y4)
+    p1, p2 = m1 * ((1.0 - y1) * kv * th - y1 * d), m2 * ((1.0 - y2) * kv * th0 - y2 * d)
+    p3, p4 = m3 * ((1.0 - y3) * kv * th - y3 * d), m4 * ((1.0 - y4) * kv * th1 - y4 * d)
 
     while True:
         max_rate = max(abs(p1), abs(p2), abs(p3), abs(p4))
@@ -229,27 +240,35 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
         if not t_next > t:
             raise IntegratorError(f"step size underflowed at t={t}")
 
-        q1, q2, q3, q4 = rhs(y1 + h * (_A21 * p1), y2 + h * (_A21 * p2), y3 + h * (_A21 * p3), y4 + h * (_A21 * p4))
-        r1, r2, r3, r4 = rhs(
-            y1 + h * (_A31 * p1 + _A32 * q1), y2 + h * (_A31 * p2 + _A32 * q2),
-            y3 + h * (_A31 * p3 + _A32 * q3), y4 + h * (_A31 * p4 + _A32 * q4),
-        )
-        s1, s2, s3, s4 = rhs(
-            y1 + h * (_A41 * p1 + _A42 * q1 + _A43 * r1), y2 + h * (_A41 * p2 + _A42 * q2 + _A43 * r2),
-            y3 + h * (_A41 * p3 + _A42 * q3 + _A43 * r3), y4 + h * (_A41 * p4 + _A42 * q4 + _A43 * r4),
-        )
-        u1, u2, u3, u4 = rhs(
-            y1 + h * (_A51 * p1 + _A52 * q1 + _A53 * r1 + _A54 * s1),
-            y2 + h * (_A51 * p2 + _A52 * q2 + _A53 * r2 + _A54 * s2),
-            y3 + h * (_A51 * p3 + _A52 * q3 + _A53 * r3 + _A54 * s3),
-            y4 + h * (_A51 * p4 + _A52 * q4 + _A53 * r4 + _A54 * s4),
-        )
-        v1, v2, v3, v4 = rhs(
-            y1 + h * (_A61 * p1 + _A62 * q1 + _A63 * r1 + _A64 * s1 + _A65 * u1),
-            y2 + h * (_A61 * p2 + _A62 * q2 + _A63 * r2 + _A64 * s2 + _A65 * u2),
-            y3 + h * (_A61 * p3 + _A62 * q3 + _A63 * r3 + _A64 * s3 + _A65 * u3),
-            y4 + h * (_A61 * p4 + _A62 * q4 + _A63 * r4 + _A64 * s4 + _A65 * u4),
-        )
+        z1, z2 = y1 + h * (_A21 * p1), y2 + h * (_A21 * p2)
+        z3, z4 = y3 + h * (_A21 * p3), y4 + h * (_A21 * p4)
+        th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
+        q1, q2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
+        q3, q4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
+        z1, z2 = y1 + h * (_A31 * p1 + _A32 * q1), y2 + h * (_A31 * p2 + _A32 * q2)
+        z3, z4 = y3 + h * (_A31 * p3 + _A32 * q3), y4 + h * (_A31 * p4 + _A32 * q4)
+        th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
+        r1, r2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
+        r3, r4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
+        z1, z2 = y1 + h * (_A41 * p1 + _A42 * q1 + _A43 * r1), y2 + h * (_A41 * p2 + _A42 * q2 + _A43 * r2)
+        z3, z4 = y3 + h * (_A41 * p3 + _A42 * q3 + _A43 * r3), y4 + h * (_A41 * p4 + _A42 * q4 + _A43 * r4)
+        th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
+        s1, s2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
+        s3, s4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
+        z1 = y1 + h * (_A51 * p1 + _A52 * q1 + _A53 * r1 + _A54 * s1)
+        z2 = y2 + h * (_A51 * p2 + _A52 * q2 + _A53 * r2 + _A54 * s2)
+        z3 = y3 + h * (_A51 * p3 + _A52 * q3 + _A53 * r3 + _A54 * s3)
+        z4 = y4 + h * (_A51 * p4 + _A52 * q4 + _A53 * r4 + _A54 * s4)
+        th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
+        u1, u2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
+        u3, u4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
+        z1 = y1 + h * (_A61 * p1 + _A62 * q1 + _A63 * r1 + _A64 * s1 + _A65 * u1)
+        z2 = y2 + h * (_A61 * p2 + _A62 * q2 + _A63 * r2 + _A64 * s2 + _A65 * u2)
+        z3 = y3 + h * (_A61 * p3 + _A62 * q3 + _A63 * r3 + _A64 * s3 + _A65 * u3)
+        z4 = y4 + h * (_A61 * p4 + _A62 * q4 + _A63 * r4 + _A64 * s4 + _A65 * u4)
+        th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
+        v1, v2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
+        v3, v4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
         n1 = y1 + h * (_B1 * p1 + _B3 * r1 + _B4 * s1 + _B5 * u1 + _B6 * v1)
         n2 = y2 + h * (_B1 * p2 + _B3 * r2 + _B4 * s2 + _B5 * u2 + _B6 * v2)
         n3 = y3 + h * (_B1 * p3 + _B3 * r3 + _B4 * s3 + _B5 * u3 + _B6 * v3)
@@ -261,7 +280,10 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
             continue
         if least < 0.0 or most > 1.0:
             n1, n2, n3, n4 = (min(1.0, max(0.0, n)) for n in (n1, n2, n3, n4))
-        w1, w2, w3, w4 = rhs(n1, n2, n3, n4)  # first-same-as-last: the rate at the new state
+        # first-same-as-last: w, the last stage, is the rate at the new state
+        th = (th0 := w0a * n1 + w0n * n2 + w1a * n3) + (th1 := w1n * n4)
+        w1, w2 = m1 * ((1.0 - n1) * kv * th - n1 * d), m2 * ((1.0 - n2) * kv * th0 - n2 * d)
+        w3, w4 = m3 * ((1.0 - n3) * kv * th - n3 * d), m4 * ((1.0 - n4) * kv * th1 - n4 * d)
         # RMS over the four coordinates (hypot / 2) of the error estimate, each
         # scaled by atol + rtol * max(|y|, |y_new|), where y and y_new lie in [0, 1]
         err = math.hypot(

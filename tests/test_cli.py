@@ -12,11 +12,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import THETA0_REF, oracle_truth
-from rumor_inspect import Allocation, ModelParams, cli, dynamics, planner, truth_steady_state
+from rumor_inspect import Allocation, ModelParams, cli, dynamics, planner, prevalences, truth_steady_state
 from rumor_inspect.cli import OBJECTIVES, main
 
 
@@ -660,6 +660,64 @@ def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, extr
     out = capsys.readouterr().out
     assert code == 0 and "# stability_passed: true" in out
     assert len(starts) == n_starts + extra
+
+
+def dynamics_texts(argv):
+    """(the table main(argv) wrote, the same table written from per-state rows, transposed) for a dynamics line
+    without --starts; None when the run failed before writing a table."""
+    trajectories, texts = [], []
+    integrate, emit = dynamics.integrate, cli.emit
+
+    def kept(*args):
+        trajectories.append(integrate(*args))
+        return trajectories[-1]
+
+    def emit_both(header, columns, cfg, summary=None):
+        p, a = cli._params(cfg), cli._allocation(cfg)
+        rows = [(s.t, s.r00a, s.r00na, s.r10a, s.r11na, *prevalences(s, p, a)) for s in trajectories[-1].states]
+        texts.extend([emit(header, columns, cfg, summary), emit(header, list(zip(*rows)), cfg, summary)])
+
+    with (mock.patch.object(dynamics, "integrate", kept), mock.patch.object(cli, "emit", emit_both),
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())):
+        main(argv)
+    return tuple(texts) or None
+
+
+EDGE_OR_UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.2, 6.0), x=EDGE_OR_UNIT, alphas=st.tuples(EDGE_OR_UNIT) | st.tuples(EDGE_OR_UNIT, EDGE_OR_UNIT),
+       init=st.sampled_from([None, 0.0, -0.0]) | st.floats(0.0, 1.0), fmt=st.sampled_from(["csv", "json"]))
+@example(lam=2.0, x=0.0, alphas=(0.2,), init=-0.0, fmt="csv")  # r00a is 0.0 and r10a is -0.0: == alone equates them
+@example(lam=2.0, x=0.3, alphas=(0.0, 0.5), init=None, fmt="json")  # r00a is pinned at 0, r10a moves
+def test_dynamics_columns_match_the_per_state_rows(lam, x, alphas, init, fmt):
+    # run_dynamics takes its columns at once and passes r00a's column for r10a when the two are equal bit for bit
+    names = ["--alpha"] if len(alphas) == 1 else ["--alpha0", "--alpha1"]
+    flags = [tok for name, v in zip(names, alphas) for tok in (name, repr(v))]
+    inits = [] if init is None else [f"--init={init!r}"]
+    texts = dynamics_texts(["dynamics", "--lambda", repr(lam), "--x", repr(x), *flags, *inits, "--format", fmt])
+    assert texts is None or texts[0] == texts[1]
+
+
+def test_dynamics_keeps_the_sign_of_a_zero_r10a(capsys):
+    code, out = run(capsys, "dynamics", "--lambda", "2", "--x", "0", "--alpha", "0.2", "--init=-0.0")
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert code == 0 and len(lines) == 2
+    cells = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert (cells["r00a"], cells["r10a"]) == ("0.0", "-0.0")
+
+
+@pytest.mark.parametrize("alloc,formatted", [(["--alpha", "0.2"], 6), (["--alpha0", "0", "--alpha1", "0.5"], 7)],
+                         ids=["shared", "r00a-pinned"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dynamics_formats_the_shared_inspecting_column_once(monkeypatch, capsys, alloc, formatted, fmt):
+    # both inspecting groups follow one rate law from one seed level, so r10a is r00a's column unless a group is empty
+    calls = []
+    fmt_column = cli._fmt_column
+    monkeypatch.setattr(cli, "_fmt_column", lambda col, f: calls.append(col) or fmt_column(col, f))
+    code, _ = run(capsys, "dynamics", "--lambda", "2", "--x", "0.3", *alloc, "--format", fmt)
+    assert code == 0 and len(calls) == formatted
 
 
 def test_unwritable_out_exit_2(tmp_path, capsys):
