@@ -31,9 +31,9 @@ from .model import (
     SolverConfig,
     SolverError,
     _FloatOps,
+    _recompose,
     _steady_fields,
     no_rumor_positivity_readings,
-    prevalences,
 )
 
 EXIT_OK = 0
@@ -384,7 +384,8 @@ def run_dynamics(cfg: RunConfig) -> int:
     reuse = report is not None and cfg.init == DEFAULT_SEED_LEVEL  # the check has integrated this very start
     traj = report.seed_trajectory if reuse else integrate(s0, p, a, integ)
     r00a, r00na, r10a, r11na, t = zip(*traj.states)
-    theta0, theta1 = zip(*[prevalences(s, p, a) for s in traj.states])
+    x, a0, a1 = p.x, a.alpha0, a.alpha1
+    theta0, theta1 = zip(*[_recompose(x, a0, a1, s) for s in traj.states])  # prevalences' formula, one call per state
     # both inspecting groups see total prevalence from one seed level, so while both are non-empty r10a is r00a
     # bit for bit, and emit formats the one object once; == alone counts 0.0 and -0.0 as equal, repr does not
     if r10a == r00a and (0.0 not in r00a or repr(r10a) == repr(r00a)):

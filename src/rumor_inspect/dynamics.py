@@ -14,25 +14,26 @@ when a group is empty; empty groups are carried as identically-zero
 coordinates.
 
 Integration uses the adaptive Dormand-Prince 5(4) pair (Dormand & Prince,
-J. Comput. Appl. Math. 6 (1980) 19-26; Hairer, Norsett & Wanner, Solving
-ODEs I, II.4-II.5) with first-same-as-last stages: the last stage of an
-accepted step is the rate at the new state, and it is also what the stop
+J. Comput. Appl. Math. 6 (1980) 19-26; Hairer, Norsett & Wanner,
+Solving ODEs I, II.4-II.5) with first-same-as-last stages: the last stage of
+an accepted step is the rate at the new state, and it is also what the stop
 rule max|dr/dt| < conv_tol reads. Each stage, its rates included, is written
-out as scalar expressions, one per group, with no per-step lists or calls:
-rate_function defines the rates, and the tests' reference loop, which calls
-it, pins the inline copy bit for bit. The trajectory holds the start and
-every accepted step, so its time grid is the integrator's own step sequence;
-the CLI writes one row per accepted step. A step that leaves
-[0, 1] is rejected and retried at half the size. The limit of the iteration
-is a fixed point of the exact dynamics, so steady-state limits do not depend
-on the first step FIRST_STEP. Near criticality the system is stiff: at
-nu=4.0906, k=3, delta=0.7071, x=0.8834, rates (0.856, 0.506) (rumor
-reproduction number 0.99966) the Jacobian's eigenvalues span -11.6 to
--2.5e-4, stability holds the step near 0.29, and the run stops at the
-horizon after about 51,000 attempted steps. MAX_STEPS bounds the attempts,
-accepted plus rejected, so that no run goes on for minutes; a conv_tol below
-the rounding floor of the rates (lambda = 1e7, or conv_tol = 1e-22) is
-refused before the first step (see integrate).
+out as scalar expressions, one per group. A step calls no builtin but
+math.hypot (min and max run only in the rare clip onto [0, 1]) and stores its
+state through tuple.__new__, not DynState's constructor. rate_function defines
+the rates, and the tests' reference loop, which calls it, pins the inline copy
+bit for bit. The trajectory holds the start and every accepted step, so its
+time grid is the integrator's own step sequence; the CLI writes one row per
+accepted step. A step outside [0, 1], NaN included, is rejected and retried at
+half the size. The limit of the iteration is a fixed point of the exact
+dynamics, so steady-state limits do not depend on the first step FIRST_STEP.
+Near criticality the system is stiff: at nu=4.0906, k=3, delta=0.7071,
+x=0.8834, rates (0.856, 0.506) (rumor reproduction number 0.99966) the
+Jacobian's eigenvalues span -11.6 to -2.5e-4, stability holds the step near
+0.29, and the run stops at the horizon after about 51,000 attempted steps.
+MAX_STEPS bounds the attempts, accepted plus rejected, so that no run goes on
+for minutes; a conv_tol below the rounding floor of the rates (lambda = 1e7,
+or conv_tol = 1e-22) is refused before the first step (see integrate).
 """
 
 from __future__ import annotations
@@ -160,11 +161,13 @@ _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 3392
 def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> Trajectory:
     """Run the dynamics from s0 until the rates vanish or t reaches HORIZON / delta.
 
-    The first step tried is FIRST_STEP. Every accepted step is stored.
-    Coordinates of empty groups are forced to zero at the start and never
-    move. Each step is unrolled over the four coordinates, in the same
-    floating-point order as a loop over them, and each stage's rates are
-    rate_function's arithmetic written inline in its float order, not called:
+    The first step tried is FIRST_STEP. Every accepted step is stored; a
+    proposed state is rejected unless each coordinate passes the chained test
+    -_DOMAIN_SLACK <= n <= 1 + _DOMAIN_SLACK, which a NaN fails. Coordinates
+    of empty groups are forced to zero at the start and never move. Each step
+    is unrolled over the four coordinates, in the same floating-point order as
+    a loop over them, and each stage's rates are rate_function's arithmetic
+    written inline in its float order, not called:
     test_integrate_matches_reference_loop requires the trajectory of
     conftest.reference_integrate, which calls rate_function, bit for bit.
     IntegratorError is raised before the first step when the error tolerance
@@ -216,6 +219,9 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     t = 0.0
     n_attempts = n_rejected = 0
     states = [DynState(y1, y2, y3, y4, t)]
+    a21, a31, a32, a41, a42, a43, a51, a52, a53, a54 = _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65, b1, b3, b4, b5, b6 = _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     # y is the state; p, q, r, s, u, v, w are the seven stage rates, p at y and w at the new state n. Each stage's
     # rates are rate_function's at its state z, in its float order: th0, th1 and th are the source prevalences
     th = (th0 := w0a * y1 + w0n * y2 + w1a * y3) + (th1 := w1n * y4)
@@ -223,14 +229,14 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     p3, p4 = m3 * ((1.0 - y3) * kv * th - y3 * d), m4 * ((1.0 - y4) * kv * th1 - y4 * d)
 
     while True:
-        max_rate = max(abs(p1), abs(p2), abs(p3), abs(p4))
-        converged = max_rate < conv_tol
+        converged = (-conv_tol < p1 < conv_tol and -conv_tol < p2 < conv_tol  # max|dr/dt| < conv_tol, with no call
+                     and -conv_tol < p3 < conv_tol and -conv_tol < p4 < conv_tol)
         if converged or t >= t_max:
             break
         if n_attempts == max_steps:
             raise IntegratorError(
-                f"step budget exhausted: {max_steps} steps attempted "
-                f"({n_attempts - n_rejected} accepted) by t={t}, max|dr/dt| = {max_rate}"
+                f"step budget exhausted: {max_steps} steps attempted ({n_attempts - n_rejected} accepted) "
+                f"by t={t}, max|dr/dt| = {max(abs(p1), abs(p2), abs(p3), abs(p4))}"
             )
         n_attempts += 1
         if h >= t_max - t:
@@ -240,45 +246,45 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
         if not t_next > t:
             raise IntegratorError(f"step size underflowed at t={t}")
 
-        z1, z2 = y1 + h * (_A21 * p1), y2 + h * (_A21 * p2)
-        z3, z4 = y3 + h * (_A21 * p3), y4 + h * (_A21 * p4)
+        z1, z2 = y1 + h * (a21 * p1), y2 + h * (a21 * p2)
+        z3, z4 = y3 + h * (a21 * p3), y4 + h * (a21 * p4)
         th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
         q1, q2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
         q3, q4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
-        z1, z2 = y1 + h * (_A31 * p1 + _A32 * q1), y2 + h * (_A31 * p2 + _A32 * q2)
-        z3, z4 = y3 + h * (_A31 * p3 + _A32 * q3), y4 + h * (_A31 * p4 + _A32 * q4)
+        z1, z2 = y1 + h * (a31 * p1 + a32 * q1), y2 + h * (a31 * p2 + a32 * q2)
+        z3, z4 = y3 + h * (a31 * p3 + a32 * q3), y4 + h * (a31 * p4 + a32 * q4)
         th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
         r1, r2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
         r3, r4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
-        z1, z2 = y1 + h * (_A41 * p1 + _A42 * q1 + _A43 * r1), y2 + h * (_A41 * p2 + _A42 * q2 + _A43 * r2)
-        z3, z4 = y3 + h * (_A41 * p3 + _A42 * q3 + _A43 * r3), y4 + h * (_A41 * p4 + _A42 * q4 + _A43 * r4)
+        z1, z2 = y1 + h * (a41 * p1 + a42 * q1 + a43 * r1), y2 + h * (a41 * p2 + a42 * q2 + a43 * r2)
+        z3, z4 = y3 + h * (a41 * p3 + a42 * q3 + a43 * r3), y4 + h * (a41 * p4 + a42 * q4 + a43 * r4)
         th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
         s1, s2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
         s3, s4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
-        z1 = y1 + h * (_A51 * p1 + _A52 * q1 + _A53 * r1 + _A54 * s1)
-        z2 = y2 + h * (_A51 * p2 + _A52 * q2 + _A53 * r2 + _A54 * s2)
-        z3 = y3 + h * (_A51 * p3 + _A52 * q3 + _A53 * r3 + _A54 * s3)
-        z4 = y4 + h * (_A51 * p4 + _A52 * q4 + _A53 * r4 + _A54 * s4)
+        z1 = y1 + h * (a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1)
+        z2 = y2 + h * (a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2)
+        z3 = y3 + h * (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3)
+        z4 = y4 + h * (a51 * p4 + a52 * q4 + a53 * r4 + a54 * s4)
         th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
         u1, u2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
         u3, u4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
-        z1 = y1 + h * (_A61 * p1 + _A62 * q1 + _A63 * r1 + _A64 * s1 + _A65 * u1)
-        z2 = y2 + h * (_A61 * p2 + _A62 * q2 + _A63 * r2 + _A64 * s2 + _A65 * u2)
-        z3 = y3 + h * (_A61 * p3 + _A62 * q3 + _A63 * r3 + _A64 * s3 + _A65 * u3)
-        z4 = y4 + h * (_A61 * p4 + _A62 * q4 + _A63 * r4 + _A64 * s4 + _A65 * u4)
+        z1 = y1 + h * (a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1)
+        z2 = y2 + h * (a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2)
+        z3 = y3 + h * (a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3)
+        z4 = y4 + h * (a61 * p4 + a62 * q4 + a63 * r4 + a64 * s4 + a65 * u4)
         th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
         v1, v2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
         v3, v4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
-        n1 = y1 + h * (_B1 * p1 + _B3 * r1 + _B4 * s1 + _B5 * u1 + _B6 * v1)
-        n2 = y2 + h * (_B1 * p2 + _B3 * r2 + _B4 * s2 + _B5 * u2 + _B6 * v2)
-        n3 = y3 + h * (_B1 * p3 + _B3 * r3 + _B4 * s3 + _B5 * u3 + _B6 * v3)
-        n4 = y4 + h * (_B1 * p4 + _B3 * r4 + _B4 * s4 + _B5 * u4 + _B6 * v4)
-        least, most = min(n1, n2, n3, n4), max(n1, n2, n3, n4)
-        if least < lo or most > hi:
+        n1 = y1 + h * (b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1)
+        n2 = y2 + h * (b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2)
+        n3 = y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3)
+        n4 = y4 + h * (b1 * p4 + b3 * r4 + b4 * s4 + b5 * u4 + b6 * v4)
+        # chained comparisons are False for NaN, so a non-finite state is rejected like one outside [lo, hi]
+        if not (lo <= n1 <= hi and lo <= n2 <= hi and lo <= n3 <= hi and lo <= n4 <= hi):
             h *= 0.5
             n_rejected += 1
             continue
-        if least < 0.0 or most > 1.0:
+        if not (0.0 <= n1 <= 1.0 and 0.0 <= n2 <= 1.0 and 0.0 <= n3 <= 1.0 and 0.0 <= n4 <= 1.0):
             n1, n2, n3, n4 = (min(1.0, max(0.0, n)) for n in (n1, n2, n3, n4))
         # first-same-as-last: w, the last stage, is the rate at the new state
         th = (th0 := w0a * n1 + w0n * n2 + w1a * n3) + (th1 := w1n * n4)
@@ -287,19 +293,20 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
         # RMS over the four coordinates (hypot / 2) of the error estimate, each
         # scaled by atol + rtol * max(|y|, |y_new|), where y and y_new lie in [0, 1]
         err = math.hypot(
-            h * (_E1 * p1 + _E3 * r1 + _E4 * s1 + _E5 * u1 + _E6 * v1 + _E7 * w1) / (1.0 + (y1 if y1 > n1 else n1)),
-            h * (_E1 * p2 + _E3 * r2 + _E4 * s2 + _E5 * u2 + _E6 * v2 + _E7 * w2) / (1.0 + (y2 if y2 > n2 else n2)),
-            h * (_E1 * p3 + _E3 * r3 + _E4 * s3 + _E5 * u3 + _E6 * v3 + _E7 * w3) / (1.0 + (y3 if y3 > n3 else n3)),
-            h * (_E1 * p4 + _E3 * r4 + _E4 * s4 + _E5 * u4 + _E6 * v4 + _E7 * w4) / (1.0 + (y4 if y4 > n4 else n4)),
+            h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1) / (1.0 + (y1 if y1 > n1 else n1)),
+            h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2) / (1.0 + (y2 if y2 > n2 else n2)),
+            h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3) / (1.0 + (y3 if y3 > n3 else n3)),
+            h * (e1 * p4 + e3 * r4 + e4 * s4 + e5 * u4 + e6 * v4 + e7 * w4) / (1.0 + (y4 if y4 > n4 else n4)),
         ) / (2.0 * tol)
-        factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
-        h *= factor
+        factor = 10.0 if err == 0.0 else 0.9 * err ** -0.2  # clamped to [0.2, 10] as min(10, max(0.2, factor))
+        h *= (factor if factor < 10.0 else 10.0) if factor > 0.2 else 0.2
         if err > 1.0:
             n_rejected += 1
             continue
         y1, y2, y3, y4, p1, p2, p3, p4, t = n1, n2, n3, n4, w1, w2, w3, w4, t_next
-        states.append(DynState(y1, y2, y3, y4, t))
+        states.append(tuple.__new__(DynState, (y1, y2, y3, y4, t)))  # DynState without its __new__
 
+    max_rate = max(abs(p1), abs(p2), abs(p3), abs(p4))
     return Trajectory(tuple(states), converged, max_rate, n_rejected)
 
 

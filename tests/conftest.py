@@ -324,12 +324,12 @@ def reference_integrate(s0, p, a, cfg=None):
                    for y, q1, q2, q3, q4, q5 in zip(r, k1, k2, k3, k4, k5)])
         new = [y + h * (_B1 * q1 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6)
                for y, q1, q3, q4, q5, q6 in zip(r, k1, k3, k4, k5, k6)]
-        least, most = min(new), max(new)
-        if least < lo or most > hi:
+        # a chained comparison is False for NaN, so a non-finite state is rejected too
+        if not all(lo <= v <= hi for v in new):
             h *= 0.5
             n_rejected += 1
             continue
-        if least < 0.0 or most > 1.0:
+        if not all(0.0 <= v <= 1.0 for v in new):
             new = [min(1.0, max(0.0, v)) for v in new]
         k7 = rhs(*new)  # first-same-as-last: the rate at the new state
         # RMS over the four coordinates (hypot / 2) of the error estimate, each

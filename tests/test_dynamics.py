@@ -176,6 +176,13 @@ start_level = st.one_of(st.sampled_from([0.0, 1.0, dynamics.DEFAULT_SEED_LEVEL])
 # the clip: the step accepted at h = 1.25 lands r00a and r10a within _DOMAIN_SLACK below 0
 @example(nu=0.2, k=1.0, delta=1.8, x=0.5, alpha0=0.06, alpha1=0.16, start=(0.0, 0.0, 1e-12, 1e-10), conv_tol=1e-10,
          first_step=40.0)
+# the step factor clamped at 10: from 1e-9 the first steps' error estimates are tiny
+@example(nu=1.0, k=1.0, delta=1.0, x=0.3, alpha0=0.2, alpha1=0.2, start=(1e-9,) * 4, conv_tol=1e-10, first_step=0.01)
+# the step factor clamped at 0.2: the step of 40, halved into [0, 1], is far outside the error tolerance
+@example(nu=2.0, k=1.0, delta=1.0, x=0.3, alpha0=0.2, alpha1=0.2, start=(0.3,) * 4, conv_tol=1e-6, first_step=40.0)
+# the horizon: k*nu*(1-x)*(1-alpha1) = delta exactly, so the rumor decays as 1/t and its rate stays above conv_tol
+@example(nu=2.0, k=1.0, delta=0.5, x=0.5, alpha0=0.5, alpha1=0.5, start=(0.0, 0.0, 0.0, 0.5), conv_tol=1e-10,
+         first_step=dynamics.FIRST_STEP)
 def test_integrate_matches_reference_loop(nu, k, delta, x, alpha0, alpha1, start, conv_tol, first_step):
     # integrate unrolls the step over the four coordinates; the list loop it
     # replaced must give the same trajectory bit for bit (repr tells -0.0 from 0.0)
@@ -199,8 +206,27 @@ def test_step_budget_caps_attempted_steps(monkeypatch, ref_params):
     monkeypatch.setattr(dynamics, "MAX_STEPS", attempts)  # a run that needs exactly the budget
     assert integrate(s0, ref_params, a) == traj
     monkeypatch.setattr(dynamics, "MAX_STEPS", attempts - 1)
-    with pytest.raises(IntegratorError, match=f"step budget exhausted: {attempts - 1} steps attempted"):
+    # the last attempt of a converged run is accepted, so the capped run stops at the state before the last
+    stop = reference_integrate(s0, ref_params, a).states[-2]
+    max_rate = max(map(abs, rate_function(ref_params, a)(*stop[:4])))
+    with pytest.raises(IntegratorError) as exc:
         integrate(s0, ref_params, a)
+    assert str(exc.value) == (f"step budget exhausted: {attempts - 1} steps attempted ({traj.n_steps - 1} accepted) "
+                              f"by t={stop.t}, max|dr/dt| = {max_rate}")
+
+
+def test_non_finite_proposal_is_rejected_not_stored(monkeypatch):
+    # a first step of 1e300 overflows the stages to NaN; NaN fails the domain test's chained comparisons, so that
+    # state is rejected like one outside [0, 1], and the halved steps converge
+    monkeypatch.setattr(dynamics, "FIRST_STEP", 1e300)
+    p = ModelParams(nu=0.006400080914317202, k=4.9529902591607895, delta=1.544297430468232e-262, x=0.2550690257394217)
+    a = Allocation(0.49543508709194095, 0.4494910647887381)
+    s0 = DynState(0.651592972722763, 0.7887233511355132, 0.0938595867742349, 0.02834747652200631)
+    got = integrate(s0, p, a)
+    assert not any(math.isnan(c) for state in got.states for c in state)
+    assert got.converged and got.n_rejected >= 1
+    want = reference_integrate(s0, p, a)
+    assert got == want and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("lam,x,alpha", [(3.205606, 0.300744, 0.330817), (4.824308, 0.189228, 0.616507)])
