@@ -68,9 +68,9 @@ SETTINGS = {
     "--start": ("start", float, None, None),
     "--stop": ("stop", float, None, None),
     "--steps": ("steps", int, 101, None),
-    "--starts": ("starts", int, None, "verify stability from this many random starts"),
+    "--starts": ("starts", int, None, "check stability from the seed and all-ones runs (N >= 2 no longer changes it)"),
     "--init": ("init", float, DEFAULT_SEED_LEVEL, "initial believing fraction per group"),
-    "--seed": ("seed", int, 0, "seed of the random starts"),
+    "--seed": ("seed", int, 0, "non-negative; no longer changes the stability check"),
     "--format": ("fmt", ("csv", "json"), "csv", None),
     "--out": ("out", str, None, None),
     "--tol": ("tol", float, None, None),
@@ -377,10 +377,11 @@ def run_dynamics(cfg: RunConfig) -> int:
     a = _allocation(cfg)
     integ = IntegratorConfig(conv_tol=cfg.tol) if cfg.tol is not None else IntegratorConfig()
     s0 = seed_state(p, a, cfg.init)
-    if cfg.seed < 0:  # read only with --starts, but refused on every line
+    if cfg.seed < 0:  # read by no check, but refused on every line
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    # the stability check goes first: it rejects --starts before it integrates
-    report = None if cfg.starts is None else verify_global_stability(p, a, cfg.starts, integ, seed=cfg.seed)
+    if cfg.starts is not None and cfg.starts < 2:
+        raise ConfigError(f"starts must be >= 2, got {cfg.starts}")
+    report = None if cfg.starts is None else verify_global_stability(p, a, integ)
     reuse = report is not None and cfg.init == DEFAULT_SEED_LEVEL  # the check has integrated this very start
     traj = report.seed_trajectory if reuse else integrate(s0, p, a, integ)
     r00a, r00na, r10a, r11na, t = zip(*traj.states)

@@ -32,7 +32,8 @@ x=0.8834, rates (0.856, 0.506) (rumor reproduction number 0.99966) the
 Jacobian's eigenvalues span -11.6 to -2.5e-4, stability holds the step near
 0.29, and the run stops at the horizon after about 51,000 attempted steps.
 MAX_STEPS bounds the attempts, accepted plus rejected, so that no run goes on
-for minutes; a conv_tol below the rounding floor of the rates (lambda = 1e7,
+for minutes, and STALL_STEPS the accepted steps that leave the state as it
+was; a conv_tol below the rounding floor of the rates (lambda = 1e7,
 or conv_tol = 1e-22) is refused before the first step (see integrate).
 """
 
@@ -76,7 +77,8 @@ DEFAULT_INTEGRATOR = IntegratorConfig()
 FIRST_STEP = 0.01  # the first step tried; later steps follow the error control
 HORIZON = 1e4  # the run stops at t = HORIZON / delta if it has not converged
 MAX_STEPS = 200_000  # attempted steps, accepted plus rejected, before integrate gives up
-STABILITY_TOL = 1e-6  # sup distance within which multi-start limits count as one
+STALL_STEPS = 1_000  # accepted steps that leave the state unchanged before integrate gives up
+STABILITY_TOL = 1e-6  # sup distance within which the two corner runs' limits count as one
 
 
 class Trajectory(namedtuple("Trajectory", "states converged max_rate n_rejected")):
@@ -103,11 +105,11 @@ class Trajectory(namedtuple("Trajectory", "states converged max_rate n_rejected"
 
 
 class StabilityReport(namedtuple("StabilityReport", "passed all_converged max_gap limits seed_trajectory")):
-    """Outcome of multi-start integration toward a common limit.
+    """Outcome of the two corner runs of verify_global_stability, from seed_state(p, a) and from all ones.
 
-    passed iff all_converged (no run stopped at the horizon) and max_gap, the widest spread of the limits
-    in one coordinate, is below STABILITY_TOL. limits holds each run's final DynState; seed_trajectory is
-    the run from seed_state(p, a), whose limit is limits[0].
+    passed iff all_converged (neither run stopped at the horizon) and max_gap, the widest gap between the two
+    limits in one coordinate, is below STABILITY_TOL. limits holds the two runs' final DynStates, the seed's
+    first; seed_trajectory is the run from seed_state(p, a).
     """
 
     __slots__ = ()
@@ -173,8 +175,11 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     IntegratorError is raised before the first step when the error tolerance
     below is not a positive normal float (a subnormal conv_tol, or 2*k*nu
     beyond the float range) or conv_tol is below the rounding floor, and later
-    when MAX_STEPS steps, accepted plus rejected, did not end the run, or when
-    the step size underflows.
+    when MAX_STEPS steps, accepted plus rejected, did not end the run, when
+    STALL_STEPS accepted steps left every coordinate equal (==) to its old value
+    while a rate is still at least conv_tol, or when the step size underflows.
+    Such a stall lies between the pre-checked floor and the one the run meets:
+    at lambda = 5e6, x = 0.3, alpha = 0.2 the residual sticks at 1.3e-10.
 
     The rounding floor: a rate (1 - r)*k*nu*s - r*delta, s the group's
     source prevalence, is 0 at r = lam*s/(1 + lam*s) and falls by at least
@@ -214,10 +219,10 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
         raise IntegratorError(f"conv_tol={conv_tol} is below the rounding floor {floor:.3g} of the rates at the fixed point")
     t_max = HORIZON / d
     lo, hi = -_DOMAIN_SLACK, 1.0 + _DOMAIN_SLACK
-    max_steps = MAX_STEPS
+    max_steps, stall_steps = MAX_STEPS, STALL_STEPS
     h = FIRST_STEP
     t = 0.0
-    n_attempts = n_rejected = 0
+    n_attempts = n_rejected = n_still = 0
     states = [DynState(y1, y2, y3, y4, t)]
     a21, a31, a32, a41, a42, a43, a51, a52, a53, a54 = _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54
     a61, a62, a63, a64, a65, b1, b3, b4, b5, b6 = _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6
@@ -303,6 +308,11 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
         if err > 1.0:
             n_rejected += 1
             continue
+        if n1 == y1 and n2 == y2 and n3 == y3 and n4 == y4:  # accepted, not converged, and the state did not move
+            n_still += 1
+            if n_still == stall_steps:
+                raise IntegratorError(f"stalled at max|dr/dt| = {max(abs(p1), abs(p2), abs(p3), abs(p4))}: "
+                                      f"{n_still} accepted steps by t={t} left the state unchanged")
         y1, y2, y3, y4, p1, p2, p3, p4, t = n1, n2, n3, n4, w1, w2, w3, w4, t_next
         states.append(tuple.__new__(DynState, (y1, y2, y3, y4, t)))  # DynState without its __new__
 
@@ -310,37 +320,22 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     return Trajectory(tuple(states), converged, max_rate, n_rejected)
 
 
-def verify_global_stability(
-    p: ModelParams,
-    a: Allocation,
-    n_starts: int,
-    cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
-    seed: int = 0,
-) -> StabilityReport:
-    """Integrate from random interior states plus the near-zero seed, one after another.
+def verify_global_stability(p: ModelParams, a: Allocation,
+                            cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> StabilityReport:
+    """Integrate from seed_state(p, a) and from (1, 1, 1, 1), the corners of the box [DEFAULT_SEED_LEVEL, 1]^4.
 
-    Passes iff every trajectory converges and all limits agree to
-    STABILITY_TOL in sup distance over the four coordinates. A trajectory
-    that stops at the horizon yields a failing report, not an exception; one
-    that exhausts MAX_STEPS raises IntegratorError, as integrate does.
-    ParameterError is raised before any integration when n_starts < 2 or seed < 0.
-    The report keeps the seed's trajectory: a run from the default seed need not integrate it again.
+    The system is cooperative: every off-diagonal Jacobian entry of rate_function, m_i (1 - r_i) k nu w_j, is >= 0
+    on [0, 1]^4. By Kamke's comparison theorem (H. L. Smith, Monotone Dynamical Systems, AMS Math. Surveys 41,
+    1995, ch. 3) ordered starts give ordered trajectories, so these two runs bound, coordinate by coordinate, every
+    run that starts in the box, which contains [0.01, 0.99]^4. Passes iff both runs converge and their limits agree
+    to STABILITY_TOL in sup distance over the four coordinates: the run from any start in the box then ends
+    between the two limits, within STABILITY_TOL of each.
+    A run that stops at the horizon yields a failing report, not an exception; one that exhausts MAX_STEPS or
+    stalls raises IntegratorError, as integrate does. The report keeps the seed's trajectory, so a run from the
+    default seed need not integrate it again.
     """
-    if n_starts < 2:
-        raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    import numpy as np  # for the random starts alone; integrate needs no numpy
-
-    rng = np.random.default_rng(seed)
-    starts = [seed_state(p, a)]
-    for _ in range(n_starts):  # integrate zeroes the coordinates of empty groups
-        starts.append(DynState(*rng.uniform(0.01, 0.99, size=4).tolist()))
-
-    trajectories = [integrate(s0, p, a, cfg) for s0 in starts]
-    limits = tuple(traj.final for traj in trajectories)
-    all_converged = all(traj.converged for traj in trajectories)
-
-    # rounding is monotone, so the widest pairwise fl(|u - v|) of a coordinate is fl(max - min)
-    max_gap = max(max(c) - min(c) for c in zip(*(lim[:4] for lim in limits)))
-    return StabilityReport(all_converged and max_gap < STABILITY_TOL, all_converged, max_gap, limits, trajectories[0])
+    seed, top = (integrate(s0, p, a, cfg) for s0 in (seed_state(p, a), DynState(1.0, 1.0, 1.0, 1.0)))
+    all_converged = seed.converged and top.converged
+    max_gap = max(abs(u - v) for u, v in zip(seed.final[:4], top.final[:4]))
+    passed = all_converged and max_gap < STABILITY_TOL
+    return StabilityReport(passed, all_converged, max_gap, (seed.final, top.final), seed)

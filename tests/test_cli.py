@@ -5,9 +5,11 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -393,6 +395,28 @@ def test_dynamics_exit_3_when_step_budget_exhausted(monkeypatch, capsys):
     assert out == "" and err.startswith("numerical failure: step budget exhausted: 50 steps attempted")
 
 
+def test_stalled_dynamics_exits_3_at_once(monkeypatch, capsys):
+    # at lambda = 5e6 the residual sticks at 1.314e-10, above conv_tol yet below the floor the pre-check refuses:
+    # the run ends after STALL_STEPS accepted steps that left the state unchanged, not after MAX_STEPS attempts
+    argv = ["dynamics", "--x", "0.3", "--alpha", "0.2", "--lambda"]
+    start = time.perf_counter()
+    code = main([*argv, "5e6"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and elapsed < 0.2
+    assert re.fullmatch(r"numerical failure: stalled at max\|dr/dt\| = 1\.314\d*e-10: 1000 accepted steps by "
+                        r"t=\S+ left the state unchanged\n", err)
+    # near that floor, runs that converge write the same bytes as with the stall check out of reach
+    for lam, steps in (("1e6", 4059), ("4e6", 5353)):
+        assert main([*argv, lam]) == 0
+        table = capsys.readouterr().out
+        assert f"# steps: {steps}\n" in table
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "STALL_STEPS", dynamics.MAX_STEPS + 1)
+            assert main([*argv, lam]) == 0
+        assert capsys.readouterr().out == table
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -644,22 +668,22 @@ def test_negative_seed_exit_2(capsys, flags):
     assert out == "" and f"error: seed must be >= 0, got {flags[-1]}" in err
 
 
-@pytest.mark.parametrize("init,extra", [([], 1), (["--init", "0.2"], 2)], ids=["default-init", "init"])
-def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, extra):
-    # the stability check integrates the default seed and each random start; the run reuses the seed's trajectory
+@pytest.mark.parametrize("init,own", [([], []), (["--init", "0.2"], [(0.2,) * 4])], ids=["default-init", "init"])
+def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, own):
+    # the stability check integrates the default seed and all ones, whatever N; the run reuses the seed's
+    # trajectory, and integrates only a start of its own
     starts = []
     integrate = dynamics.integrate
 
     def counted(s0, *args, **kwargs):
-        starts.append(s0)
+        starts.append(s0[:4])
         return integrate(s0, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "integrate", counted)  # the CLI looks it up at call time, as the check does
-    n_starts = 3
-    code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", str(n_starts), *init])
+    code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", "3", *init])
     out = capsys.readouterr().out
     assert code == 0 and "# stability_passed: true" in out
-    assert len(starts) == n_starts + extra
+    assert starts == [(dynamics.DEFAULT_SEED_LEVEL,) * 4, (1.0,) * 4, *own]
 
 
 def dynamics_texts(argv):
@@ -964,14 +988,14 @@ def test_commands_without_arrays_leave_numpy_unimported():
 
 
 @pytest.mark.parametrize(
-    "argv,loaded",
-    [(["sweep", "--axis", "alpha", "--steps", "5", *AT], []),
-     (["dynamics", "--alpha", "0.2", "--starts", "2", *AT], INTEGRATES)],
+    "argv,numpy_loaded,loaded",
+    [(["sweep", "--axis", "alpha", "--steps", "5", *AT], True, []),
+     (["dynamics", "--alpha", "0.2", "--starts", "8", "--seed", "5", *AT], False, INTEGRATES)],
     ids=["sweep", "starts"],
 )
-def test_array_commands_import_numpy(argv, loaded):
-    # the probe sees numpy once a command needs it
-    assert numpy_after(argv) == [(None, False, IMPORTED), (0, True, loaded)]
+def test_only_array_commands_import_numpy(argv, numpy_loaded, loaded):
+    # the probe sees numpy once a command needs it; the stability check integrates two fixed starts, on floats
+    assert numpy_after(argv) == [(None, False, IMPORTED), (0, numpy_loaded, loaded)]
 
 
 # a command line, and the package modules that running it adds to those the import loaded

@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import THETA0_REF, oracle_truth, reference_integrate
@@ -196,6 +196,53 @@ def test_integrate_matches_reference_loop(nu, k, delta, x, alpha0, alpha1, start
     assert got == want and repr(got) == repr(want)
 
 
+def logistic_flow(r, b, g, h):
+    """The exact flow of r' = b r (1 - r) - delta r = g r - b r^2 over a time h >= 0, and its derivative in r.
+
+    Written with exp(-|g| h) <= 1 on either sign of g, so that no exponential overflows.
+    """
+    e = math.exp(-abs(g) * h)
+    c = h if g == 0.0 else -math.expm1(-abs(g) * h) / abs(g)
+    den = e + b * r * c if g >= 0.0 else 1.0 + b * r * c
+    return (r if g >= 0.0 else r * e) / den, e / den ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nu=st.floats(0.05, 5.0), k=st.floats(0.5, 4.0), delta=st.floats(0.1, 2.0), x=unit_or_edge,
+    alpha0=unit_or_edge, alpha1=unit_or_edge, start=st.tuples(start_level, start_level, start_level, start_level),
+    conv_tol=st.sampled_from([1e-10, 1e-6]),
+)
+def test_rumor_coordinate_follows_the_logistic_closed_form(nu, k, delta, x, alpha0, alpha1, start, conv_tol):
+    """r11na is its own source, so it obeys r' = b r (1 - r) - delta r with b = k nu (1-x)(1-alpha1) in closed form.
+
+    The bound is the integrator's tolerance tol carried along the run. Accepting a step caps its error estimate
+    for r11na at cap = 2 tol (1 + max(r, r_new)), the RMS rule with the other coordinates' estimates at 0. On
+    the linear test equation, the kept fifth-order result's local error is at most 1.05 times that estimate over
+    the method's whole real stability interval [-3.307, 0] (both are polynomials in h*lambda fixed by the
+    tableau); 2 cap allows for the logistic's curvature as well. The exact flow carries an error from one
+    accepted step to the next multiplied by its derivative A, so the error at each accepted step is at most
+    B = A B_before + 2 cap, to first order (Hairer, Norsett & Wanner, Solving ODEs I, II.3, Lady Windermere's
+    fan), plus a few ulps for evaluating the closed form.
+    """
+    p, a = ModelParams(nu, k, delta, x), Allocation.targeted(alpha0, alpha1)
+    cfg = IntegratorConfig(conv_tol)
+    b = k * nu * group_masses(p, a)[3]
+    g = b - delta
+    tol = 0.25 * conv_tol / (2.0 * k * nu + delta)
+    states = integrate(DynState(*start), p, a, cfg).states
+    r0, bound = states[0].r11na, 0.0
+    if r0 == 0.0:  # a fixed point, stable or not: no rumor starts
+        assert all(s.r11na == 0.0 for s in states)
+        return
+    for before, after in zip(states, states[1:]):
+        exact, _ = logistic_flow(r0, b, g, before.t)
+        _, carried = logistic_flow(exact, b, g, after.t - before.t)
+        bound = carried * bound + 4.0 * tol * (1.0 + max(before.r11na, after.r11na))
+        want, _ = logistic_flow(r0, b, g, after.t)
+        assert abs(after.r11na - want) <= bound + 4.0 * sys.float_info.epsilon, after
+
+
 def test_step_budget_caps_attempted_steps(monkeypatch, ref_params):
     a = Allocation.uniform(0.2)
     s0 = DynState(0.999, 0.999, 0.999, 0.999)
@@ -296,7 +343,7 @@ def test_limit_matches_analytic_componentwise(lam, x, alpha):
 
 def test_stability_subcritical_limits_are_zero():
     p = ModelParams.from_lambda(0.5, 0.3)
-    report = verify_global_stability(p, Allocation.uniform(0.5), 4, seed=7)
+    report = verify_global_stability(p, Allocation.uniform(0.5))
     assert report.passed
     for lim in report.limits:
         assert max(lim[:4]) < 1e-6
@@ -308,16 +355,16 @@ def pairwise_gap(limits):
 
 
 def test_stability_reference_point(ref_params):
-    report = verify_global_stability(ref_params, Allocation.uniform(0.2), 8, seed=3)
+    report = verify_global_stability(ref_params, Allocation.uniform(0.2))
     assert report.passed and report.all_converged
     assert report.max_gap < 1e-6
     assert report.max_gap == pairwise_gap(report.limits)
 
 
 def test_stability_full_inspection(ref_params):
-    report = verify_global_stability(ref_params, Allocation.uniform(1.0), 8, seed=3)
+    report = verify_global_stability(ref_params, Allocation.uniform(1.0))
     assert report.passed
-    # the non-inspecting groups are empty: integrate zeroes the random starts there
+    # the non-inspecting groups are empty: integrate zeroes the all-ones start there
     assert all(lim.r00na == 0.0 and lim.r11na == 0.0 for lim in report.limits)
     assert all(type(c) is float for lim in report.limits for c in lim)
     th0, th1 = prevalences(report.limits[0], ref_params, Allocation.uniform(1.0))
@@ -325,24 +372,48 @@ def test_stability_full_inspection(ref_params):
     assert th1 == 0.0
 
 
-def test_stability_requires_two_starts(ref_params):
-    with pytest.raises(ParameterError):
-        verify_global_stability(ref_params, Allocation.uniform(0.2), 1)
+def test_stability_integrates_the_seed_and_all_ones(monkeypatch, ref_params):
+    # the two corners of the box [DEFAULT_SEED_LEVEL, 1]^4, in that order; the report keeps the seed's run
+    a = Allocation.uniform(0.2)
+    runs = []
+    monkeypatch.setattr(dynamics, "integrate", lambda s0, *args: runs.append(integrate(s0, *args)) or runs[-1])
+    report = verify_global_stability(ref_params, a)
+    assert [run.states[0][:4] for run in runs] == [seed_state(ref_params, a)[:4], (1.0,) * 4]
+    assert report.seed_trajectory is runs[0] and report.limits == (runs[0].final, runs[1].final)
 
 
 def test_stability_reports_failure_without_crash(monkeypatch, ref_params):
     monkeypatch.setattr(dynamics, "HORIZON", 0.5 * ref_params.delta)  # stop at t = 0.5
-    report = verify_global_stability(ref_params, Allocation.uniform(0.2), 3, seed=5)
+    report = verify_global_stability(ref_params, Allocation.uniform(0.2))
     assert not report.passed and not report.all_converged
     assert report.max_gap == pairwise_gap(report.limits) > 1e-3
 
 
 def test_stability_reruns_deterministic(ref_params):
     a = Allocation.uniform(0.2)
-    first = verify_global_stability(ref_params, a, 4, seed=11)
-    second = verify_global_stability(ref_params, a, 4, seed=11)
+    first = verify_global_stability(ref_params, a)
+    second = verify_global_stability(ref_params, a)
     assert first.limits == second.limits
     assert first.max_gap == second.max_gap
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(0.0, 2.0).map(lambda e: 10.0 ** e), x=unit_or_edge, alpha0=unit_or_edge, alpha1=unit_or_edge,
+       starts=st.lists(st.tuples(*[st.floats(0.01, 0.99)] * 4), min_size=1, max_size=4))
+def test_every_start_in_the_box_ends_between_the_corner_limits(lam, x, alpha0, alpha1, starts):
+    # the oracle of verify_global_stability's certificate: the system is cooperative, so a start between the
+    # seed and all ones ends, coordinate by coordinate, between their limits. Each computed limit stops short of
+    # the exact one wherever max|dr/dt| < conv_tol, and the check counts limits within STABILITY_TOL as one: the
+    # slack is STABILITY_TOL, the resolution at which the certificate speaks
+    p, a = ModelParams.from_lambda(lam, x), Allocation.targeted(alpha0, alpha1)
+    report = verify_global_stability(p, a)
+    assume(report.all_converged)  # a run stopped at the horizon is ordered at its own time, not at its limit
+    low, high = report.limits
+    for start in starts:
+        traj = integrate(DynState(*start), p, a)
+        assert traj.converged
+        for lo, got, hi in zip(low[:4], traj.final[:4], high[:4]):
+            assert lo - dynamics.STABILITY_TOL <= got <= hi + dynamics.STABILITY_TOL
 
 
 def test_overflowing_two_k_is_refused_at_the_rounding_floor():

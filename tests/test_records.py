@@ -57,7 +57,7 @@ def library_records() -> dict:
         SteadyState: full_steady_state(p, a),
         DynState: seed_state(p, a),
         Trajectory: integrate(seed_state(p, a), p, a),
-        StabilityReport: verify_global_stability(p, a, 2),
+        StabilityReport: verify_global_stability(p, a),
         Thresholds: compute_thresholds(p),
         OptResult: maximize_truth_uniform(p, 0.3),
     }
