@@ -234,7 +234,8 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         field = "lam" if axis == "lambda" else axis
         (p, a), _ = [(_params(end), _allocation(end)) for end in (RunConfig(**{**vars(cfg), field: v}) for v in (lo, hi))]
     try:
-        grid = np.linspace(lo, hi, cfg.steps)
+        with np.errstate(over="ignore"):  # a span near the float maximum overflows inside; the ends come back exact
+            grid = np.linspace(lo, hi, cfg.steps)
     except (ValueError, MemoryError, IndexError) as exc:
         # numpy refuses a count past its size limit (ValueError) or one it cannot
         # allocate (MemoryError); near 2**63 its arange comes out empty (IndexError)

@@ -10,26 +10,22 @@ with unit inspection cost:
 
 The three maximizers search segments of policies on which alpha1 moves:
 the uniform line, the targeted budget line and its alpha0 = 1 edge. Each
-segment splits at the kink where alpha1 reaches the eradication threshold.
-Above it the rumor is extinct and the objective is the no-rumor closed
-form, nondecreasing in alpha1. Below it, on the endemic piece, the truth
-cubic gives the slope in closed form (model._truth_slope): its sign is the
-paper's marginal condition. On dense profiles (30,000 random draws, lam
-up to 1000, any x) that sign changed at most once on every endemic piece,
-so a piece peaks inside only if the slope is positive at its lower end
-and not at its upper end. The peak then solves two polynomial equations
-in (theta0, alpha1), the truth cubic and the marginal condition, by
-Newton's method from the piece's ends; a step that leaves the bracket
-gives way to one regula falsi step with a full truth solve (_peak). The
-peaks, the kinks and the segment ends are the candidates, and one tie
-rule picks among them: the cheapest within 1e-10 of the best, then the
-smallest alpha0.
+splits at the kink where alpha1 reaches the eradication threshold: above it
+the rumor is extinct and the objective is the no-rumor closed form,
+nondecreasing in alpha1. Below it a peak solves the truth cubic and the
+paper's marginal condition in (theta0, alpha1); eliminating theta0 leaves a
+polynomial in y = (1-x)(1-alpha1) (scripts/peak_algebra.py) of degree 3 for
+the truth and 4 for the platform on the uniform line, 2 on the budget line
+and 1 on the edge. On the targeted segments every real root in the endemic
+piece is scored (_critical_rates). On the uniform line float roots are too
+inaccurate; there the slope (model._truth_slope) changed sign at most once
+per endemic piece over 30,000 random draws (lam up to 1000, any x), and
+Newton's method solves the one peak (_peak). One tie rule picks among the
+candidates: the cheapest within 1e-10 of the best, then the smallest alpha0.
 
-The uniform line and the alpha0 = 1 edge do not depend on the budget, so
-a Planner analyses each once per point, as a Curve, on first use: the
-planners read each budget's optimum off it, the targeted one with a search
-of its budget line, and the thresholds read the slack regions off the
-uniform curves' peaks.
+No budget moves the uniform line or the edge, so a Planner analyses each
+once per point, on first use; the targeted planner searches its budget line
+per budget, and the thresholds read the slack regions off the uniform peaks.
 """
 
 from __future__ import annotations
@@ -99,32 +95,31 @@ def _objective(p: ModelParams, a: Allocation, platform: bool, cfg: SolverConfig)
     return truth + rumor_steady_state(p, a, cfg) if platform else truth
 
 
-def _peak(lam: float, x: float, slope, direction, kappa: float, lo, end) -> float:
-    """The rate in [a, b] at which the slope is 0, to ROOT_XTOL, from slope's (g, u, theta0, alpha0, I) at a and at b.
+def _peak(lam: float, x: float, slope, kappa: float, lo, end) -> float:
+    """The rate in [a, b] where the uniform line's slope is 0, to ROOT_XTOL, from slope's (g, u, theta0) at a and b.
 
-    It solves G(t, u) = 0 and G_u + kappa*G_t = 0 in (t, u) = (theta0, alpha1): G is the monic truth cubic
-    (model._truth_partials), kappa = (1-x)*da1 for the platform and 0 for the truth. theta1, alpha0 and I
-    are affine in u, so a Newton step on the pair is float arithmetic from the last solved point; the first
-    starts at the secant between the ends. A step that leaves the bracket [a, b], or the root's range
-    0 < t < min(s, 1 - theta1), gives way to one bracketed step, a full slope solve at the regula falsi point
-    (an end that two such steps keep is scaled as Anderson and Bjorck do), and Newton restarts there.
+    It solves G(t, u) = 0 and G_u + kappa*G_t = 0 in (t, u) = (theta0, alpha) by Newton's method from the secant
+    between the ends: G is the monic truth cubic (model._truth_partials), kappa = 1-x for the platform and 0 for
+    the truth. A step that leaves the bracket [a, b], or the root's range 0 < t < min(s, 1 - theta1), gives way
+    to one bracketed step, a full slope solve at the regula falsi point (an end that two such steps keep is
+    scaled as Anderson and Bjorck do), and Newton restarts there.
     """
-    (ga, a, t, a0, inspecting), (gb, b, t_b, _, _) = lo, end
-    (da0, _, di), v, y, tol = direction, 1.0 / lam, 1.0 - x, 0.5 * ROOT_XTOL
-    u0, kept = a, 0  # u0: where alpha0 and I were solved; kept: the end the last bracketed step kept, +1 for b
+    (ga, a, t), (gb, b, t_b) = lo, end
+    v, y, tol = 1.0 / lam, 1.0 - x, 0.5 * ROOT_XTOL
+    kept = 0  # the end the last bracketed step kept, +1 for b; after one, Newton restarts where it solved t
     while gb != 0.0 and b - a > ROOT_XTOL:
         c = (a * gb - b * ga) / (gb - ga)
         c = c if c == c else 0.5 * (a + b)  # nan from an infinite slope at an end (see _truth_slope): bisect
-        u, step = u0, math.inf
+        step = math.inf
         if not kept:  # the first Newton run starts at the secant, t interpolated between the ends
             u, t = c, t + (t_b - t) * (c - a) / (b - a)
         for _ in range(NEWTON_STEPS):
-            a0_u, i_u, theta1 = a0 + da0 * (u - u0), inspecting + di * (u - u0), (1.0 - u) * y - v
-            if not (a <= u <= b and 0.0 < t < i_u + x * (1.0 - a0_u) and t < 1.0 - theta1):
+            theta1 = (1.0 - u) * y - v
+            if not (a <= u <= b and 0.0 < t < u + x * (1.0 - u) and t < 1.0 - theta1):
                 break
             if -tol <= step <= tol:
                 return u
-            g, g_t, g_u, g_tt, g_tu, g_uu = _truth_partials(lam, x, a0_u, i_u, theta1, t, direction)
+            g, g_t, g_u, g_tt, g_tu, g_uu = _truth_partials(lam, x, u, u, theta1, t, (1.0, 1.0, 1.0))
             h, h_t, h_u = g_u + kappa * g_t, g_tu + kappa * g_tt, g_uu + kappa * g_tu
             det = g_t * h_u - g_u * h_t or math.nan  # a singular step leaves the bracket
             step = (g * h_t - g_t * h) / det
@@ -132,7 +127,7 @@ def _peak(lam: float, x: float, slope, direction, kappa: float, lo, end) -> floa
         if kept and abs(c - (a if kept == 1 else b)) <= tol:
             return c  # the step is below ROOT_XTOL/2: converged
         c = min(max(c, a + tol), b - tol)  # a step next to the root crosses it
-        gc, u0, t, a0, inspecting = slope(c)
+        gc, u, t = slope(c)
         if gc > 0.0:
             m = 1.0 - gc / ga if kept == 1 else 1.0
             a, ga, gb, kept = c, gc, gb * (m if m > 0.0 else 0.5), 1
@@ -142,43 +137,62 @@ def _peak(lam: float, x: float, slope, direction, kappa: float, lo, end) -> floa
     return b
 
 
-def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, direction, platform: bool, cfg: SolverConfig):
-    """(alloc(u), value) pairs for the rates u in [lo, hi] at which the objective on the segment alloc(u) can peak.
+def _segment_rates(p: ModelParams, lo: float, hi: float, platform: bool, cfg: SolverConfig):
+    """(Allocation.uniform(u), value) pairs for the rates u in [lo, hi] where the uniform line's objective can peak.
 
-    alloc(u) is the policy at alpha1 = u, and direction its constant
-    d(alpha0, alpha1, I)/du. Above the kink, where alpha1 reaches the
-    eradication threshold (less cfg.tol, as in the solver), the objective is
-    the no-rumor closed form, nondecreasing in alpha1, so it adds only the
-    kink and hi. Below it, on the endemic piece, the slope changes sign at
-    most once, so the piece peaks inside only when the slope is positive at
-    lo and not at its upper end: _peak solves for that peak, by Newton's
-    method on the truth cubic and the marginal condition from the two ends
-    solved here. These and lo are every place a maximum can sit. value is
-    the objective at alloc(u), bit for bit the scalar solver's: the no-rumor
-    closed form from the kink on, where the solver takes the rumor as
-    extinct, the value a slope solved below it, else None (the peak, which
-    _score solves once).
+    These are lo, hi, the kink (alpha' - cfg.tol, as in the solver) and, if the slope is positive at lo and not at
+    the endemic piece's upper end, the peak _peak solves from those two ends. value is the objective at u as the
+    scalar solver gives it: in closed form from the kink on, from a slope solve below it, else None (_score solves).
     """
     lam, x = p.lam, p.x
     kink = eradication_threshold(p) - cfg.tol
     rates = [lo, hi] + ([kink] if lo < kink < hi else [])
     end = min(hi, kink)
-    solved = {}  # u -> (alloc(u), the objective there) for each rate a slope solved
+    solved = {}  # u -> the objective at u, for each rate a slope solved
     if lo < end:
-        kappa = (1.0 - x) * direction[1] if platform else 0.0
+        kappa = 1.0 - x if platform else 0.0
 
-        def slope(u: float):  # (the objective's slope, u, theta0, alpha0, I) at alloc(u), from a full truth solve
-            a0, a1 = a = alloc(u)
-            inspecting = a.inspecting_mass(x)
-            theta0, theta1 = _steady_truth(lam, x, a0, a1, inspecting, math.inf, cfg)
-            solved[u] = a, theta0 + theta1 if platform else theta0
-            return _truth_slope(lam, x, a0, inspecting, theta1, theta0, direction) - kappa, u, theta0, a0, inspecting
+        def slope(u: float):  # (the objective's slope, u, theta0) at alpha = u, from a full truth solve
+            theta0, theta1 = _steady_truth(lam, x, u, u, u, math.inf, cfg)
+            solved[u] = theta0 + theta1 if platform else theta0
+            return _truth_slope(lam, x, u, u, theta1, theta0, (1.0, 1.0, 1.0)) - kappa, u, theta0
 
         ends = slope(lo), slope(end)
         if ends[0][0] > 0.0 >= ends[1][0]:
-            rates.append(_peak(lam, x, slope, direction, kappa, *ends))
-    pairs = [solved.get(u) or (alloc(u), None) for u in rates]
-    return [(a, _no_rumor_truth(lam, x, a.alpha1) if a.alpha1 >= kink else v) for a, v in pairs]
+            rates.append(_peak(lam, x, slope, kappa, *ends))
+    return [(Allocation.uniform(u), _no_rumor_truth(lam, x, u) if u >= kink else solved.get(u)) for u in rates]
+
+
+def _line_polynomial(A: float, v: float):
+    """(a, b, c, b^2 - 4ac) of the budget line's quadratic peak polynomial in y at the budget A, with w = 1 - v.
+
+    The discriminant is factored, 4v(A + 2v - 1)(w^2 - 2Av)^2: where the square vanishes a peak is a double root,
+    at which b^2 - 4ac can round below 0 (to -1.4e-16 at lam = 2.5, x = 0.1, A = 0.45)."""
+    w = 1.0 - v
+    return (w * w - 4.0 * A * v, 2.0 * v * (7.0 * A * v - A - w * w),
+            v * (A * (A * v - 11.0 * v * v + 4.0 * v - 1.0) + w * w * w),
+            4.0 * v * (A + 2.0 * v - 1.0) * (w * w - 2.0 * A * v) ** 2)
+
+
+def _critical_rates(p: ModelParams, lo: float, hi: float, alloc, coeffs, cfg: SolverConfig):
+    """(alloc(u), value) pairs for the rates u in [lo, hi] at which the truth on a targeted segment can peak.
+
+    alloc(u) is the policy at alpha1 = u. The rates are lo, hi, the kink (alpha' - cfg.tol, as in the solver) and
+    each real root of the segment's peak polynomial a*y^2 + b*y + c in y = (1-x)(1-u), coeffs(1/lam) = (a, b, c,
+    its discriminant), in the endemic piece (lo, min(hi, kink)). value is the no-rumor closed form from the kink
+    on, else None, which _score solves.
+    """
+    lam, x = p.lam, p.x
+    kink = eradication_threshold(p) - cfg.tol
+    rates = [lo, hi] + ([kink] if lo < kink < hi else [])
+    end = min(hi, kink)
+    if lo < end:  # an endemic piece needs lam*(1-x) > 1, so 1/lam < 1 and the coefficients stay finite
+        a, b, c, disc = coeffs(1.0 / lam)
+        if disc >= 0.0:  # the roots q/a and c/q, with q free of cancellation
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = ([q / a] if a else []) + ([c / q] if q else [])
+            rates += [u for u in (1.0 - y / (1.0 - x) for y in roots) if lo < u < end]
+    return [(pol, _no_rumor_truth(lam, x, pol.alpha1) if pol.alpha1 >= kink else None) for pol in map(alloc, rates)]
 
 
 def _score(p: ModelParams, candidates, platform: bool, cfg: SolverConfig) -> list:
@@ -210,18 +224,15 @@ def _result(p: ModelParams, A: float, alloc: Allocation, value: float, cfg: Solv
 
 
 class Curve:
-    """The truth, or with platform the truth plus the rumor, on a segment no budget moves, analysed once.
+    """The truth, or with platform the truth plus the rumor, on the uniform line, analysed once.
 
-    alloc(u) is the policy at alpha1 = u in [0, 1] and direction its d(alpha0, alpha1, I)/du, by default
-    the uniform line's. rates holds, scored, the rates below 1 where _segment_rates finds that the curve
-    can peak: 0, the kink (alpha' - cfg.tol) and the endemic piece's peak. peak is the alpha1 that _pick
-    names among them, top its value.
+    rates holds, scored, the rates below 1 where _segment_rates finds that the curve can peak: 0, the kink
+    (alpha' - cfg.tol) and the endemic piece's peak. peak is the rate that _pick names among them, top its value.
     """
 
-    def __init__(self, p: ModelParams, platform: bool, cfg: SolverConfig = DEFAULT_SOLVER,
-                 alloc=Allocation.uniform, direction=(1.0, 1.0, 1.0)):
-        rates = _segment_rates(p, 0.0, 1.0, alloc, direction, platform, cfg)
-        self.p, self.alloc, self.platform, self.cfg = p, alloc, platform, cfg
+    def __init__(self, p: ModelParams, platform: bool, cfg: SolverConfig = DEFAULT_SOLVER):
+        rates = _segment_rates(p, 0.0, 1.0, platform, cfg)
+        self.p, self.platform, self.cfg = p, platform, cfg
         self.kink = eradication_threshold(p) - cfg.tol
         self.rates = _score(p, [(a, v) for a, v in rates if a.alpha1 < 1.0], platform, cfg)
         (peak, _), self.top = _pick(self.rates, p.x)
@@ -230,16 +241,14 @@ class Curve:
     def upto(self, c: float) -> list:
         """The (allocation, value) candidates over [0, c], c <= 1: 0, c where it can win, the rates up to c.
 
-        Below the peak the curve rises, so c competes, unsolved (None); from
-        the peak to the kink no rate beats the peak; above the kink, on the
-        nondecreasing no-rumor line, c is in closed form. _pick breaks a tie
-        in alpha0 by order, so c follows 0, as in _segment_rates.
+        Below the peak the curve rises, so c competes, unsolved (None); from the peak to the kink no rate beats
+        the peak; above the kink, on the no-rumor line, c is in closed form, after 0 as in _segment_rates.
         """
         p, scored = self.p, [(a, v) for a, v in self.rates if a.alpha1 <= c]
         if 0.0 < c < self.peak:
-            scored.insert(1, (self.alloc(c), None))
+            scored.insert(1, (Allocation.uniform(c), None))
         elif c > self.kink:
-            scored.insert(1, (self.alloc(c), _no_rumor_truth(p.lam, p.x, c)))
+            scored.insert(1, (Allocation.uniform(c), _no_rumor_truth(p.lam, p.x, c)))
         return scored
 
     def optimum(self, budget: float) -> OptResult:
@@ -294,8 +303,7 @@ class Planner:
     """The planners and the thresholds at the point p, reading what no budget moves off one analysis of it.
 
     truth and platform are the uniform curves, edge the targeted planner's alpha0 = 1 edge over alpha1 in [0, 1],
-    corners its eradicating policies scored so far: (0, 0), and (0, 1) once a budget reaches 1 - x. Each is
-    analysed on its first use, so a point analyses what its budgets and thresholds read, and nothing twice.
+    its critical rates scored. Each is analysed on its first use, so a point analyses what it reads, once.
     """
 
     def __init__(self, p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER):
@@ -305,23 +313,22 @@ class Planner:
     platform = functools.cached_property(lambda self: Curve(self.p, True, self.cfg))
 
     @functools.cached_property
-    def edge(self) -> Curve:  # at x = 0 it runs at alpha0 = 0
-        x = self.p.x
-        return Curve(self.p, False, self.cfg, lambda a1: Allocation.targeted(float(x > 0.0), a1), (0.0, 1.0, 1.0 - x))
-
-    corners = functools.cached_property(lambda self: _score(self.p, [(Allocation(0.0, 0.0), None)], False, self.cfg))
+    def edge(self) -> list:  # at x = 0 it runs at alpha0 = 0
+        p, alpha0 = self.p, float(self.p.x > 0.0)
+        # its peak polynomial is linear, 4v*y + 1 - v*(4 + v): (a, b, c, b^2 - 4ac) as _critical_rates reads them
+        rates = _critical_rates(p, 0.0, 1.0, lambda a1: Allocation(alpha0, a1),
+                                lambda v: (0.0, 4.0 * v, 1.0 - v * (4.0 + v), 16.0 * v * v), self.cfg)
+        return _score(p, rates, False, self.cfg)
 
     def optimum(self, objective: str, budget: float) -> OptResult:
         """The OptResult at the budget of the objective's planner: rumor-min, truth, truth-targeted or platform.
 
-        The targeted planner: raising alpha0 at a fixed alpha1 weakly helps,
-        as it moves type-0 mass from the truth-only term of the fixed-point
-        map into inspection, which responds to total prevalence. So its
-        optimum lies on the budget line, searched per budget, or once A > x
-        on the edge below it, alpha1 in [0, (A-x)/(1-x)]. Once the rumor is
-        extinct alpha0 is worthless, so the corners (0, 0) and, from A = 1-x
-        on, (0, 1) compete too; _pick chooses. At x = 0 the line is the point
-        (0, A) and the edge runs at alpha0 = 0; at x = 1 only (0, 0) is left.
+        The targeted planner: raising alpha0 at a fixed alpha1 weakly helps (it moves type-0 mass from the
+        truth-only term of the fixed-point map into inspection), so its optimum lies on the budget line, or once
+        A > x on the edge below it, alpha1 in [0, (A-x)/(1-x)], whose end the line scores. Once the rumor is extinct
+        alpha0 is worthless, so (0, 0) and, from A = 1-x on, (0, 1) compete too, in closed form: nobody inspects at
+        the first, the rumor is extinct at the second. At x = 0 the line is the point (0, A) and the edge runs at
+        alpha0 = 0; at x = 1 only (0, 0) is left.
         """
         if objective in ("truth", "platform"):
             return getattr(self, objective).optimum(budget)
@@ -329,32 +336,23 @@ class Planner:
             return minimize_rumor(self.p, budget, self.cfg)
         if objective != "truth-targeted":
             raise ParameterError(f"unknown objective {objective!r}")
-        p, x, cfg, A = self.p, self.p.x, self.cfg, _total(budget)
-        if x < 1.0 and A >= 1.0 - x and len(self.corners) == 1:  # (0, 1) is scored once a budget reaches it
-            self.corners += _score(p, [(Allocation(0.0, 1.0), None)], False, cfg)
-        candidates = self.corners[:1 + (A >= 1.0 - x)]
+        p, lam, x, cfg, A = self.p, self.p.lam, self.p.x, self.cfg, _total(budget)
+        corners = (0.0, 1.0) if x < 1.0 and A >= 1.0 - x else (0.0,)
+        candidates = [(Allocation(0.0, a1), _no_rumor_truth(lam, x, a1)) for a1 in corners]
         if 0.0 < A and x < 1.0:
             lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))
             while lo > 0.0 and x + (1.0 - x) * lo > A and _inspecting_mass(x, 1.0, lo) > A:  # as in _fit
                 lo = math.nextafter(lo, 0.0)  # so the line's start, the edge's end, spends at most A
-            if lo <= hi:  # at x = 0, lo = hi: the direction is never read
-                line = (-(1.0 - x) / x if x else 0.0, 1.0, 0.0)
-                candidates += _segment_rates(
-                    p, lo, hi, lambda a1: _fit(A, x, _binding_alpha0(A, x, a1), a1), line, False, cfg)
+            if lo <= hi:
+                candidates += _critical_rates(p, lo, hi, lambda a1: _fit(A, x, _binding_alpha0(A, x, a1), a1),
+                                              functools.partial(_line_polynomial, A), cfg)
             if A > x:
-                candidates += self.edge.upto(min(1.0, lo))
+                candidates += [(a, v) for a, v in self.edge if a.alpha1 <= lo]
         return _result(p, A, *_pick(_score(p, candidates, False, cfg), x)[0], cfg)
 
     def thresholds(self) -> Thresholds:
-        """The threshold bundle: alpha', lambda_bar and the eradication interval in closed form, then the slack regions.
-
-        A_lower / A_upper bracket the budgets at which the uniform truth
-        planner reports slack; A_tilde is the top of the analogous region for
-        the platform objective. All three are None when the corresponding
-        slack region is narrower than THRESHOLD_RESOLUTION; budgets above 1
-        buy nothing more. Curve.slack_region reads the edges off each uniform
-        curve's peak with no optimizer call.
-        """
+        """The Thresholds: alpha', lambda_bar and the eradication interval in closed form, then the slack regions,
+        which Curve.slack_region reads off each uniform curve's peak with no optimizer call."""
         x = self.p.x
         radicand = 2.0 - 1.0 / (1.0 - x) if x < 1.0 else -1.0
         disc = (4.0 - x) ** 2 - 12.0

@@ -376,30 +376,59 @@ def reference_uniform_optimum(p, A, platform, cfg=None):
     budget: the rates _segment_rates gives over [0, min(A, 1)], scored, and
     the tie rule _pick.
     """
-    from rumor_inspect import Allocation, planner
+    from rumor_inspect import planner
 
     cfg = planner.DEFAULT_SOLVER if cfg is None else cfg
     A = planner._total(A)
-    rates = planner._segment_rates(p, 0.0, min(A, 1.0), Allocation.uniform, (1.0, 1.0, 1.0), platform, cfg)
+    rates = planner._segment_rates(p, 0.0, min(A, 1.0), platform, cfg)
     return _reference_result(p, A, planner._score(p, rates, platform, cfg), cfg)
 
 
-def reference_targeted_optimum(p, A, cfg=None):
-    """maximize_truth_targeted searched at this budget alone: its budget line and its alpha0 = 1 edge up to (A-x)/(1-x).
+SCAN_CELLS = 64  # cells of the grid on which slope_roots looks for sign changes
 
-    The planner analyses the edge once per point, over alpha1 in [0, 1]
-    (planner.Planner), and scores (0, 0) and (0, 1) once. This is the
-    search it ran before at each budget: (0, 0), (0, 1) from A = 1-x
-    on, and the rates _segment_rates gives on the budget line and on the
-    edge [0, min(1, (A-x)/(1-x))] (at x = 0 on alpha0 = 0, alpha1 in
-    [0, min(1, A)]), scored, and the tie rule _pick.
+
+def slope_roots(p, lo, hi, alloc, direction, cfg):
+    """The rates in [lo, hi] at which the truth's slope along alloc is 0: each sign change of the slope on a
+    grid of SCAN_CELLS cells, refined by brentq.
+
+    alloc(u) is the policy at alpha1 = u and direction its d(alpha0, alpha1, I)/du. The slope is
+    model._truth_slope at the scalar solver's truth, the rumor kept endemic, so [lo, hi] must lie below the kink.
     """
-    from rumor_inspect import Allocation, planner
+    from rumor_inspect.model import _steady_truth, _truth_slope
+
+    lam, x = p.lam, p.x
+
+    def slope(u):
+        a = alloc(u)
+        inspecting = a.inspecting_mass(x)
+        theta0, theta1 = _steady_truth(lam, x, a.alpha0, a.alpha1, inspecting, float("inf"), cfg)
+        return _truth_slope(lam, x, a.alpha0, inspecting, theta1, theta0, direction)
+
+    grid = [lo + (hi - lo) * i / SCAN_CELLS for i in range(SCAN_CELLS)] + [hi]
+    values = [slope(u) for u in grid]
+    roots = [u for u, g in zip(grid, values) if g == 0.0]
+    for u, w, g, h in zip(grid, grid[1:], values, values[1:]):
+        if g * h < 0.0:
+            roots.append(brentq(slope, u, w, xtol=1e-15))
+    return sorted(roots)
+
+
+def reference_targeted_optimum(p, A, cfg=None):
+    """maximize_truth_targeted searched at this budget alone, by a scan of its budget line and its alpha0 = 1 edge.
+
+    It shares no search code with the planner: (0, 0), (0, 1) from A = 1-x
+    on, and on the budget line and on the edge [0, min(1, (A-x)/(1-x))]
+    (at x = 0 on alpha0 = 0, alpha1 in [0, min(1, A)]) each end, the kink
+    and each zero of the truth's slope on the endemic piece (slope_roots),
+    each scored by the scalar solver, and the tie rule _pick.
+    """
+    from rumor_inspect import Allocation, eradication_threshold, planner, truth_steady_state
 
     cfg = planner.DEFAULT_SOLVER if cfg is None else cfg
     A = planner._total(A)
     x = p.x
-    candidates = [(Allocation.targeted(0.0, 0.0), None)]
+    kink = eradication_threshold(p) - cfg.tol
+    rates = [Allocation.targeted(0.0, 0.0)]
     segments = []
     if A > 0.0 and x <= 0.0:
         segments.append((0.0, min(1.0, A), lambda a1: Allocation.targeted(0.0, a1), (0.0, 1.0, 1.0)))
@@ -412,7 +441,10 @@ def reference_targeted_optimum(p, A, cfg=None):
         if A > x:
             segments.append((0.0, min(1.0, lo), lambda a1: Allocation.targeted(1.0, a1), (0.0, 1.0, 1.0 - x)))
         if A >= 1.0 - x:
-            candidates.append((Allocation.targeted(0.0, 1.0), None))
+            rates.append(Allocation.targeted(0.0, 1.0))
     for lo, hi, alloc, direction in segments:
-        candidates += planner._segment_rates(p, lo, hi, alloc, direction, False, cfg)
-    return _reference_result(p, A, planner._score(p, candidates, False, cfg), cfg)
+        rates += map(alloc, [lo, hi] + ([kink] if lo < kink < hi else []))
+        if lo < min(hi, kink):
+            rates += map(alloc, slope_roots(p, lo, min(hi, kink), alloc, direction, cfg))
+    scored = [(a, truth_steady_state(p, a, cfg)) for a in dict.fromkeys(rates)]
+    return _reference_result(p, A, scored, cfg)

@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 from pathlib import Path
 from unittest import mock
@@ -24,6 +25,7 @@ from conftest import (
     oracle_truth,
     reference_targeted_optimum,
     reference_uniform_optimum,
+    slope_roots,
 )
 from rumor_inspect import (
     Allocation,
@@ -727,44 +729,54 @@ def test_maximizers_beat_a_dense_scan_of_their_segments(lam, x, A):
         assert res.objective == truth_steady_state(p, a) + (rumor_steady_state(p, a) if platform else 0.0)
 
 
-def _searched_segment(kind, x, A):
-    """(lo, hi, alloc, direction) of a segment as the planners search it: the uniform line, the alpha0 = 1
-    edge, or the targeted budget line at A."""
-    if kind == "uniform":
-        return 0.0, 1.0, Allocation.uniform, (1.0, 1.0, 1.0)
-    if kind == "edge":
-        return 0.0, 1.0, lambda a1: Allocation.targeted(1.0, a1), (0.0, 1.0, 1.0 - x)
-    lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))
-    return lo, hi, lambda a1: planner._fit(A, x, planner._binding_alpha0(A, x, a1), a1), (-(1.0 - x) / x, 1.0, 0.0)
-
-
-def _peak_against_brentq(lam, x, A, kind, platform):
-    """The peaks _segment_rates solves on the segment, and the full truth solves it spends, checked against
+def _peak_against_brentq(lam, x, platform):
+    """The peak _segment_rates solves on the uniform line, and the full truth solves it spends, checked against
     a brentq root of the objective's slope from the scalar solver; with no sign change, no peak is solved."""
     p, cfg = ModelParams.from_lambda(lam, x), DEFAULT_SOLVER
-    lo, hi, alloc, direction = _searched_segment(kind, x, A)
 
     def slope(u):
-        a = alloc(u)
-        inspecting = a.inspecting_mass(x)
-        theta0, theta1 = _steady_truth(lam, x, a.alpha0, a.alpha1, inspecting, math.inf, cfg)
-        return _truth_slope(lam, x, a.alpha0, inspecting, theta1, theta0, direction) - (1.0 - x) * platform
+        theta0, theta1 = _steady_truth(lam, x, u, u, u, math.inf, cfg)
+        return _truth_slope(lam, x, u, u, theta1, theta0, (1.0, 1.0, 1.0)) - (1.0 - x) * platform
 
     peaks, solves, peak, steady = [], [], planner._peak, planner._steady_truth
     with mock.patch.object(planner, "_peak", lambda *args: peaks.append(peak(*args)) or peaks[-1]), \
             mock.patch.object(planner, "_steady_truth", lambda *args: solves.append(args) or steady(*args)):
-        planner._segment_rates(p, lo, hi, alloc, direction, platform, cfg)
-    end = min(hi, eradication_threshold(p) - cfg.tol)
-    if lo < end and slope(lo) > 0.0 >= slope(end):
-        root = end if slope(end) == 0.0 else brentq(slope, lo, end, xtol=1e-15)
+        planner._segment_rates(p, 0.0, 1.0, platform, cfg)
+    end = min(1.0, eradication_threshold(p) - cfg.tol)
+    if 0.0 < end and slope(0.0) > 0.0 >= slope(end):
+        root = end if slope(end) == 0.0 else brentq(slope, 0.0, end, xtol=1e-15)
         assert len(peaks) == 1 and abs(peaks[0] - root) <= planner.ROOT_XTOL, (peaks, root)
     else:
         assert not peaks
     return peaks, len(solves)
 
 
+def _critical_rates_against_brentq(lam, x, A, kind):
+    """The rates the planner scores on a targeted segment, the alpha0 = 1 edge or the budget line at A, checked
+    against the zeros of the truth's slope on its endemic piece (conftest.slope_roots, by brentq): each zero lies
+    within ROOT_XTOL of one of them."""
+    p, cfg = ModelParams.from_lambda(lam, x), DEFAULT_SOLVER
+    if kind == "edge":
+        lo, hi, alloc, direction = 0.0, 1.0, lambda a1: Allocation.targeted(1.0, a1), (0.0, 1.0, 1.0 - x)
+        scored = planner.Planner(p).edge
+    else:
+        lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))
+        direction = (-(1.0 - x) / x, 1.0, 0.0)
+        alloc = lambda a1: planner._fit(A, x, planner._binding_alpha0(A, x, a1), a1)
+        scored = planner._critical_rates(p, lo, hi, alloc, functools.partial(planner._line_polynomial, A), cfg)
+    rates = [a.alpha1 for a, _ in scored]
+    end = min(hi, eradication_threshold(p) - cfg.tol)
+    roots = slope_roots(p, lo, end, alloc, direction, cfg) if lo < end else []
+    for root in roots:
+        assert any(abs(u - root) <= planner.ROOT_XTOL for u in rates), (rates, root)
+    return rates, roots
+
+
 # theta0(0) = 0 and the slope plunges to -22.7 at the kink: Newton from the secant gives way to bracketed steps
 FALLBACK = (1.967158, 0.111877)
+# on this budget line's tangent curve A = (1-v)^2/(2v), v = 1/lam, the peak is a double root of the quadratic,
+# and b^2 - 4ac rounds to -1.4e-16 there: the planner's factored discriminant keeps it
+TANGENT = (2.5, 0.1, 0.6 ** 2 / 0.8)
 
 
 @settings(max_examples=150, deadline=None)
@@ -774,10 +786,81 @@ FALLBACK = (1.967158, 0.111877)
 @example(lam=2.0, x=0.3, A=0.5, kind="uniform", platform=False)
 @example(lam=2.0, x=0.3, A=0.28, kind="line", platform=False)
 @example(lam=1.789004, x=0.263299, A=0.35, kind="edge", platform=False)
+@example(lam=TANGENT[0], x=TANGENT[1], A=TANGENT[2], kind="line", platform=False)
 def test_peak_is_a_brentq_root_of_the_slope(lam, x, A, kind, platform):
-    # the joint Newton solve of a peak lands within ROOT_XTOL of the slope's
-    # zero, on all three segments and for both objectives
-    _peak_against_brentq(lam, x, A, kind, platform)
+    # the joint Newton solve of a peak on the uniform line lands within
+    # ROOT_XTOL of the slope's zero, for both objectives; on the targeted
+    # segments, where the truth alone is maximized, every zero of the slope
+    # lies within ROOT_XTOL of a root of the segment's peak polynomial
+    if kind == "uniform":
+        _peak_against_brentq(lam, x, platform)
+    else:
+        _critical_rates_against_brentq(lam, x, A, kind)
+
+
+def test_peak_polynomials_find_the_peaks_of_the_targeted_examples():
+    # the examples above that peak inside a targeted segment, the tangent one
+    # included: the scan finds one zero of the slope, and a root lies on it
+    for lam, x, A, kind in ((1.789004, 0.263299, 0.35, "edge"), (*TANGENT, "line")):
+        _, roots = _critical_rates_against_brentq(lam, x, A, kind)
+        assert len(roots) == 1, (lam, x, A, kind)
+
+
+@given(A=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0, exclude_min=True))
+def test_line_discriminant_factors_b2_minus_4ac(A, v):
+    # the budget line's discriminant in its factored form is b^2 - 4ac, up to rounding
+    a, b, c, disc = planner._line_polynomial(A, v)
+    assert disc == pytest.approx(b * b - 4.0 * a * c, rel=1e-12, abs=1e-13)
+
+
+def test_tangent_line_peak_matches_the_oracle():
+    # the budget line's peak at a double root of its quadratic is the optimum, as the scan finds it
+    p = ModelParams.from_lambda(*TANGENT[:2])
+    got, want = maximize_truth_targeted(p, TANGENT[2]), reference_targeted_optimum(p, TANGENT[2])
+    assert 0.0 < got.allocation.alpha0 < 1.0 and not got.rumor_eradicated
+    assert abs(got.allocation.alpha1 - want.allocation.alpha1) <= 2.0 * planner.ROOT_XTOL
+    assert abs(got.objective - want.objective) <= planner.TIE_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.02, 3.0).map(lambda e: 10.0**e), x=st.floats(0.0, 0.99))
+@example(lam=1.789004, x=0.263299)
+@example(lam=2.0, x=0.3)
+def test_edge_root_is_the_closed_form_peak(lam, x):
+    # the edge's peak polynomial is linear: its one root is
+    # u* = ((1-v)^2/(2v) - v - 2x + 1)/(2(1-x)), v = 1/lam, and the edge
+    # holds it, scored, wherever it lies inside the endemic piece (0, kink)
+    p, v = ModelParams.from_lambda(lam, x), 1.0 / lam
+    u_star = ((1.0 - v) ** 2 / (2.0 * v) - v - 2.0 * x + 1.0) / (2.0 * (1.0 - x))
+    kink = eradication_threshold(p) - DEFAULT_SOLVER.tol
+    inside = [(a, value) for a, value in planner.Planner(p).edge if 0.0 < a.alpha1 < kink]
+    if 1e-9 < u_star < kink - 1e-9:
+        (a, value), = inside
+        assert abs(a.alpha1 - u_star) <= planner.ROOT_XTOL
+        assert value == truth_steady_state(p, a)
+    elif not -1e-9 <= u_star <= kink + 1e-9:
+        assert not inside
+
+
+@pytest.mark.parametrize("lam,x", [(2.0, 0.3), (1.789004, 0.263299), (10.0, 0.1), (TANGENT[0], TANGENT[1]), (2.0, 0.0)])
+def test_targeted_planner_takes_no_slope(monkeypatch, lam, x):
+    # the targeted planner reads its peaks off the peak polynomials: it takes
+    # no slope and runs no Newton peak. Its edge costs at most 2 truth solves,
+    # at 0 and at its one root, and its corners none
+    def refuse(*args):
+        raise AssertionError("took a slope or ran a Newton peak")
+
+    solved, objective = [], planner._objective
+    monkeypatch.setattr(planner, "_peak", refuse)
+    monkeypatch.setattr(planner, "_truth_slope", refuse)
+    monkeypatch.setattr(planner, "_objective", lambda p, a, *args: solved.append(a) or objective(p, a, *args))
+    p = ModelParams.from_lambda(lam, x)
+    plan = planner.Planner(p)
+    assert len(plan.edge) >= 2 and len(solved) <= 2
+    solved.clear()
+    for A in (0.0, 0.1, x, 0.3, 0.5, 1.0 - x, 0.9, 1.0, 1.5):
+        plan.optimum("truth-targeted", A)
+    assert not {Allocation(0.0, 0.0), Allocation(0.0, 1.0)} & set(solved)
 
 
 def test_peak_restarts_newton_from_a_bracketed_step():
@@ -786,22 +869,20 @@ def test_peak_restarts_newton_from_a_bracketed_step():
     # the first bracketed steps, leaves the bracket. Each bracketed step is one
     # full truth solve past the two ends, and Newton restarts from it
     for lam, x in (FALLBACK, (2.0, 0.3)):
-        peaks, solves = _peak_against_brentq(lam, x, 0.5, "uniform", False)
+        peaks, solves = _peak_against_brentq(lam, x, False)
         assert len(peaks) == 1 and solves > 2
-    # the platform curve at lam = 2, x = 0.3, and the alpha0 = 1 edge there, peak with no bracketed step
-    for kind, platform in (("uniform", True), ("edge", False)):
-        peaks, solves = _peak_against_brentq(2.0, 0.3, 0.5, kind, platform)
-        assert len(peaks) == 1 and solves == 2
+    # the platform curve at lam = 2, x = 0.3 peaks with no bracketed step
+    peaks, solves = _peak_against_brentq(2.0, 0.3, True)
+    assert len(peaks) == 1 and solves == 2
 
 
-@pytest.mark.parametrize("lam,x,kind,platform", [(*FALLBACK, "uniform", False), (2.0, 0.3, "uniform", True),
-                                                  (2.0, 0.3, "edge", False), (10.0, 0.1, "uniform", True)])
-def test_peak_bracketed_steps_alone_find_the_root(monkeypatch, lam, x, kind, platform):
+@pytest.mark.parametrize("lam,x,platform", [(*FALLBACK, False), (2.0, 0.3, True), (2.0, 0.3, False), (10.0, 0.1, True)])
+def test_peak_bracketed_steps_alone_find_the_root(monkeypatch, lam, x, platform):
     # with no Newton step allowed every step is the safeguard, regula falsi
     # with Anderson-Bjorck scaling, and it still solves the peak to ROOT_XTOL.
     # At x = 1/lam the slope at alpha = 0 is infinite, and the first step bisects
     monkeypatch.setattr(planner, "NEWTON_STEPS", 0)
-    peaks, solves = _peak_against_brentq(lam, x, 0.5, kind, platform)
+    peaks, solves = _peak_against_brentq(lam, x, platform)
     assert len(peaks) == 1 and solves > 2
 
 
@@ -882,6 +963,7 @@ def test_targeted_single_point_cases(monkeypatch, lam, x, A):
         raise AssertionError("searched a segment")
 
     monkeypatch.setattr(planner, "_segment_rates", no_segment)
+    monkeypatch.setattr(planner, "_critical_rates", no_segment)
     res = maximize_truth_targeted(ModelParams.from_lambda(lam, x), A)
     assert res.allocation.rates() == (0.0, 0.0)
     assert abs(res.objective - oracle_truth(lam, x, 0.0, 0.0)) <= DEFAULT_SOLVER.tol
@@ -975,7 +1057,7 @@ def test_planner_refuses_an_unknown_objective(objective):
     plan = planner.Planner(ModelParams.from_lambda(2.0, 0.3))
     with pytest.raises(ParameterError, match="unknown objective"):
         plan.optimum(objective, 0.5)
-    assert not {"truth", "platform", "edge", "corners"} & vars(plan).keys()  # and analyses nothing
+    assert not {"truth", "platform", "edge"} & vars(plan).keys()  # and analyses nothing
 
 
 def test_targeted_beats_2d_grid(ref_params):
