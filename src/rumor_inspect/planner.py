@@ -8,19 +8,19 @@ with unit inspection cost:
   * maximize_truth_targeted -- maximize truth prevalence, per-type rates
   * maximize_platform       -- maximize total prevalence, one shared rate
 
-The three maximizers search segments of policies on which alpha1 moves:
-the uniform line, the targeted budget line and its alpha0 = 1 edge. Each
-splits at the kink where alpha1 reaches the eradication threshold: above it
-the rumor is extinct and the objective is the no-rumor closed form,
+The three maximizers search, by _segment_rates, segments of policies on which
+alpha1 moves: the uniform line, the targeted budget line and its alpha0 = 1
+edge. Each splits at the kink where alpha1 reaches the eradication threshold:
+above it the rumor is extinct and the objective is the no-rumor closed form,
 nondecreasing in alpha1. Below it a peak solves the truth cubic and the
 paper's marginal condition in (theta0, alpha1); eliminating theta0 leaves a
 polynomial in y = (1-x)(1-alpha1) (scripts/peak_algebra.py) of degree 3 for
-the truth and 4 for the platform on the uniform line, 2 on the budget line
-and 1 on the edge. On the targeted segments every real root in the endemic
-piece is scored (_critical_rates). On the uniform line float roots are too
-inaccurate; there the slope (model._truth_slope) changed sign at most once
-per endemic piece over 30,000 random draws (lam up to 1000, any x), and
-Newton's method solves the one peak (_peak). One tie rule picks among the
+the truth and 4 for the platform on the uniform line, 2 on the budget line and
+1 on the edge. On the targeted segments every real root in the endemic piece
+is scored (_polynomial_peaks). On the uniform line float roots are too
+inaccurate; there the slope (model._truth_slope) changed sign at most once per
+endemic piece over 30,000 random draws (lam up to 1000, any x), and Newton's
+method solves the one peak (_uniform_peak). One tie rule picks among the
 candidates: the cheapest within 1e-10 of the best, then the smallest alpha0.
 
 No budget moves the uniform line or the edge, so a Planner analyses each
@@ -69,14 +69,13 @@ def _total(budget: float) -> float:
 class Thresholds(namedtuple("Thresholds", "alpha_prime lambda_bar eradication_interval A_lower A_upper A_tilde")):
     """Closed-form policy thresholds, and the budget edges read off each curve's peak.
 
-    alpha_prime is the eradication threshold (model.eradication_threshold).
-    lambda_bar is 2 + sqrt(2 - 1/(1-x)) where defined (x <= 1/2), else None.
-    eradication_interval is the lam range where, at the marginal eradication
-    budget, the targeted planner prefers to let the rumor live; it is empty
-    (None) iff (4-x)^2 < 12. A_lower/A_upper bound the region of budgets
-    where the uniform truth planner leaves slack, A_tilde is where the
-    platform stops leaving slack; each is None when there is no region at
-    least THRESHOLD_RESOLUTION wide.
+    alpha_prime is the eradication threshold (model.eradication_threshold). lambda_bar is 2 + sqrt(2 - 1/(1-x))
+    where defined (x <= 1/2), else None. eradication_interval is the lam range where, at the marginal eradication
+    budget, the targeted planner prefers to let the rumor live; it is empty (None) iff (4-x)^2 < 12. Its lower end
+    never binds: interval_lo * (1-x) <= 1 wherever it exists, with equality only at x = 0, so at lam <= interval_lo
+    the marginal budget 1 - x - 1/lam is not positive. A_lower/A_upper bound the region of budgets where the
+    uniform truth planner leaves slack, A_tilde is where the platform stops leaving slack; each is None when there
+    is no region at least THRESHOLD_RESOLUTION wide.
     """
 
     __slots__ = ()
@@ -137,30 +136,37 @@ def _peak(lam: float, x: float, slope, kappa: float, lo, end) -> float:
     return b
 
 
-def _segment_rates(p: ModelParams, lo: float, hi: float, platform: bool, cfg: SolverConfig):
-    """(Allocation.uniform(u), value) pairs for the rates u in [lo, hi] where the uniform line's objective can peak.
+def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, interior, cfg: SolverConfig):
+    """(alloc(u), value) pairs for the rates u in [lo, hi] at which the objective on a segment of policies can peak.
 
-    These are lo, hi, the kink (alpha' - cfg.tol, as in the solver) and, if the slope is positive at lo and not at
-    the endemic piece's upper end, the peak _peak solves from those two ends. value is the objective at u as the
-    scalar solver gives it: in closed form from the kink on, from a slope solve below it, else None (_score solves).
+    alloc(u) is the policy at alpha1 = u. The rates are lo, hi, the kink (alpha' - cfg.tol, as in the solver) and,
+    if the endemic piece [lo, end], end = min(hi, kink), is not empty, the rates inside it: interior(lo, end) gives
+    the piece's (u, value) pairs, lo's and end's first. value is the objective as the scalar solver gives it: the
+    no-rumor closed form from the kink on, else interior's value or None, which _score solves.
     """
     lam, x = p.lam, p.x
     kink = eradication_threshold(p) - cfg.tol
-    rates = [lo, hi] + ([kink] if lo < kink < hi else [])
     end = min(hi, kink)
-    solved = {}  # u -> the objective at u, for each rate a slope solved
-    if lo < end:
-        kappa = 1.0 - x if platform else 0.0
+    rates = interior(lo, end) if lo < end else [(lo, None), (hi, None)]
+    if lo < end < hi:  # end is the kink
+        rates.insert(1, (hi, None))
+    return [(a, _no_rumor_truth(lam, x, a.alpha1) if a.alpha1 >= kink else v) for u, v in rates for a in [alloc(u)]]
 
-        def slope(u: float):  # (the objective's slope, u, theta0) at alpha = u, from a full truth solve
-            theta0, theta1 = _steady_truth(lam, x, u, u, u, math.inf, cfg)
-            solved[u] = theta0 + theta1 if platform else theta0
-            return _truth_slope(lam, x, u, u, theta1, theta0, (1.0, 1.0, 1.0)) - kappa, u, theta0
 
-        ends = slope(lo), slope(end)
-        if ends[0][0] > 0.0 >= ends[1][0]:
-            rates.append(_peak(lam, x, slope, kappa, *ends))
-    return [(Allocation.uniform(u), _no_rumor_truth(lam, x, u) if u >= kink else solved.get(u)) for u in rates]
+def _uniform_peak(p: ModelParams, platform: bool, cfg: SolverConfig, lo: float, end: float) -> list:
+    """(u, value) at lo, at end and, if the uniform line's slope is positive at lo and not at end, at the peak _peak
+    solves from those two ends. value is the objective from a slope solve at u, else None."""
+    lam, x, solved = p.lam, p.x, {}  # u -> the objective at u, for each rate a slope solved
+    kappa = 1.0 - x if platform else 0.0
+
+    def slope(u: float):  # (the objective's slope, u, theta0) at alpha = u, from a full truth solve
+        theta0, theta1 = _steady_truth(lam, x, u, u, u, math.inf, cfg)
+        solved[u] = theta0 + theta1 if platform else theta0
+        return _truth_slope(lam, x, u, u, theta1, theta0, (1.0, 1.0, 1.0)) - kappa, u, theta0
+
+    ends = slope(lo), slope(end)
+    rates = [lo, end] + ([_peak(lam, x, slope, kappa, *ends)] if ends[0][0] > 0.0 >= ends[1][0] else [])
+    return [(u, solved.get(u)) for u in rates]
 
 
 def _line_polynomial(A: float, v: float):
@@ -174,25 +180,14 @@ def _line_polynomial(A: float, v: float):
             4.0 * v * (A + 2.0 * v - 1.0) * (w * w - 2.0 * A * v) ** 2)
 
 
-def _critical_rates(p: ModelParams, lo: float, hi: float, alloc, coeffs, cfg: SolverConfig):
-    """(alloc(u), value) pairs for the rates u in [lo, hi] at which the truth on a targeted segment can peak.
-
-    alloc(u) is the policy at alpha1 = u. The rates are lo, hi, the kink (alpha' - cfg.tol, as in the solver) and
-    each real root of the segment's peak polynomial a*y^2 + b*y + c in y = (1-x)(1-u), coeffs(1/lam) = (a, b, c,
-    its discriminant), in the endemic piece (lo, min(hi, kink)). value is the no-rumor closed form from the kink
-    on, else None, which _score solves.
-    """
-    lam, x = p.lam, p.x
-    kink = eradication_threshold(p) - cfg.tol
-    rates = [lo, hi] + ([kink] if lo < kink < hi else [])
-    end = min(hi, kink)
-    if lo < end:  # an endemic piece needs lam*(1-x) > 1, so 1/lam < 1 and the coefficients stay finite
-        a, b, c, disc = coeffs(1.0 / lam)
-        if disc >= 0.0:  # the roots q/a and c/q, with q free of cancellation
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            roots = ([q / a] if a else []) + ([c / q] if q else [])
-            rates += [u for u in (1.0 - y / (1.0 - x) for y in roots) if lo < u < end]
-    return [(pol, _no_rumor_truth(lam, x, pol.alpha1) if pol.alpha1 >= kink else None) for pol in map(alloc, rates)]
+def _polynomial_peaks(x: float, lo: float, end: float, a: float, b: float, c: float, disc: float) -> list:
+    """(u, None) for lo, end and each real root in (lo, end) of a targeted segment's peak polynomial a*y^2 + b*y + c
+    in y = (1-x)(1-u), of discriminant disc: the roots q/a and c/q, with q free of cancellation."""
+    if disc < 0.0:
+        return [(lo, None), (end, None)]
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    roots = ([q / a] if a else []) + ([c / q] if q else [])
+    return [(lo, None), (end, None)] + [(u, None) for u in (1.0 - y / (1.0 - x) for y in roots) if lo < u < end]
 
 
 def _score(p: ModelParams, candidates, platform: bool, cfg: SolverConfig) -> list:
@@ -221,53 +216,6 @@ def _result(p: ModelParams, A: float, alloc: Allocation, value: float, cfg: Solv
     spend = alloc.inspecting_mass(p.x)
     eradicated = rumor_steady_state(p, alloc, cfg) == 0.0
     return OptResult(alloc, value, spend, slack=spend < min(A, 1.0) - SLACK_TOL, rumor_eradicated=eradicated)
-
-
-class Curve:
-    """The truth, or with platform the truth plus the rumor, on the uniform line, analysed once.
-
-    rates holds, scored, the rates below 1 where _segment_rates finds that the curve can peak: 0, the kink
-    (alpha' - cfg.tol) and the endemic piece's peak. peak is the rate that _pick names among them, top its value.
-    """
-
-    def __init__(self, p: ModelParams, platform: bool, cfg: SolverConfig = DEFAULT_SOLVER):
-        rates = _segment_rates(p, 0.0, 1.0, platform, cfg)
-        self.p, self.platform, self.cfg = p, platform, cfg
-        self.kink = eradication_threshold(p) - cfg.tol
-        self.rates = _score(p, [(a, v) for a, v in rates if a.alpha1 < 1.0], platform, cfg)
-        (peak, _), self.top = _pick(self.rates, p.x)
-        self.peak = peak.alpha1
-
-    def upto(self, c: float) -> list:
-        """The (allocation, value) candidates over [0, c], c <= 1: 0, c where it can win, the rates up to c.
-
-        Below the peak the curve rises, so c competes, unsolved (None); from the peak to the kink no rate beats
-        the peak; above the kink, on the no-rumor line, c is in closed form, after 0 as in _segment_rates.
-        """
-        p, scored = self.p, [(a, v) for a, v in self.rates if a.alpha1 <= c]
-        if 0.0 < c < self.peak:
-            scored.insert(1, (Allocation.uniform(c), None))
-        elif c > self.kink:
-            scored.insert(1, (Allocation.uniform(c), _no_rumor_truth(p.lam, p.x, c)))
-        return scored
-
-    def optimum(self, budget: float) -> OptResult:
-        """argmax of the curve over [0, min(A, 1)]: _pick among upto(min(A, 1)), scored."""
-        A, p = _total(budget), self.p
-        return _result(p, A, *_pick(_score(p, self.upto(min(A, 1.0)), self.platform, self.cfg), p.x)[0], self.cfg)
-
-    def slack_region(self) -> tuple[float | None, float | None]:
-        """Edges of the budgets at which the curve's optimum leaves slack, or (None, None).
-
-        Budgets from the curve's peak on, but at least THRESHOLD_RESOLUTION, leave slack until the no-rumor
-        line climbs TIE_TOL above the peak's value, or up to 1. A narrower region counts as none.
-        """
-        p, x = self.p, self.p.x
-        level = self.top + TIE_TOL
-        # at x = 1 the line is flat at the value of the peak at 0, so this divides by no zero
-        upper = 1.0 if _no_rumor_truth(p.lam, x, 1.0) <= level else (level - x + 1.0 / p.lam) / (1.0 - x)
-        lower = max(self.peak, THRESHOLD_RESOLUTION)
-        return (lower, upper) if upper - lower >= THRESHOLD_RESOLUTION else (None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +250,39 @@ def _fit(A: float, x: float, a0: float, a1: float) -> Allocation:
 class Planner:
     """The planners and the thresholds at the point p, reading what no budget moves off one analysis of it.
 
-    truth and platform are the uniform curves, edge the targeted planner's alpha0 = 1 edge over alpha1 in [0, 1],
-    its critical rates scored. Each is analysed on its first use, so a point analyses what it reads, once.
+    truth and platform are (rates, peak, top) of the uniform line below 1: the rates where _segment_rates finds that
+    the objective can peak, scored, the one _pick names among them and its value. edge holds the scored rates of the
+    alpha0 = 1 edge over alpha1 in [0, 1]. Each is analysed on first use, so a point analyses what it reads, once.
     """
 
     def __init__(self, p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER):
         self.p, self.cfg = p, cfg
 
-    truth = functools.cached_property(lambda self: Curve(self.p, False, self.cfg))
-    platform = functools.cached_property(lambda self: Curve(self.p, True, self.cfg))
+    _kink = functools.cached_property(lambda self: eradication_threshold(self.p) - self.cfg.tol)
+    truth = functools.cached_property(lambda self: self._line(False))
+    platform = functools.cached_property(lambda self: self._line(True))
+
+    def _line(self, platform: bool) -> tuple:
+        p, cfg = self.p, self.cfg
+        rates = _segment_rates(p, 0.0, 1.0, Allocation.uniform, functools.partial(_uniform_peak, p, platform, cfg), cfg)
+        rates = _score(p, [(a, v) for a, v in rates if a.alpha1 < 1.0], platform, cfg)
+        (peak, _), top = _pick(rates, p.x)
+        return rates, peak.alpha1, top
 
     @functools.cached_property
     def edge(self) -> list:  # at x = 0 it runs at alpha0 = 0
-        p, alpha0 = self.p, float(self.p.x > 0.0)
-        # its peak polynomial is linear, 4v*y + 1 - v*(4 + v): (a, b, c, b^2 - 4ac) as _critical_rates reads them
-        rates = _critical_rates(p, 0.0, 1.0, lambda a1: Allocation(alpha0, a1),
-                                lambda v: (0.0, 4.0 * v, 1.0 - v * (4.0 + v), 16.0 * v * v), self.cfg)
+        p, alpha0, v = self.p, float(self.p.x > 0.0), 1.0 / self.p.lam
+        # its peak polynomial is linear, 4v*y + 1 - v*(4 + v), of discriminant (4v)^2
+        rates = _segment_rates(p, 0.0, 1.0, lambda a1: Allocation(alpha0, a1), lambda lo, end: _polynomial_peaks(
+            p.x, lo, end, 0.0, 4.0 * v, 1.0 - v * (4.0 + v), 16.0 * v * v), self.cfg)
         return _score(p, rates, False, self.cfg)
 
     def optimum(self, objective: str, budget: float) -> OptResult:
         """The OptResult at the budget of the objective's planner: rumor-min, truth, truth-targeted or platform.
+
+        A uniform planner's candidates over [0, c], c = min(A, 1), are 0, c where it can win and the line's rates
+        up to c. Below the peak the line rises, so c competes, unsolved; from the peak to the kink no rate beats the
+        peak; above the kink, on the no-rumor line, c is in closed form, after 0 as in _segment_rates.
 
         The targeted planner: raising alpha0 at a fixed alpha1 weakly helps (it moves type-0 mass from the
         truth-only term of the fixed-point map into inspection), so its optimum lies on the budget line, or once
@@ -330,42 +291,64 @@ class Planner:
         the first, the rumor is extinct at the second. At x = 0 the line is the point (0, A) and the edge runs at
         alpha0 = 0; at x = 1 only (0, 0) is left.
         """
-        if objective in ("truth", "platform"):
-            return getattr(self, objective).optimum(budget)
         if objective == "rumor-min":
             return minimize_rumor(self.p, budget, self.cfg)
-        if objective != "truth-targeted":
+        p, x, cfg, A = self.p, self.p.x, self.cfg, _total(budget)
+        if objective in ("truth", "platform"):
+            rates, peak, _ = getattr(self, objective)
+            c = min(A, 1.0)
+            candidates = [(a, v) for a, v in rates if a.alpha1 <= c]
+            if 0.0 < c < peak:
+                candidates.insert(1, (Allocation.uniform(c), None))
+            elif c > self._kink:
+                candidates.insert(1, (Allocation.uniform(c), _no_rumor_truth(p.lam, x, c)))
+        elif objective == "truth-targeted":
+            lam = p.lam
+            corners = (0.0, 1.0) if x < 1.0 and A >= 1.0 - x else (0.0,)
+            candidates = [(Allocation(0.0, a1), _no_rumor_truth(lam, x, a1)) for a1 in corners]
+            if 0.0 < A and x < 1.0:
+                lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))
+                while lo > 0.0 and x + (1.0 - x) * lo > A and _inspecting_mass(x, 1.0, lo) > A:  # as in _fit
+                    lo = math.nextafter(lo, 0.0)  # so the line's start, the edge's end, spends at most A
+                if lo <= hi:
+                    candidates += _segment_rates(
+                        p, lo, hi, lambda a1: _fit(A, x, _binding_alpha0(A, x, a1), a1),
+                        lambda lo, end: _polynomial_peaks(x, lo, end, *_line_polynomial(A, 1.0 / lam)), cfg)
+                if A > x:
+                    candidates += [(a, v) for a, v in self.edge if a.alpha1 <= lo]
+        else:
             raise ParameterError(f"unknown objective {objective!r}")
-        p, lam, x, cfg, A = self.p, self.p.lam, self.p.x, self.cfg, _total(budget)
-        corners = (0.0, 1.0) if x < 1.0 and A >= 1.0 - x else (0.0,)
-        candidates = [(Allocation(0.0, a1), _no_rumor_truth(lam, x, a1)) for a1 in corners]
-        if 0.0 < A and x < 1.0:
-            lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))
-            while lo > 0.0 and x + (1.0 - x) * lo > A and _inspecting_mass(x, 1.0, lo) > A:  # as in _fit
-                lo = math.nextafter(lo, 0.0)  # so the line's start, the edge's end, spends at most A
-            if lo <= hi:
-                candidates += _critical_rates(p, lo, hi, lambda a1: _fit(A, x, _binding_alpha0(A, x, a1), a1),
-                                              functools.partial(_line_polynomial, A), cfg)
-            if A > x:
-                candidates += [(a, v) for a, v in self.edge if a.alpha1 <= lo]
-        return _result(p, A, *_pick(_score(p, candidates, False, cfg), x)[0], cfg)
+        return _result(p, A, *_pick(_score(p, candidates, objective == "platform", cfg), x)[0], cfg)
+
+    def slack_region(self, objective: str) -> tuple[float | None, float | None]:
+        """Edges of the budgets at which the uniform objective's optimum leaves slack, or (None, None).
+
+        Budgets from its line's peak on, but at least THRESHOLD_RESOLUTION, leave slack until the no-rumor line
+        climbs TIE_TOL above the peak's value, or up to 1. A narrower region counts as none.
+        """
+        (_, peak, top), p, x = getattr(self, objective), self.p, self.p.x
+        level = top + TIE_TOL
+        # at x = 1 the line is flat at the value of the peak at 0, so this divides by no zero
+        upper = 1.0 if _no_rumor_truth(p.lam, x, 1.0) <= level else (level - x + 1.0 / p.lam) / (1.0 - x)
+        lower = max(peak, THRESHOLD_RESOLUTION)
+        return (lower, upper) if upper - lower >= THRESHOLD_RESOLUTION else (None, None)
 
     def thresholds(self) -> Thresholds:
         """The Thresholds: alpha', lambda_bar and the eradication interval in closed form, then the slack regions,
-        which Curve.slack_region reads off each uniform curve's peak with no optimizer call."""
+        which slack_region reads off each uniform line's peak with no optimizer call."""
         x = self.p.x
         radicand = 2.0 - 1.0 / (1.0 - x) if x < 1.0 else -1.0
         disc = (4.0 - x) ** 2 - 12.0
         root = math.sqrt(disc) if disc >= 0.0 else None
-        a_lower, a_upper = self.truth.slack_region()
+        a_lower, a_upper = self.slack_region("truth")
         return Thresholds(
             alpha_prime=eradication_threshold(self.p), lambda_bar=2.0 + math.sqrt(radicand) if radicand >= 0.0 else None,
             eradication_interval=None if root is None else ((4.0 - x - root) / 2.0, (4.0 - x + root) / 2.0),
-            A_lower=a_lower, A_upper=a_upper, A_tilde=self.platform.slack_region()[1])
+            A_lower=a_lower, A_upper=a_upper, A_tilde=self.slack_region("platform")[1])
 
 
 def maximize_truth_uniform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
-    """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]; see Curve."""
+    """argmax of truth prevalence over uniform alpha in [0, min(A, 1)]; see Planner.optimum."""
     return Planner(p, cfg).optimum("truth", budget)
 
 

@@ -10,6 +10,7 @@ implementation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import mpmath
@@ -372,15 +373,16 @@ def reference_uniform_optimum(p, A, platform, cfg=None):
     """maximize_truth_uniform, or with platform maximize_platform, searched over [0, min(A, 1)] at this budget alone.
 
     The planners read every budget's optimum off one analysis of their
-    curve (planner.Curve). This is the search they ran before at each
-    budget: the rates _segment_rates gives over [0, min(A, 1)], scored, and
-    the tie rule _pick.
+    uniform line (planner.Planner.truth and .platform). This is the search
+    they ran before at each budget: the rates _segment_rates gives over
+    [0, min(A, 1)], scored, and the tie rule _pick.
     """
-    from rumor_inspect import planner
+    from rumor_inspect import Allocation, planner
 
     cfg = planner.DEFAULT_SOLVER if cfg is None else cfg
     A = planner._total(A)
-    rates = planner._segment_rates(p, 0.0, min(A, 1.0), platform, cfg)
+    peaks = functools.partial(planner._uniform_peak, p, platform, cfg)
+    rates = planner._segment_rates(p, 0.0, min(A, 1.0), Allocation.uniform, peaks, cfg)
     return _reference_result(p, A, planner._score(p, rates, platform, cfg), cfg)
 
 

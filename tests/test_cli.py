@@ -569,9 +569,13 @@ def test_oversized_sweep_steps_exit_2(capsys, steps):
     assert out == "" and err.startswith(f"error: cannot build a sweep grid of {steps} steps: ")
 
 
-def is_edge(args):
-    """Whether a _critical_rates call, by its arguments, scores the alpha0 = 1 edge: over [0, 1], at alpha0 = 1."""
-    return args[1:3] == (0.0, 1.0) and args[3](0.5) == Allocation.targeted(1.0, 0.5)
+def segment(args):
+    """The segment a _segment_rates call searches, by its arguments: "truth" or "platform" on the uniform line,
+    "edge" at alpha0 = 1 over [0, 1], else "line", the targeted budget line."""
+    p, lo, hi, alloc, interior, cfg = args
+    if alloc == Allocation.uniform:
+        return "platform" if interior.args[1] else "truth"
+    return "edge" if (lo, hi) == (0.0, 1.0) and alloc(0.5) == Allocation.targeted(1.0, 0.5) else "line"
 
 
 @pytest.mark.parametrize("steps", [11, 101])
@@ -581,20 +585,19 @@ def test_budget_sweep_analyses_its_curve_once(monkeypatch, capsys, objective, st
     # budget, so a sweep analyses each once, however many budgets it has: at
     # lam = 2, x = 0.3 both uniform curves peak inside, the truth at 0.198 and
     # the platform below 0.29, so each solves for one peak. The targeted
-    # planner reads its budget line's critical rates at every budget above 0,
-    # its edge's once, and analyses no uniform curve
-    segments, critical, peaks = [], [], []
-    segment_rates, critical_rates, peak = planner._segment_rates, planner._critical_rates, planner._peak
-    monkeypatch.setattr(planner, "_segment_rates", lambda *args: segments.append(args[3]) or segment_rates(*args))
-    monkeypatch.setattr(planner, "_critical_rates", lambda *args: critical.append(args) or critical_rates(*args))
+    # planner searches its budget line at every budget above 0, its edge
+    # once, and analyses no uniform curve
+    segments, peaks = [], []
+    segment_rates, peak = planner._segment_rates, planner._peak
+    monkeypatch.setattr(planner, "_segment_rates", lambda *args: segments.append(segment(args)) or segment_rates(*args))
     monkeypatch.setattr(planner, "_peak", lambda *args: peaks.append(args) or peak(*args))
     code, out = run(capsys, "sweep", "--axis", "A", "--objective", objective, "--lambda", "2", "--x", "0.3",
                     "--steps", str(steps))
     assert code == 0 and len(parse_csv(out)[1]) == steps
     if objective == "truth-targeted":
-        assert sum(map(is_edge, critical)) == 1 and len(critical) == steps and not segments and not peaks
+        assert segments.count("edge") == 1 and segments.count("line") == steps - 1 and not peaks
     else:
-        assert segments == [objective == "platform"] and len(peaks) == 1 and not critical
+        assert segments == [objective] and len(peaks) == 1
 
 
 def test_targeted_budget_sweep_rows_are_single_optimizations(monkeypatch, capsys):
@@ -602,9 +605,9 @@ def test_targeted_budget_sweep_rows_are_single_optimizations(monkeypatch, capsys
     # [0, 1]; optimize analyses the same edge when A > x, and the same budget
     # line. So each row is, bit for bit, what optimize finds at that budget alone
     edges = []
-    critical_rates = planner._critical_rates
-    monkeypatch.setattr(planner, "_critical_rates", lambda *args: is_edge(args) and edges.append(args[1:3])
-                        or critical_rates(*args))
+    segment_rates = planner._segment_rates
+    monkeypatch.setattr(planner, "_segment_rates", lambda *args: segment(args) == "edge" and edges.append(args[1:3])
+                        or segment_rates(*args))
     args = ["--objective", "truth-targeted", "--lambda", "2", "--x", "0.3"]
     code, out = run(capsys, "sweep", "--axis", "A", *args, "--start", "0.2", "--stop", "0.6", "--steps", "9")
     assert code == 0 and edges == [(0.0, 1.0)]
@@ -640,15 +643,9 @@ def test_each_command_analyses_each_curve_once(monkeypatch, capsys, argv, curves
     # x, and solves its corners (0, 0) and (0, 1) at no budget: the rumor is
     # extinct or nobody inspects there, so their truth is in closed form
     built, solved = [], []
-    init, critical_rates, objective = planner.Curve.__init__, planner._critical_rates, planner._objective
-
-    def counted_init(self, p, platform, cfg=planner.DEFAULT_SOLVER):
-        built.append("platform" if platform else "truth")
-        init(self, p, platform, cfg)
-
-    monkeypatch.setattr(planner.Curve, "__init__", counted_init)
-    monkeypatch.setattr(planner, "_critical_rates", lambda *args: is_edge(args) and built.append("edge")
-                        or critical_rates(*args))
+    segment_rates, objective = planner._segment_rates, planner._objective
+    monkeypatch.setattr(planner, "_segment_rates", lambda *args: segment(args) != "line" and built.append(segment(args))
+                        or segment_rates(*args))
     monkeypatch.setattr(planner, "_objective", lambda p, a, *args: solved.append(a) or objective(p, a, *args))
     code, out = run(capsys, *argv, "--lambda", "2", "--x", "0.3")
     assert code == 0 and out

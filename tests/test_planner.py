@@ -245,6 +245,25 @@ def test_closed_thresholds_values():
     assert t1.lambda_bar is None and t1.alpha_prime == 0.0
 
 
+@given(x=st.floats(0.0, 4.0 - math.sqrt(12.0)))
+@example(x=0.0)  # the one point where the product is 1
+@example(x=0.3)
+def test_eradication_interval_lower_end_never_binds(x):
+    # interval_lo * (1-x) <= 1 wherever the interval exists, with equality at
+    # x = 0 alone (the product is 1 - x/2 + O(x^2), which rounds to 1 below
+    # x = 1e-15). So at lam <= interval_lo the rumor is never endemic, the
+    # marginal eradication budget 1 - x - 1/lam is not positive, and only
+    # the interval's upper end decides anything
+    interval = compute_thresholds(ModelParams.from_lambda(2.0, x)).eradication_interval
+    if interval is None:  # (4-x)^2 - 12 rounds below 0 at the float nearest 4 - sqrt(12)
+        assert x > 0.5358
+        return
+    lo = interval[0]
+    assert lo * (1.0 - x) <= 1.0 and (lo * (1.0 - x) < 1.0 or x < 1e-15)
+    assert 1.0 - x - 1.0 / lo <= 0.0
+    assert eradication_threshold(ModelParams.from_lambda(lo, x)) == 0.0
+
+
 def test_budget_thresholds_located(ref_params):
     t = compute_thresholds(ref_params)
     assert t.A_lower == pytest.approx(0.198030, abs=1e-3)
@@ -739,9 +758,10 @@ def _peak_against_brentq(lam, x, platform):
         return _truth_slope(lam, x, u, u, theta1, theta0, (1.0, 1.0, 1.0)) - (1.0 - x) * platform
 
     peaks, solves, peak, steady = [], [], planner._peak, planner._steady_truth
+    uniform = functools.partial(planner._uniform_peak, p, platform, cfg)
     with mock.patch.object(planner, "_peak", lambda *args: peaks.append(peak(*args)) or peaks[-1]), \
             mock.patch.object(planner, "_steady_truth", lambda *args: solves.append(args) or steady(*args)):
-        planner._segment_rates(p, 0.0, 1.0, platform, cfg)
+        planner._segment_rates(p, 0.0, 1.0, Allocation.uniform, uniform, cfg)
     end = min(1.0, eradication_threshold(p) - cfg.tol)
     if 0.0 < end and slope(0.0) > 0.0 >= slope(end):
         root = end if slope(end) == 0.0 else brentq(slope, 0.0, end, xtol=1e-15)
@@ -751,7 +771,7 @@ def _peak_against_brentq(lam, x, platform):
     return peaks, len(solves)
 
 
-def _critical_rates_against_brentq(lam, x, A, kind):
+def _targeted_rates_against_brentq(lam, x, A, kind):
     """The rates the planner scores on a targeted segment, the alpha0 = 1 edge or the budget line at A, checked
     against the zeros of the truth's slope on its endemic piece (conftest.slope_roots, by brentq): each zero lies
     within ROOT_XTOL of one of them."""
@@ -763,7 +783,8 @@ def _critical_rates_against_brentq(lam, x, A, kind):
         lo, hi = max(0.0, (A - x) / (1.0 - x)), min(1.0, A / (1.0 - x))
         direction = (-(1.0 - x) / x, 1.0, 0.0)
         alloc = lambda a1: planner._fit(A, x, planner._binding_alpha0(A, x, a1), a1)
-        scored = planner._critical_rates(p, lo, hi, alloc, functools.partial(planner._line_polynomial, A), cfg)
+        peaks = lambda lo, end: planner._polynomial_peaks(x, lo, end, *planner._line_polynomial(A, 1.0 / lam))
+        scored = planner._segment_rates(p, lo, hi, alloc, peaks, cfg)
     rates = [a.alpha1 for a, _ in scored]
     end = min(hi, eradication_threshold(p) - cfg.tol)
     roots = slope_roots(p, lo, end, alloc, direction, cfg) if lo < end else []
@@ -795,14 +816,14 @@ def test_peak_is_a_brentq_root_of_the_slope(lam, x, A, kind, platform):
     if kind == "uniform":
         _peak_against_brentq(lam, x, platform)
     else:
-        _critical_rates_against_brentq(lam, x, A, kind)
+        _targeted_rates_against_brentq(lam, x, A, kind)
 
 
 def test_peak_polynomials_find_the_peaks_of_the_targeted_examples():
     # the examples above that peak inside a targeted segment, the tangent one
     # included: the scan finds one zero of the slope, and a root lies on it
     for lam, x, A, kind in ((1.789004, 0.263299, 0.35, "edge"), (*TANGENT, "line")):
-        _, roots = _critical_rates_against_brentq(lam, x, A, kind)
+        _, roots = _targeted_rates_against_brentq(lam, x, A, kind)
         assert len(roots) == 1, (lam, x, A, kind)
 
 
@@ -863,6 +884,23 @@ def test_targeted_planner_takes_no_slope(monkeypatch, lam, x):
     assert not {Allocation(0.0, 0.0), Allocation(0.0, 1.0)} & set(solved)
 
 
+def test_every_maximizer_searches_its_segments_through_segment_rates(monkeypatch):
+    # one candidate builder serves the three segments: the uniform line of
+    # each uniform objective, the targeted budget line and its alpha0 = 1
+    # edge each reach _segment_rates with their own alloc, the policy at alpha1 = u
+    calls, segment_rates = [], planner._segment_rates
+    monkeypatch.setattr(planner, "_segment_rates", lambda *args: calls.append(args[1:4]) or segment_rates(*args))
+    x, A, u = 0.3, 0.5, 0.6
+    for objective in ("truth", "platform", "truth-targeted"):
+        planner.Planner(ModelParams.from_lambda(2.0, x)).optimum(objective, A)
+    truth, platform, line, edge = calls
+    assert truth[:2] == platform[:2] == edge[:2] == (0.0, 1.0)
+    assert truth[2](u) == platform[2](u) == Allocation.uniform(u)
+    assert edge[2](u) == Allocation.targeted(1.0, u)
+    assert line[:2] == pytest.approx(((A - x) / (1.0 - x), A / (1.0 - x)), abs=1e-15)
+    assert line[2](u).rates() == pytest.approx(((A - (1.0 - x) * u) / x, u), abs=1e-15)
+
+
 def test_peak_restarts_newton_from_a_bracketed_step():
     # at FALLBACK, and at lam = 2, x = 0.3 where the truth is 0 at alpha = 0
     # too, the slope is nearly flat near 0: Newton from the secant, and from
@@ -921,17 +959,17 @@ def test_uniform_curve_matches_the_search_of_each_budget(lam, x, tol, drawn):
     p = ModelParams.from_lambda(lam, x)
     cfg = SolverConfig(tol)
     kink = eradication_threshold(p) - tol
-    for platform in (False, True):
-        curve = planner.Curve(p, platform, cfg)
-        budgets = [0.0, curve.peak, 1.0, 1.5, 3.0, *drawn]
+    plan = planner.Planner(p, cfg)
+    for objective, platform in (("truth", False), ("platform", True)):
+        budgets = [0.0, getattr(plan, objective)[1], 1.0, 1.5, 3.0, *drawn]
         budgets += [kink, math.nextafter(kink, 0.0), math.nextafter(kink, 1.0)] if kink > 0.0 else []
         for A in budgets:
-            got, want = curve.optimum(A), reference_uniform_optimum(p, A, platform, cfg)
+            got, want = plan.optimum(objective, A), reference_uniform_optimum(p, A, platform, cfg)
             assert got.allocation.alpha0 == got.allocation.alpha1
             assert abs(got.allocation.alpha0 - want.allocation.alpha0) <= 2.0 * planner.ROOT_XTOL, A
             assert abs(got.objective - want.objective) <= planner.TIE_TOL, A
             assert (got.slack, got.rumor_eradicated) == (want.slack, want.rumor_eradicated), A
-        assert (maximize_platform if platform else maximize_truth_uniform)(p, 0.5, cfg) == curve.optimum(0.5)
+        assert (maximize_platform if platform else maximize_truth_uniform)(p, 0.5, cfg) == plan.optimum(objective, 0.5)
 
 
 def test_uniform_optimum_scores_every_recorded_rate_above_the_kink():
@@ -941,14 +979,14 @@ def test_uniform_optimum_scores_every_recorded_rate_above_the_kink():
     # the search over [0, c] did, not the peak alone. Synthetic values around
     # the line at c = 0.9: the peak is 0, and the search picks 0.3
     p = ModelParams.from_lambda(5.0, 0.5)
-    curve = planner.Curve(p, False)
+    plan = planner.Planner(p)
     line = _no_rumor_truth(p.lam, p.x, 0.9)
-    curve.rates = [(Allocation.uniform(0.0), line - 1.5e-10), (Allocation.uniform(0.3), line - 0.6e-10),
-                   (Allocation.uniform(curve.kink), line - 5e-10)]
-    (peak, _), curve.top = planner._pick(curve.rates, p.x)
-    curve.peak = peak.alpha0
-    assert curve.peak == 0.0
-    assert curve.optimum(0.9).allocation == Allocation.uniform(0.3)
+    rates = [(Allocation.uniform(0.0), line - 1.5e-10), (Allocation.uniform(0.3), line - 0.6e-10),
+             (Allocation.uniform(plan._kink), line - 5e-10)]
+    (peak, _), top = planner._pick(rates, p.x)
+    assert peak.alpha0 == 0.0
+    plan.truth = rates, peak.alpha0, top
+    assert plan.optimum("truth", 0.9).allocation == Allocation.uniform(0.3)
 
 
 @pytest.mark.parametrize(
@@ -963,7 +1001,6 @@ def test_targeted_single_point_cases(monkeypatch, lam, x, A):
         raise AssertionError("searched a segment")
 
     monkeypatch.setattr(planner, "_segment_rates", no_segment)
-    monkeypatch.setattr(planner, "_critical_rates", no_segment)
     res = maximize_truth_targeted(ModelParams.from_lambda(lam, x), A)
     assert res.allocation.rates() == (0.0, 0.0)
     assert abs(res.objective - oracle_truth(lam, x, 0.0, 0.0)) <= DEFAULT_SOLVER.tol
