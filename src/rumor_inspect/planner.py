@@ -99,9 +99,9 @@ def _peak(lam: float, x: float, slope, kappa: float, lo, end) -> float:
 
     It solves G(t, u) = 0 and G_u + kappa*G_t = 0 in (t, u) = (theta0, alpha) by Newton's method from the secant
     between the ends: G is the monic truth cubic (model._truth_partials), kappa = 1-x for the platform and 0 for
-    the truth. A step that leaves the bracket [a, b], or the root's range 0 < t < min(s, 1 - theta1), gives way
-    to one bracketed step, a full slope solve at the regula falsi point (an end that two such steps keep is
-    scaled as Anderson and Bjorck do), and Newton restarts there.
+    the truth. A step that leaves the bracket [a, b] is halved; one that still leaves it, or leaves the root's
+    range 0 < t < min(s, 1 - theta1), gives way to one bracketed step, a full slope solve at the regula falsi
+    point (an end that two such steps keep is scaled as Anderson and Bjorck do), and Newton restarts there.
     """
     (ga, a, t), (gb, b, t_b) = lo, end
     v, y, tol = 1.0 / lam, 1.0 - x, 0.5 * ROOT_XTOL
@@ -122,7 +122,8 @@ def _peak(lam: float, x: float, slope, kappa: float, lo, end) -> float:
             h, h_t, h_u = g_u + kappa * g_t, g_tu + kappa * g_tt, g_uu + kappa * g_tu
             det = g_t * h_u - g_u * h_t or math.nan  # a singular step leaves the bracket
             step = (g * h_t - g_t * h) / det
-            t, u = t + (g_u * h - g * h_u) / det, u + step
+            m = 1.0 if a <= u + step <= b else 0.5  # a step past the bracket is halved, once
+            t, u = t + m * (g_u * h - g * h_u) / det, u + m * step
         if kept and abs(c - (a if kept == 1 else b)) <= tol:
             return c  # the step is below ROOT_XTOL/2: converged
         c = min(max(c, a + tol), b - tol)  # a step next to the root crosses it

@@ -793,7 +793,7 @@ def _targeted_rates_against_brentq(lam, x, A, kind):
     return rates, roots
 
 
-# theta0(0) = 0 and the slope plunges to -22.7 at the kink: Newton from the secant gives way to bracketed steps
+# theta0(0) = 0 and the slope plunges to -22.7 at the kink: Newton's first step from the secant leaves the bracket
 FALLBACK = (1.967158, 0.111877)
 # on this budget line's tangent curve A = (1-v)^2/(2v), v = 1/lam, the peak is a double root of the quadratic,
 # and b^2 - 4ac rounds to -1.4e-16 there: the planner's factored discriminant keeps it
@@ -901,14 +901,24 @@ def test_every_maximizer_searches_its_segments_through_segment_rates(monkeypatch
     assert line[2](u).rates() == pytest.approx(((A - (1.0 - x) * u) / x, u), abs=1e-15)
 
 
-def test_peak_restarts_newton_from_a_bracketed_step():
+def test_peak_halves_a_newton_step_past_the_bracket():
     # at FALLBACK, and at lam = 2, x = 0.3 where the truth is 0 at alpha = 0
-    # too, the slope is nearly flat near 0: Newton from the secant, and from
-    # the first bracketed steps, leaves the bracket. Each bracketed step is one
-    # full truth solve past the two ends, and Newton restarts from it
+    # too, the slope is nearly flat near 0: Newton's first step from the
+    # secant leaves the bracket past the kink (to 0.400 against 0.286 at
+    # lam = 2, x = 0.3). Halved, it lands inside and Newton converges, so the
+    # peak costs no full truth solve past the two ends. Without the halving
+    # three bracketed steps followed, 5 solves in all
     for lam, x in (FALLBACK, (2.0, 0.3)):
         peaks, solves = _peak_against_brentq(lam, x, False)
-        assert len(peaks) == 1 and solves > 2
+        assert len(peaks) == 1 and solves == 2
+
+
+def test_peak_restarts_newton_from_a_bracketed_step():
+    # here Newton from the secant leaves the bracket even halved: each
+    # bracketed step is one full truth solve past the two ends, and Newton
+    # restarts from it
+    peaks, solves = _peak_against_brentq(2.084761, 0.03382, False)
+    assert len(peaks) == 1 and solves > 2
     # the platform curve at lam = 2, x = 0.3 peaks with no bracketed step
     peaks, solves = _peak_against_brentq(2.0, 0.3, True)
     assert len(peaks) == 1 and solves == 2
