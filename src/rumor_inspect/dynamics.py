@@ -11,14 +11,20 @@ agents. The group-mass prefactors that appear on both sides of the
 population-level balance equations are constant, so dividing them out
 leaves the trajectories unchanged while keeping the system well defined
 when a group is empty; empty groups are carried as identically-zero
-coordinates.
+coordinates. Group i's rate is written (1 - r) * k_i * theta_src - r * d_i,
+with k_i = m_i*k*nu and d_i = m_i*delta, where m_i is 1 for a non-empty group
+and 0 for an empty one: multiplying by 1.0 is exact, so a non-empty group's
+rate has the bits of the unmasked law, and an empty group's rate is a zero.
 
 Integration uses the adaptive Dormand-Prince 5(4) pair (Dormand & Prince,
 J. Comput. Appl. Math. 6 (1980) 19-26; Hairer, Norsett & Wanner,
 Solving ODEs I, II.4-II.5) with first-same-as-last stages: the last stage of
 an accepted step is the rate at the new state, and it is also what the stop
 rule max|dr/dt| < conv_tol reads. Each stage, its rates included, is written
-out as scalar expressions, one per group. A step calls no builtin but
+out as scalar expressions, one per group, except that the two inspecting
+groups share one coordinate when they share their law and their start (see
+integrate): both see total prevalence, so then their coordinates are equal
+bit for bit and are computed once. A step calls no builtin but
 math.hypot (min and max run only in the rare clip onto [0, 1]) and stores its
 state through tuple.__new__, not DynState's constructor. rate_function defines
 the rates, and the tests' reference loop, which calls it, pins the inline copy
@@ -118,31 +124,33 @@ class StabilityReport(namedtuple("StabilityReport", "passed all_converged max_ga
 def rate_function(p: ModelParams, a: Allocation):
     """The right-hand side: (r00a, r00na, r10a, r11na) -> their four per-capita rates.
 
-    Empty groups get a zero rate, so their coordinates never move.
+    Group i's rate is (1 - r_i) * k_i * theta_src - r_i * d_i, the masks folded into k_i and d_i (see the module
+    docstring): empty groups get a zero rate, so their coordinates never move.
     """
-    w0a, w0n, w1a, w1n = group_masses(p, a)
-    m1, m2, m3, m4 = (1.0 if w > 0.0 else 0.0 for w in (w0a, w0n, w1a, w1n))
-    kv = p.k * p.nu
-    d = p.delta
+    w0a, w0n, w1a, w1n = masses = group_masses(p, a)
+    kv, d = p.k * p.nu, p.delta
+    k1, k2, k3, k4 = (kv if w > 0.0 else 0.0 for w in masses)  # m_i*k*nu, m_i = 1 for a non-empty group, else 0
+    d1, d2, d3, d4 = (d if w > 0.0 else 0.0 for w in masses)  # m_i*delta
 
     def rates(r1: float, r2: float, r3: float, r4: float) -> tuple[float, float, float, float]:
         th0 = w0a * r1 + w0n * r2 + w1a * r3
         th1 = w1n * r4
         th = th0 + th1
         return (
-            m1 * ((1.0 - r1) * kv * th - r1 * d),
-            m2 * ((1.0 - r2) * kv * th0 - r2 * d),
-            m3 * ((1.0 - r3) * kv * th - r3 * d),
-            m4 * ((1.0 - r4) * kv * th1 - r4 * d),
+            (1.0 - r1) * k1 * th - r1 * d1,
+            (1.0 - r2) * k2 * th0 - r2 * d2,
+            (1.0 - r3) * k3 * th - r3 * d3,
+            (1.0 - r4) * k4 * th1 - r4 * d4,
         )
 
     return rates
 
 
 def seed_state(p: ModelParams, a: Allocation, level: float = DEFAULT_SEED_LEVEL) -> DynState:
-    """Initial state with `level` believers in every non-empty group."""
+    """Initial state with `level` believers in every non-empty group; a level of -0.0 seeds 0.0."""
     if not 0.0 <= level <= 1.0:
         raise ParameterError(f"seed level must lie in [0, 1], got {level}")
+    level += 0.0  # -0.0 + 0.0 is 0.0, and any other level is unchanged
     m = group_masses(p, a)
     return DynState(*(level if mi > 0.0 else 0.0 for mi in m), t=0.0)
 
@@ -172,6 +180,23 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     written inline in its float order, not called:
     test_integrate_matches_reference_loop requires the trajectory of
     conftest.reference_integrate, which calls rate_function, bit for bit.
+
+    The inspecting coordinates r00a and r10a obey one law of total
+    prevalence. When both groups are non-empty or both empty (k1 == k3 and
+    d1 == d3) and they start level (y1 == y3), which every seed_state with
+    both non-empty gives, r10a takes r00a's stage states, stage rates, new
+    state and error term instead of computing them again: the same float
+    operations on the same operands give the same bits. math.hypot still gets
+    four terms, the shared one twice, so the error estimate is unchanged. A
+    start of -0.0 beside 0.0 also counts as level, and each keeps its sign in
+    the stored start: the two rates there differ at most in the sign of a
+    zero, which happens only when every rate is zero and the run stops at
+    its start. Otherwise each sum y + h*(...) from that start is the same
+    float on both coordinates unless its increment is -0.0, which a positive
+    rate does not give; test_integrate_matches_reference_loop pins this case.
+    Any other start, and a run with one inspecting group empty, integrates
+    r10a on its own.
+
     IntegratorError is raised before the first step when the error tolerance
     below is not a positive normal float (a subnormal conv_tol, or 2*k*nu
     beyond the float range) or conv_tol is below the rounding floor, and later
@@ -205,9 +230,11 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
         if not 0.0 <= v <= 1.0:
             raise ParameterError(f"{name} must lie in [0, 1], got {v}")
     w0a, w0n, w1a, w1n = masses = group_masses(p, a)  # rate_function's constants, read by the inline stages
-    m1, m2, m3, m4 = (1.0 if w > 0.0 else 0.0 for w in masses)
     kv, d = p.k * p.nu, p.delta
+    k1, k2, k3, k4 = (kv if w > 0.0 else 0.0 for w in masses)
+    d1, d2, d3, d4 = (d if w > 0.0 else 0.0 for w in masses)
     y1, y2, y3, y4 = (v if w > 0.0 else 0.0 for v, w in zip(s0[:4], masses))
+    same = k1 == k3 and d1 == d3 and y1 == y3  # one law and one start: coordinate 3 reuses coordinate 1
     conv_tol = cfg.conv_tol
     tol = 0.25 * conv_tol / (2.0 * kv + d)  # k*nu first: 2*k alone may overflow
     if not tol >= sys.float_info.min:
@@ -230,8 +257,8 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     # y is the state; p, q, r, s, u, v, w are the seven stage rates, p at y and w at the new state n. Each stage's
     # rates are rate_function's at its state z, in its float order: th0, th1 and th are the source prevalences
     th = (th0 := w0a * y1 + w0n * y2 + w1a * y3) + (th1 := w1n * y4)
-    p1, p2 = m1 * ((1.0 - y1) * kv * th - y1 * d), m2 * ((1.0 - y2) * kv * th0 - y2 * d)
-    p3, p4 = m3 * ((1.0 - y3) * kv * th - y3 * d), m4 * ((1.0 - y4) * kv * th1 - y4 * d)
+    p1, p2 = (1.0 - y1) * k1 * th - y1 * d1, (1.0 - y2) * k2 * th0 - y2 * d2
+    p3, p4 = (1.0 - y3) * k3 * th - y3 * d3, (1.0 - y4) * k4 * th1 - y4 * d4
 
     while True:
         converged = (-conv_tol < p1 < conv_tol and -conv_tol < p2 < conv_tol  # max|dr/dt| < conv_tol, with no call
@@ -252,37 +279,37 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
             raise IntegratorError(f"step size underflowed at t={t}")
 
         z1, z2 = y1 + h * (a21 * p1), y2 + h * (a21 * p2)
-        z3, z4 = y3 + h * (a21 * p3), y4 + h * (a21 * p4)
+        z3, z4 = z1 if same else y3 + h * (a21 * p3), y4 + h * (a21 * p4)
         th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
-        q1, q2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
-        q3, q4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
+        q1, q2 = (1.0 - z1) * k1 * th - z1 * d1, (1.0 - z2) * k2 * th0 - z2 * d2
+        q3, q4 = q1 if same else (1.0 - z3) * k3 * th - z3 * d3, (1.0 - z4) * k4 * th1 - z4 * d4
         z1, z2 = y1 + h * (a31 * p1 + a32 * q1), y2 + h * (a31 * p2 + a32 * q2)
-        z3, z4 = y3 + h * (a31 * p3 + a32 * q3), y4 + h * (a31 * p4 + a32 * q4)
+        z3, z4 = z1 if same else y3 + h * (a31 * p3 + a32 * q3), y4 + h * (a31 * p4 + a32 * q4)
         th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
-        r1, r2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
-        r3, r4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
+        r1, r2 = (1.0 - z1) * k1 * th - z1 * d1, (1.0 - z2) * k2 * th0 - z2 * d2
+        r3, r4 = r1 if same else (1.0 - z3) * k3 * th - z3 * d3, (1.0 - z4) * k4 * th1 - z4 * d4
         z1, z2 = y1 + h * (a41 * p1 + a42 * q1 + a43 * r1), y2 + h * (a41 * p2 + a42 * q2 + a43 * r2)
-        z3, z4 = y3 + h * (a41 * p3 + a42 * q3 + a43 * r3), y4 + h * (a41 * p4 + a42 * q4 + a43 * r4)
+        z3, z4 = z1 if same else y3 + h * (a41 * p3 + a42 * q3 + a43 * r3), y4 + h * (a41 * p4 + a42 * q4 + a43 * r4)
         th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
-        s1, s2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
-        s3, s4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
+        s1, s2 = (1.0 - z1) * k1 * th - z1 * d1, (1.0 - z2) * k2 * th0 - z2 * d2
+        s3, s4 = s1 if same else (1.0 - z3) * k3 * th - z3 * d3, (1.0 - z4) * k4 * th1 - z4 * d4
         z1 = y1 + h * (a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1)
         z2 = y2 + h * (a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2)
-        z3 = y3 + h * (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3)
+        z3 = z1 if same else y3 + h * (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3)
         z4 = y4 + h * (a51 * p4 + a52 * q4 + a53 * r4 + a54 * s4)
         th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
-        u1, u2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
-        u3, u4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
+        u1, u2 = (1.0 - z1) * k1 * th - z1 * d1, (1.0 - z2) * k2 * th0 - z2 * d2
+        u3, u4 = u1 if same else (1.0 - z3) * k3 * th - z3 * d3, (1.0 - z4) * k4 * th1 - z4 * d4
         z1 = y1 + h * (a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1)
         z2 = y2 + h * (a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2)
-        z3 = y3 + h * (a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3)
+        z3 = z1 if same else y3 + h * (a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3)
         z4 = y4 + h * (a61 * p4 + a62 * q4 + a63 * r4 + a64 * s4 + a65 * u4)
         th = (th0 := w0a * z1 + w0n * z2 + w1a * z3) + (th1 := w1n * z4)
-        v1, v2 = m1 * ((1.0 - z1) * kv * th - z1 * d), m2 * ((1.0 - z2) * kv * th0 - z2 * d)
-        v3, v4 = m3 * ((1.0 - z3) * kv * th - z3 * d), m4 * ((1.0 - z4) * kv * th1 - z4 * d)
+        v1, v2 = (1.0 - z1) * k1 * th - z1 * d1, (1.0 - z2) * k2 * th0 - z2 * d2
+        v3, v4 = v1 if same else (1.0 - z3) * k3 * th - z3 * d3, (1.0 - z4) * k4 * th1 - z4 * d4
         n1 = y1 + h * (b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * v1)
         n2 = y2 + h * (b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * v2)
-        n3 = y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3)
+        n3 = n1 if same else y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * v3)
         n4 = y4 + h * (b1 * p4 + b3 * r4 + b4 * s4 + b5 * u4 + b6 * v4)
         # chained comparisons are False for NaN, so a non-finite state is rejected like one outside [lo, hi]
         if not (lo <= n1 <= hi and lo <= n2 <= hi and lo <= n3 <= hi and lo <= n4 <= hi):
@@ -293,14 +320,16 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
             n1, n2, n3, n4 = (min(1.0, max(0.0, n)) for n in (n1, n2, n3, n4))
         # first-same-as-last: w, the last stage, is the rate at the new state
         th = (th0 := w0a * n1 + w0n * n2 + w1a * n3) + (th1 := w1n * n4)
-        w1, w2 = m1 * ((1.0 - n1) * kv * th - n1 * d), m2 * ((1.0 - n2) * kv * th0 - n2 * d)
-        w3, w4 = m3 * ((1.0 - n3) * kv * th - n3 * d), m4 * ((1.0 - n4) * kv * th1 - n4 * d)
+        w1, w2 = (1.0 - n1) * k1 * th - n1 * d1, (1.0 - n2) * k2 * th0 - n2 * d2
+        w3, w4 = w1 if same else (1.0 - n3) * k3 * th - n3 * d3, (1.0 - n4) * k4 * th1 - n4 * d4
         # RMS over the four coordinates (hypot / 2) of the error estimate, each
         # scaled by atol + rtol * max(|y|, |y_new|), where y and y_new lie in [0, 1]
+        err1 = h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1) / (1.0 + (y1 if y1 > n1 else n1))
         err = math.hypot(
-            h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * v1 + e7 * w1) / (1.0 + (y1 if y1 > n1 else n1)),
+            err1,
             h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * v2 + e7 * w2) / (1.0 + (y2 if y2 > n2 else n2)),
-            h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3) / (1.0 + (y3 if y3 > n3 else n3)),
+            err1 if same  # the shared term twice, as the reference passes coordinate 3's equal one
+            else h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * v3 + e7 * w3) / (1.0 + (y3 if y3 > n3 else n3)),
             h * (e1 * p4 + e3 * r4 + e4 * s4 + e5 * u4 + e6 * v4 + e7 * w4) / (1.0 + (y4 if y4 > n4 else n4)),
         ) / (2.0 * tol)
         factor = 10.0 if err == 0.0 else 0.9 * err ** -0.2  # clamped to [0.2, 10] as min(10, max(0.2, factor))

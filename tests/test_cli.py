@@ -379,6 +379,15 @@ def test_dynamics_zero_seed_stays_zero(capsys):
     assert all(rows[0][k] == 0.0 for k in ("r00a", "r00na", "r10a", "r11na", "theta0", "theta1"))
 
 
+def test_dynamics_negative_zero_init_seeds_like_zero(capsys):
+    # a level of -0.0 passes the [0, 1] check; it seeds 0.0, so only the config echo tells the two runs apart
+    args = ["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2"]
+    outs = [run(capsys, *args, f"--init={init}") for init in ("0", "-0.0")]
+    assert [code for code, _ in outs] == [0, 0]
+    zero, negative = ([ln for ln in out.splitlines() if not ln.startswith("# config")] for _, out in outs)
+    assert zero == negative and "-0.0" not in "\n".join(negative)
+
+
 def test_dynamics_exit_3_when_not_converged(capsys):
     # exactly critical rumor point decays algebraically; the horizon is hit
     code, out = run(
@@ -732,7 +741,7 @@ EDGE_OR_UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 @settings(max_examples=60, deadline=None)
 @given(lam=st.floats(0.2, 6.0), x=EDGE_OR_UNIT, alphas=st.tuples(EDGE_OR_UNIT) | st.tuples(EDGE_OR_UNIT, EDGE_OR_UNIT),
        init=st.sampled_from([None, 0.0, -0.0]) | st.floats(0.0, 1.0), fmt=st.sampled_from(["csv", "json"]))
-@example(lam=2.0, x=0.0, alphas=(0.2,), init=-0.0, fmt="csv")  # r00a is 0.0 and r10a is -0.0: == alone equates them
+@example(lam=2.0, x=0.0, alphas=(0.2,), init=-0.0, fmt="csv")  # r00a is pinned at 0.0, and -0.0 seeds r10a at 0.0
 @example(lam=2.0, x=0.3, alphas=(0.0, 0.5), init=None, fmt="json")  # r00a is pinned at 0, r10a moves
 def test_dynamics_columns_match_the_per_state_rows(lam, x, alphas, init, fmt):
     # run_dynamics takes its columns at once and passes r00a's column for r10a when the two are equal bit for bit
@@ -743,7 +752,9 @@ def test_dynamics_columns_match_the_per_state_rows(lam, x, alphas, init, fmt):
     assert texts is None or texts[0] == texts[1]
 
 
-def test_dynamics_keeps_the_sign_of_a_zero_r10a(capsys):
+def test_dynamics_keeps_the_sign_of_a_zero_r10a(monkeypatch, capsys):
+    # seed_state gives no -0.0, so the start is patched: r00a is pinned at 0.0 and r10a starts, and stays, at -0.0
+    monkeypatch.setattr(dynamics, "seed_state", lambda p, a, level: dynamics.DynState(0.0, -0.0, -0.0, -0.0))
     code, out = run(capsys, "dynamics", "--lambda", "2", "--x", "0", "--alpha", "0.2", "--init=-0.0")
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert code == 0 and len(lines) == 2

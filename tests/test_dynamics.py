@@ -183,6 +183,21 @@ start_level = st.one_of(st.sampled_from([0.0, 1.0, dynamics.DEFAULT_SEED_LEVEL])
 # the horizon: k*nu*(1-x)*(1-alpha1) = delta exactly, so the rumor decays as 1/t and its rate stays above conv_tol
 @example(nu=2.0, k=1.0, delta=0.5, x=0.5, alpha0=0.5, alpha1=0.5, start=(0.0, 0.0, 0.0, 0.5), conv_tol=1e-10,
          first_step=dynamics.FIRST_STEP)
+# the inspecting coordinates apart: type-0 inspectors are an empty group, type-1 inspectors are not
+@example(nu=2.0, k=1.0, delta=1.0, x=0.3, alpha0=0.0, alpha1=0.3, start=(0.01,) * 4, conv_tol=1e-10,
+         first_step=dynamics.FIRST_STEP)
+# the inspecting coordinates shared while both groups are empty
+@example(nu=2.0, k=1.0, delta=1.0, x=0.3, alpha0=0.0, alpha1=0.0, start=(0.01,) * 4, conv_tol=1e-10,
+         first_step=dynamics.FIRST_STEP)
+# the inspecting coordinates apart: at x = 0 every type-0 group is empty
+@example(nu=2.0, k=1.0, delta=1.0, x=0.0, alpha0=0.2, alpha1=0.2, start=(0.01,) * 4, conv_tol=1e-10,
+         first_step=dynamics.FIRST_STEP)
+# the inspecting coordinates apart: both groups are non-empty but start at different levels
+@example(nu=2.0, k=1.0, delta=1.0, x=0.3, alpha0=0.2, alpha1=0.2, start=(0.2, 0.4, 0.6, 0.3), conv_tol=1e-10,
+         first_step=dynamics.FIRST_STEP)
+# the inspecting coordinates shared from -0.0 beside 0.0, which == equates: the start keeps each sign
+@example(nu=2.0, k=1.0, delta=1.0, x=0.3, alpha0=0.2, alpha1=0.2, start=(-0.0, 0.01, 0.0, 0.01), conv_tol=1e-10,
+         first_step=dynamics.FIRST_STEP)
 def test_integrate_matches_reference_loop(nu, k, delta, x, alpha0, alpha1, start, conv_tol, first_step):
     # integrate unrolls the step over the four coordinates; the list loop it
     # replaced must give the same trajectory bit for bit (repr tells -0.0 from 0.0)
@@ -194,6 +209,29 @@ def test_integrate_matches_reference_loop(nu, k, delta, x, alpha0, alpha1, start
         got = integrate(DynState(*start), p, a, cfg)
         want = reference_integrate(DynState(*start), p, a, cfg)
     assert got == want and repr(got) == repr(want)
+
+
+positive_unit = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nu=st.floats(0.05, 5.0), k=st.floats(0.5, 4.0), delta=st.floats(0.1, 2.0), x=st.floats(0.01, 0.99),
+    alphas=st.tuples(positive_unit) | st.tuples(positive_unit, positive_unit),
+    levels=st.tuples(start_level, start_level, start_level), negative_zero=st.booleans(),
+    conv_tol=st.sampled_from([1e-10, 1e-6]),
+)
+@example(nu=2.0, k=1.0, delta=1.0, x=0.3, alphas=(0.2,), levels=(0.0, 0.01, 0.01), negative_zero=True, conv_tol=1e-10)
+def test_inspecting_coordinates_stay_equal_bit_for_bit(nu, k, delta, x, alphas, levels, negative_zero, conv_tol):
+    # both inspecting groups follow one law of total prevalence, so from r00a == r10a (-0.0 beside 0.0 included)
+    # every accepted state has r10a equal to r00a bit for bit: integrate shares the coordinate, the reference does not
+    p = ModelParams(nu, k, delta, x)
+    a = Allocation.uniform(*alphas) if len(alphas) == 1 else Allocation.targeted(*alphas)
+    r, r2, r4 = levels
+    start = DynState(r, r2, -0.0 if negative_zero and r == 0.0 else r, r4)
+    cfg = IntegratorConfig(conv_tol)
+    for traj in (integrate(start, p, a, cfg), reference_integrate(start, p, a, cfg)):
+        assert all(repr(s.r10a) == repr(s.r00a) for s in traj.states[1:])
 
 
 def logistic_flow(r, b, g, h):
