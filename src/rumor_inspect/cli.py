@@ -175,14 +175,15 @@ def _allocation(cfg: RunConfig) -> Allocation:
 STEADY_FIELDS = ("theta0", "theta1", "theta", "rho_00_a", "rho_10_a", "rho_00_na", "rho_11_na", "eradicated")
 
 
-def steady_columns(lam, x, a0, a1, solver: SolverConfig, ops=_FloatOps) -> list[list]:
-    """The STEADY_FIELDS columns at the diffusion rate lam, the mass x and the rates a0, a1, as floats and bools.
+def steady_columns(lam, x, a0, a1, solver: SolverConfig, ops=_FloatOps) -> list:
+    """The STEADY_FIELDS columns at the diffusion rate lam, the mass x and the rates a0, a1: lists of one row of
+    floats and a bool, or with numpy arrays and numpy as ops, arrays of a batch equal row by row to the float solves.
 
-    With floats they hold one row; with numpy arrays and numpy as ops, a batch equal row by row to the float solves.
+    A rumor-free row has theta1 = 0.0, so theta and rho_a carry theta0's and rho_00_na's bits: emit writes them once.
     """
-    fields = _steady_fields(lam, x, a0, a1, solver, ops)
-    theta0, theta1, theta, rho_a, rho_00_na, rho_11_na = ([f] if ops is _FloatOps else f.tolist() for f in fields)
-    return [theta0, theta1, theta, rho_a, rho_a, rho_00_na, rho_11_na, [t == 0.0 for t in theta1]]
+    theta0, theta1, theta, rho_a, rho_00_na, rho_11_na = _steady_fields(lam, x, a0, a1, solver, ops)
+    columns = [theta0, theta1, theta, rho_a, rho_a, rho_00_na, rho_11_na, theta1 == 0.0]
+    return [[v] for v in columns] if ops is _FloatOps else columns
 
 
 def optimize_record(res, objective: str) -> dict:
@@ -191,12 +192,13 @@ def optimize_record(res, objective: str) -> dict:
             "budget_spent": res.budget_spent, "slack": res.slack, "rumor_eradicated": res.rumor_eradicated}
 
 
-def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list[list]]:
+def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list]:
     """The header and the columns of a sweep: the swept values, then one column per field.
 
     The domain checks are monotone in the swept value along every axis, and np.linspace returns --start and
     --stop as its exact ends, so they are checked before the grid: a failing sweep reports its first point's
-    error. A steady sweep is solved as one batch, which reports its first failing entry.
+    error. A steady sweep is solved as one batch, which reports its first failing entry. Its columns stay arrays:
+    emit writes a cell whose bits repeat +0.0 or an earlier cell of its row once, as the rumor-free rows have them.
     """
     import numpy as np  # sweeps alone need numpy, so the other commands start without it
 
@@ -240,10 +242,9 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         # numpy refuses a count past its size limit (ValueError) or one it cannot
         # allocate (MemoryError); near 2**63 its arange comes out empty (IndexError)
         raise ConfigError(f"cannot build a sweep grid of {cfg.steps} steps: {exc}") from exc
-    values = grid.tolist()
 
     if axis == "A":  # one optimization per budget, each read off the point's one Planner
-        planner = Planner(p, solver)
+        planner, values = Planner(p, solver), grid.tolist()
         records = [optimize_record(planner.optimum(cfg.objective, v), cfg.objective) for v in values]
         return (["A", *records[0]], [values, *map(list, zip(*(r.values() for r in records)))])
     lam, x, a0, a1 = p.lam, p.x, a.alpha0, a.alpha1
@@ -255,7 +256,7 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
         x = grid
     with np.errstate(all="ignore"):  # float arithmetic overflows to inf silently; so does the batch
         columns = steady_columns(lam, x, a0, a1, solver, np)
-    return ([axis, *STEADY_FIELDS], [values, *columns])
+    return ([axis, *STEADY_FIELDS], [grid, *columns])
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +288,38 @@ def _fmt_column(col, fmt: str) -> list[str]:
     return list(map(_fmt if fmt == "csv" else _encode, col))
 
 
+def _fmt_array(col, fmt: str, seen: list) -> list[str]:
+    # a float64 cell whose bits (not ==, which counts -0.0 as 0.0) equal +0.0's or its row's cell's in a column of
+    # seen, the (bits, texts) formatted so far, takes that text. Other arrays, and JSON's NaN or inf, go as lists
+    import numpy as np  # an array column means numpy is loaded
+    if col.dtype != np.float64 or fmt == "json" and not np.isfinite(col).all():
+        return _fmt_column(col.tolist(), fmt)
+    bits, text = col.view(np.int64), np.empty(len(col), object)
+    text[bits == 0], todo = "0.0", bits != 0
+    for done, written in seen:
+        same = todo & (bits == done)
+        text[same], todo = written[same], todo & ~same
+    text[todo] = [*map(float.__repr__, col[todo].tolist())]
+    seen.append((bits, text))
+    return text.tolist()
+
+
 def emit(header: list[str], columns: list, cfg: RunConfig, summary: dict | None = None) -> str:
     """Write the table given column by column (columns[i] holds header[i]'s cells), as CSV or JSON.
 
-    A table of one row is formatted in one pass over its cells. A longer one is formatted column by column
-    (_fmt_column), and a column that appears twice as the same object is formatted once. Each JSON row is
-    written through one %-template in the indent=2 layout of json.dumps, which writes the head and summary.
+    A table of one row given as lists is formatted in one pass over its cells. Any other is formatted column by
+    column, and a column that appears twice as the same object is formatted once: a list by _fmt_column, an array
+    by _fmt_array, which writes a float64 cell whose bits repeat +0.0 or an earlier array's cell in its row with
+    that cell's text (a steady sweep's rumor-free rows repeat theta0 and rho_00_na). Each JSON row is written
+    through one %-template in the indent=2 layout of json.dumps, which writes the head and summary.
     """
     echo = {k: v for k, v in vars(cfg).items() if v is not None and k != "out"}  # in field order, defaults included
-    if len(columns[0]) == 1:
+    if len(columns[0]) == 1 and not any(hasattr(col, "dtype") for col in columns):
         rows = [tuple(map(_fmt if cfg.fmt == "csv" else _encode, next(zip(*columns))))]
     else:
-        formatted = {id(col): col for col in columns}  # a column given twice, as the same object, is formatted once
-        formatted = {key: _fmt_column(col, cfg.fmt) for key, col in formatted.items()}
+        seen, formatted = [], {id(col): col for col in columns}  # a column given twice, one object, is formatted once
+        formatted = {key: _fmt_array(col, cfg.fmt, seen) if hasattr(col, "dtype") else _fmt_column(col, cfg.fmt)
+                     for key, col in formatted.items()}
         rows = zip(*map(formatted.__getitem__, map(id, columns)))
     if cfg.fmt == "json":
         doc = {"tool": "rumor-inspect", "version": __version__, "config": echo, "rows": []}

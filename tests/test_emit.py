@@ -170,10 +170,20 @@ column_kinds = st.sampled_from([st.floats(), st.floats(allow_nan=False, allow_in
 
 @st.composite
 def tables(draw):
-    """(header, columns, summary): 1 to 5 rows, some column given twice as the same object, a summary or none."""
+    """(header, columns, summary): 1 to 5 rows, some column given twice as the same object, a summary or none.
+
+    Cells are copied between float columns at random rows, as a rumor-free sweep row repeats theta0 and rho_00_na,
+    and a column of floats or of bools is sometimes given as a numpy array, as a steady sweep gives its columns.
+    """
     n_rows = draw(st.sampled_from([1, 2, 3, 4, 5]))  # one row takes emit's one-pass path, more its column path
     kinds = draw(st.lists(column_kinds, min_size=1, max_size=6))
     columns = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    floats = [col for col in columns if {*map(type, col)} == {float}]
+    for _ in range(draw(st.integers(0, 2 * n_rows)) if len(floats) > 1 else 0):
+        row = draw(st.integers(0, n_rows - 1))
+        draw(st.sampled_from(floats))[row] = draw(st.sampled_from(floats))[row]
+    columns = [np.array(col) if {*map(type, col)} in ({float}, {bool}) and draw(st.booleans()) else col
+               for col in columns]
     if draw(st.booleans()):
         columns.append(columns[draw(st.integers(0, len(columns) - 1))])  # as rho_00_a and rho_10_a share one list
     header = [f"c{i}" for i in range(len(columns))]
@@ -187,12 +197,19 @@ def tables(draw):
 @example(table=(["mode", "gap", "hi", "lo", "flag"], [["targeted"], [None], [float("nan")], [float("-inf")], [True]],
                 {"status": "horizon", "gap": float("inf")}))
 @example(table=(["t", "x", "mode"], [[0.5, float("inf"), 1.0], [np.float64(0.1), None, 3], ["a", "", "nan"]], None))
+# array columns: -0.0 in the row of an earlier column's 0.0 keeps its sign, a copied NaN, and inf (Infinity in JSON)
+@example(table=(["a", "b", "c"], [np.array([0.0, 0.5, -0.0]), np.array([-0.0, 0.5, 0.0]), np.array([-0.0] * 3)], None))
+@example(table=(["a", "b", "flag"], [np.array([float("nan"), 1.0]), np.array([float("nan"), 2.0]),
+                                     np.array([True, False])], None))
+@example(table=(["a", "b"], [np.array([1.5, float("inf")]), np.array([1.5, float("-inf")])], None))
 def test_emit_matches_the_reference_on_any_table(fmt, table):
-    # the one-row path and the column path both write json.dumps's document and the row-wise CSV
+    # the one-row path and the column path both write json.dumps's document and the row-wise CSV; an array column
+    # prints as its list of floats or bools (.tolist()), never as numpy scalars (_fmt(np.True_) is "True")
     header, columns, summary = table
     cfg = cli.RunConfig(command="steady", fmt=fmt)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         text = cli.emit(header, columns, cfg, summary=summary)
     assert out.getvalue() == text
     # as JSON, the reference is json.dumps(doc, indent=2, allow_nan=True) + "\n" of the document of dicts
-    assert text == row_wise_render(header, [dict(zip(header, row)) for row in zip(*columns)], cfg, summary)
+    cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    assert text == row_wise_render(header, [dict(zip(header, row)) for row in zip(*cells)], cfg, summary)

@@ -49,8 +49,10 @@ def per_point_rows(cfg: RunConfig, solver: SolverConfig) -> list[dict]:
 def assert_rows_equal(cfg: RunConfig) -> None:
     solver = cli._solver_config(cfg)
     header, cols = sweep_records(cfg, solver)
-    rows = [dict(zip(header, r)) for r in zip(*cols)]
     assert header == [cfg.axis, *STEADY_FIELDS]
+    # the batch hands emit numpy arrays; test_emit's sweeps check that they print as the floats and bools below
+    assert [col.dtype for col in cols] == [np.float64] * (1 + len(FIELDS)) + [np.bool_]  # the grid, fields, eradicated
+    rows = [dict(zip(header, r)) for r in zip(*(col.tolist() for col in cols))]
     expected = per_point_rows(cfg, solver)
     assert len(rows) == len(expected) == cfg.steps
     for got, want in zip(rows, expected):
@@ -59,8 +61,7 @@ def assert_rows_equal(cfg: RunConfig) -> None:
             if key == "eradicated":
                 assert got[key] is want[key]
             else:
-                assert type(got[key]) is float, (key, type(got[key]))
-                assert got[key].hex() == want[key].hex(), (key, got, want)
+                assert float.hex(got[key]) == want[key].hex(), (key, got, want)
 
 
 def rates_or_lambda(draw, lam: float) -> dict:
