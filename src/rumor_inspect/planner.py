@@ -26,6 +26,8 @@ candidates: the cheapest within 1e-10 of the best, then the smallest alpha0.
 No budget moves the uniform line or the edge, so a Planner analyses each
 once per point, on first use; the targeted planner searches its budget line
 per budget, and the thresholds read the slack regions off the uniform peaks.
+A Planner holds its point's lam, x, alpha' and kink for the helpers below,
+and solves the uniform line's ends, 0 and the kink, once for both its curves.
 """
 
 from __future__ import annotations
@@ -43,12 +45,11 @@ from .model import (
     SolverConfig,
     _inspecting_mass,
     _no_rumor_truth,
+    _rumor_level,
     _steady_truth,
     _truth_partials,
     _truth_slope,
     eradication_threshold,
-    rumor_steady_state,
-    truth_steady_state,
 )
 
 ROOT_XTOL = 1e-12  # width in alpha1 to which _peak solves a peak: its last Newton step, or its bracket
@@ -88,10 +89,10 @@ OptResult = namedtuple("OptResult", "allocation objective budget_spent slack rum
 # the search along segments of policies
 # ---------------------------------------------------------------------------
 
-def _objective(p: ModelParams, a: Allocation, platform: bool, cfg: SolverConfig) -> float:
-    """theta0 at the policy a, or theta0 + theta1 for the platform, from the scalar solver."""
-    truth = truth_steady_state(p, a, cfg)
-    return truth + rumor_steady_state(p, a, cfg) if platform else truth
+def _objective(plan: Planner, a: Allocation, platform: bool) -> float:
+    """theta0 at the policy a, or theta0 + theta1 for the platform, from one scalar solve at plan's point."""
+    theta0, theta1 = _steady_truth(plan._lam, plan._x, *a, a.inspecting_mass(plan._x), plan._cutoff, plan.cfg)
+    return theta0 + theta1 if platform else theta0
 
 
 def _peak(lam: float, x: float, slope, kappa: float, lo, end) -> float:
@@ -137,16 +138,15 @@ def _peak(lam: float, x: float, slope, kappa: float, lo, end) -> float:
     return b
 
 
-def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, interior, cfg: SolverConfig):
+def _segment_rates(plan: Planner, lo: float, hi: float, alloc, interior):
     """(alloc(u), value) pairs for the rates u in [lo, hi] at which the objective on a segment of policies can peak.
 
-    alloc(u) is the policy at alpha1 = u. The rates are lo, hi, the kink (alpha' - cfg.tol, as in the solver) and,
+    alloc(u) is the policy at alpha1 = u. The rates are lo, hi, plan's kink (alpha' - tol, as in the solver) and,
     if the endemic piece [lo, end], end = min(hi, kink), is not empty, the rates inside it: interior(lo, end) gives
     the piece's (u, value) pairs, lo's and end's first. value is the objective as the scalar solver gives it: the
     no-rumor closed form from the kink on, else interior's value or None, which _score solves.
     """
-    lam, x = p.lam, p.x
-    kink = eradication_threshold(p) - cfg.tol
+    lam, x, kink = plan._lam, plan._x, plan._kink
     end = min(hi, kink)
     rates = interior(lo, end) if lo < end else [(lo, None), (hi, None)]
     if lo < end < hi:  # end is the kink
@@ -154,20 +154,23 @@ def _segment_rates(p: ModelParams, lo: float, hi: float, alloc, interior, cfg: S
     return [(a, _no_rumor_truth(lam, x, a.alpha1) if a.alpha1 >= kink else v) for u, v in rates for a in [alloc(u)]]
 
 
-def _uniform_peak(p: ModelParams, platform: bool, cfg: SolverConfig, lo: float, end: float) -> list:
+def _uniform_peak(plan: Planner, platform: bool, lo: float, end: float) -> list:
     """(u, value) at lo, at end and, if the uniform line's slope is positive at lo and not at end, at the peak _peak
-    solves from those two ends. value is the objective from a slope solve at u, else None."""
-    lam, x, solved = p.lam, p.x, {}  # u -> the objective at u, for each rate a slope solved
+    solves from those two ends. value is the objective from plan's shared slope solve at u, else None."""
+    lam, x, cfg, solves = plan._lam, plan._x, plan.cfg, plan._solves
     kappa = 1.0 - x if platform else 0.0
 
     def slope(u: float):  # (the objective's slope, u, theta0) at alpha = u, from a full truth solve
-        theta0, theta1 = _steady_truth(lam, x, u, u, u, math.inf, cfg)
-        solved[u] = theta0 + theta1 if platform else theta0
-        return _truth_slope(lam, x, u, u, theta1, theta0, (1.0, 1.0, 1.0)) - kappa, u, theta0
+        if u not in solves:
+            theta0, theta1 = _steady_truth(lam, x, u, u, u, math.inf, cfg)
+            solves[u] = theta0, theta1, _truth_slope(lam, x, u, u, theta1, theta0, (1.0, 1.0, 1.0))
+        theta0, _, g = solves[u]
+        return g - kappa, u, theta0
 
     ends = slope(lo), slope(end)
     rates = [lo, end] + ([_peak(lam, x, slope, kappa, *ends)] if ends[0][0] > 0.0 >= ends[1][0] else [])
-    return [(u, solved.get(u)) for u in rates]
+    values = {u: theta0 + theta1 if platform else theta0 for u, (theta0, theta1, _) in solves.items()}
+    return [(u, values.get(u)) for u in rates]
 
 
 def _line_polynomial(A: float, v: float):
@@ -191,49 +194,45 @@ def _polynomial_peaks(x: float, lo: float, end: float, a: float, b: float, c: fl
     return [(lo, None), (end, None)] + [(u, None) for u in (1.0 - y / (1.0 - x) for y in roots) if lo < u < end]
 
 
-def _score(p: ModelParams, candidates, platform: bool, cfg: SolverConfig) -> list:
+def _score(plan: Planner, candidates, platform: bool) -> list:
     """(allocation, objective) once per allocation of the (allocation, value) candidates; a value of None is solved for."""
     known = {}
     for a, v in candidates:
         if known.get(a) is None:
             known[a] = v
-    return [(a, _objective(p, a, platform, cfg) if v is None else v) for a, v in known.items()]
+    return [(a, _objective(plan, a, platform) if v is None else v) for a, v in known.items()]
 
 
 def _pick(scored, x: float):
     """The one tie rule: ((allocation, objective), best objective) of the winner among the scored pairs.
 
     Among the pairs within TIE_TOL of the best, the cheapest spend wins, to
-    within TIE_TOL, then the smallest alpha0.
+    within TIE_TOL, then the smallest alpha0, the first of equals.
     """
-    top = max(v for _, v in scored)
-    near = [(a.inspecting_mass(x), a, v) for a, v in scored if v >= top - TIE_TOL]
-    min_spend = min(spend for spend, _, _ in near)
-    return min(((a, v) for spend, a, v in near if spend <= min_spend + TIE_TOL), key=lambda av: av[0].alpha0), top
+    top = max([v for _, v in scored])
+    near, least = [], math.inf
+    for a, v in scored:
+        if v >= top - TIE_TOL:
+            spend = a.inspecting_mass(x)
+            near.append((spend, a, v))
+            least = spend if spend < least else least
+    cap, win = least + TIE_TOL, None
+    for spend, a, v in near:
+        if spend <= cap and (win is None or a.alpha0 < win[0].alpha0):
+            win = a, v
+    return win, top
 
 
-def _result(p: ModelParams, A: float, alloc: Allocation, value: float, cfg: SolverConfig) -> OptResult:
+def _result(plan: Planner, A: float, alloc: Allocation, value: float) -> OptResult:
     """The OptResult of a planner's winner alloc, of objective value, at the budget A: slack below min(A, 1)."""
-    spend = alloc.inspecting_mass(p.x)
-    eradicated = rumor_steady_state(p, alloc, cfg) == 0.0
+    spend = alloc.inspecting_mass(plan._x)
+    eradicated = _rumor_level(plan._lam, plan._x, alloc.alpha1, plan._cutoff, plan.cfg) == 0.0
     return OptResult(alloc, value, spend, slack=spend < min(A, 1.0) - SLACK_TOL, rumor_eradicated=eradicated)
 
 
 # ---------------------------------------------------------------------------
 # the four planning problems
 # ---------------------------------------------------------------------------
-
-def minimize_rumor(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
-    """Cheapest uniform rate that minimizes rumor prevalence.
-
-    The rumor counts as extinct from alpha' - cfg.tol on (alpha' the
-    eradication threshold), so spending beyond that buys nothing and the
-    optimum is min(A, max(0, alpha' - cfg.tol)).
-    """
-    A = _total(budget)
-    alloc = Allocation.uniform(min(A, max(0.0, eradication_threshold(p) - cfg.tol)))
-    return _result(p, A, alloc, rumor_steady_state(p, alloc, cfg), cfg)
-
 
 def _binding_alpha0(A: float, x: float, a1: float) -> float:
     """alpha0 that binds the budget at alpha1 = a1: 0 or 1 exactly where the rest is 0 or x up to rounding (eps*A)."""
@@ -251,35 +250,40 @@ def _fit(A: float, x: float, a0: float, a1: float) -> Allocation:
 class Planner:
     """The planners and the thresholds at the point p, reading what no budget moves off one analysis of it.
 
+    It holds the point's constants, read once: lam, x, the eradication threshold alpha' and the kink alpha' - tol.
     truth and platform are (rates, peak, top) of the uniform line below 1: the rates where _segment_rates finds that
-    the objective can peak, scored, the one _pick names among them and its value. edge holds the scored rates of the
-    alpha0 = 1 edge over alpha1 in [0, 1]. Each is analysed on first use, so a point analyses what it reads, once.
+    the objective can peak, scored, the one _pick names among them and its value. They share their slope solves,
+    so the line's ends, 0 and the kink, are solved once for both. edge holds the scored rates of the alpha0 = 1
+    edge over alpha1 in [0, 1]. Each is analysed on first use, so a point analyses what it reads, once.
     """
 
     def __init__(self, p: ModelParams, cfg: SolverConfig = DEFAULT_SOLVER):
-        self.p, self.cfg = p, cfg
+        self.p, self.cfg, self._lam, self._x = p, cfg, p.lam, p.x
+        self._cutoff = eradication_threshold(p)  # alpha', the rumor's cutoff
+        self._kink = self._cutoff - cfg.tol
+        self._solves = {}  # u -> (theta0, theta1, the truth's slope) on the uniform line, shared by both curves
 
-    _kink = functools.cached_property(lambda self: eradication_threshold(self.p) - self.cfg.tol)
     truth = functools.cached_property(lambda self: self._line(False))
     platform = functools.cached_property(lambda self: self._line(True))
 
     def _line(self, platform: bool) -> tuple:
-        p, cfg = self.p, self.cfg
-        rates = _segment_rates(p, 0.0, 1.0, Allocation.uniform, functools.partial(_uniform_peak, p, platform, cfg), cfg)
-        rates = _score(p, [(a, v) for a, v in rates if a.alpha1 < 1.0], platform, cfg)
-        (peak, _), top = _pick(rates, p.x)
+        rates = _segment_rates(self, 0.0, 1.0, Allocation.uniform, functools.partial(_uniform_peak, self, platform))
+        rates = _score(self, [(a, v) for a, v in rates if a.alpha1 < 1.0], platform)
+        (peak, _), top = _pick(rates, self._x)
         return rates, peak.alpha1, top
 
     @functools.cached_property
     def edge(self) -> list:  # at x = 0 it runs at alpha0 = 0
-        p, alpha0, v = self.p, float(self.p.x > 0.0), 1.0 / self.p.lam
+        x, alpha0, v = self._x, float(self._x > 0.0), 1.0 / self._lam
         # its peak polynomial is linear, 4v*y + 1 - v*(4 + v), of discriminant (4v)^2
-        rates = _segment_rates(p, 0.0, 1.0, lambda a1: Allocation(alpha0, a1), lambda lo, end: _polynomial_peaks(
-            p.x, lo, end, 0.0, 4.0 * v, 1.0 - v * (4.0 + v), 16.0 * v * v), self.cfg)
-        return _score(p, rates, False, self.cfg)
+        rates = _segment_rates(self, 0.0, 1.0, lambda a1: Allocation(alpha0, a1), lambda lo, end: _polynomial_peaks(
+            x, lo, end, 0.0, 4.0 * v, 1.0 - v * (4.0 + v), 16.0 * v * v))
+        return _score(self, rates, False)
 
     def optimum(self, objective: str, budget: float) -> OptResult:
         """The OptResult at the budget of the objective's planner: rumor-min, truth, truth-targeted or platform.
+
+        rumor-min: the rumor is extinct from the kink alpha' - cfg.tol on, so the optimum is min(A, max(0, kink)).
 
         A uniform planner's candidates over [0, c], c = min(A, 1), are 0, c where it can win and the line's rates
         up to c. Below the peak the line rises, so c competes, unsolved; from the peak to the kink no rate beats the
@@ -292,9 +296,10 @@ class Planner:
         the first, the rumor is extinct at the second. At x = 0 the line is the point (0, A) and the edge runs at
         alpha0 = 0; at x = 1 only (0, 0) is left.
         """
+        lam, x, A = self._lam, self._x, _total(budget)
         if objective == "rumor-min":
-            return minimize_rumor(self.p, budget, self.cfg)
-        p, x, cfg, A = self.p, self.p.x, self.cfg, _total(budget)
+            alloc = Allocation.uniform(min(A, max(0.0, self._kink)))
+            return _result(self, A, alloc, _rumor_level(lam, x, alloc.alpha1, self._cutoff, self.cfg))
         if objective in ("truth", "platform"):
             rates, peak, _ = getattr(self, objective)
             c = min(A, 1.0)
@@ -302,9 +307,8 @@ class Planner:
             if 0.0 < c < peak:
                 candidates.insert(1, (Allocation.uniform(c), None))
             elif c > self._kink:
-                candidates.insert(1, (Allocation.uniform(c), _no_rumor_truth(p.lam, x, c)))
+                candidates.insert(1, (Allocation.uniform(c), _no_rumor_truth(lam, x, c)))
         elif objective == "truth-targeted":
-            lam = p.lam
             corners = (0.0, 1.0) if x < 1.0 and A >= 1.0 - x else (0.0,)
             candidates = [(Allocation(0.0, a1), _no_rumor_truth(lam, x, a1)) for a1 in corners]
             if 0.0 < A and x < 1.0:
@@ -313,13 +317,13 @@ class Planner:
                     lo = math.nextafter(lo, 0.0)  # so the line's start, the edge's end, spends at most A
                 if lo <= hi:
                     candidates += _segment_rates(
-                        p, lo, hi, lambda a1: _fit(A, x, _binding_alpha0(A, x, a1), a1),
-                        lambda lo, end: _polynomial_peaks(x, lo, end, *_line_polynomial(A, 1.0 / lam)), cfg)
+                        self, lo, hi, lambda a1: _fit(A, x, _binding_alpha0(A, x, a1), a1),
+                        lambda lo, end: _polynomial_peaks(x, lo, end, *_line_polynomial(A, 1.0 / lam)))
                 if A > x:
                     candidates += [(a, v) for a, v in self.edge if a.alpha1 <= lo]
         else:
             raise ParameterError(f"unknown objective {objective!r}")
-        return _result(p, A, *_pick(_score(p, candidates, objective == "platform", cfg), x)[0], cfg)
+        return _result(self, A, *_pick(_score(self, candidates, objective == "platform"), x)[0])
 
     def slack_region(self, objective: str) -> tuple[float | None, float | None]:
         """Edges of the budgets at which the uniform objective's optimum leaves slack, or (None, None).
@@ -327,25 +331,30 @@ class Planner:
         Budgets from its line's peak on, but at least THRESHOLD_RESOLUTION, leave slack until the no-rumor line
         climbs TIE_TOL above the peak's value, or up to 1. A narrower region counts as none.
         """
-        (_, peak, top), p, x = getattr(self, objective), self.p, self.p.x
+        (_, peak, top), lam, x = getattr(self, objective), self._lam, self._x
         level = top + TIE_TOL
         # at x = 1 the line is flat at the value of the peak at 0, so this divides by no zero
-        upper = 1.0 if _no_rumor_truth(p.lam, x, 1.0) <= level else (level - x + 1.0 / p.lam) / (1.0 - x)
+        upper = 1.0 if _no_rumor_truth(lam, x, 1.0) <= level else (level - x + 1.0 / lam) / (1.0 - x)
         lower = max(peak, THRESHOLD_RESOLUTION)
         return (lower, upper) if upper - lower >= THRESHOLD_RESOLUTION else (None, None)
 
     def thresholds(self) -> Thresholds:
         """The Thresholds: alpha', lambda_bar and the eradication interval in closed form, then the slack regions,
         which slack_region reads off each uniform line's peak with no optimizer call."""
-        x = self.p.x
+        x = self._x
         radicand = 2.0 - 1.0 / (1.0 - x) if x < 1.0 else -1.0
         disc = (4.0 - x) ** 2 - 12.0
         root = math.sqrt(disc) if disc >= 0.0 else None
         a_lower, a_upper = self.slack_region("truth")
         return Thresholds(
-            alpha_prime=eradication_threshold(self.p), lambda_bar=2.0 + math.sqrt(radicand) if radicand >= 0.0 else None,
+            alpha_prime=self._cutoff, lambda_bar=2.0 + math.sqrt(radicand) if radicand >= 0.0 else None,
             eradication_interval=None if root is None else ((4.0 - x - root) / 2.0, (4.0 - x + root) / 2.0),
             A_lower=a_lower, A_upper=a_upper, A_tilde=self.slack_region("platform")[1])
+
+
+def minimize_rumor(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:
+    """Cheapest uniform rate that minimizes rumor prevalence; see Planner.optimum."""
+    return Planner(p, cfg).optimum("rumor-min", budget)
 
 
 def maximize_truth_uniform(p: ModelParams, budget: float, cfg: SolverConfig = DEFAULT_SOLVER) -> OptResult:

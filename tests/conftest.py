@@ -354,11 +354,23 @@ def reference_integrate(s0, p, a, cfg=None):
 # the planners' search of each budget on its own, the oracle of their curve analyses
 # ---------------------------------------------------------------------------
 
+def reference_pick(scored, x):
+    """The tie rule as planner._pick states it: ((allocation, objective), best objective) of the winner among the
+    scored pairs. Among the pairs within TIE_TOL of the best, the cheapest spend wins, to within TIE_TOL, then the
+    smallest alpha0, the first of equals."""
+    from rumor_inspect.planner import TIE_TOL
+
+    top = max(v for _, v in scored)
+    near = [(a.inspecting_mass(x), a, v) for a, v in scored if v >= top - TIE_TOL]
+    min_spend = min(spend for spend, _, _ in near)
+    return min(((a, v) for spend, a, v in near if spend <= min_spend + TIE_TOL), key=lambda av: av[0].alpha0), top
+
+
 def _reference_result(p, A, scored, cfg):
-    """The OptResult of _pick's winner among the scored (allocation, objective) pairs at the budget A."""
+    """The OptResult of reference_pick's winner among the scored (allocation, objective) pairs at the budget A."""
     from rumor_inspect import OptResult, planner, rumor_steady_state
 
-    (alloc, value), _ = planner._pick(scored, p.x)
+    (alloc, value), _ = reference_pick(scored, p.x)
     spend = alloc.inspecting_mass(p.x)
     return OptResult(
         allocation=alloc,
@@ -374,16 +386,17 @@ def reference_uniform_optimum(p, A, platform, cfg=None):
 
     The planners read every budget's optimum off one analysis of their
     uniform line (planner.Planner.truth and .platform). This is the search
-    they ran before at each budget: the rates _segment_rates gives over
-    [0, min(A, 1)], scored, and the tie rule _pick.
+    they ran before at each budget, on a Planner of its own: the rates
+    _segment_rates gives over [0, min(A, 1)], scored, and the tie rule.
     """
     from rumor_inspect import Allocation, planner
 
     cfg = planner.DEFAULT_SOLVER if cfg is None else cfg
     A = planner._total(A)
-    peaks = functools.partial(planner._uniform_peak, p, platform, cfg)
-    rates = planner._segment_rates(p, 0.0, min(A, 1.0), Allocation.uniform, peaks, cfg)
-    return _reference_result(p, A, planner._score(p, rates, platform, cfg), cfg)
+    plan = planner.Planner(p, cfg)
+    peaks = functools.partial(planner._uniform_peak, plan, platform)
+    rates = planner._segment_rates(plan, 0.0, min(A, 1.0), Allocation.uniform, peaks)
+    return _reference_result(p, A, planner._score(plan, rates, platform), cfg)
 
 
 SCAN_CELLS = 64  # cells of the grid on which slope_roots looks for sign changes
@@ -422,7 +435,7 @@ def reference_targeted_optimum(p, A, cfg=None):
     on, and on the budget line and on the edge [0, min(1, (A-x)/(1-x))]
     (at x = 0 on alpha0 = 0, alpha1 in [0, min(1, A)]) each end, the kink
     and each zero of the truth's slope on the endemic piece (slope_roots),
-    each scored by the scalar solver, and the tie rule _pick.
+    each scored by the scalar solver, and the tie rule (reference_pick).
     """
     from rumor_inspect import Allocation, eradication_threshold, planner, truth_steady_state
 

@@ -581,7 +581,7 @@ def test_oversized_sweep_steps_exit_2(capsys, steps):
 def segment(args):
     """The segment a _segment_rates call searches, by its arguments: "truth" or "platform" on the uniform line,
     "edge" at alpha0 = 1 over [0, 1], else "line", the targeted budget line."""
-    p, lo, hi, alloc, interior, cfg = args
+    plan, lo, hi, alloc, interior = args
     if alloc == Allocation.uniform:
         return "platform" if interior.args[1] else "truth"
     return "edge" if (lo, hi) == (0.0, 1.0) and alloc(0.5) == Allocation.targeted(1.0, 0.5) else "line"

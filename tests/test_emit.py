@@ -173,15 +173,21 @@ def tables(draw):
     """(header, columns, summary): 1 to 5 rows, some column given twice as the same object, a summary or none.
 
     Cells are copied between float columns at random rows, as a rumor-free sweep row repeats theta0 and rho_00_na,
-    and a column of floats or of bools is sometimes given as a numpy array, as a steady sweep gives its columns.
+    or a zero goes in one column and the zero of the other sign in the other, as -0.0 in the row of an earlier
+    column's 0.0; and a column of floats or of bools is sometimes given as a numpy array, as a steady sweep gives
+    its columns.
     """
     n_rows = draw(st.sampled_from([1, 2, 3, 4, 5]))  # one row takes emit's one-pass path, more its column path
     kinds = draw(st.lists(column_kinds, min_size=1, max_size=6))
     columns = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
     floats = [col for col in columns if {*map(type, col)} == {float}]
     for _ in range(draw(st.integers(0, 2 * n_rows)) if len(floats) > 1 else 0):
-        row = draw(st.integers(0, n_rows - 1))
-        draw(st.sampled_from(floats))[row] = draw(st.sampled_from(floats))[row]
+        row, src, dst = draw(st.integers(0, n_rows - 1)), draw(st.sampled_from(floats)), draw(st.sampled_from(floats))
+        if draw(st.booleans()):
+            src[row] = draw(st.sampled_from([0.0, -0.0]))
+            dst[row] = -src[row]
+        else:
+            dst[row] = src[row]
     columns = [np.array(col) if {*map(type, col)} in ({float}, {bool}) and draw(st.booleans()) else col
                for col in columns]
     if draw(st.booleans()):

@@ -23,6 +23,7 @@ from conftest import (
     oracle_region_max,
     oracle_rumor,
     oracle_truth,
+    reference_pick,
     reference_targeted_optimum,
     reference_uniform_optimum,
     slope_roots,
@@ -151,7 +152,7 @@ def test_kink_optimum_reports_the_rumor_extinct():
     assert res.objective == 0.5999999999995 and res.rumor_eradicated
     # the platform curve falls towards the kink, so it never peaks there; the
     # value the platform planner scores at the kink holds no rumor either
-    assert planner._objective(p, kink, True, DEFAULT_SOLVER) == res.objective
+    assert planner._objective(planner.Planner(p), kink, True) == res.objective
     for A in (0.25, 0.6, 0.7):
         res = maximize_platform(p, A)
         assert res.rumor_eradicated == (rumor_steady_state(p, res.allocation) == 0.0)
@@ -757,11 +758,11 @@ def _peak_against_brentq(lam, x, platform):
         theta0, theta1 = _steady_truth(lam, x, u, u, u, math.inf, cfg)
         return _truth_slope(lam, x, u, u, theta1, theta0, (1.0, 1.0, 1.0)) - (1.0 - x) * platform
 
-    peaks, solves, peak, steady = [], [], planner._peak, planner._steady_truth
-    uniform = functools.partial(planner._uniform_peak, p, platform, cfg)
+    peaks, solves, peak, steady, plan = [], [], planner._peak, planner._steady_truth, planner.Planner(p, cfg)
+    uniform = functools.partial(planner._uniform_peak, plan, platform)
     with mock.patch.object(planner, "_peak", lambda *args: peaks.append(peak(*args)) or peaks[-1]), \
             mock.patch.object(planner, "_steady_truth", lambda *args: solves.append(args) or steady(*args)):
-        planner._segment_rates(p, 0.0, 1.0, Allocation.uniform, uniform, cfg)
+        planner._segment_rates(plan, 0.0, 1.0, Allocation.uniform, uniform)
     end = min(1.0, eradication_threshold(p) - cfg.tol)
     if 0.0 < end and slope(0.0) > 0.0 >= slope(end):
         root = end if slope(end) == 0.0 else brentq(slope, 0.0, end, xtol=1e-15)
@@ -784,7 +785,7 @@ def _targeted_rates_against_brentq(lam, x, A, kind):
         direction = (-(1.0 - x) / x, 1.0, 0.0)
         alloc = lambda a1: planner._fit(A, x, planner._binding_alpha0(A, x, a1), a1)
         peaks = lambda lo, end: planner._polynomial_peaks(x, lo, end, *planner._line_polynomial(A, 1.0 / lam))
-        scored = planner._segment_rates(p, lo, hi, alloc, peaks, cfg)
+        scored = planner._segment_rates(planner.Planner(p, cfg), lo, hi, alloc, peaks)
     rates = [a.alpha1 for a, _ in scored]
     end = min(hi, eradication_threshold(p) - cfg.tol)
     roots = slope_roots(p, lo, end, alloc, direction, cfg) if lo < end else []
@@ -934,6 +935,53 @@ def test_peak_bracketed_steps_alone_find_the_root(monkeypatch, lam, x, platform)
     assert len(peaks) == 1 and solves > 2
 
 
+@pytest.mark.parametrize("lam,x", [(2.0, 0.3), FALLBACK])
+def test_thresholds_solve_each_curve_end_once(lam, x):
+    # the truth and the platform curve share the full truth solves at the uniform line's ends, 0 and the kink:
+    # thresholds, which reads both curves, solves each end once, and each curve's other slope solves are its own
+    p = ModelParams.from_lambda(lam, x)
+    kink = eradication_threshold(p) - DEFAULT_SOLVER.tol
+
+    def slope_solves(read):  # the rates of the slope solves, the full truth solves with no cutoff, of read(Planner)
+        solves, steady = [], planner._steady_truth
+        with mock.patch.object(planner, "_steady_truth", lambda *args: solves.append(args) or steady(*args)):
+            read(planner.Planner(p))
+        return [args[2] for args in solves if args[5] == math.inf]
+
+    both = slope_solves(planner.Planner.thresholds)
+    truth, platform = slope_solves(lambda plan: plan.truth), slope_solves(lambda plan: plan.platform)
+    assert both.count(0.0) == both.count(kink) == 1
+    assert truth[:2] == platform[:2] == [0.0, kink]
+    assert both == truth + platform[2:]
+
+
+def _bits(value):
+    """value with each float spelt by float.hex, inside tuples too, so that == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    return tuple(map(_bits, value)) if isinstance(value, tuple) else value
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(0.02, 3.0).map(lambda e: 10.0**e), x=st.floats(0.0, 1.0),
+       budgets=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=4))
+@example(lam=2.0, x=0.3, budgets=[0.1, 0.25, 0.5])
+@example(lam=FALLBACK[0], x=FALLBACK[1], budgets=[0.3, 1.0])
+def test_shared_end_solves_change_no_result(lam, x, budgets):
+    # a Planner that reads the platform curve first, or the truth curve first, gives the bits of a fresh
+    # Planner per curve and per objective: its thresholds, and every objective's optimum at any budget
+    p = ModelParams.from_lambda(lam, x)
+    truth_first, platform_first = planner.Planner(p), planner.Planner(p)
+    truth_first.truth, platform_first.platform  # each analyses this curve first
+    want = truth_first.thresholds()
+    alone = (*planner.Planner(p).slack_region("truth"), planner.Planner(p).slack_region("platform")[1])
+    assert _bits(want[3:]) == _bits(alone) and _bits(platform_first.thresholds()) == _bits(want)
+    for A in budgets:
+        for objective in ("rumor-min", "truth", "truth-targeted", "platform"):
+            fresh = _bits(planner.Planner(p).optimum(objective, A))
+            assert _bits(truth_first.optimum(objective, A)) == _bits(platform_first.optimum(objective, A)) == fresh
+
+
 @settings(max_examples=300, deadline=None)
 @given(lam=st.floats(0.5, 1000.0), x=st.floats(0.0, 1.0), A=st.floats(0.0, 1.2))
 @example(lam=6.23449472148432, x=0.4643367405963297, A=0.3610393828284849)  # at alpha0 = 0, the line's end
@@ -997,6 +1045,25 @@ def test_uniform_optimum_scores_every_recorded_rate_above_the_kink():
     assert peak.alpha0 == 0.0
     plan.truth = rates, peak.alpha0, top
     assert plan.optimum("truth", 0.9).allocation == Allocation.uniform(0.3)
+
+
+# rates a few TIE_TOL apart or equal, so that spends tie within TIE_TOL and alpha0 repeats; values TIE_TOL apart
+TIE_RATES = st.builds(lambda u, d: min(1.0, u + d), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                      st.sampled_from([0.0, 0.3 * planner.TIE_TOL, planner.TIE_TOL, 2.0 * planner.TIE_TOL]))
+TIE_GAPS = st.sampled_from([0.0, 0.0, 0.5 * planner.TIE_TOL, planner.TIE_TOL, 1.5 * planner.TIE_TOL, 1e-3])
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0), top=st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0),
+       pairs=st.lists(st.tuples(TIE_RATES, TIE_RATES, TIE_GAPS), min_size=1, max_size=8), data=st.data())
+def test_pick_matches_the_reference_tie_rule(x, top, pairs, data):
+    # the one-pass tie rule names the reference's winner, the same (allocation, objective) objects, and the same
+    # best value, on exact ties, values within TIE_TOL of the best, spends within TIE_TOL of each other and equal
+    # alpha0 in any order
+    scored = data.draw(st.permutations([(Allocation(a0, a1), top - gap) for a0, a1, gap in pairs]))
+    (alloc, value), best = planner._pick(scored, x)
+    (want_alloc, want_value), want_best = reference_pick(scored, x)
+    assert alloc is want_alloc and value is want_value and best.hex() == want_best.hex()
 
 
 @pytest.mark.parametrize(
