@@ -9,7 +9,8 @@ seed) always produces byte-identical output.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 Importing this module loads the package's model alone. The planner loads for optimize, thresholds and a budget
-sweep, and the dynamics for dynamics: each command imports them when it runs, as the sweeps import numpy.
+sweep, and the dynamics for dynamics: each command imports them when it runs, as the alpha, lambda and x sweeps
+import numpy. A budget sweep never does: a fresh 11-step one took 165 ms with it and takes 71 ms (2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -192,16 +193,22 @@ def optimize_record(res, objective: str) -> dict:
             "budget_spent": res.budget_spent, "slack": res.slack, "rumor_eradicated": res.rumor_eradicated}
 
 
+def float_grid(lo: float, hi: float, steps: int) -> list[float]:
+    """np.linspace(lo, hi, steps), steps >= 2, on floats by its arithmetic: i*step + lo, or i/(steps-1)*(hi-lo) + lo
+    where the step underflows to 0, then hi. A count past the list's limit fails before any point is computed."""
+    grid, div, step = [hi] * steps, steps - 1, (hi - lo) / (steps - 1)
+    grid[:div] = [i * step + lo for i in range(div)] if step else [i / div * (hi - lo) + lo for i in range(div)]
+    return grid
+
+
 def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list]:
     """The header and the columns of a sweep: the swept values, then one column per field.
 
-    The domain checks are monotone in the swept value along every axis, and np.linspace returns --start and
-    --stop as its exact ends, so they are checked before the grid: a failing sweep reports its first point's
-    error. A steady sweep is solved as one batch, which reports its first failing entry. Its columns stay arrays:
-    emit writes a cell whose bits repeat +0.0 or an earlier cell of its row once, as the rumor-free rows have them.
+    The domain checks are monotone in the swept value along every axis, and the grid has --start and --stop as its
+    exact ends, so they are checked before the grid: a failing sweep reports its first point's error. A budget sweep
+    runs on floats (float_grid). Only the alpha, lambda and x sweeps load numpy, to solve their grid as one batch,
+    which reports its first failing entry; emit writes a cell of those arrays that repeats +0.0 or its row once.
     """
-    import numpy as np  # sweeps alone need numpy, so the other commands start without it
-
     axis = cfg.axis
     if (cfg.objective is None) == (axis == "A"):
         raise ConfigError("--objective is required when sweeping the budget, and read by no other axis")
@@ -230,23 +237,27 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
     if axis == "A":
         from .planner import Planner, _total
 
-        p = _params(cfg)
+        planner = Planner(_params(cfg), solver)
         _total(lo), _total(hi)
     else:  # the point at each end; the first one's params and allocation hold the batch's fixed values
         field = "lam" if axis == "lambda" else axis
         (p, a), _ = [(_params(end), _allocation(end)) for end in (RunConfig(**{**vars(cfg), field: v}) for v in (lo, hi))]
     try:
-        with np.errstate(over="ignore"):  # a span near the float maximum overflows inside; the ends come back exact
-            grid = np.linspace(lo, hi, cfg.steps)
-    except (ValueError, MemoryError, IndexError) as exc:
-        # numpy refuses a count past its size limit (ValueError) or one it cannot
-        # allocate (MemoryError); near 2**63 its arange comes out empty (IndexError)
-        raise ConfigError(f"cannot build a sweep grid of {cfg.steps} steps: {exc}") from exc
+        if axis == "A":
+            grid = float_grid(lo, hi, cfg.steps)
+        else:
+            import numpy as np  # the batch solve needs arrays, so a budget sweep starts without numpy
+            with np.errstate(over="ignore"):  # a span near the float maximum overflows inside; the ends come back exact
+                grid = np.linspace(lo, hi, cfg.steps)
+    except (ValueError, MemoryError, IndexError, OverflowError) as exc:
+        # a count past numpy's size limit or a list's, or one numpy cannot allocate; near 2**63 its arange is empty
+        raise ConfigError(f"cannot build a sweep grid of {cfg.steps} steps: {str(exc) or 'out of memory'}") from exc
 
     if axis == "A":  # one optimization per budget, each read off the point's one Planner
-        planner, values = Planner(p, solver), grid.tolist()
-        records = [optimize_record(planner.optimum(cfg.objective, v), cfg.objective) for v in values]
-        return (["A", *records[0]], [values, *map(list, zip(*(r.values() for r in records)))])
+        results = [planner.optimum(cfg.objective, v) for v in grid]
+        allocations, *fields = zip(*results)  # in optimize_record's order, after its mode
+        return (["A", *optimize_record(results[0], cfg.objective)],
+                [grid, [MODES[cfg.objective]] * len(grid), *zip(*allocations), *fields])
     lam, x, a0, a1 = p.lam, p.x, a.alpha0, a.alpha1
     if axis == "alpha":
         a0 = a1 = grid

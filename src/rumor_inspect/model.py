@@ -117,9 +117,9 @@ class Allocation(namedtuple("Allocation", "alpha0 alpha1")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs the checks too
 
     def __new__(cls, alpha0: float, alpha1: float) -> Allocation:
-        for name, v in (("alpha0", alpha0), ("alpha1", alpha1)):
-            if not 0.0 <= v <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1], got {v}")
+        if not 0.0 <= alpha0 <= 1.0 >= alpha1 >= 0.0:  # both rates in one comparison; nan fails it
+            name, v = ("alpha1", alpha1) if 0.0 <= alpha0 <= 1.0 else ("alpha0", alpha0)
+            raise ParameterError(f"{name} must lie in [0, 1], got {v}")
         return tuple.__new__(cls, (alpha0, alpha1))
 
     @classmethod

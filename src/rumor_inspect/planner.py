@@ -61,7 +61,7 @@ THRESHOLD_RESOLUTION = 1e-6  # narrowest slack region compute_thresholds reports
 
 
 def _total(budget: float) -> float:
-    A = float(budget)
+    A = float(budget) + 0.0  # -0.0 + 0.0 is 0.0, and any other budget is unchanged
     if not 0.0 <= A < math.inf:
         raise ParameterError(f"budget must be {'finite' if A > 0.0 else '>= 0'}, got {A}")
     return A
@@ -91,7 +91,7 @@ OptResult = namedtuple("OptResult", "allocation objective budget_spent slack rum
 
 def _objective(plan: Planner, a: Allocation, platform: bool) -> float:
     """theta0 at the policy a, or theta0 + theta1 for the platform, from one scalar solve at plan's point."""
-    theta0, theta1 = _steady_truth(plan._lam, plan._x, *a, a.inspecting_mass(plan._x), plan._cutoff, plan.cfg)
+    theta0, theta1 = _steady_truth(plan._lam, plan._x, *a, _inspecting_mass(plan._x, *a), plan._cutoff, plan.cfg)
     return theta0 + theta1 if platform else theta0
 
 
@@ -204,7 +204,7 @@ def _score(plan: Planner, candidates, platform: bool) -> list:
 
 
 def _pick(scored, x: float):
-    """The one tie rule: ((allocation, objective), best objective) of the winner among the scored pairs.
+    """The one tie rule: ((allocation, objective, spend), best objective) of the winner among the scored pairs.
 
     Among the pairs within TIE_TOL of the best, the cheapest spend wins, to
     within TIE_TOL, then the smallest alpha0, the first of equals.
@@ -213,21 +213,20 @@ def _pick(scored, x: float):
     near, least = [], math.inf
     for a, v in scored:
         if v >= top - TIE_TOL:
-            spend = a.inspecting_mass(x)
-            near.append((spend, a, v))
+            spend = _inspecting_mass(x, *a)
+            near.append((a, v, spend))
             least = spend if spend < least else least
     cap, win = least + TIE_TOL, None
-    for spend, a, v in near:
+    for a, v, spend in near:
         if spend <= cap and (win is None or a.alpha0 < win[0].alpha0):
-            win = a, v
+            win = a, v, spend
     return win, top
 
 
-def _result(plan: Planner, A: float, alloc: Allocation, value: float) -> OptResult:
-    """The OptResult of a planner's winner alloc, of objective value, at the budget A: slack below min(A, 1)."""
-    spend = alloc.inspecting_mass(plan._x)
+def _result(plan: Planner, A: float, alloc: Allocation, value: float, spend: float) -> OptResult:
+    """The OptResult of the winner alloc, of objective value and spend, at the budget A: slack below min(A, 1)."""
     eradicated = _rumor_level(plan._lam, plan._x, alloc.alpha1, plan._cutoff, plan.cfg) == 0.0
-    return OptResult(alloc, value, spend, slack=spend < min(A, 1.0) - SLACK_TOL, rumor_eradicated=eradicated)
+    return OptResult(alloc, value, spend, spend < min(A, 1.0) - SLACK_TOL, eradicated)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,7 @@ class Planner:
     def _line(self, platform: bool) -> tuple:
         rates = _segment_rates(self, 0.0, 1.0, Allocation.uniform, functools.partial(_uniform_peak, self, platform))
         rates = _score(self, [(a, v) for a, v in rates if a.alpha1 < 1.0], platform)
-        (peak, _), top = _pick(rates, self._x)
+        (peak, _, _), top = _pick(rates, self._x)
         return rates, peak.alpha1, top
 
     @functools.cached_property
@@ -298,8 +297,8 @@ class Planner:
         """
         lam, x, A = self._lam, self._x, _total(budget)
         if objective == "rumor-min":
-            alloc = Allocation.uniform(min(A, max(0.0, self._kink)))
-            return _result(self, A, alloc, _rumor_level(lam, x, alloc.alpha1, self._cutoff, self.cfg))
+            alloc = Allocation.uniform(min(A, max(0.0, self._kink)))  # a uniform rate spends itself
+            return _result(self, A, alloc, _rumor_level(lam, x, alloc.alpha1, self._cutoff, self.cfg), alloc.alpha1)
         if objective in ("truth", "platform"):
             rates, peak, _ = getattr(self, objective)
             c = min(A, 1.0)

@@ -86,6 +86,15 @@ def ref_params():
     return ModelParams.from_lambda(2.0, 0.3)
 
 
+def reference_allocation_error(alpha0, alpha1):
+    """The message Allocation(alpha0, alpha1) raises, or None where it accepts the rates: its check as a loop over
+    the two rates, each of which must lie in [0, 1], alpha0's failure named first."""
+    for name, v in (("alpha0", alpha0), ("alpha1", alpha1)):
+        if not 0.0 <= v <= 1.0:
+            return f"{name} must lie in [0, 1], got {v}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the truth fixed-point map, a paper cross-check
 # ---------------------------------------------------------------------------

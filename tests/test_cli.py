@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -388,6 +389,16 @@ def test_dynamics_negative_zero_init_seeds_like_zero(capsys):
     assert zero == negative and "-0.0" not in "\n".join(negative)
 
 
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_negative_zero_budget_optimizes_like_zero(capsys, objective):
+    # a budget of -0.0 passes the >= 0 check; it plans as 0.0, so only the config echo tells the two runs apart
+    args = ["optimize", "--objective", objective, "--lambda", "2", "--x", "0.3"]
+    outs = [run(capsys, *args, f"--A={A}") for A in ("0", "-0.0")]
+    assert [code for code, _ in outs] == [0, 0]
+    zero, negative = ([ln for ln in out.splitlines() if not ln.startswith("# config")] for _, out in outs)
+    assert zero == negative and "-0.0" not in "\n".join(negative)
+
+
 def test_dynamics_exit_3_when_not_converged(capsys):
     # exactly critical rumor point decays algebraically; the horizon is hit
     code, out = run(
@@ -568,14 +579,20 @@ def test_sweep_span_near_the_float_maximum_warns_nothing(capsys, argv):
     assert swept[0] == 1.0 and swept[-1] == sys.float_info.max and all(map(math.isfinite, swept))
 
 
-# 10**20 is past numpy's size limit, and at 2**63 its arange comes out empty:
-# neither allocates a grid
-@pytest.mark.parametrize("steps", [10**20, 2**63], ids=["1e20", "2**63"])
-def test_oversized_sweep_steps_exit_2(capsys, steps):
-    code = main(["sweep", "--axis", "alpha", "--lambda", "2", "--x", "0.3", "--steps", str(steps)])
+# 10**20 is past numpy's size limit, and at 2**63 its arange comes out empty; both are past a list's index range,
+# which the budget grid meets before it computes a point, and 2**62 lists are past its memory limit: none allocates
+@pytest.mark.parametrize("axis", [["alpha"], ["A", "--objective", "truth"]], ids=["alpha", "A"])
+@pytest.mark.parametrize("steps", [10**20, 2**63, 2**62], ids=["1e20", "2**63", "2**62"])
+def test_oversized_sweep_steps_exit_2(capsys, steps, axis):
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--axis", *axis, "--lambda", "2", "--x", "0.3", "--steps", str(steps)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     out, err = capsys.readouterr()
-    assert code == 2
-    assert out == "" and err.startswith(f"error: cannot build a sweep grid of {steps} steps: ")
+    assert code == 2 and peak < 2**20
+    assert out == "" and err.startswith(f"error: cannot build a sweep grid of {steps} steps: ") and err[-3:] != ": \n"
 
 
 def segment(args):
@@ -1010,13 +1027,15 @@ def test_only_lines_the_tables_decline_load_argparse():
 
 
 def test_commands_without_arrays_leave_numpy_unimported():
+    # a budget sweep builds its grid and its columns on floats
     seen = numpy_after(
         ["steady", "--alpha", "0.2", *AT],
+        ["sweep", "--axis", "A", "--objective", "truth", "--steps", "11", *AT],
         *(["optimize", "--objective", objective, "--A", "0.3", *AT] for objective in OBJECTIVES),
         ["thresholds", *AT],
         ["dynamics", "--alpha", "0.2", *AT],
     )
-    assert seen == [(None, False, IMPORTED), (0, False, []), (0, False, PLANS)] + [(0, False, [])] * 4 + [
+    assert seen == [(None, False, IMPORTED), (0, False, []), (0, False, PLANS)] + [(0, False, [])] * 5 + [
         (0, False, INTEGRATES)]
 
 

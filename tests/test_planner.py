@@ -1041,7 +1041,7 @@ def test_uniform_optimum_scores_every_recorded_rate_above_the_kink():
     line = _no_rumor_truth(p.lam, p.x, 0.9)
     rates = [(Allocation.uniform(0.0), line - 1.5e-10), (Allocation.uniform(0.3), line - 0.6e-10),
              (Allocation.uniform(plan._kink), line - 5e-10)]
-    (peak, _), top = planner._pick(rates, p.x)
+    (peak, _, _), top = planner._pick(rates, p.x)
     assert peak.alpha0 == 0.0
     plan.truth = rates, peak.alpha0, top
     assert plan.optimum("truth", 0.9).allocation == Allocation.uniform(0.3)
@@ -1059,11 +1059,12 @@ TIE_GAPS = st.sampled_from([0.0, 0.0, 0.5 * planner.TIE_TOL, planner.TIE_TOL, 1.
 def test_pick_matches_the_reference_tie_rule(x, top, pairs, data):
     # the one-pass tie rule names the reference's winner, the same (allocation, objective) objects, and the same
     # best value, on exact ties, values within TIE_TOL of the best, spends within TIE_TOL of each other and equal
-    # alpha0 in any order
+    # alpha0 in any order, with the winner's spend for its result
     scored = data.draw(st.permutations([(Allocation(a0, a1), top - gap) for a0, a1, gap in pairs]))
-    (alloc, value), best = planner._pick(scored, x)
+    (alloc, value, spend), best = planner._pick(scored, x)
     (want_alloc, want_value), want_best = reference_pick(scored, x)
     assert alloc is want_alloc and value is want_value and best.hex() == want_best.hex()
+    assert spend.hex() == want_alloc.inspecting_mass(x).hex()
 
 
 @pytest.mark.parametrize(

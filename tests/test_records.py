@@ -10,7 +10,10 @@ its values. ``ModelParams``, ``Allocation``, ``SolverConfig`` and
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_allocation_error
 from rumor_inspect import (
     Allocation,
     DynState,
@@ -119,6 +122,24 @@ INVALID = [
     (IntegratorConfig, (-1e-10,), "conv_tol must be finite and positive, got -1e-10"),
     (IntegratorConfig, (math.nan,), "conv_tol must be finite and positive, got nan"),
 ]
+
+
+# the edges of [0, 1] and a float past each, the infinities and nan, among any floats
+EDGE_RATES = st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), -5e-324, 5e-324, math.inf, -math.inf,
+                              math.nan]) | st.floats()
+
+
+@settings(max_examples=500)
+@given(alpha0=EDGE_RATES, alpha1=EDGE_RATES)
+def test_allocation_check_matches_the_reference_loop(alpha0, alpha1):
+    # the one chained comparison accepts and refuses the rates the loop over them did, naming the same rate
+    want = reference_allocation_error(alpha0, alpha1)
+    try:
+        a = Allocation(alpha0, alpha1)
+    except ParameterError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None and a.alpha0 is alpha0 and a.alpha1 is alpha1
 
 
 @pytest.mark.parametrize("build", ["positional", "keyword", "replace"])

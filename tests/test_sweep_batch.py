@@ -7,6 +7,7 @@ built once per process, so repeated ``main`` calls in one process must give
 the bytes that fresh interpreters give.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -15,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rumor_inspect import Allocation, ModelParams, SolverConfig, SolverError, cli, full_steady_state, model
-from rumor_inspect.cli import STEADY_FIELDS, RunConfig, main, sweep_records
+from rumor_inspect.cli import STEADY_FIELDS, RunConfig, float_grid, main, sweep_records
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -267,3 +268,23 @@ def test_repeated_main_matches_fresh_processes(monkeypatch, capsys):
         fresh = subprocess.run([sys.executable, "-m", "rumor_inspect.cli", *argv], env=env,
                                capture_output=True, text=True, timeout=60)
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+MAX = sys.float_info.max
+# ends a few subnormals from 0, whose span over the steps underflows to a step of 0, or any finite floats
+TINY = st.integers(-40, 40).map(lambda k: k * 5e-324)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ends=st.tuples(TINY, TINY) | st.tuples(st.floats(-MAX, MAX), st.floats(-MAX, MAX)), steps=st.integers(2, 64))
+@example(ends=(0.0, 5e-324), steps=3)
+@example(ends=(0.0, MAX), steps=4)
+@example(ends=(-MAX / 2.0, MAX / 2.0), steps=11)
+def test_float_grid_matches_linspace(ends, steps):
+    # a budget sweep's grid takes np.linspace's arithmetic on floats: the same points, bit for bit, at spans whose
+    # step underflows to 0 and at spans up to the float maximum
+    lo, hi = sorted(ends)
+    assume(lo < hi and math.isfinite(hi - lo))
+    with np.errstate(over="ignore"):  # as in sweep_records: near the float maximum linspace overflows inside
+        want = np.linspace(lo, hi, steps).tolist()
+    assert [v.hex() for v in float_grid(lo, hi, steps)] == [v.hex() for v in want]
