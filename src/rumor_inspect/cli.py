@@ -413,8 +413,9 @@ def run_dynamics(cfg: RunConfig) -> int:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.starts is not None and cfg.starts < 2:
         raise ConfigError(f"starts must be >= 2, got {cfg.starts}")
-    report = None if cfg.starts is None else verify_global_stability(p, a, integ)
-    reuse = report is not None and cfg.init == DEFAULT_SEED_LEVEL  # the check has integrated this very start
+    low = min(cfg.init, DEFAULT_SEED_LEVEL)  # so that the certificate's box [low, 1]^4 holds the printed run's start
+    report = None if cfg.starts is None else verify_global_stability(p, a, integ, low)
+    reuse = report is not None and cfg.init <= DEFAULT_SEED_LEVEL  # the check has integrated this very start
     traj = report.seed_trajectory if reuse else integrate(s0, p, a, integ)
     r00a, r00na, r10a, r11na, t = zip(*traj.states)
     x, a0, a1 = p.x, a.alpha0, a.alpha1

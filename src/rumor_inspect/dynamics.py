@@ -111,11 +111,11 @@ class Trajectory(namedtuple("Trajectory", "states converged max_rate n_rejected"
 
 
 class StabilityReport(namedtuple("StabilityReport", "passed all_converged max_gap limits seed_trajectory")):
-    """Outcome of the two corner runs of verify_global_stability, from seed_state(p, a) and from all ones.
+    """Outcome of the two corner runs of verify_global_stability, from seed_state(p, a, level) and from all ones.
 
     passed iff all_converged (neither run stopped at the horizon) and max_gap, the widest gap between the two
     limits in one coordinate, is below STABILITY_TOL. limits holds the two runs' final DynStates, the seed's
-    first; seed_trajectory is the run from seed_state(p, a).
+    first; seed_trajectory is the run from seed_state(p, a, level).
     """
 
     __slots__ = ()
@@ -349,21 +349,21 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     return Trajectory(tuple(states), converged, max_rate, n_rejected)
 
 
-def verify_global_stability(p: ModelParams, a: Allocation,
-                            cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> StabilityReport:
-    """Integrate from seed_state(p, a) and from (1, 1, 1, 1), the corners of the box [DEFAULT_SEED_LEVEL, 1]^4.
+def verify_global_stability(p: ModelParams, a: Allocation, cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
+                            level: float = DEFAULT_SEED_LEVEL) -> StabilityReport:
+    """Integrate from seed_state(p, a, level) and from (1, 1, 1, 1), the corners of the box [level, 1]^4.
 
     The system is cooperative: every off-diagonal Jacobian entry of rate_function, m_i (1 - r_i) k nu w_j, is >= 0
     on [0, 1]^4. By Kamke's comparison theorem (H. L. Smith, Monotone Dynamical Systems, AMS Math. Surveys 41,
     1995, ch. 3) ordered starts give ordered trajectories, so these two runs bound, coordinate by coordinate, every
-    run that starts in the box, which contains [0.01, 0.99]^4. Passes iff both runs converge and their limits agree
-    to STABILITY_TOL in sup distance over the four coordinates: the run from any start in the box then ends
-    between the two limits, within STABILITY_TOL of each.
+    run that starts in the box, which at the default level contains [0.01, 0.99]^4. Passes iff both runs converge
+    and their limits agree to STABILITY_TOL in sup distance over the four coordinates: the run from any start in
+    the box then ends between the two limits, within STABILITY_TOL of each.
     A run that stops at the horizon yields a failing report, not an exception; one that exhausts MAX_STEPS or
     stalls raises IntegratorError, as integrate does. The report keeps the seed's trajectory, so a run from the
-    default seed need not integrate it again.
+    seed level need not integrate it again.
     """
-    seed, top = (integrate(s0, p, a, cfg) for s0 in (seed_state(p, a), DynState(1.0, 1.0, 1.0, 1.0)))
+    seed, top = (integrate(s0, p, a, cfg) for s0 in (seed_state(p, a, level), DynState(1.0, 1.0, 1.0, 1.0)))
     all_converged = seed.converged and top.converged
     max_gap = max(abs(u - v) for u, v in zip(seed.final[:4], top.final[:4]))
     passed = all_converged and max_gap < STABILITY_TOL

@@ -20,8 +20,10 @@ the truth and 4 for the platform on the uniform line, 2 on the budget line and
 is scored (_polynomial_peaks). On the uniform line float roots are too
 inaccurate; there the slope (model._truth_slope) changed sign at most once per
 endemic piece over 30,000 random draws (lam up to 1000, any x), and Newton's
-method solves the one peak (_uniform_peak). One tie rule picks among the
-candidates: the cheapest within 1e-10 of the best, then the smallest alpha0.
+method solves the one peak (_uniform_peak); when it leaves the bracket, a slope
+solve at the midpoint halves the bracket and Newton restarts there (_peak).
+One tie rule picks among the candidates: the cheapest within 1e-10 of the
+best, then the smallest alpha0.
 
 No budget moves the uniform line or the edge, so a Planner analyses each
 once per point, on first use; the targeted planner searches its budget line
@@ -53,7 +55,7 @@ from .model import (
 )
 
 ROOT_XTOL = 1e-12  # width in alpha1 to which _peak solves a peak: its last Newton step, or its bracket
-NEWTON_STEPS = 8  # Newton iterations on a peak before _peak takes a bracketed step
+NEWTON_STEPS = 8  # Newton iterations on a peak before _peak halves its bracket with a full slope solve
 TIE_TOL = 1e-10
 SLACK_TOL = 1e-9
 EPS = sys.float_info.epsilon
@@ -95,24 +97,23 @@ def _objective(plan: Planner, a: Allocation, platform: bool) -> float:
     return theta0 + theta1 if platform else theta0
 
 
-def _peak(lam: float, x: float, slope, kappa: float, lo, end) -> float:
-    """The rate in [a, b] where the uniform line's slope is 0, to ROOT_XTOL, from slope's (g, u, theta0) at a and b.
+def _peak(lam: float, x: float, slope, kappa: float, a: float, b: float) -> float:
+    """The rate in [a, b] where the uniform line's slope is 0, to ROOT_XTOL; slope(u) is (the slope, theta0) at u.
 
     It solves G(t, u) = 0 and G_u + kappa*G_t = 0 in (t, u) = (theta0, alpha) by Newton's method from the secant
     between the ends: G is the monic truth cubic (model._truth_partials), kappa = 1-x for the platform and 0 for
-    the truth. A step that leaves the bracket [a, b] is halved; one that still leaves it, or leaves the root's
-    range 0 < t < min(s, 1 - theta1), gives way to one bracketed step, a full slope solve at the regula falsi
-    point (an end that two such steps keep is scaled as Anderson and Bjorck do), and Newton restarts there.
+    the truth. A step that leaves the bracket [a, b] is halved. One that still leaves it, or leaves the root's
+    range 0 < t < min(s, 1 - theta1), or a run of NEWTON_STEPS that does not converge, gives way to a full slope
+    solve at the bracket's midpoint, as in model._truth_given_rumor: it halves the bracket, and Newton restarts
+    there. So past the ends a peak takes at most ceil(log2((b - a) / ROOT_XTOL)) full truth solves.
     """
-    (ga, a, t), (gb, b, t_b) = lo, end
+    (ga, t), (gb, t_b) = slope(a), slope(b)
     v, y, tol = 1.0 / lam, 1.0 - x, 0.5 * ROOT_XTOL
-    kept = 0  # the end the last bracketed step kept, +1 for b; after one, Newton restarts where it solved t
+    u = (a * gb - b * ga) / (gb - ga)
+    u = u if u == u else 0.5 * (a + b)  # nan from an infinite slope at an end (see _truth_slope): bisect
+    t += (t_b - t) * (u - a) / (b - a)  # the first Newton run starts at the secant, t interpolated between the ends
     while gb != 0.0 and b - a > ROOT_XTOL:
-        c = (a * gb - b * ga) / (gb - ga)
-        c = c if c == c else 0.5 * (a + b)  # nan from an infinite slope at an end (see _truth_slope): bisect
         step = math.inf
-        if not kept:  # the first Newton run starts at the secant, t interpolated between the ends
-            u, t = c, t + (t_b - t) * (c - a) / (b - a)
         for _ in range(NEWTON_STEPS):
             theta1 = (1.0 - u) * y - v
             if not (a <= u <= b and 0.0 < t < u + x * (1.0 - u) and t < 1.0 - theta1):
@@ -125,16 +126,9 @@ def _peak(lam: float, x: float, slope, kappa: float, lo, end) -> float:
             step = (g * h_t - g_t * h) / det
             m = 1.0 if a <= u + step <= b else 0.5  # a step past the bracket is halved, once
             t, u = t + m * (g_u * h - g * h_u) / det, u + m * step
-        if kept and abs(c - (a if kept == 1 else b)) <= tol:
-            return c  # the step is below ROOT_XTOL/2: converged
-        c = min(max(c, a + tol), b - tol)  # a step next to the root crosses it
-        gc, u, t = slope(c)
-        if gc > 0.0:
-            m = 1.0 - gc / ga if kept == 1 else 1.0
-            a, ga, gb, kept = c, gc, gb * (m if m > 0.0 else 0.5), 1
-        else:
-            m = 1.0 - gc / gb if kept == -1 else 1.0
-            b, gb, ga, kept = c, gc, ga * (m if m > 0.0 else 0.5), -1
+        u = 0.5 * (a + b)
+        g, t = slope(u)
+        a, b, gb = (u, b, gb) if g > 0.0 else (a, u, g)
     return b
 
 
@@ -160,17 +154,16 @@ def _uniform_peak(plan: Planner, platform: bool, lo: float, end: float) -> list:
     lam, x, cfg, solves = plan._lam, plan._x, plan.cfg, plan._solves
     kappa = 1.0 - x if platform else 0.0
 
-    def slope(u: float):  # (the objective's slope, u, theta0) at alpha = u, from a full truth solve
+    def slope(u: float):  # (the objective's slope, theta0) at alpha = u, from a full truth solve
         if u not in solves:
             theta0, theta1 = _steady_truth(lam, x, u, u, u, math.inf, cfg)
             solves[u] = theta0, theta1, _truth_slope(lam, x, u, u, theta1, theta0, (1.0, 1.0, 1.0))
         theta0, _, g = solves[u]
-        return g - kappa, u, theta0
+        return g - kappa, theta0
 
-    ends = slope(lo), slope(end)
-    rates = [lo, end] + ([_peak(lam, x, slope, kappa, *ends)] if ends[0][0] > 0.0 >= ends[1][0] else [])
-    values = {u: theta0 + theta1 if platform else theta0 for u, (theta0, theta1, _) in solves.items()}
-    return [(u, values.get(u)) for u in rates]
+    (g_lo, _), (g_end, _) = slope(lo), slope(end)
+    rates = [lo, end] + ([_peak(lam, x, slope, kappa, lo, end)] if g_lo > 0.0 >= g_end else [])
+    return [(u, None if s is None else s[0] + s[1] if platform else s[0]) for u in rates for s in [solves.get(u)]]
 
 
 def _line_polynomial(A: float, v: float):

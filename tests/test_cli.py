@@ -713,10 +713,11 @@ def test_negative_seed_exit_2(capsys, flags):
     assert out == "" and f"error: seed must be >= 0, got {flags[-1]}" in err
 
 
-@pytest.mark.parametrize("init,own", [([], []), (["--init", "0.2"], [(0.2,) * 4])], ids=["default-init", "init"])
-def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, own):
-    # the stability check integrates the default seed and all ones, whatever N; the run reuses the seed's
-    # trajectory, and integrates only a start of its own
+@pytest.mark.parametrize("init,seed,own", [([], 1e-3, []), (["--init", "0.2"], 1e-3, [(0.2,) * 4]),
+                                           (["--init", "1e-9"], 1e-9, [])], ids=["default-init", "init", "low-init"])
+def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, seed, own):
+    # the stability check integrates its seed, at --init or the default level, whichever is lower, and all ones,
+    # whatever N; the run reuses the seed's trajectory, and integrates only a start of its own
     starts = []
     integrate = dynamics.integrate
 
@@ -728,7 +729,18 @@ def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, own)
     code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", "3", *init])
     out = capsys.readouterr().out
     assert code == 0 and "# stability_passed: true" in out
-    assert starts == [(dynamics.DEFAULT_SEED_LEVEL,) * 4, (1.0,) * 4, *own]
+    assert starts == [(seed,) * 4, (1.0,) * 4, *own]
+
+
+@pytest.mark.parametrize("init", ["0", "1e-11", "2e-10", "3e-10"])
+def test_stability_check_covers_the_printed_start(capsys, init):
+    # from a start below about 8e-10 the rumor's rate is below conv_tol, and the run stops far from the limit:
+    # the certificate's box [min(--init, 1e-3), 1]^4 holds that start, so its lower corner stops there too, the
+    # corners' limits part by about 0.209 and the run exits 3 (from 1e-9 up the check passes, as above)
+    code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", "2", f"--init={init}"])
+    meta = comments(capsys.readouterr().out)
+    assert code == 3 and "# stability_passed: false" in meta
+    assert float(next(ln for ln in meta if ln.startswith("# stability_max_gap:")).split()[-1]) > 0.2
 
 
 def dynamics_texts(argv):

@@ -420,6 +420,15 @@ def test_stability_integrates_the_seed_and_all_ones(monkeypatch, ref_params):
     assert report.seed_trajectory is runs[0] and report.limits == (runs[0].final, runs[1].final)
 
 
+def test_stability_box_starts_at_the_seed_level(ref_params):
+    # the lower corner is seed_state at the level asked for: at 1e-10 its run stops short of the limit, where the
+    # rumor's rate is below conv_tol, so the two converged corners part and the check fails
+    a = Allocation.uniform(0.2)
+    report = verify_global_stability(ref_params, a, level=1e-10)
+    assert report.seed_trajectory.states[0][:4] == seed_state(ref_params, a, 1e-10)[:4]
+    assert report.all_converged and not report.passed and report.max_gap > 0.2
+
+
 def test_stability_reports_failure_without_crash(monkeypatch, ref_params):
     monkeypatch.setattr(dynamics, "HORIZON", 0.5 * ref_params.delta)  # stop at t = 0.5
     report = verify_global_stability(ref_params, Allocation.uniform(0.2))

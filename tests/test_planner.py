@@ -925,11 +925,42 @@ def test_peak_restarts_newton_from_a_bracketed_step():
     assert len(peaks) == 1 and solves == 2
 
 
+@pytest.mark.parametrize("lam,x,curve,most", [(2.084761, 0.03382, "truth", 4), (19.88323, 0.034494, "platform", 4),
+                                              (56.02352, 0.006483, "platform", 5)])
+def test_peak_restarts_cost_one_solve_per_halving(lam, x, curve, most):
+    # on these curves Newton leaves the bracket even halved, and restarts at
+    # least once from a slope solve at the bracket's midpoint. Reading the
+    # curve, its two ends and its peak's value included, takes at most 4, 4
+    # and 5 full truth solves
+    solves, steady = [], planner._steady_truth
+    with mock.patch.object(planner, "_steady_truth", lambda *args: solves.append(args) or steady(*args)):
+        getattr(planner.Planner(ModelParams.from_lambda(lam, x)), curve)
+    assert 3 < len(solves) <= most
+    _peak_against_brentq(lam, x, curve == "platform")
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(0.02, 3.0).map(lambda e: 10.0**e), x=st.floats(0.0, 0.99), platform=st.booleans(),
+       newton=st.booleans())
+@example(lam=FALLBACK[0], x=FALLBACK[1], platform=False, newton=False)
+@example(lam=2.084761, x=0.03382, platform=False, newton=True)
+@example(lam=10.0, x=0.1, platform=True, newton=False)
+def test_peak_solves_are_bounded_by_bisection(lam, x, platform, newton):
+    # each slope solve past the ends halves the bracket [0, end], and Newton
+    # spends none, so with NEWTON_STEPS at its value or at 0 a uniform curve
+    # takes at most 2 + ceil(log2(end / ROOT_XTOL)) full truth solves, and its
+    # peak lies within ROOT_XTOL of a brentq root of the slope
+    with mock.patch.object(planner, "NEWTON_STEPS", planner.NEWTON_STEPS if newton else 0):
+        peaks, solves = _peak_against_brentq(lam, x, platform)
+    end = min(1.0, eradication_threshold(ModelParams.from_lambda(lam, x)) - DEFAULT_SOLVER.tol)
+    assert solves <= 2 + (math.ceil(math.log2(end / planner.ROOT_XTOL)) if peaks else 0), (solves, end)
+
+
 @pytest.mark.parametrize("lam,x,platform", [(*FALLBACK, False), (2.0, 0.3, True), (2.0, 0.3, False), (10.0, 0.1, True)])
 def test_peak_bracketed_steps_alone_find_the_root(monkeypatch, lam, x, platform):
-    # with no Newton step allowed every step is the safeguard, regula falsi
-    # with Anderson-Bjorck scaling, and it still solves the peak to ROOT_XTOL.
-    # At x = 1/lam the slope at alpha = 0 is infinite, and the first step bisects
+    # with no Newton step allowed every step bisects the bracket, at one full
+    # truth solve, and that alone solves the peak to ROOT_XTOL, also at
+    # x = 1/lam, where the slope at alpha = 0 is infinite
     monkeypatch.setattr(planner, "NEWTON_STEPS", 0)
     peaks, solves = _peak_against_brentq(lam, x, platform)
     assert len(peaks) == 1 and solves > 2
