@@ -9,8 +9,7 @@ seed) always produces byte-identical output.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 Importing this module loads the package's model alone. The planner loads for optimize, thresholds and a budget
-sweep, and the dynamics for dynamics: each command imports them when it runs, as the alpha, lambda and x sweeps
-import numpy. A budget sweep never does: a fresh 11-step one took 165 ms with it and takes 71 ms (2-vCPU Xeon).
+sweep, and the dynamics for dynamics, each when its command runs; only the alpha, lambda and x sweeps load numpy.
 """
 
 from __future__ import annotations
@@ -69,7 +68,8 @@ SETTINGS = {
     "--start": ("start", float, None, None),
     "--stop": ("stop", float, None, None),
     "--steps": ("steps", int, 101, None),
-    "--starts": ("starts", int, None, "check stability from the seed and all-ones runs (N >= 2 no longer changes it)"),
+    "--starts": ("starts", int, None, "certify the printed run by the corners of a box that holds its start; a corner "
+                 "equal to that start is the run, not integrated again (N >= 2 no longer changes it)"),
     "--init": ("init", float, DEFAULT_SEED_LEVEL, "initial believing fraction per group"),
     "--seed": ("seed", int, 0, "non-negative; no longer changes the stability check"),
     "--format": ("fmt", ("csv", "json"), "csv", None),
@@ -262,7 +262,7 @@ def sweep_records(cfg: RunConfig, solver: SolverConfig) -> tuple[list[str], list
     if axis == "alpha":
         a0 = a1 = grid
     elif axis == "lambda":
-        lam = grid  # from_lambda gives each swept value back as lam (at a subnormal one, every field is 0 either way)
+        lam = grid  # from_lambda gives back each value it accepts; at the subnormals it refuses every field is 0
     else:
         x = grid
     with np.errstate(all="ignore"):  # float arithmetic overflows to inf silently; so does the batch
@@ -408,15 +408,12 @@ def run_dynamics(cfg: RunConfig) -> int:
     p = _params(cfg)
     a = _allocation(cfg)
     integ = IntegratorConfig(conv_tol=cfg.tol) if cfg.tol is not None else IntegratorConfig()
-    s0 = seed_state(p, a, cfg.init)
     if cfg.seed < 0:  # read by no check, but refused on every line
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.starts is not None and cfg.starts < 2:
         raise ConfigError(f"starts must be >= 2, got {cfg.starts}")
-    low = min(cfg.init, DEFAULT_SEED_LEVEL)  # so that the certificate's box [low, 1]^4 holds the printed run's start
-    report = None if cfg.starts is None else verify_global_stability(p, a, integ, low)
-    reuse = report is not None and cfg.init <= DEFAULT_SEED_LEVEL  # the check has integrated this very start
-    traj = report.seed_trajectory if reuse else integrate(s0, p, a, integ)
+    traj = integrate(seed_state(p, a, cfg.init), p, a, integ)
+    report = None if cfg.starts is None else verify_global_stability(traj, p, a, integ)
     r00a, r00na, r10a, r11na, t = zip(*traj.states)
     x, a0, a1 = p.x, a.alpha0, a.alpha1
     theta0, theta1 = zip(*[_recompose(x, a0, a1, s) for s in traj.states])  # prevalences' formula, one call per state

@@ -20,17 +20,12 @@ Integration uses the adaptive Dormand-Prince 5(4) pair (Dormand & Prince,
 J. Comput. Appl. Math. 6 (1980) 19-26; Hairer, Norsett & Wanner,
 Solving ODEs I, II.4-II.5) with first-same-as-last stages: the last stage of
 an accepted step is the rate at the new state, and it is also what the stop
-rule max|dr/dt| < conv_tol reads. Each stage, its rates included, is written
-out as scalar expressions, one per group, except that the two inspecting
-groups share one coordinate when they share their law and their start (see
-integrate): both see total prevalence, so then their coordinates are equal
-bit for bit and are computed once. A step calls no builtin but
-math.hypot (min and max run only in the rare clip onto [0, 1]) and stores its
-state through tuple.__new__, not DynState's constructor. rate_function defines
-the rates, and the tests' reference loop, which calls it, pins the inline copy
-bit for bit. The trajectory holds the start and every accepted step, so its
-time grid is the integrator's own step sequence; the CLI writes one row per
-accepted step. A step outside [0, 1], NaN included, is rejected and retried at
+rule max|dr/dt| < conv_tol reads. Each stage is written out as scalar
+expressions, one per group (see integrate); rate_function defines the rates,
+and the tests' reference loop, which calls it, pins the inline copy bit for
+bit. The trajectory holds the start and every accepted step, so its time grid
+is the integrator's own step sequence; the CLI writes one row per accepted
+step. A step outside [0, 1], NaN included, is rejected and retried at
 half the size. The limit of the iteration is a fixed point of the exact
 dynamics, so steady-state limits do not depend on the first step FIRST_STEP.
 Near criticality the system is stiff: at nu=4.0906, k=3, delta=0.7071,
@@ -110,15 +105,22 @@ class Trajectory(namedtuple("Trajectory", "states converged max_rate n_rejected"
         return "converged" if self.converged else "horizon"
 
 
-class StabilityReport(namedtuple("StabilityReport", "passed all_converged max_gap limits seed_trajectory")):
-    """Outcome of the two corner runs of verify_global_stability, from seed_state(p, a, level) and from all ones.
+class StabilityReport(namedtuple("StabilityReport", "passed all_converged max_gap limits")):
+    """verify_global_stability's certificate of one run, by the two corner runs of a box that holds its start.
 
-    passed iff all_converged (neither run stopped at the horizon) and max_gap, the widest gap between the two
-    limits in one coordinate, is below STABILITY_TOL. limits holds the two runs' final DynStates, the seed's
-    first; seed_trajectory is the run from seed_state(p, a, level).
+    passed iff all_converged (no run stopped at the horizon) and max_gap, the widest gap in one coordinate between
+    the final states of the run and the corner runs, is below STABILITY_TOL. limits holds the corner runs' final
+    DynStates, the lower corner's first; a corner equal to the run's start is the run, not integrated again.
     """
 
     __slots__ = ()
+
+
+def _rate_constants(p: ModelParams, a: Allocation) -> tuple:
+    """(group masses, k*nu, delta, k_1..k_4, d_1..d_4), as rate_function and integrate's inline stages read them."""
+    masses = group_masses(p, a)
+    kv, d = p.k * p.nu, p.delta
+    return (masses, kv, d, *(kv if w > 0.0 else 0.0 for w in masses), *(d if w > 0.0 else 0.0 for w in masses))
 
 
 def rate_function(p: ModelParams, a: Allocation):
@@ -127,10 +129,7 @@ def rate_function(p: ModelParams, a: Allocation):
     Group i's rate is (1 - r_i) * k_i * theta_src - r_i * d_i, the masks folded into k_i and d_i (see the module
     docstring): empty groups get a zero rate, so their coordinates never move.
     """
-    w0a, w0n, w1a, w1n = masses = group_masses(p, a)
-    kv, d = p.k * p.nu, p.delta
-    k1, k2, k3, k4 = (kv if w > 0.0 else 0.0 for w in masses)  # m_i*k*nu, m_i = 1 for a non-empty group, else 0
-    d1, d2, d3, d4 = (d if w > 0.0 else 0.0 for w in masses)  # m_i*delta
+    (w0a, w0n, w1a, w1n), _, _, k1, k2, k3, k4, d1, d2, d3, d4 = _rate_constants(p, a)
 
     def rates(r1: float, r2: float, r3: float, r4: float) -> tuple[float, float, float, float]:
         th0 = w0a * r1 + w0n * r2 + w1a * r3
@@ -229,11 +228,8 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     for name, v in zip(DynState._fields, s0[:4]):
         if not 0.0 <= v <= 1.0:
             raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-    w0a, w0n, w1a, w1n = masses = group_masses(p, a)  # rate_function's constants, read by the inline stages
-    kv, d = p.k * p.nu, p.delta
-    k1, k2, k3, k4 = (kv if w > 0.0 else 0.0 for w in masses)
-    d1, d2, d3, d4 = (d if w > 0.0 else 0.0 for w in masses)
-    y1, y2, y3, y4 = (v if w > 0.0 else 0.0 for v, w in zip(s0[:4], masses))
+    (w0a, w0n, w1a, w1n), kv, d, k1, k2, k3, k4, d1, d2, d3, d4 = _rate_constants(p, a)
+    y1, y2, y3, y4 = (v if w > 0.0 else 0.0 for v, w in zip(s0[:4], (w0a, w0n, w1a, w1n)))
     same = k1 == k3 and d1 == d3 and y1 == y3  # one law and one start: coordinate 3 reuses coordinate 1
     conv_tol = cfg.conv_tol
     tol = 0.25 * conv_tol / (2.0 * kv + d)  # k*nu first: 2*k alone may overflow
@@ -349,22 +345,25 @@ def integrate(s0: DynState, p: ModelParams, a: Allocation, cfg: IntegratorConfig
     return Trajectory(tuple(states), converged, max_rate, n_rejected)
 
 
-def verify_global_stability(p: ModelParams, a: Allocation, cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
-                            level: float = DEFAULT_SEED_LEVEL) -> StabilityReport:
-    """Integrate from seed_state(p, a, level) and from (1, 1, 1, 1), the corners of the box [level, 1]^4.
+def verify_global_stability(run: Trajectory, p: ModelParams, a: Allocation,
+                            cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> StabilityReport:
+    """Certify run, the trajectory integrate returned from its start s0 at p, a and cfg, by two corner runs.
 
-    The system is cooperative: every off-diagonal Jacobian entry of rate_function, m_i (1 - r_i) k nu w_j, is >= 0
-    on [0, 1]^4. By Kamke's comparison theorem (H. L. Smith, Monotone Dynamical Systems, AMS Math. Surveys 41,
-    1995, ch. 3) ordered starts give ordered trajectories, so these two runs bound, coordinate by coordinate, every
-    run that starts in the box, which at the default level contains [0.01, 0.99]^4. Passes iff both runs converge
-    and their limits agree to STABILITY_TOL in sup distance over the four coordinates: the run from any start in
-    the box then ends between the two limits, within STABILITY_TOL of each.
-    A run that stops at the horizon yields a failing report, not an exception; one that exhausts MAX_STEPS or
-    stalls raises IntegratorError, as integrate does. The report keeps the seed's trajectory, so a run from the
-    seed level need not integrate it again.
+    The box runs from min(s0, seed_state(p, a)), coordinate by coordinate, to seed_state(p, a, 1.0), integrate's
+    all-ones start; a corner equal to s0 is run itself, not integrated again. The system is cooperative: every
+    off-diagonal Jacobian entry of rate_function, m_i (1 - r_i) k nu w_j, is >= 0 on [0, 1]^4. By Kamke's
+    comparison theorem (H. L. Smith, Monotone Dynamical Systems, AMS Math. Surveys 41, 1995, ch. 3) ordered starts
+    give ordered trajectories, so at equal times the corner runs bound, coordinate by coordinate, every run from
+    the box: s0's, and one from any start in [DEFAULT_SEED_LEVEL, 1]^4, which contains [0.01, 0.99]^4. But a run
+    stops once max|dr/dt| < conv_tol, which a start with a tiny rumor can meet before the rumor grows, so run's own
+    final state counts too: passes iff all three runs converge and their final states agree to STABILITY_TOL in
+    sup distance over the four coordinates. A run that stops at the horizon fails the report; a corner run that
+    exhausts MAX_STEPS or stalls raises IntegratorError, as integrate does.
     """
-    seed, top = (integrate(s0, p, a, cfg) for s0 in (seed_state(p, a, level), DynState(1.0, 1.0, 1.0, 1.0)))
-    all_converged = seed.converged and top.converged
-    max_gap = max(abs(u - v) for u, v in zip(seed.final[:4], top.final[:4]))
+    s0 = run.states[0]
+    corners = DynState(*map(min, s0[:4], seed_state(p, a)[:4])), seed_state(p, a, 1.0)
+    low, top = (run if corner == s0 else integrate(corner, p, a, cfg) for corner in corners)
+    all_converged = run.converged and low.converged and top.converged
+    max_gap = max(max(c) - min(c) for c in zip(run.final[:4], low.final[:4], top.final[:4]))
     passed = all_converged and max_gap < STABILITY_TOL
-    return StabilityReport(passed, all_converged, max_gap, (seed.final, top.final), seed)
+    return StabilityReport(passed, all_converged, max_gap, (low.final, top.final))

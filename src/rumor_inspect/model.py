@@ -79,7 +79,7 @@ class ModelParams(namedtuple("ModelParams", "nu k delta x")):
     lam == nu * k / delta holds exactly for every instance. Build from raw
     rates with the constructor, or from a diffusion rate with
     :meth:`from_lambda` (its canonical delta = 0.5, k = 1 make the round trip
-    bit-exact).
+    bit-exact for every lam it accepts).
     """
 
     __slots__ = ()
@@ -104,6 +104,8 @@ class ModelParams(namedtuple("ModelParams", "nu k delta x")):
     def from_lambda(cls, lam: float, x: float) -> ModelParams:
         if not lam > 0.0:
             raise ParameterError(f"lam must be strictly positive, got {lam}")
+        if lam * 0.5 * 2.0 != lam:  # an odd multiple of 5e-324 below 2**-1021: nu = lam / 2 would round
+            raise ParameterError(f"lam must have an exact half nu = lam / 2, got {lam}")
         return cls(nu=lam * 0.5, k=1.0, delta=0.5, x=x)
 
 

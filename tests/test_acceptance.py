@@ -17,11 +17,13 @@ from rumor_inspect import (
     compute_thresholds,
     eradication_threshold,
     full_steady_state,
+    integrate,
     maximize_platform,
     maximize_truth_targeted,
     maximize_truth_uniform,
     prevalences,
     rumor_steady_state,
+    seed_state,
     truth_steady_state,
     verify_global_stability,
 )
@@ -76,7 +78,7 @@ def test_c2_fixed_point_vs_ode():
                 if ss.theta <= 0.0:
                     continue
                 endemic += 1
-                rep = verify_global_stability(p, a)
+                rep = verify_global_stability(integrate(seed_state(p, a), p, a), p, a)  # certify the seed's run
                 all_ok = all_ok and rep.passed
                 worst_gap = max(worst_gap, rep.max_gap)
                 th0, th1 = prevalences(rep.limits[0], p, a)

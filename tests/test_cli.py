@@ -555,8 +555,11 @@ def test_infinite_tol_exit_2(capsys, args, name):
          "lam must be strictly positive, got 0.0"),
         (["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--init", "2"],
          "seed level must lie in [0, 1], got 2.0"),
+        (["dynamics", "--lambda", "5e-324", "--x", "0.3", "--alpha", "0.2"],
+         "lam must have an exact half nu = lam / 2, got 5e-324"),
     ],
-    ids=["rates", "alpha", "alpha1", "tol", "budget", "budget-inf", "budget-sweep", "lambda-sweep", "init"],
+    ids=["rates", "alpha", "alpha1", "tol", "budget", "budget-inf", "budget-sweep", "lambda-sweep", "init",
+         "lambda-half"],
 )
 def test_parameter_errors_exit_2_with_their_message(capsys, args, message):
     code = main(args)
@@ -713,11 +716,12 @@ def test_negative_seed_exit_2(capsys, flags):
     assert out == "" and f"error: seed must be >= 0, got {flags[-1]}" in err
 
 
-@pytest.mark.parametrize("init,seed,own", [([], 1e-3, []), (["--init", "0.2"], 1e-3, [(0.2,) * 4]),
-                                           (["--init", "1e-9"], 1e-9, [])], ids=["default-init", "init", "low-init"])
-def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, seed, own):
-    # the stability check integrates its seed, at --init or the default level, whichever is lower, and all ones,
-    # whatever N; the run reuses the seed's trajectory, and integrates only a start of its own
+@pytest.mark.parametrize("init,corners", [([], [(1.0,) * 4]), (["--init", "0.2"], [(1e-3,) * 4, (1.0,) * 4]),
+                                          (["--init", "1e-9"], [(1.0,) * 4]), (["--init", "1"], [(1e-3,) * 4])],
+                         ids=["default-init", "init", "low-init", "all-ones-init"])
+def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, corners):
+    # the printed run comes first; the stability check then integrates the corners of the box [min(--init, 1e-3),
+    # 1]^4, whatever N, except a corner equal to the run's start, which is the run itself
     starts = []
     integrate = dynamics.integrate
 
@@ -729,7 +733,8 @@ def test_dynamics_starts_integrate_the_seed_once(monkeypatch, capsys, init, seed
     code = main(["dynamics", "--lambda", "2", "--x", "0.3", "--alpha", "0.2", "--starts", "3", *init])
     out = capsys.readouterr().out
     assert code == 0 and "# stability_passed: true" in out
-    assert starts == [(seed,) * 4, (1.0,) * 4, *own]
+    level = float(init[-1]) if init else 1e-3
+    assert starts == [(level,) * 4, *corners]
 
 
 @pytest.mark.parametrize("init", ["0", "1e-11", "2e-10", "3e-10"])

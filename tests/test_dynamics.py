@@ -379,9 +379,14 @@ def test_limit_matches_analytic_componentwise(lam, x, alpha):
 # global stability
 # ---------------------------------------------------------------------------
 
+def certify(p, a, level=dynamics.DEFAULT_SEED_LEVEL):
+    """verify_global_stability's report on the run from seed_state(p, a, level)."""
+    return verify_global_stability(integrate(seed_state(p, a, level), p, a), p, a)
+
+
 def test_stability_subcritical_limits_are_zero():
     p = ModelParams.from_lambda(0.5, 0.3)
-    report = verify_global_stability(p, Allocation.uniform(0.5))
+    report = certify(p, Allocation.uniform(0.5))
     assert report.passed
     for lim in report.limits:
         assert max(lim[:4]) < 1e-6
@@ -393,14 +398,14 @@ def pairwise_gap(limits):
 
 
 def test_stability_reference_point(ref_params):
-    report = verify_global_stability(ref_params, Allocation.uniform(0.2))
+    report = certify(ref_params, Allocation.uniform(0.2))
     assert report.passed and report.all_converged
     assert report.max_gap < 1e-6
     assert report.max_gap == pairwise_gap(report.limits)
 
 
 def test_stability_full_inspection(ref_params):
-    report = verify_global_stability(ref_params, Allocation.uniform(1.0))
+    report = certify(ref_params, Allocation.uniform(1.0))
     assert report.passed
     # the non-inspecting groups are empty: integrate zeroes the all-ones start there
     assert all(lim.r00na == 0.0 and lim.r11na == 0.0 for lim in report.limits)
@@ -411,35 +416,54 @@ def test_stability_full_inspection(ref_params):
 
 
 def test_stability_integrates_the_seed_and_all_ones(monkeypatch, ref_params):
-    # the two corners of the box [DEFAULT_SEED_LEVEL, 1]^4, in that order; the report keeps the seed's run
+    # the corners of the box [min(start, seed), 1]^4, the lower one first; a corner equal to the run's start is
+    # the run itself: from the seed and from all ones the check integrates only the other corner, from 0.5 both
     a = Allocation.uniform(0.2)
-    runs = []
-    monkeypatch.setattr(dynamics, "integrate", lambda s0, *args: runs.append(integrate(s0, *args)) or runs[-1])
-    report = verify_global_stability(ref_params, a)
-    assert [run.states[0][:4] for run in runs] == [seed_state(ref_params, a)[:4], (1.0,) * 4]
-    assert report.seed_trajectory is runs[0] and report.limits == (runs[0].final, runs[1].final)
+    seed, ones = seed_state(ref_params, a)[:4], (1.0,) * 4
+    for start, integrated in ((seed, [ones]), (ones, [seed]), ((0.5,) * 4, [seed, ones])):
+        run = integrate(DynState(*start), ref_params, a)
+        runs = []
+        monkeypatch.setattr(dynamics, "integrate", lambda s0, *args: runs.append(integrate(s0, *args)) or runs[-1])
+        report = verify_global_stability(run, ref_params, a)
+        monkeypatch.undo()
+        assert [r.states[0][:4] for r in runs] == integrated
+        corners = {r.states[0][:4]: r for r in (run, *runs)}
+        assert report.limits == (corners[seed].final, corners[ones].final) and report.passed
 
 
 def test_stability_box_starts_at_the_seed_level(ref_params):
-    # the lower corner is seed_state at the level asked for: at 1e-10 its run stops short of the limit, where the
-    # rumor's rate is below conv_tol, so the two converged corners part and the check fails
+    # the lower corner is the run's own start at 1e-10, below the default seed level: that run stops short of the
+    # limit, where the rumor's rate is below conv_tol, so the two converged corners part and the check fails
     a = Allocation.uniform(0.2)
-    report = verify_global_stability(ref_params, a, level=1e-10)
-    assert report.seed_trajectory.states[0][:4] == seed_state(ref_params, a, 1e-10)[:4]
+    run = integrate(seed_state(ref_params, a, 1e-10), ref_params, a)
+    report = verify_global_stability(run, ref_params, a)
+    assert report.limits[0] == run.final and run.states[0][:4] == (1e-10,) * 4
     assert report.all_converged and not report.passed and report.max_gap > 0.2
+
+
+def test_stability_fails_a_run_that_stops_short_of_the_corner_limits():
+    # at lam = 6, x = 0.4, alpha = 0.65 the truth from 0.5 settles by t = 12.5, while the rumor from 1e-10 is still
+    # too small for its rate to reach conv_tol: the run stops there, about 0.21 from the limit. The lower corner's
+    # truth rises from the seed level slowly enough for the rumor to grow, so the two corners agree, and only the
+    # run's own final state fails the check
+    p, a = ModelParams.from_lambda(6.0, 0.4), Allocation.uniform(0.65)
+    run = integrate(DynState(0.5, 0.5, 0.5, 1e-10), p, a)
+    report = verify_global_stability(run, p, a)
+    assert run.converged and report.all_converged and pairwise_gap(report.limits) < dynamics.STABILITY_TOL
+    assert not report.passed and report.max_gap == pairwise_gap([run.final, *report.limits]) > 0.2
 
 
 def test_stability_reports_failure_without_crash(monkeypatch, ref_params):
     monkeypatch.setattr(dynamics, "HORIZON", 0.5 * ref_params.delta)  # stop at t = 0.5
-    report = verify_global_stability(ref_params, Allocation.uniform(0.2))
+    report = certify(ref_params, Allocation.uniform(0.2))
     assert not report.passed and not report.all_converged
     assert report.max_gap == pairwise_gap(report.limits) > 1e-3
 
 
 def test_stability_reruns_deterministic(ref_params):
     a = Allocation.uniform(0.2)
-    first = verify_global_stability(ref_params, a)
-    second = verify_global_stability(ref_params, a)
+    first = certify(ref_params, a)
+    second = certify(ref_params, a)
     assert first.limits == second.limits
     assert first.max_gap == second.max_gap
 
@@ -453,7 +477,7 @@ def test_every_start_in_the_box_ends_between_the_corner_limits(lam, x, alpha0, a
     # the exact one wherever max|dr/dt| < conv_tol, and the check counts limits within STABILITY_TOL as one: the
     # slack is STABILITY_TOL, the resolution at which the certificate speaks
     p, a = ModelParams.from_lambda(lam, x), Allocation.targeted(alpha0, alpha1)
-    report = verify_global_stability(p, a)
+    report = certify(p, a)
     assume(report.all_converged)  # a run stopped at the horizon is ordered at its own time, not at its limit
     low, high = report.limits
     for start in starts:
@@ -461,6 +485,24 @@ def test_every_start_in_the_box_ends_between_the_corner_limits(lam, x, alpha0, a
         assert traj.converged
         for lo, got, hi in zip(low[:4], traj.final[:4], high[:4]):
             assert lo - dynamics.STABILITY_TOL <= got <= hi + dynamics.STABILITY_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(0.0, 2.0).map(lambda e: 10.0 ** e), x=unit_or_edge, alpha0=unit_or_edge, alpha1=unit_or_edge,
+       start=st.tuples(*[st.one_of(st.sampled_from([1e-10, dynamics.DEFAULT_SEED_LEVEL]), unit_or_edge)] * 4))
+@example(lam=6.0, x=0.4, alpha0=0.65, alpha1=0.65, start=(0.5, 0.5, 0.5, 1e-10))  # the run stops short
+def test_stability_certifies_the_run_from_any_start(lam, x, alpha0, alpha1, start):
+    # the lower corner starts at min(start, seed_state(p, a)) and the upper one at all ones, so the box holds the
+    # run's start; when the report passes, the run ends within STABILITY_TOL of both corner limits
+    p, a = ModelParams.from_lambda(lam, x), Allocation.targeted(alpha0, alpha1)
+    run = integrate(DynState(*start), p, a)
+    report = verify_global_stability(run, p, a)
+    low = DynState(*map(min, run.states[0][:4], seed_state(p, a)[:4]))
+    assert all(lo <= s <= 1.0 for lo, s in zip(low[:4], run.states[0][:4]))
+    assert report.limits == (integrate(low, p, a).final, integrate(seed_state(p, a, 1.0), p, a).final)
+    if report.passed:
+        for lim in report.limits:
+            assert max(abs(u - v) for u, v in zip(run.final[:4], lim[:4])) < dynamics.STABILITY_TOL
 
 
 def test_overflowing_two_k_is_refused_at_the_rounding_floor():

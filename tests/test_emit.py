@@ -79,7 +79,7 @@ def reference_table(cfg):
         summary = {"status": traj.status, "t_final": traj.final.t, "max_rate": traj.max_rate,
                    "steps": traj.n_steps, "rejected_steps": traj.n_rejected}
         if cfg.starts is not None:
-            report = verify_global_stability(p, a, integ)
+            report = verify_global_stability(traj, p, a, integ)
             summary["stability_passed"] = report.passed
             summary["stability_max_gap"] = report.max_gap
         return ["t", "r00a", "r00na", "r10a", "r11na", "theta0", "theta1"], rows, summary

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +57,28 @@ def test_params_validation():
 def test_lambda_round_trips_exactly(lam):
     p = ModelParams.from_lambda(lam, 0.3)
     assert p.lam == lam
+
+
+# multiples of the smallest subnormal 5e-324 up to 2**-1021: the odd ones have no float half
+tiny_lams = st.integers(1, 2**53).map(lambda n: n * 5e-324)
+
+
+@settings(max_examples=500)
+@given(lam=st.one_of(tiny_lams, st.floats(0.0, exclude_min=True, allow_infinity=False)))
+@example(lam=1.5e-323)  # from_lambda gave lam = 2e-323 back
+@example(lam=5e-324)  # refused with the message of nu, k and delta, never given on a --lambda line
+@example(lam=2.0**-1022 + 5e-324)  # the smallest normal lam with no float half
+@example(lam=sys.float_info.max)
+def test_lambda_round_trips_exactly_or_is_refused(lam):
+    # nu = lam / 2 is exact unless lam is an odd multiple of 5e-324 below 2**-1021: from_lambda refuses such a lam
+    # by name, and gives every other lam back bit for bit
+    if Fraction(lam) / 2 == Fraction(lam / 2):
+        assert ModelParams.from_lambda(lam, 0.3).lam == lam
+    else:
+        assert lam < 2.0**-1021 and int(lam / 5e-324) % 2 == 1
+        with pytest.raises(ParameterError) as refused:
+            ModelParams.from_lambda(lam, 0.3)
+        assert str(refused.value) == f"lam must have an exact half nu = lam / 2, got {lam}"
 
 
 @pytest.mark.parametrize(

@@ -158,7 +158,7 @@ def test_sweep_at_the_edges_of_lambda(capsys):
         (["--axis", "lambda", "--start", "1", "--stop", "inf", "--x", "0.3", "--alpha", "0.2", "--steps", "5"],
          "--stop must be finite, got inf"),
         (["--axis", "lambda", "--start", "5e-324", "--stop", "1", "--x", "0.3", "--alpha", "0.2", "--steps", "5"],
-         "nu, k, delta must be finite and strictly positive, got (0.0, 1.0, 0.5)"),
+         "lam must have an exact half nu = lam / 2, got 5e-324"),
         (["--axis", "lambda", "--start", "1", "--stop", "2", "--lambda", "2", "--x", "0.3", "--alpha", "0.2"],
          "the swept diffusion rate cannot also be fixed on the command line"),
         (["--axis", "x", "--nu", "1", "--k", "1", "--delta", "0", "--alpha", "0.2", "--steps", "5"],
